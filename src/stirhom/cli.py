@@ -15,7 +15,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import characters as chars
 from . import graphcomplex as gc
@@ -149,13 +148,7 @@ def cmd_betti(args):
         _emit("\n".join(reports), args.out)
         return 0
 
-    if args.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {key: pool.submit(_betti_report, key[0], key[1], args.seed)
-                       for key in jobs}
-        reports = [futures[key].result() for key in sorted(futures)]
-    else:
-        reports = [_betti_report(n, k, args.seed) for n, k in sorted(jobs)]
+    reports = [_betti_report(n, k, args.seed) for n, k in sorted(jobs)]
 
     ok = all(r["status"] == "PASS" for r in reports)
     if args.format == "json":
@@ -286,6 +279,8 @@ def cmd_graph(args):
     if m is None or not 3 <= m <= 6:
         raise SystemExit("graph requires --m with 3 <= m <= 6")
     kill = not args.disable_orientation_kill
+    if args.characters and not kill:
+        raise SystemExit("--characters requires the orientation kill")
     cx = gc.GraphComplex(m, orientation_kill=kill)
     if args.format == "dot":
         _emit(cx.generator_dot(), args.out)
@@ -300,8 +295,6 @@ def cmd_graph(args):
     ok = kill and concentrated and value == expected == stirling_sum
     characters_ok = None
     if args.characters:
-        if not kill:
-            raise SystemExit("--characters requires the orientation kill")
         characters_ok = gc.verify_decomposition(m, seed=args.seed,
                                                 include_characters=True)
         ok = ok and characters_ok
@@ -353,8 +346,6 @@ def build_parser():
                        help="seed for the modular-rank primes "
                             "(STIRLING_SEED env fallback)")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for ranged runs")
 
     p_table = sub.add_parser("table", help="signed Stirling triangle and identities")
     p_table.add_argument("--max-n", type=int, required=True)

@@ -21,7 +21,8 @@ import itertools
 import math
 from functools import lru_cache
 
-from .linalg import SparseIntMatrix, betti_from_dims_and_ranks, rank_exact
+from .linalg import (SparseIntMatrix, betti_from_dims_and_ranks, morse_reduce,
+                     rank_exact)
 from .stirling import stirling_complex
 from .trees import (Graph, GraphError, ModularGraph, _partitions_into_blocks,
                     _rooted_shapes, canonical_modular_data,
@@ -308,12 +309,19 @@ class GraphComplex:
 
         Without the orientation kill the generators do not form a complex;
         the resulting (possibly negative) numbers are reported anyway so
-        the negative control can observe the difference.
+        the negative control can observe the difference.  The coreduction
+        needs d^2 = 0, so it runs only when that was verified; every other
+        case, the negative control included, takes per-degree elimination.
         """
-        if check and self.orientation_kill and not self.verify_d_squared():
-            raise RuntimeError("differential does not square to zero")
-        return betti_from_dims_and_ranks(self.dims(), self.ranks(seed),
-                                         lambda i: i,
+        if check and self.orientation_kill:
+            if not self.verify_d_squared():
+                raise RuntimeError("differential does not square to zero")
+            diffs = {i: self.differential(i)
+                     for i in range(1, self.max_edges + 1)}
+            ranks = morse_reduce(self.dims(), diffs, seed).ranks
+        else:
+            ranks = self.ranks(seed)
+        return betti_from_dims_and_ranks(self.dims(), ranks, lambda i: i,
                                          strict=self.orientation_kill)
 
     def euler_characteristic(self):

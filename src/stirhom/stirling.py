@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .linalg import SparseIntMatrix, betti_from_dims_and_ranks, rank_exact
+from .linalg import (SparseIntMatrix, betti_from_dims_and_ranks, morse_reduce,
+                     rank_exact)
 from .trees import (canonical_tree_data, contract_edge_with_maps,
                     enumerate_stable_trees, map_edge, relative_sign, to_dot)
 
@@ -317,11 +318,21 @@ class StirlingComplex:
                 for i in range(1, self.max_edges + 1)}
 
     def betti(self, seed=0, check=True):
-        """Betti numbers indexed by total degree i + k."""
-        if check and not self.verify_d_squared():
-            raise RuntimeError("differential does not square to zero")
-        return betti_from_dims_and_ranks(self.dims(), self.ranks(seed),
-                                         self.total_degree)
+        """Betti numbers indexed by total degree i + k.
+
+        With ``check`` the differential is verified to square to zero and
+        the ranks come from the coreduction; without it, from per-degree
+        elimination.
+        """
+        if check:
+            if not self.verify_d_squared():
+                raise RuntimeError("differential does not square to zero")
+            diffs = {i: self.differential(i)
+                     for i in range(1, self.max_edges + 1)}
+            ranks = morse_reduce(self.dims(), diffs, seed).ranks
+        else:
+            ranks = self.ranks(seed)
+        return betti_from_dims_and_ranks(self.dims(), ranks, self.total_degree)
 
     def euler_characteristic(self):
         """Alternating sum of chain dimensions in the edge grading."""
@@ -445,18 +456,21 @@ def verify_reach_filtration(n, k, orient_seed=0):
 
 def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True, trim=None):
     """One streaming pass over a complex: dimensions, ranks, Betti numbers,
-    plus the composition-to-zero and reach checks, releasing memory as it
-    goes when ``trim`` is set (default for n >= 7).
+    plus the composition-to-zero and reach checks, releasing generators as
+    it goes when ``trim`` is set (default for n >= 7).
+
+    Ranks come from the coreduction when d^2 = 0 held in every degree, and
+    ``certificate`` is then the coreduction's; otherwise they come from
+    per-degree elimination and ``certificate`` is ``"unverified"``.
     """
     if trim is None:
         trim = n >= 7
     cx = StirlingComplex(n, k, orient_seed)
     dims = {}
-    ranks = {}
+    diffs = {}
     d2_ok = True
     reach_ok = True
     upper = 2 * (n - k) - 2
-    prev = None
     for i in range(cx.max_edges + 1):
         gens = cx.generators(i)
         dims[i] = len(gens)
@@ -473,14 +487,19 @@ def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True, trim=None):
                         reach_ok = False
         if i >= 1:
             d = cx.differential(i)
-            ranks[i] = rank_exact(d, rank_seed)
-            if prev is not None and not (prev @ d).is_zero():
+            if i >= 2 and not (diffs[i - 1] @ d).is_zero():
                 d2_ok = False
-            prev = d
+            diffs[i] = d
             if trim:
-                cx._diffs.pop(i, None)
                 cx.release(i - 2)
+    if d2_ok:
+        reduction = morse_reduce(dims, diffs, rank_seed)
+        ranks, certificate = reduction.ranks, reduction.certificate
+    else:
+        ranks = {i: rank_exact(d, rank_seed) for i, d in diffs.items()}
+        certificate = "unverified"
     betti = betti_from_dims_and_ranks(dims, ranks, cx.total_degree)
     return {"n": n, "k": k, "dims": dims, "ranks": ranks,
             "betti": betti, "d2_ok": d2_ok, "reach_ok": reach_ok,
+            "certificate": certificate,
             "euler": sum((-1) ** i * d for i, d in dims.items())}

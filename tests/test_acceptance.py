@@ -2,7 +2,7 @@
 
 Each criterion prints one PASS/FAIL line.  All comparisons are exact.
 The large types (7, 2) and (7, 3) run in a streaming mode that releases
-intermediate matrices; their results are cached and shared between the
+generators as it goes; their results are cached and shared between the
 rank, composition and filtration criteria, which are bundled into the
 same pass by construction.
 """
@@ -73,6 +73,12 @@ def test_criterion_3_d_squared_and_reach():
     ok = all(cached_survey(n, k)["d2_ok"] and cached_survey(n, k)["reach_ok"]
              for n, k in ALL_SMALL + LARGE)
     report(3, "d squared zero and reach filtration", ok)
+
+
+def test_coreduction_certificates():
+    # every type's homology is read off a zero residual, so it holds over Z
+    for n, k in ALL_SMALL + LARGE:
+        assert cached_survey(n, k)["certificate"] == "morse-integral", (n, k)
 
 
 def test_criterion_4_equivariance():

@@ -47,8 +47,7 @@ def test_betti_json_deterministic(capsys):
 
 
 def test_betti_sweep_ordered(capsys):
-    code, out = run(capsys, "betti", "--max-n", "4", "--format", "json",
-                    "--jobs", "2")
+    code, out = run(capsys, "betti", "--max-n", "4", "--format", "json")
     assert code == 0
     keys = [(r["n"], r["k"]) for r in json.loads(out)["reports"]]
     assert keys == sorted(keys)
@@ -102,6 +101,15 @@ def test_graph_character_flag(capsys):
     code, out = run(capsys, "graph", "--m", "4", "--characters")
     assert code == 0
     assert "character comparison: PASS" in out
+    with pytest.raises(SystemExit):
+        main(["graph", "--m", "4", "--characters",
+              "--disable-orientation-kill"])
+
+
+def test_graph_characters_without_kill_rejected_before_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex was built before the rejection")
+    monkeypatch.setattr("stirhom.graphcomplex.GraphComplex", refuse)
     with pytest.raises(SystemExit):
         main(["graph", "--m", "4", "--characters",
               "--disable-orientation-kill"])

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from stirhom.linalg import SparseIntMatrix
+from stirhom.linalg import SparseIntMatrix, rank_exact
 from stirhom.stirling import (DomainError, StirlingComplex, compose,
                               enumerate_generators, differential,
-                              make_generator, stirling_complex, transposition,
-                              verify_d_squared, verify_equivariance,
-                              verify_group_law, verify_reach_filtration)
+                              make_generator, stirling_complex, survey,
+                              transposition, verify_d_squared,
+                              verify_equivariance, verify_group_law,
+                              verify_reach_filtration)
 from stirhom.trees import _tree_from_shape, canonical_tree_data, relative_sign
 
 
@@ -370,3 +371,33 @@ def test_contraction_terms_drop_an_edge(pick):
         assert len(surviving) == target.graph.num_edges
         assert len(alt_order) == len(gen.alt_order)
         assert set(alt_order) <= set(target.input_flags(dv))
+
+
+def test_survey_certificate():
+    for n, k in [(3, 3), (4, 2), (5, 3)]:
+        result = survey(n, k, reach_check=False)
+        assert result["certificate"] == "morse-integral"
+        assert result["ranks"] == StirlingComplex(n, k).ranks()
+
+
+def test_survey_skips_the_reduction_when_d_squared_fails(monkeypatch):
+    original = StirlingComplex.differential
+
+    def corrupted(self, i):
+        d = original(self, i)
+        if i != 1:
+            return d
+        entries = dict(d.entries)
+        del entries[min(entries)]
+        return SparseIntMatrix(d.nrows, d.ncols, entries)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coreduction ran on an unverified complex")
+
+    monkeypatch.setattr(StirlingComplex, "differential", corrupted)
+    monkeypatch.setattr("stirhom.stirling.morse_reduce", forbidden)
+    cx = StirlingComplex(4, 2)
+    result = survey(4, 2, reach_check=False)
+    assert not result["d2_ok"]
+    assert result["certificate"] == "unverified"
+    assert result["ranks"] == {i: rank_exact(cx.differential(i)) for i in (1, 2)}
