@@ -48,23 +48,27 @@ def main():
     print("== genus-one graph complexes ==")
     for m in range(3, args.max_m + 1):
         t0 = time.time()
-        betti = GraphComplex(m).betti(seed=args.seed)
+        cx = GraphComplex(m)
+        betti = cx.betti(seed=args.seed)
         expected = math.factorial(m - 1) // 2
         ok = betti.support() and betti[betti.support()[0]] == expected \
-            and verify_decomposition(m, seed=args.seed)
+            and verify_decomposition(cx, seed=args.seed)
         failures += not ok
         print(f"  m={m}: betti={betti.as_dict()} expected_top={expected} "
               f"[{time.time() - t0:.1f}s] {'ok' if ok else 'MISMATCH'}")
 
     print("== homology decompositions ==")
     for n in range(2, min(args.max_n, 6) + 1):
-        cf = C.equivariant_euler_character(n, n, rank_seed=args.seed)
+        cf = C.equivariant_euler_character(S.StirlingComplex(n, n),
+                                           rank_seed=args.seed)
         print(f"  ({n},{n}): {C.decompose(cf)}")
     for n in range(3, min(args.max_n, 6) + 1):
-        cf = C.equivariant_euler_character(n, n - 1, rank_seed=args.seed)
+        cf = C.equivariant_euler_character(S.StirlingComplex(n, n - 1),
+                                           rank_seed=args.seed)
         print(f"  ({n},{n - 1}): {C.decompose(cf)}")
     if args.max_n >= 5:
-        cf = C.equivariant_euler_character(5, 3, rank_seed=args.seed)
+        cf = C.equivariant_euler_character(S.StirlingComplex(5, 3),
+                                           rank_seed=args.seed)
         print(f"  (5,3): {C.decompose(cf)}")
 
     print(f"done in {time.time() - start:.1f}s, {failures} mismatches")

@@ -14,8 +14,8 @@ See the ``stirhom`` command-line tool for reproducible reports.
 """
 
 from .linalg import BettiVector, SparseIntMatrix, rank_exact
-from .stirling import StirlingComplex, stirling_complex
-from .graphcomplex import GraphComplex, graph_complex
+from .stirling import StirlingComplex
+from .graphcomplex import GraphComplex
 from .characters import (ClassFunction, decompose, equivariant_euler_character,
                          hook_length_dimension, irreducible_character,
                          stirling_signed, stirling_unsigned)
@@ -26,9 +26,9 @@ __all__ = [
     "BettiVector", "ClassFunction", "Graph", "GraphComplex", "ModularGraph",
     "SparseIntMatrix", "StirlingComplex", "Tree", "automorphisms",
     "canonical_code", "contract_edge", "decompose",
-    "enumerate_stable_trees", "equivariant_euler_character", "graph_complex",
+    "enumerate_stable_trees", "equivariant_euler_character",
     "hook_length_dimension", "irreducible_character", "rank_exact",
-    "stirling_complex", "stirling_signed", "stirling_unsigned", "to_dot",
+    "stirling_signed", "stirling_unsigned", "to_dot",
 ]
 
 __version__ = "0.1.0"

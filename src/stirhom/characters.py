@@ -3,9 +3,9 @@
 Covers the signed Stirling triangle and its identities, irreducible
 characters via the border-strip (Murnaghan-Nakayama) recursion, hook-length
 dimensions, class functions with inner products and exact irreducible
-decomposition, and the equivariant Euler characteristic of a Stirling
-complex, which equals the character of its top homology once concentration
-is established.
+decomposition, and the one trace routine behind every chain and homology
+character: the equivariant Euler characteristic of a complex, which equals
+the character of its homology once concentration is established.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .stirling import stirling_complex
 
 
 # ---------------------------------------------------------------------------
@@ -285,56 +283,60 @@ def decompose(cf):
 
 
 # ---------------------------------------------------------------------------
-# characters of Stirling chain groups and homology
+# characters of chain groups and homology
 
 
-def chain_character(n, k, i, orient_seed=0):
-    """Character of the action of the n+1 leg-label symmetries on degree i."""
-    cx = stirling_complex(n, k, orient_seed)
+def trace_character(cx, size, perm_of, degrees, sign):
+    """The one trace routine: the class function of S_size whose value at
+    a cycle type mu is ``sign`` times the sum, over ``degrees``, of
+    (-1)^(total degree) times the trace of ``perm_of(mu)`` on that degree
+    of ``cx``."""
     values = {}
-    for mu in partitions(n + 1):
-        perm = representative_permutation(mu)
-        matrix = cx.action_matrix(i, perm)
-        values[mu] = sum(v for (r, c), v in matrix.entries.items() if r == c)
-    return ClassFunction(n + 1, values)
+    for mu in partitions(size):
+        perm = perm_of(mu)
+        values[mu] = sign * sum(
+            (-1) ** cx.total_degree(i)
+            * sum(v for (r, c), v in cx.action_matrix(i, perm).entries.items()
+                  if r == c)
+            for i in degrees)
+    return ClassFunction(size, values)
 
 
-def restricted_chain_character(n, k, i, orient_seed=0):
+def chain_character(cx, i):
+    """Character of the action of the n+1 leg-label symmetries on degree i
+    of a Stirling complex."""
+    return trace_character(cx, cx.n + 1, representative_permutation, [i],
+                           (-1) ** cx.total_degree(i))
+
+
+def restricted_chain_character(cx, i):
     """Character of the subgroup fixing the root label 0 on degree i."""
-    cx = stirling_complex(n, k, orient_seed)
-    values = {}
-    for mu in partitions(n):
-        inner = representative_permutation(mu)
-        perm = (0,) + tuple(x + 1 for x in inner)
-        matrix = cx.action_matrix(i, perm)
-        values[mu] = sum(v for (r, c), v in matrix.entries.items() if r == c)
-    return ClassFunction(n, values)
+    return trace_character(
+        cx, cx.n,
+        lambda mu: (0,) + tuple(x + 1 for x in representative_permutation(mu)),
+        [i], (-1) ** cx.total_degree(i))
 
 
-def equivariant_euler_character(n, k, orient_seed=0, rank_seed=0,
-                                check_concentration=True):
-    """Character of the top homology of the (n, k) complex.
+def homology_character(cx, size, perm_of, rank_seed=0):
+    """Character of the homology of ``cx``, which must be concentrated in
+    one total degree (verified, with d^2 = 0; failure would signal an
+    upstream bug and make the identification invalid).
 
     Computed as the alternating sum of action traces over the chain
-    degrees, normalized so that the value at the identity equals the top
-    Betti number.  Homology concentration in degree n is verified first
-    (its failure would signal an upstream bug, and would make the
-    identification with a single homology character invalid).
+    degrees, normalized so that the value at the identity equals the
+    Betti number of the concentration degree.
     """
-    cx = stirling_complex(n, k, orient_seed)
-    if check_concentration:
-        betti = cx.betti(seed=rank_seed)
-        if any(b and d != n for d, b in betti.values.items()):
-            raise RuntimeError(
-                f"homology of type ({n}, {k}) is not concentrated: "
-                f"{betti.as_dict()}")
-    values = {}
-    for mu in partitions(n + 1):
-        perm = representative_permutation(mu)
-        total = 0
-        for i in range(cx.max_edges + 1):
-            matrix = cx.action_matrix(i, perm)
-            trace = sum(v for (r, c), v in matrix.entries.items() if r == c)
-            total += (-1) ** (i + k) * trace
-        values[mu] = (-1) ** n * total
-    return ClassFunction(n + 1, values)
+    result = cx.homology(rank_seed)
+    support = result.betti.support()
+    if not result.d2_ok or len(support) != 1:
+        raise RuntimeError(f"homology is not concentrated in one degree: "
+                           f"{result.betti.as_dict()} ({result.certificate})")
+    return trace_character(cx, size, perm_of, range(cx.max_edges + 1),
+                           (-1) ** support[0])
+
+
+def equivariant_euler_character(cx, rank_seed=0):
+    """Character of the top homology of a Stirling complex under the n+1
+    leg-label symmetries."""
+    return homology_character(cx, cx.n + 1, representative_permutation,
+                              rank_seed)

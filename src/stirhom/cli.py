@@ -2,7 +2,10 @@
 
 All numeric output is exact.  JSON output is deterministic byte-for-byte
 for a fixed seed (keys sorted, no timestamps); the exit code is zero
-exactly when every requested check passed.
+exactly when every requested check passed.  Each command returns whether
+its checks passed and its report in every format it offers (a JSON
+payload, CSV rows, text lines, or DOT text); ``main`` writes the one that
+was asked for.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 from . import characters as chars
 from . import graphcomplex as gc
 from . import stirling as st
+from .linalg import composes_to_zero
 
 SCHEMA = 1
 
@@ -33,20 +37,20 @@ def _seed_default():
     return 0
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _status(ok):
     return "PASS" if ok else "FAIL"
+
+
+def _render(fmt, report):
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(report)
+        return buf.getvalue()
+    if fmt == "table":
+        return "\n".join(report) + "\n"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -70,28 +74,17 @@ def cmd_table(args):
         "basics_ok": basics_ok,
         "alternating_identity_ok": alt_ok,
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "k", "signed", "unsigned"])
-        for n, row in table.items():
-            for k, v in row.items():
-                writer.writerow([n, k, v, abs(v)])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [f"signed Stirling numbers of the first kind, n <= {max_n}"]
-        width = max(len(str(v)) for row in table.values() for v in row.values()) + 2
-        header = "n\\k" + "".join(str(k).rjust(width) for k in range(1, max_n + 1))
-        lines.append(header)
-        for n, row in table.items():
-            lines.append(str(n).ljust(3) + "".join(
-                str(row.get(k, "")).rjust(width) for k in range(1, max_n + 1)))
-        lines.append(f"identities (row sums, adjacent-k, next-row): "
-                     f"{_status(basics_ok and alt_ok)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if basics_ok and alt_ok else 1
+    rows = [["n", "k", "signed", "unsigned"]]
+    rows += [[n, k, v, abs(v)] for n, row in table.items() for k, v in row.items()]
+    lines = [f"signed Stirling numbers of the first kind, n <= {max_n}"]
+    width = max(len(str(v)) for row in table.values() for v in row.values()) + 2
+    lines.append("n\\k" + "".join(str(k).rjust(width) for k in range(1, max_n + 1)))
+    for n, row in table.items():
+        lines.append(str(n).ljust(3) + "".join(
+            str(row.get(k, "")).rjust(width) for k in range(1, max_n + 1)))
+    lines.append(f"identities (row sums, adjacent-k, next-row): "
+                 f"{_status(basics_ok and alt_ok)}")
+    return basics_ok and alt_ok, {"json": payload, "csv": rows, "table": lines}
 
 
 # ---------------------------------------------------------------------------
@@ -116,56 +109,39 @@ def _betti_report(n, k, seed):
     }
 
 
-def _render_betti(report):
-    lines = [f"type ({report['n']}, {report['k']})"]
-    lines.append("  dims:  " + " ".join(f"i={i}:{d}" for i, d in report["dims"].items()))
-    lines.append("  ranks: " + " ".join(f"d{i}:{r}" for i, r in report["ranks"].items()))
-    lines.append("  betti: " + " ".join(f"b{d}={b}" for d, b in report["betti"].items()))
-    lines.append(f"  euler={report['euler']} expected_top={report['expected_top']} "
-                 f"d2={report['d2_ok']}  {report['status']}")
-    return "\n".join(lines)
+def _betti_lines(report):
+    return [
+        f"type ({report['n']}, {report['k']})",
+        "  dims:  " + " ".join(f"i={i}:{d}" for i, d in report["dims"].items()),
+        "  ranks: " + " ".join(f"d{i}:{r}" for i, r in report["ranks"].items()),
+        "  betti: " + " ".join(f"b{d}={b}" for d, b in report["betti"].items()),
+        f"  euler={report['euler']} expected_top={report['expected_top']} "
+        f"d2={report['d2_ok']}  {report['status']}",
+    ]
 
 
 def cmd_betti(args):
-    jobs = []
     if args.max_n is not None:
-        for n in range(2, args.max_n + 1):
-            for k in range(2, n + 1):
-                jobs.append((n, k))
+        jobs = [(n, k) for n in range(2, args.max_n + 1) for k in range(2, n + 1)]
+    elif args.n is None or args.k is None:
+        raise SystemExit("betti requires --n and --k (or --max-n)")
     else:
-        if args.n is None or args.k is None:
-            raise SystemExit("betti requires --n and --k (or --max-n)")
-        jobs.append((args.n, args.k))
+        jobs = [(args.n, args.k)]
     for n, k in jobs:
         if not 2 <= k <= n:
             raise SystemExit(f"type ({n}, {k}) requires 2 <= k <= n")
-
     if args.format == "dot":
-        reports = []
-        for n, k in jobs:
-            cx = st.stirling_complex(n, k)
-            reports.append(cx.generator_dot())
-        _emit("\n".join(reports), args.out)
-        return 0
-
-    reports = [_betti_report(n, k, args.seed) for n, k in sorted(jobs)]
-
+        return True, {"dot": "\n".join(st.StirlingComplex(n, k).generator_dot()
+                                       for n, k in jobs)}
+    reports = [_betti_report(n, k, args.seed) for n, k in jobs]
+    payload = {"schema": SCHEMA, "command": "betti", "seed": args.seed,
+               "reports": reports}
+    rows = [["n", "k", "degree", "betti", "expected_top", "status"]]
+    rows += [[r["n"], r["k"], d, b, r["expected_top"], r["status"]]
+             for r in reports for d, b in r["betti"].items()]
+    lines = [line for r in reports for line in _betti_lines(r)]
     ok = all(r["status"] == "PASS" for r in reports)
-    if args.format == "json":
-        payload = {"schema": SCHEMA, "command": "betti", "seed": args.seed,
-                   "reports": reports}
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "k", "degree", "betti", "expected_top", "status"])
-        for r in reports:
-            for d, b in r["betti"].items():
-                writer.writerow([r["n"], r["k"], d, b, r["expected_top"], r["status"]])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit("\n".join(_render_betti(r) for r in reports) + "\n", args.out)
-    return 0 if ok else 1
+    return ok, {"json": payload, "csv": rows, "table": lines}
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +157,11 @@ def cmd_verify(args):
     unknown = set(checks) - known
     if unknown:
         raise SystemExit(f"unknown checks: {sorted(unknown)}")
+    cx = st.StirlingComplex(n, k)
     results = {}
     if "d2" in checks:
-        results["d2"] = st.verify_d_squared(n, k)
+        results["d2"] = composes_to_zero(cx.differentials())
     if "equivariance" in checks:
-        ok = all(st.verify_equivariance(n, k, st.transposition(n, 0, i))
-                 for i in range(1, n + 1))
         rng = random.Random(args.seed)
         pairs = []
         for _ in range(3):
@@ -194,27 +169,23 @@ def cmd_verify(args):
             tau = list(range(n + 1))
             rng.shuffle(sigma)
             rng.shuffle(tau)
-            ok = ok and st.verify_equivariance(n, k, tuple(sigma))
             pairs.append((tuple(sigma), tuple(tau)))
-        results["equivariance"] = ok and st.verify_group_law(n, k, pairs)
+        perms = [st.transposition(n, 0, i) for i in range(1, n + 1)]
+        perms += [sigma for sigma, _tau in pairs]
+        results["equivariance"] = (all(cx.verify_equivariance(p) for p in perms)
+                                   and cx.verify_group_law(pairs))
     if "reach" in checks:
-        results["reach"] = st.verify_reach_filtration(n, k)
+        results["reach"] = all(cx.reach_filtration_holds(i)
+                               for i in range(cx.max_edges + 1))
     if "euler" in checks:
-        cx = st.stirling_complex(n, k)
         results["euler"] = (cx.euler_characteristic()
                             == chars.stirling_signed(n, k))
     ok = all(results.values())
-    if args.format == "json":
-        payload = {"schema": SCHEMA, "command": "verify", "n": n, "k": k,
-                   "seed": args.seed, "results": results,
-                   "status": _status(ok)}
-        _emit(_json_text(payload), args.out)
-    else:
-        lines = [f"verify ({n}, {k})"]
-        lines.extend(f"  {name}: {_status(value)}"
-                     for name, value in results.items())
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    payload = {"schema": SCHEMA, "command": "verify", "n": n, "k": k,
+               "seed": args.seed, "results": results, "status": _status(ok)}
+    lines = [f"verify ({n}, {k})"]
+    lines += [f"  {name}: {_status(value)}" for name, value in results.items()]
+    return ok, {"json": payload, "table": lines}
 
 
 # ---------------------------------------------------------------------------
@@ -225,49 +196,36 @@ def cmd_characters(args):
     n, k = args.n, args.k
     if n is None or k is None or not 2 <= k <= n or n > 6:
         raise SystemExit("characters requires --n and --k with 2 <= k <= n <= 6")
-    cf = chars.equivariant_euler_character(n, k, rank_seed=args.seed)
-    decomposition = chars.decompose(cf)
-    total = sum(mult * chars.hook_length_dimension(lam)
-                for lam, mult in decomposition)
-    ok = total == chars.stirling_unsigned(n, k)
+    cf = chars.equivariant_euler_character(st.StirlingComplex(n, k),
+                                           rank_seed=args.seed)
+    decomposition = [(lam, mult, chars.hook_length_dimension(lam))
+                     for lam, mult in chars.decompose(cf)]
+    total = sum(mult * dim for _lam, mult, dim in decomposition)
+    expected = chars.stirling_unsigned(n, k)
+    ok = total == expected
+    values = sorted(cf.values.items())
     payload = {
         "schema": SCHEMA, "command": "characters", "n": n, "k": k,
         "seed": args.seed,
-        "class_function": {str(list(mu)): int(v) for mu, v in sorted(cf.values.items())},
+        "class_function": {str(list(mu)): int(v) for mu, v in values},
         "decomposition": [{"partition": list(lam), "multiplicity": mult,
-                           "dimension": chars.hook_length_dimension(lam)}
-                          for lam, mult in decomposition],
+                           "dimension": dim} for lam, mult, dim in decomposition],
         "total_dimension": total,
-        "expected_dimension": chars.stirling_unsigned(n, k),
+        "expected_dimension": expected,
         "status": _status(ok),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["cycle_type", "value"])
-        for mu, v in sorted(cf.values.items()):
-            writer.writerow(["+".join(map(str, mu)), v])
-        writer.writerow([])
-        writer.writerow(["partition", "multiplicity", "dimension"])
-        for lam, mult in decomposition:
-            writer.writerow(["+".join(map(str, lam)), mult,
-                             chars.hook_length_dimension(lam)])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [f"top homology character of type ({n}, {k}) "
-                 f"under the {n + 1}-letter symmetric group"]
-        for mu, v in sorted(cf.values.items()):
-            lines.append(f"  class {'+'.join(map(str, mu)):>14}: {v}")
-        lines.append("decomposition:")
-        for lam, mult in decomposition:
-            lines.append(f"  V_{list(lam)} x {mult} (dim "
-                         f"{chars.hook_length_dimension(lam)})")
-        lines.append(f"total dim {total}, expected "
-                     f"{chars.stirling_unsigned(n, k)}: {_status(ok)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    rows = [["cycle_type", "value"]]
+    rows += [["+".join(map(str, mu)), v] for mu, v in values]
+    rows += [[], ["partition", "multiplicity", "dimension"]]
+    rows += [["+".join(map(str, lam)), mult, dim] for lam, mult, dim in decomposition]
+    lines = [f"top homology character of type ({n}, {k}) "
+             f"under the {n + 1}-letter symmetric group"]
+    lines += [f"  class {'+'.join(map(str, mu)):>14}: {v}" for mu, v in values]
+    lines.append("decomposition:")
+    lines += [f"  V_{list(lam)} x {mult} (dim {dim})"
+              for lam, mult, dim in decomposition]
+    lines.append(f"total dim {total}, expected {expected}: {_status(ok)}")
+    return ok, {"json": payload, "csv": rows, "table": lines}
 
 
 # ---------------------------------------------------------------------------
@@ -283,50 +241,41 @@ def cmd_graph(args):
         raise SystemExit("--characters requires the orientation kill")
     cx = gc.GraphComplex(m, orientation_kill=kill)
     if args.format == "dot":
-        _emit(cx.generator_dot(), args.out)
-        return 0
-    betti = cx.betti(seed=args.seed, check=kill)
+        return True, {"dot": cx.generator_dot()}
+    result = cx.homology(args.seed)
+    betti = result.betti.as_dict()
     expected = math.factorial(m - 1) // 2
     stirling_sum = sum(chars.stirling_unsigned(m - 1, k)
                        for k in range(2, m, 2))
-    support = betti.support()
-    concentrated = len(support) == 1
-    value = betti[support[0]] if concentrated else None
-    ok = kill and concentrated and value == expected == stirling_sum
+    support = result.betti.support()
+    ok = (kill and result.d2_ok and len(support) == 1
+          and betti[support[0]] == expected == stirling_sum)
     characters_ok = None
     if args.characters:
-        characters_ok = gc.verify_decomposition(m, seed=args.seed,
+        characters_ok = gc.verify_decomposition(cx, seed=args.seed,
                                                 include_characters=True)
         ok = ok and characters_ok
+    dims = cx.dims()
     payload = {
         "schema": SCHEMA, "command": "graph", "m": m, "seed": args.seed,
         "orientation_kill": kill,
-        "dims": {str(i): d for i, d in cx.dims().items()},
-        "betti": {str(d): b for d, b in betti.as_dict().items()},
+        "dims": {str(i): d for i, d in dims.items()},
+        "betti": {str(d): b for d, b in betti.items()},
         "expected": expected,
         "even_stirling_sum": stirling_sum,
         "characters_ok": characters_ok,
         "status": _status(ok),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["m", "degree", "betti", "expected", "status"])
-        for d, b in betti.as_dict().items():
-            writer.writerow([m, d, b, expected, payload["status"]])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [f"genus-one graph complex, m={m} (orientation kill: {kill})"]
-        lines.append("  dims:  " + " ".join(f"i={i}:{d}" for i, d in cx.dims().items()))
-        lines.append("  betti: " + " ".join(f"b{d}={b}" for d, b in betti.as_dict().items()))
-        if characters_ok is not None:
-            lines.append(f"  character comparison: {_status(characters_ok)}")
-        lines.append(f"  expected {expected} = (m-1)!/2; even-k Stirling sum "
-                     f"{stirling_sum}: {payload['status']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    rows = [["m", "degree", "betti", "expected", "status"]]
+    rows += [[m, d, b, expected, _status(ok)] for d, b in betti.items()]
+    lines = [f"genus-one graph complex, m={m} (orientation kill: {kill})",
+             "  dims:  " + " ".join(f"i={i}:{d}" for i, d in dims.items()),
+             "  betti: " + " ".join(f"b{d}={b}" for d, b in betti.items())]
+    if characters_ok is not None:
+        lines.append(f"  character comparison: {_status(characters_ok)}")
+    lines.append(f"  expected {expected} = (m-1)!/2; even-k Stirling sum "
+                 f"{stirling_sum}: {_status(ok)}")
+    return ok, {"json": payload, "csv": rows, "table": lines}
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +289,17 @@ def build_parser():
                     "commutative graph complex.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=("table", "json", "csv")):
+    def common(p, fmt=("table", "json", "csv"), seeded=True):
         p.add_argument("--format", choices=fmt, default="table")
-        p.add_argument("--seed", type=int, default=_seed_default(),
-                       help="seed for the modular-rank primes "
-                            "(STIRLING_SEED env fallback)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for the modular-rank primes "
+                                "(STIRLING_SEED env fallback)")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p_table = sub.add_parser("table", help="signed Stirling triangle and identities")
     p_table.add_argument("--max-n", type=int, required=True)
-    common(p_table)
+    common(p_table, seeded=False)
     p_table.set_defaults(func=cmd_table)
 
     p_betti = sub.add_parser("betti", help="Betti numbers of a Stirling complex")
@@ -364,7 +314,7 @@ def build_parser():
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--checks", default="d2,equivariance,reach,euler")
-    common(p_verify)
+    common(p_verify, fmt=("table", "json"))
     p_verify.set_defaults(func=cmd_verify)
 
     p_chars = sub.add_parser("characters",
@@ -389,9 +339,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "seed") and args.seed is None:
+        args.seed = _seed_default()
+    ok, reports = args.func(args)
+    text = _render(args.format, reports[args.format])
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -19,18 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
-from .linalg import (SparseIntMatrix, betti_from_dims_and_ranks, morse_reduce,
-                     rank_exact)
-from .stirling import stirling_complex
-from .trees import (Graph, GraphError, ModularGraph, _partitions_into_blocks,
-                    _rooted_shapes, canonical_modular_data,
-                    contract_edge_with_maps, has_odd_automorphism, map_edge,
-                    relative_sign, to_dot)
-from .characters import (ClassFunction, equivariant_euler_character,
-                         partitions, representative_permutation,
-                         stirling_unsigned)
+from .linalg import ChainComplex, SparseIntMatrix
+from .stirling import StirlingComplex
+from .trees import (Graph, GraphError, ModularGraph, _compositions,
+                    _partitions_into_blocks, _rooted_shapes,
+                    canonical_modular_data, contract_edge_with_maps,
+                    has_odd_automorphism, map_edge, relative_sign, to_dot)
+from .characters import (equivariant_euler_character, homology_character,
+                         representative_permutation, stirling_unsigned)
 
 
 class GraphGenerator:
@@ -130,7 +127,7 @@ def _cycle_family(m, i):
             for arrangement in itertools.permutations(rest):
                 ordered = (first,) + arrangement
                 caps = [len(b) - 1 for b in ordered]
-                for alloc in _compositions_capped(hang_edges, caps):
+                for alloc in _compositions(hang_edges, caps):
                     pools = [_rooted_shapes(frozenset(b), e, min_inputs=1)
                              for b, e in zip(ordered, alloc)]
                     if any(not pool for pool in pools):
@@ -145,61 +142,47 @@ def _cycle_family(m, i):
                         yield asm.build()
 
 
-def _compositions_capped(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for head in range(min(caps[0], total) + 1):
-        for tail in _compositions_capped(total - head, caps[1:]):
-            yield (head,) + tail
+def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0):
+    """Classes of genus-one graphs with m legs and i edges, in one pass.
 
-
-def _all_classes(m, i):
-    """Every isomorphism class at (m, i), keyed by canonical code."""
+    Returns the surviving generators, sorted by canonical code, and the set
+    of codes of the classes killed by an odd automorphism.  With
+    ``orientation_kill`` disabled nothing is killed (negative-control mode;
+    the resulting numbers are deliberately wrong).
+    """
     classes = {}
     for mg in itertools.chain(_genus_vertex_family(m, i),
                               _loop_family(m, i),
                               _cycle_family(m, i)):
-        code, edge_order = canonical_modular_data(mg)
-        if code not in classes:
-            classes[code] = (mg, edge_order)
-    return classes
-
-
-def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0):
-    """Surviving classes of genus-one graphs with m legs and i edges.
-
-    With ``orientation_kill`` disabled, classes killed by an odd
-    automorphism are kept (negative-control mode; the resulting numbers
-    are deliberately wrong).
-    """
-    if m < 3:
-        raise GraphError("genus-one graph generators require m >= 3")
-    if i < 0:
-        return []
-    gens = []
-    for code, (mg, _eo) in sorted(_all_classes(m, i).items()):
-        if orientation_kill and has_odd_automorphism(mg):
-            continue
         code, edge_order = canonical_modular_data(mg, orient_seed)
-        gens.append(GraphGenerator(mg, code, edge_order))
-    return gens
+        if code not in classes:
+            classes[code] = GraphGenerator(mg, code, edge_order)
+    survivors, killed = [], set()
+    for code, gen in sorted(classes.items()):
+        if orientation_kill and has_odd_automorphism(gen.mgraph):
+            killed.add(code)
+        else:
+            survivors.append(gen)
+    return survivors, killed
 
 
-class GraphComplex:
-    """Feynman-transform-style complex of genus-one graphs, graded by edges."""
+class GraphComplex(ChainComplex):
+    """Feynman-transform-style complex of genus-one graphs, graded by edges.
+
+    Without the orientation kill (the negative control) the generators do
+    not form a complex: d^2 = 0 fails, so ``betti`` reports the per-degree
+    rank formula, negative values included, with certificate
+    ``"unverified"``.
+    """
 
     def __init__(self, m, orientation_kill=True, orient_seed=0):
         if m < 3:
             raise GraphError("the genus-one graph complex requires m >= 3")
+        super().__init__()
         self.m = m
         self.orientation_kill = orientation_kill
         self.orient_seed = orient_seed
-        self._gens = {}
-        self._index = {}
         self._killed = {}
-        self._diffs = {}
 
     @property
     def max_edges(self):
@@ -207,30 +190,9 @@ class GraphComplex:
 
     def generators(self, i):
         if i not in self._gens:
-            self._gens[i] = enumerate_graph_generators(
+            self._gens[i], self._killed[i] = enumerate_graph_generators(
                 self.m, i, self.orientation_kill, self.orient_seed)
         return self._gens[i]
-
-    def index(self, i):
-        if i not in self._index:
-            self._index[i] = {g.code: pos for pos, g in enumerate(self.generators(i))}
-        return self._index[i]
-
-    def killed_codes(self, i):
-        if i not in self._killed:
-            if self.orientation_kill:
-                killed = {code for code, (mg, _eo) in _all_classes(self.m, i).items()
-                          if has_odd_automorphism(mg)}
-            else:
-                killed = set()
-            self._killed[i] = killed
-        return self._killed[i]
-
-    def dim(self, i):
-        return len(self.generators(i))
-
-    def dims(self):
-        return {i: self.dim(i) for i in range(self.max_edges + 1)}
 
     def differential(self, i):
         if i in self._diffs:
@@ -248,7 +210,7 @@ class GraphComplex:
                 code, ceo = canonical_modular_data(target, self.orient_seed)
                 row = target_index.get(code)
                 if row is None:
-                    if code not in self.killed_codes(i - 1):
+                    if code not in self._killed[i - 1]:
                         raise RuntimeError(
                             f"contraction left the enumerated classes: {code}")
                     continue
@@ -263,12 +225,6 @@ class GraphComplex:
                                  len(sources), acc)
         self._diffs[i] = matrix
         return matrix
-
-    def verify_d_squared(self):
-        for i in range(2, self.max_edges + 1):
-            if not (self.differential(i - 1) @ self.differential(i)).is_zero():
-                return False
-        return True
 
     def action_matrix(self, i, perm):
         """Matrix of a permutation of the leg labels 1..m on degree i.
@@ -300,33 +256,6 @@ class GraphComplex:
             acc[(row, col)] = relative_sign(gen.edge_order, ceo)
         return SparseIntMatrix(len(gens), len(gens), acc)
 
-    def ranks(self, seed=0):
-        return {i: rank_exact(self.differential(i), seed)
-                for i in range(1, self.max_edges + 1)}
-
-    def betti(self, seed=0, check=True):
-        """Betti numbers in the edge grading.
-
-        Without the orientation kill the generators do not form a complex;
-        the resulting (possibly negative) numbers are reported anyway so
-        the negative control can observe the difference.  The coreduction
-        needs d^2 = 0, so it runs only when that was verified; every other
-        case, the negative control included, takes per-degree elimination.
-        """
-        if check and self.orientation_kill:
-            if not self.verify_d_squared():
-                raise RuntimeError("differential does not square to zero")
-            diffs = {i: self.differential(i)
-                     for i in range(1, self.max_edges + 1)}
-            ranks = morse_reduce(self.dims(), diffs, seed).ranks
-        else:
-            ranks = self.ranks(seed)
-        return betti_from_dims_and_ranks(self.dims(), ranks, lambda i: i,
-                                         strict=self.orientation_kill)
-
-    def euler_characteristic(self):
-        return sum((-1) ** i * self.dim(i) for i in range(self.max_edges + 1))
-
     def generator_dot(self):
         chunks = []
         for i in range(self.max_edges + 1):
@@ -335,78 +264,44 @@ class GraphComplex:
         return "\n".join(chunks)
 
 
-@lru_cache(maxsize=8)
-def graph_complex(m, orientation_kill=True, orient_seed=0):
-    return GraphComplex(m, orientation_kill, orient_seed)
+def graph_homology_character(cx, rank_seed=0):
+    """Character of the graph homology under leg-label permutations
+    (optional equivariant machinery; see ``homology_character``)."""
+    return homology_character(
+        cx, cx.m, lambda mu: [p + 1 for p in representative_permutation(mu)],
+        rank_seed)
 
 
-def graph_differential(m, i, orient_seed=0):
-    return graph_complex(m, orient_seed=orient_seed).differential(i)
-
-
-def graph_betti(m, seed=0, orientation_kill=True, orient_seed=0):
-    return graph_complex(m, orientation_kill, orient_seed).betti(
-        seed, check=orientation_kill)
-
-
-def graph_homology_character(m, orient_seed=0, rank_seed=0):
-    """Character of the graph homology under leg-label permutations.
-
-    Requires concentration in a single degree (verified); the value at a
-    cycle type is the alternating trace sum over the chain degrees,
-    normalized to the top.  Optional equivariant machinery.
-    """
-    cx = graph_complex(m, True, orient_seed)
-    betti = cx.betti(rank_seed)
-    support = betti.support()
-    if len(support) != 1:
-        raise RuntimeError(f"graph homology at m={m} is not concentrated")
-    top = support[0]
-    values = {}
-    for mu in partitions(m):
-        base = representative_permutation(mu)
-        perm = {j + 1: base[j] + 1 for j in range(m)}
-        total = 0
-        for i in range(cx.max_edges + 1):
-            matrix = cx.action_matrix(i, perm)
-            total += (-1) ** i * sum(v for (r, c), v in matrix.entries.items()
-                                     if r == c)
-        values[mu] = (-1) ** top * total
-    return ClassFunction(m, values)
-
-
-def verify_decomposition(m, seed=0, include_characters=False):
+def verify_decomposition(cx, seed=0, include_characters=False):
     """Rank comparison between the graph complex and its Stirling pieces.
 
     The graph homology must be concentrated in a single degree, its rank
     must equal (m-1)!/2, and the same rank must equal the sum of the top
-    Betti numbers of the even-k Stirling complexes on m-1 labels.  With
-    ``include_characters`` the full symmetric-group characters of the two
-    sides are compared as well (optional; ranks are the required check).
+    Betti numbers of the even-k Stirling complexes on m-1 labels; d^2 = 0
+    must hold on every complex.  With ``include_characters`` the full
+    symmetric-group characters of the two sides are compared as well
+    (optional; ranks are the required check).  Each piece is built once.
     """
-    betti = graph_betti(m, seed)
-    support = betti.support()
-    if len(support) != 1:
+    graph = cx.homology(seed)
+    support = graph.betti.support()
+    if not graph.d2_ok or len(support) != 1:
         return False
-    value = betti[support[0]]
-    if value != math.factorial(m - 1) // 2:
+    value = graph.betti[support[0]]
+    if value != math.factorial(cx.m - 1) // 2:
         return False
-    n = m - 1
+    n = cx.m - 1
+    pieces = [StirlingComplex(n, k) for k in range(2, n + 1, 2)]
     total = 0
-    for k in range(2, n + 1, 2):
-        piece = stirling_complex(n, k).betti(seed)
-        if piece.support() != [n] or piece[n] != stirling_unsigned(n, k):
+    for piece in pieces:
+        result = piece.homology(seed)
+        if (not result.d2_ok or result.betti.support() != [n]
+                or result.betti[n] != stirling_unsigned(n, piece.k)):
             return False
-        total += piece[n]
+        total += result.betti[n]
     if value != total:
         return False
     if include_characters:
-        graph_side = graph_homology_character(m, rank_seed=seed)
-        stirling_side = None
-        for k in range(2, n + 1, 2):
-            piece = equivariant_euler_character(n, k, rank_seed=seed)
-            stirling_side = piece if stirling_side is None \
-                else stirling_side + piece
-        if graph_side != stirling_side:
+        characters = [equivariant_euler_character(piece, seed) for piece in pieces]
+        if graph_homology_character(cx, seed) != sum(characters[1:], characters[0]):
             return False
     return True

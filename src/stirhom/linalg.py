@@ -1,18 +1,23 @@
-"""Homology of sparse integer chain complexes: coreduction, exact rank and
-Betti-number assembly.
+"""Homology of sparse integer chain complexes: one pipeline from the
+differentials to ranks, Betti numbers and a certificate.
 
-The homology engine is ``morse_reduce``, an algebraic discrete-Morse
-coreduction (Mrozek and Batko 2009; Skoldberg 2006).  Its precondition is
-that the caller has verified d^2 = 0; on a sequence of matrices that does
-not compose to zero its output means nothing, so unverified input goes to
-per-degree ``rank_exact`` instead.  It repeatedly removes a pair of cells
-(s, t) with <ds, t> = +-1 where t has no other live coface or s has no other
-live face.  Each removal divides out the acyclic subcomplex spanned by s
-and ds; because of the freeness condition and d^2 = 0, the quotient's
-differential is the original one restricted to the remaining cells, so no
-entry ever changes (no fill) and the homology is kept over the integers.
-The work queue is deterministic: every cell in order of degree, then index,
-followed by the cells that become removable, first in first out.
+``compute_homology`` is the pipeline every caller uses, and
+``composes_to_zero`` the only place where d^2 = 0 is tested.  When it
+holds, the ranks come from ``morse_reduce``, an algebraic discrete-Morse
+coreduction (Mrozek and Batko 2009; Skoldberg 2006), whose output means
+nothing on matrices that do not compose to zero; when it fails, every
+differential is ranked on its own by ``rank_exact``, the certificate reads
+``"unverified"`` and negative Betti numbers are reported rather than
+raised.
+
+The coreduction repeatedly removes a pair of cells (s, t) with <ds, t> =
++-1 where t has no other live coface or s has no other live face.  Each
+removal divides out the acyclic subcomplex spanned by s and ds; because of
+the freeness condition and d^2 = 0, the quotient's differential is the
+original one restricted to the remaining cells, so no entry ever changes
+(no fill) and the homology is kept over the integers.  The work queue is
+deterministic: every cell in order of degree, then index, followed by the
+cells that become removable, first in first out.
 
 When the restricted differential is zero, the remaining (critical) cells
 are a basis of a free homology group and the certificate is
@@ -24,6 +29,10 @@ eliminated exactly (``"exact-rational"``); larger ones are eliminated modulo
 two independent random 61-bit primes drawn from a seeded generator, with
 agreement required (``"two-prime-modular"``) and exact recomputation on
 disagreement.  Pivots are chosen to minimize fill.
+
+``ChainComplex`` is the shared base of the Stirling and graph complexes:
+lazily enumerated degrees 0..max_edges and their homology, computed once
+per rank seed.
 """
 
 from __future__ import annotations
@@ -394,9 +403,8 @@ def betti_from_dims_and_ranks(dims, ranks, degree_of, strict=True):
     ``dims`` maps the internal grading i to dim C_i, ``ranks`` maps i to
     rank(d_i: C_i -> C_{i-1}), and ``degree_of`` converts the internal
     grading to the reported total degree.  A negative value is impossible
-    for an actual complex and raises unless ``strict`` is disabled (used
-    only by the negative-control mode, where the input is deliberately not
-    a complex).
+    for an actual complex and raises when ``strict``; ``compute_homology``
+    turns strictness off exactly when d^2 = 0 failed.
     """
     values = {}
     for i, dim in dims.items():
@@ -407,3 +415,90 @@ def betti_from_dims_and_ranks(dims, ranks, degree_of, strict=True):
                 f"{ranks.get(i, 0)}/{ranks.get(i + 1, 0)}")
         values[degree_of(i)] = beta
     return BettiVector(values)
+
+
+def composes_to_zero(diffs):
+    """True when d_{i-1} d_i = 0 for every consecutive pair in ``diffs``."""
+    return all((diffs[i - 1] @ diffs[i]).is_zero()
+               for i in sorted(diffs) if i - 1 in diffs)
+
+
+@dataclass
+class Homology:
+    """Outcome of ``compute_homology``: the rank of every d_i, the Betti
+    numbers by total degree, and a certificate (one of ``CERTIFICATES``, or
+    ``"unverified"`` when d^2 = 0 failed)."""
+
+    ranks: dict
+    betti: BettiVector
+    certificate: str
+
+    @property
+    def d2_ok(self):
+        return self.certificate != "unverified"
+
+
+def compute_homology(dims, diffs, degree_of, seed=0):
+    """Homology of the sequence ``diffs`` (i -> matrix of d_i) over ``dims``,
+    with Betti numbers reported at total degree ``degree_of(i)``.
+
+    d^2 = 0 is checked once; the coreduction runs only when it holds.
+    ``seed`` only matters for a matrix that ``rank_exact`` ranks modulo
+    primes.
+    """
+    if composes_to_zero(diffs):
+        reduction = morse_reduce(dims, diffs, seed)
+        ranks, certificate = reduction.ranks, reduction.certificate
+    else:
+        ranks = {i: rank_exact(d, seed) for i, d in diffs.items()}
+        certificate = "unverified"
+    betti = betti_from_dims_and_ranks(dims, ranks, degree_of,
+                                      strict=certificate != "unverified")
+    return Homology(ranks, betti, certificate)
+
+
+class ChainComplex:
+    """A complex graded by 0..max_edges whose degrees are built on demand.
+
+    Subclasses provide ``max_edges``, ``generators(i)`` (sorted objects
+    with a ``code``) and ``differential(i)``, and may shift
+    ``total_degree``.
+    """
+
+    def __init__(self):
+        self._gens = {}
+        self._index = {}
+        self._diffs = {}
+        self._homology = {}
+
+    def total_degree(self, i):
+        return i
+
+    def index(self, i):
+        if i not in self._index:
+            self._index[i] = {g.code: pos for pos, g in enumerate(self.generators(i))}
+        return self._index[i]
+
+    def dim(self, i):
+        return len(self.generators(i))
+
+    def dims(self):
+        return {i: self.dim(i) for i in range(self.max_edges + 1)}
+
+    def differentials(self):
+        return {i: self.differential(i) for i in range(1, self.max_edges + 1)}
+
+    def euler_characteristic(self):
+        """Alternating sum of chain dimensions in the edge grading."""
+        return sum((-1) ** i * d for i, d in self.dims().items())
+
+    def homology(self, seed=0):
+        """``compute_homology`` of this complex, computed once per seed."""
+        if seed not in self._homology:
+            self._homology[seed] = compute_homology(
+                self.dims(), self.differentials(), self.total_degree, seed)
+        return self._homology[seed]
+
+    def betti(self, seed=0):
+        """Betti numbers indexed by total degree."""
+        return self.homology(seed).betti

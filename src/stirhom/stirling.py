@@ -19,10 +19,8 @@ captures the output flag of the distinguished vertex.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
-from .linalg import (SparseIntMatrix, betti_from_dims_and_ranks, morse_reduce,
-                     rank_exact)
+from .linalg import ChainComplex, SparseIntMatrix, compute_homology
 from .trees import (canonical_tree_data, contract_edge_with_maps,
                     enumerate_stable_trees, map_edge, relative_sign, to_dot)
 
@@ -102,7 +100,7 @@ def _check_type(n, k):
         raise DomainError(f"type ({n}, {k}) requires 2 <= k <= n")
 
 
-class StirlingComplex:
+class StirlingComplex(ChainComplex):
     """The chain complex of type (n, k), graded by edge count i.
 
     Internal degree i corresponds to total degree i + k; the complex is
@@ -111,12 +109,10 @@ class StirlingComplex:
 
     def __init__(self, n, k, orient_seed=0):
         _check_type(n, k)
+        super().__init__()
         self.n = n
         self.k = k
         self.orient_seed = orient_seed
-        self._gens = {}
-        self._index = {}
-        self._diffs = {}
 
     @property
     def max_edges(self):
@@ -145,17 +141,6 @@ class StirlingComplex:
                     gens.append(StirlingGenerator(tree, v, alt, code, eo, ao))
         gens.sort(key=lambda g: g.code)
         return gens
-
-    def index(self, i):
-        if i not in self._index:
-            self._index[i] = {g.code: pos for pos, g in enumerate(self.generators(i))}
-        return self._index[i]
-
-    def dim(self, i):
-        return len(self.generators(i))
-
-    def dims(self):
-        return {i: self.dim(i) for i in range(self.max_edges + 1)}
 
     # -- differential -------------------------------------------------------
 
@@ -214,13 +199,6 @@ class StirlingComplex:
         self._diffs[i] = matrix
         return matrix
 
-    def verify_d_squared(self):
-        """True when consecutive differentials compose to zero everywhere."""
-        for i in range(2, self.max_edges + 1):
-            if not (self.differential(i - 1) @ self.differential(i)).is_zero():
-                return False
-        return True
-
     def apply_differential(self, vector):
         """Image of a chain vector under the differential."""
         if (vector.n, vector.k) != (self.n, self.k):
@@ -277,13 +255,30 @@ class StirlingComplex:
                     _accumulate(acc, (index[code], col), sign)
         return SparseIntMatrix(len(gens), len(gens), acc)
 
+    def verify_equivariance(self, perm):
+        """True when the action of ``perm`` commutes with the differential."""
+        actions = [self.action_matrix(i, perm) for i in range(self.max_edges + 1)]
+        return all(actions[i - 1] @ d == d @ actions[i]
+                   for i, d in self.differentials().items())
+
+    def verify_group_law(self, pairs):
+        """Check action(sigma) . action(tau) == action(sigma tau) per degree."""
+        for sigma, tau in pairs:
+            sigma = _as_permutation(sigma, self.n)
+            tau = _as_permutation(tau, self.n)
+            prod = compose(sigma, tau)
+            for i in range(self.max_edges + 1):
+                lhs = self.action_matrix(i, sigma) @ self.action_matrix(i, tau)
+                if lhs != self.action_matrix(i, prod):
+                    return False
+        return True
+
     # -- reach filtration ----------------------------------------------------
 
-    def in_acyclic_part(self, tree, dv, k=None):
+    def in_acyclic_part(self, tree, dv):
         """Membership in the acyclic subcomplex: the distinguished vertex
         has valence above k+1, or it is not the root vertex."""
-        k = self.k if k is None else k
-        return tree.graph.valence(dv) > k + 1 or dv != tree.root_vertex
+        return tree.graph.valence(dv) > self.k + 1 or dv != tree.root_vertex
 
     def reach(self, tree, dv):
         if not self.in_acyclic_part(tree, dv):
@@ -293,50 +288,22 @@ class StirlingComplex:
         nu = 1 if tree.graph.valence(dv) == self.k + 1 else 0
         return 2 * e - p - nu
 
-    def verify_reach_filtration(self):
-        """The differential never leaves the acyclic subcomplex from inside
-        it and never increases the reach; the reach stays within bounds."""
+    def reach_filtration_holds(self, i):
+        """On the degree-i generators of the acyclic subcomplex, the
+        differential never leaves that subcomplex and never increases the
+        reach, and the reach stays within its bounds."""
         upper = 2 * (self.n - self.k) - 2
-        for i in range(0, self.max_edges + 1):
-            for gen in self.generators(i):
-                if not self.in_acyclic_part(gen.tree, gen.dv):
-                    continue
-                r = self.reach(gen.tree, gen.dv)
-                if self.n > self.k and not 0 <= r <= upper:
+        for gen in self.generators(i):
+            if not self.in_acyclic_part(gen.tree, gen.dv):
+                continue
+            r = self.reach(gen.tree, gen.dv)
+            if self.n > self.k and not 0 <= r <= upper:
+                return False
+            for target, dv, _ao, _se, _ms in self.contraction_terms(gen):
+                if (not self.in_acyclic_part(target, dv)
+                        or self.reach(target, dv) > r):
                     return False
-                for target, dv, _ao, _se, _ms in self.contraction_terms(gen):
-                    if not self.in_acyclic_part(target, dv):
-                        return False
-                    if self.reach(target, dv) > r:
-                        return False
         return True
-
-    # -- homology ------------------------------------------------------------
-
-    def ranks(self, seed=0):
-        return {i: rank_exact(self.differential(i), seed)
-                for i in range(1, self.max_edges + 1)}
-
-    def betti(self, seed=0, check=True):
-        """Betti numbers indexed by total degree i + k.
-
-        With ``check`` the differential is verified to square to zero and
-        the ranks come from the coreduction; without it, from per-degree
-        elimination.
-        """
-        if check:
-            if not self.verify_d_squared():
-                raise RuntimeError("differential does not square to zero")
-            diffs = {i: self.differential(i)
-                     for i in range(1, self.max_edges + 1)}
-            ranks = morse_reduce(self.dims(), diffs, seed).ranks
-        else:
-            ranks = self.ranks(seed)
-        return betti_from_dims_and_ranks(self.dims(), ranks, self.total_degree)
-
-    def euler_characteristic(self):
-        """Alternating sum of chain dimensions in the edge grading."""
-        return sum((-1) ** i * self.dim(i) for i in range(self.max_edges + 1))
 
     def release(self, i):
         """Drop cached data at degree i (memory relief for large runs)."""
@@ -394,112 +361,25 @@ def compose(sigma, tau):
     return tuple(sigma[t] for t in tau)
 
 
-@lru_cache(maxsize=32)
-def stirling_complex(n, k, orient_seed=0):
-    return StirlingComplex(n, k, orient_seed)
-
-
-# -- functional wrappers over a shared cache ---------------------------------
-
-
-def enumerate_generators(n, k, i, orient_seed=0):
-    return stirling_complex(n, k, orient_seed).generators(i)
-
-
-def differential(n, k, i, orient_seed=0):
-    return stirling_complex(n, k, orient_seed).differential(i)
-
-
-def verify_d_squared(n, k, orient_seed=0):
-    return stirling_complex(n, k, orient_seed).verify_d_squared()
-
-
-def group_action(n, k, i, perm, orient_seed=0):
-    return stirling_complex(n, k, orient_seed).action_matrix(i, perm)
-
-
-def verify_equivariance(n, k, perm, orient_seed=0):
-    """True when the action of ``perm`` commutes with the differential."""
-    cx = stirling_complex(n, k, orient_seed)
-    actions = {i: cx.action_matrix(i, perm) for i in range(cx.max_edges + 1)}
-    for i in range(1, cx.max_edges + 1):
-        d = cx.differential(i)
-        if actions[i - 1] @ d != d @ actions[i]:
-            return False
-    return True
-
-
-def verify_group_law(n, k, pairs, orient_seed=0):
-    """Check action(sigma) . action(tau) == action(sigma tau) per degree."""
-    cx = stirling_complex(n, k, orient_seed)
-    for sigma, tau in pairs:
-        sigma = _as_permutation(sigma, n)
-        tau = _as_permutation(tau, n)
-        prod = compose(sigma, tau)
-        for i in range(cx.max_edges + 1):
-            lhs = cx.action_matrix(i, sigma) @ cx.action_matrix(i, tau)
-            if lhs != cx.action_matrix(i, prod):
-                return False
-    return True
-
-
-def reach(gen, k=None):
-    """Reach statistic 2e - p - nu of a generator in the acyclic part."""
-    k = len(gen.alt) if k is None else k
-    cx = StirlingComplex(gen.tree.n, k)
-    return cx.reach(gen.tree, gen.dv)
-
-
-def verify_reach_filtration(n, k, orient_seed=0):
-    return stirling_complex(n, k, orient_seed).verify_reach_filtration()
-
-
-def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True, trim=None):
+def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True):
     """One streaming pass over a complex: dimensions, ranks, Betti numbers,
-    plus the composition-to-zero and reach checks, releasing generators as
-    it goes when ``trim`` is set (default for n >= 7).
-
-    Ranks come from the coreduction when d^2 = 0 held in every degree, and
-    ``certificate`` is then the coreduction's; otherwise they come from
-    per-degree elimination and ``certificate`` is ``"unverified"``.
+    the d^2 and reach checks, and the certificate of ``compute_homology``
+    (``"unverified"`` when d^2 = 0 failed).  The generators of degree i-2
+    are released once degree i is assembled; only the matrices are kept.
     """
-    if trim is None:
-        trim = n >= 7
     cx = StirlingComplex(n, k, orient_seed)
     dims = {}
     diffs = {}
-    d2_ok = True
     reach_ok = True
-    upper = 2 * (n - k) - 2
     for i in range(cx.max_edges + 1):
-        gens = cx.generators(i)
-        dims[i] = len(gens)
-        if reach_check:
-            for gen in gens:
-                if not cx.in_acyclic_part(gen.tree, gen.dv):
-                    continue
-                r = cx.reach(gen.tree, gen.dv)
-                if n > k and not 0 <= r <= upper:
-                    reach_ok = False
-                for target, dv, _ao, _se, _ms in cx.contraction_terms(gen):
-                    if (not cx.in_acyclic_part(target, dv)
-                            or cx.reach(target, dv) > r):
-                        reach_ok = False
+        dims[i] = cx.dim(i)
+        if reach_check and reach_ok:
+            reach_ok = cx.reach_filtration_holds(i)
         if i >= 1:
-            d = cx.differential(i)
-            if i >= 2 and not (diffs[i - 1] @ d).is_zero():
-                d2_ok = False
-            diffs[i] = d
-            if trim:
-                cx.release(i - 2)
-    if d2_ok:
-        reduction = morse_reduce(dims, diffs, rank_seed)
-        ranks, certificate = reduction.ranks, reduction.certificate
-    else:
-        ranks = {i: rank_exact(d, rank_seed) for i, d in diffs.items()}
-        certificate = "unverified"
-    betti = betti_from_dims_and_ranks(dims, ranks, cx.total_degree)
-    return {"n": n, "k": k, "dims": dims, "ranks": ranks,
-            "betti": betti, "d2_ok": d2_ok, "reach_ok": reach_ok,
-            "certificate": certificate,
+            diffs[i] = cx.differential(i)
+            cx.release(i - 2)
+    result = compute_homology(dims, diffs, cx.total_degree, rank_seed)
+    return {"n": n, "k": k, "dims": dims, "ranks": result.ranks,
+            "betti": result.betti, "d2_ok": result.d2_ok,
+            "reach_ok": reach_ok, "certificate": result.certificate,
             "euler": sum((-1) ** i * d for i, d in dims.items())}

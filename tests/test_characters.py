@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from stirhom import characters as C
+from stirhom.stirling import StirlingComplex
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ def test_class_function_requires_all_classes():
 
 def test_equivariant_euler_at_identity_is_top_betti():
     for n, k in [(3, 2), (4, 3), (4, 4)]:
-        cf = C.equivariant_euler_character(n, k)
+        cf = C.equivariant_euler_character(StirlingComplex(n, k))
         assert cf((1,) * (n + 1)) == C.stirling_unsigned(n, k)
         decomposition = C.decompose(cf)
         assert sum(mult * C.hook_length_dimension(lam)
@@ -222,15 +223,15 @@ def test_equivariant_euler_at_identity_is_top_betti():
 
 def test_full_alternating_complexes_give_sign():
     for n in [2, 3, 4]:
-        assert C.equivariant_euler_character(n, n) == C.sign_character(n + 1)
+        assert C.equivariant_euler_character(StirlingComplex(n, n)) == C.sign_character(n + 1)
 
 
 def test_chain_character_of_near_top():
-    assert C.decompose(C.chain_character(4, 3, 0)) == [((2, 1, 1, 1), 1)]
+    assert C.decompose(C.chain_character(StirlingComplex(4, 3), 0)) == [((2, 1, 1, 1), 1)]
 
 
 def test_restricted_zero_degree_characters():
     for n in [3, 4]:
-        assert C.restricted_chain_character(n, n, 0) == C.sign_character(n)
+        assert C.restricted_chain_character(StirlingComplex(n, n), 0) == C.sign_character(n)
         expected = C.character_of((1,) * n) + C.character_of((2,) + (1,) * (n - 2))
-        assert C.restricted_chain_character(n, n - 1, 0) == expected
+        assert C.restricted_chain_character(StirlingComplex(n, n - 1), 0) == expected

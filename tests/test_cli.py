@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pathlib
+from collections import Counter
 
 import pytest
 
@@ -115,6 +117,29 @@ def test_graph_characters_without_kill_rejected_before_work(monkeypatch):
               "--disable-orientation-kill"])
 
 
+def test_graph_characters_builds_each_complex_once(monkeypatch, capsys):
+    from stirhom import graphcomplex, stirling
+    enumerated, built = Counter(), Counter()
+    enumerate_graph_generators = graphcomplex.enumerate_graph_generators
+    stirling_init = stirling.StirlingComplex.__init__
+
+    def counting_enumerate(m, i, *args):
+        enumerated[m, i] += 1
+        return enumerate_graph_generators(m, i, *args)
+
+    def counting_init(self, n, k, *args):
+        built[n, k] += 1
+        stirling_init(self, n, k, *args)
+
+    monkeypatch.setattr(graphcomplex, "enumerate_graph_generators",
+                        counting_enumerate)
+    monkeypatch.setattr(stirling.StirlingComplex, "__init__", counting_init)
+    code, out = run(capsys, "graph", "--m", "4", "--characters")
+    assert code == 0 and "character comparison: PASS" in out
+    assert enumerated == {(4, i): 1 for i in range(5)}
+    assert built == {(3, 2): 1}
+
+
 def test_dot_output(capsys):
     code, out = run(capsys, "graph", "--m", "3", "--format", "dot")
     assert code == 0
@@ -132,6 +157,19 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["max_n"] == 2
 
 
+def test_verify_offers_only_its_formats(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--n", "3", "--k", "2", "--format", "csv"])
+
+
+def test_table_takes_no_seed(monkeypatch, capsys):
+    monkeypatch.setenv("STIRLING_SEED", "oops")
+    code, out = run(capsys, "table", "--max-n", "3")
+    assert code == 0 and "PASS" in out
+    with pytest.raises(SystemExit):
+        main(["table", "--max-n", "3", "--seed", "1"])
+
+
 def test_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("STIRLING_SEED", "17")
     code, out = run(capsys, "betti", "--n", "3", "--k", "2", "--format", "json")
@@ -140,3 +178,32 @@ def test_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("STIRLING_SEED", "oops")
     with pytest.raises(SystemExit):
         main(["betti", "--n", "3", "--k", "2"])
+
+
+# ---------------------------------------------------------------------------
+# golden output: every kept format of six commands, byte for byte
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "cli"
+GOLDEN = {
+    "table_max_n5": (["table", "--max-n", "5"], ("table", "json", "csv")),
+    "betti_n4_k2": (["betti", "--n", "4", "--k", "2", "--seed", "0"],
+                    ("table", "json", "csv", "dot")),
+    "betti_max_n4": (["betti", "--max-n", "4", "--seed", "0"],
+                     ("table", "json", "csv", "dot")),
+    "verify_n4_k2": (["verify", "--n", "4", "--k", "2", "--seed", "0"],
+                     ("table", "json")),
+    "characters_n4_k3": (["characters", "--n", "4", "--k", "3", "--seed", "0"],
+                         ("table", "json", "csv")),
+    "graph_m4": (["graph", "--m", "4", "--seed", "0"],
+                 ("table", "json", "csv", "dot")),
+}
+
+
+@pytest.mark.parametrize("name,fmt", [(name, fmt) for name, (_argv, formats)
+                                      in GOLDEN.items() for fmt in formats])
+def test_golden_output(monkeypatch, capsys, name, fmt):
+    monkeypatch.delenv("STIRLING_SEED", raising=False)
+    argv, _formats = GOLDEN[name]
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()

@@ -13,8 +13,8 @@ from hypothesis import strategies as st_
 from stirhom.characters import stirling_unsigned
 from stirhom.graphcomplex import GraphComplex
 from stirhom.linalg import (SparseIntMatrix, _eliminate_rank, _is_prime,
-                            betti_from_dims_and_ranks, morse_reduce,
-                            rank_exact, seeded_primes)
+                            betti_from_dims_and_ranks, compute_homology,
+                            morse_reduce, rank_exact, seeded_primes)
 from stirhom.stirling import StirlingComplex
 
 
@@ -44,8 +44,7 @@ def test_zero_and_identity():
 
 
 def test_first_differential_rank_matches_dense_oracle():
-    from stirhom.stirling import differential
-    d1 = differential(4, 2, 1)
+    d1 = StirlingComplex(4, 2).differential(1)
     assert dense_rank(d1) == 6
     assert rank_exact(d1) == 6
 
@@ -125,12 +124,25 @@ def test_betti_assembly():
         betti_from_dims_and_ranks({0: 1, 1: 4}, {1: 3}, lambda i: i)
 
 
+def test_homology_reports_a_failed_d_squared():
+    # d_1 d_2 = 1: not a complex, so no coreduction, no strictness, and a
+    # negative Betti number is reported rather than raised
+    one = SparseIntMatrix.identity(1)
+    result = compute_homology({0: 1, 1: 1, 2: 1}, {1: one, 2: one}, lambda i: i)
+    assert result.certificate == "unverified" and not result.d2_ok
+    assert result.ranks == {1: 1, 2: 1}
+    assert result.betti.as_dict() == {0: 0, 1: -1, 2: 0}
+    verified = compute_homology({0: 1, 1: 1}, {1: one}, lambda i: i + 2)
+    assert verified.certificate == "morse-integral" and verified.d2_ok
+    assert verified.betti.as_dict() == {2: 0, 3: 0}
+
+
 # ---------------------------------------------------------------------------
 # coreduction
 
 
 def reduce_complex(cx):
-    diffs = {i: cx.differential(i) for i in range(1, cx.max_edges + 1)}
+    diffs = cx.differentials()
     return morse_reduce(cx.dims(), diffs), diffs
 
 

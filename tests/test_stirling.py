@@ -14,13 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from stirhom.linalg import SparseIntMatrix, rank_exact
+from stirhom.cli import main
+from stirhom.linalg import SparseIntMatrix, composes_to_zero, rank_exact
 from stirhom.stirling import (DomainError, StirlingComplex, compose,
-                              enumerate_generators, differential,
-                              make_generator, stirling_complex, survey,
-                              transposition, verify_d_squared,
-                              verify_equivariance, verify_group_law,
-                              verify_reach_filtration)
+                              make_generator, survey, transposition)
 from stirhom.trees import _tree_from_shape, canonical_tree_data, relative_sign
 
 
@@ -35,7 +32,7 @@ def tree_from_nested(shape, n):
 def test_zero_edge_dimension_is_binomial():
     for n in range(2, 8):
         for k in range(2, n + 1):
-            assert len(enumerate_generators(n, k, 0)) == math.comb(n, k)
+            assert StirlingComplex(n, k).dim(0) == math.comb(n, k)
 
 
 def test_bounds_vanishing():
@@ -70,14 +67,14 @@ def test_generator_count_oracle_3_2_1():
     count = sum(math.comb(g.degree[v] - 1, 2)
                 for g in classes for v in g.nodes if g.nodes[v]["label"] == -1)
     assert count == 6
-    assert len(enumerate_generators(3, 2, 1)) == 6
+    assert StirlingComplex(3, 2).dim(1) == 6
 
 
 def test_generator_domain_errors():
     with pytest.raises(DomainError):
-        enumerate_generators(4, 1, 0)
+        StirlingComplex(4, 1)
     with pytest.raises(DomainError):
-        enumerate_generators(4, 5, 0)
+        StirlingComplex(4, 5)
     t = tree_from_nested(((1, 2, 3), ()), 3)
     with pytest.raises(DomainError):
         make_generator(t, 0, [t.graph.legs[1]])
@@ -86,7 +83,7 @@ def test_generator_domain_errors():
 
 
 def test_generators_sorted_distinct():
-    gens = enumerate_generators(5, 3, 2)
+    gens = StirlingComplex(5, 3).generators(2)
     codes = [g.code for g in gens]
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
@@ -148,13 +145,13 @@ def oracle_first_differential(cx):
 
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 4), (5, 3)])
 def test_first_differential_matches_oracle(n, k):
-    cx = stirling_complex(n, k)
+    cx = StirlingComplex(n, k)
     assert cx.differential(1) == oracle_first_differential(cx)
 
 
 def test_zero_degree_differential_is_zero():
     for n, k in [(4, 2), (5, 3)]:
-        d0 = differential(n, k, 0)
+        d0 = StirlingComplex(n, k).differential(0)
         assert d0.is_zero() and d0.nrows == 0
 
 
@@ -168,7 +165,7 @@ def test_three_term_column():
     leg1 = t.graph.legs[1]
     edge_flags = [f for f in t.input_flags(dv) if t.graph.involution[f] != f]
     gen = make_generator(t, dv, [leg1, edge_flags[0]])
-    cx = stirling_complex(5, 2)
+    cx = StirlingComplex(5, 2)
     col = cx.index(2)[gen.code]
     column = {(r, c): v for (r, c), v in cx.differential(2).entries.items()
               if c == col}
@@ -181,22 +178,21 @@ def test_three_term_column():
 
 def test_all_entries_unit():
     for n, k in [(4, 2), (5, 2), (5, 3)]:
-        cx = stirling_complex(n, k)
+        cx = StirlingComplex(n, k)
         for i in range(1, cx.max_edges + 1):
             assert all(v in (-1, 1) for v in cx.differential(i).entries.values())
 
 
 def test_d_squared():
-    assert verify_d_squared(5, 2)
-    assert verify_d_squared(4, 4)
-    assert verify_d_squared(5, 3)
+    for n, k in [(5, 2), (4, 4), (5, 3)]:
+        assert composes_to_zero(StirlingComplex(n, k).differentials())
 
 
 def test_euler_characteristic_identity():
     from stirhom.characters import stirling_signed
     for n in range(2, 7):
         for k in range(2, n + 1):
-            cx = stirling_complex(n, k)
+            cx = StirlingComplex(n, k)
             assert cx.euler_characteristic() == stirling_signed(n, k)
 
 
@@ -205,13 +201,13 @@ def test_euler_characteristic_identity():
 
 
 def test_identity_action():
-    cx = stirling_complex(4, 2)
+    cx = StirlingComplex(4, 2)
     for i in range(cx.max_edges + 1):
         assert cx.action_matrix(i, tuple(range(5))) == SparseIntMatrix.identity(cx.dim(i))
 
 
 def test_root_fixing_action_is_signed_permutation():
-    cx = stirling_complex(4, 2)
+    cx = StirlingComplex(4, 2)
     for perm in [(0, 2, 1, 3, 4), (0, 2, 3, 4, 1)]:
         for i in range(cx.max_edges + 1):
             m = cx.action_matrix(i, perm)
@@ -231,7 +227,7 @@ def test_root_swap_replacement_column():
     child = 1
     alt = [t.graph.legs[1], t.graph.legs[2]]
     gen = make_generator(t, child, alt)
-    cx = stirling_complex(4, 2)
+    cx = StirlingComplex(4, 2)
     col = cx.index(1)[gen.code]
     sigma = transposition(4, 0, 1)
     column = {r: v for (r, c), v in cx.action_matrix(1, sigma).entries.items()
@@ -253,15 +249,16 @@ def test_root_swap_replacement_column():
 
 
 def test_equivariance_and_group_law():
-    assert verify_equivariance(4, 2, transposition(4, 0, 1))
-    assert verify_equivariance(4, 3, (1, 2, 3, 4, 0))
-    assert verify_group_law(4, 2, [((1, 0, 2, 3, 4), (0, 2, 1, 4, 3))])
+    cx = StirlingComplex(4, 2)
+    assert cx.verify_equivariance(transposition(4, 0, 1))
+    assert StirlingComplex(4, 3).verify_equivariance((1, 2, 3, 4, 0))
+    assert cx.verify_group_law([((1, 0, 2, 3, 4), (0, 2, 1, 4, 3))])
     sigma, tau = (4, 0, 1, 2, 3), (1, 2, 0, 4, 3)
     assert compose(sigma, tau) == tuple(sigma[t] for t in tau)
 
 
 def test_action_rejects_non_bijections():
-    cx = stirling_complex(3, 2)
+    cx = StirlingComplex(3, 2)
     with pytest.raises(DomainError):
         cx.action_matrix(0, (0, 1, 1, 2))
     with pytest.raises(DomainError):
@@ -306,9 +303,9 @@ def test_reach_corolla_and_domain():
 
 
 def test_reach_filtration():
-    assert verify_reach_filtration(5, 2)
-    assert verify_reach_filtration(3, 2)
-    assert verify_reach_filtration(4, 3)
+    for n, k in [(5, 2), (3, 2), (4, 3)]:
+        cx = StirlingComplex(n, k)
+        assert all(cx.reach_filtration_holds(i) for i in range(cx.max_edges + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def test_json_shape():
 
 def test_chain_vector_differential_squares_to_zero():
     from stirhom.stirling import ChainVector
-    cx = stirling_complex(5, 2)
+    cx = StirlingComplex(5, 2)
     gens = cx.generators(2)
     vec = ChainVector(5, 2, 2, {gens[0].code: 1, gens[7].code: -2})
     once = cx.apply_differential(vec)
@@ -363,7 +360,7 @@ def test_chain_vector_differential_squares_to_zero():
 @settings(max_examples=20, deadline=None)
 @given(st_.integers(0, 10 ** 6))
 def test_contraction_terms_drop_an_edge(pick):
-    cx = stirling_complex(5, 2)
+    cx = StirlingComplex(5, 2)
     gens = cx.generators(2) + cx.generators(3)
     gen = gens[pick % len(gens)]
     for target, dv, alt_order, surviving, _sign in cx.contraction_terms(gen):
@@ -377,27 +374,50 @@ def test_survey_certificate():
     for n, k in [(3, 3), (4, 2), (5, 3)]:
         result = survey(n, k, reach_check=False)
         assert result["certificate"] == "morse-integral"
-        assert result["ranks"] == StirlingComplex(n, k).ranks()
+        assert result["ranks"] == {
+            i: rank_exact(d) for i, d in StirlingComplex(n, k).differentials().items()}
 
 
-def test_survey_skips_the_reduction_when_d_squared_fails(monkeypatch):
+def corrupt(monkeypatch, degree):
+    """Drop the smallest entry of d_degree of every Stirling complex."""
     original = StirlingComplex.differential
 
     def corrupted(self, i):
         d = original(self, i)
-        if i != 1:
+        if i != degree:
             return d
         entries = dict(d.entries)
         del entries[min(entries)]
         return SparseIntMatrix(d.nrows, d.ncols, entries)
 
+    monkeypatch.setattr(StirlingComplex, "differential", corrupted)
+
+
+def forbid_coreduction(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("coreduction ran on an unverified complex")
 
-    monkeypatch.setattr(StirlingComplex, "differential", corrupted)
-    monkeypatch.setattr("stirhom.stirling.morse_reduce", forbidden)
+    monkeypatch.setattr("stirhom.linalg.morse_reduce", forbidden)
+
+
+def test_survey_skips_the_reduction_when_d_squared_fails(monkeypatch):
+    corrupt(monkeypatch, 1)
+    forbid_coreduction(monkeypatch)
     cx = StirlingComplex(4, 2)
     result = survey(4, 2, reach_check=False)
     assert not result["d2_ok"]
     assert result["certificate"] == "unverified"
     assert result["ranks"] == {i: rank_exact(cx.differential(i)) for i in (1, 2)}
+
+
+def test_survey_reports_a_broken_d2_instead_of_raising(monkeypatch, capsys):
+    # with d_2 corrupted the rank formula gives a negative Betti number,
+    # which must be reported, not raised, since d^2 = 0 failed
+    corrupt(monkeypatch, 2)
+    forbid_coreduction(monkeypatch)
+    result = survey(4, 2)
+    assert not result["d2_ok"]
+    assert result["certificate"] == "unverified"
+    assert min(result["betti"].values.values()) < 0
+    assert main(["betti", "--n", "4", "--k", "2"]) == 1
+    assert "FAIL" in capsys.readouterr().out
