@@ -122,6 +122,10 @@ def _betti_lines(report):
 
 def cmd_betti(args):
     if args.max_n is not None:
+        if args.n is not None or args.k is not None:
+            raise SystemExit("betti takes --max-n or --n/--k, not both")
+        if args.max_n < 2:
+            raise SystemExit("betti --max-n must be at least 2")
         jobs = [(n, k) for n in range(2, args.max_n + 1) for k in range(2, n + 1)]
     elif args.n is None or args.k is None:
         raise SystemExit("betti requires --n and --k (or --max-n)")
@@ -157,6 +161,8 @@ def cmd_verify(args):
     unknown = set(checks) - known
     if unknown:
         raise SystemExit(f"unknown checks: {sorted(unknown)}")
+    if not checks:
+        raise SystemExit(f"no checks given; choose from {sorted(known)}")
     cx = st.StirlingComplex(n, k)
     results = {}
     if "d2" in checks:

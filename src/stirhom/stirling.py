@@ -1,4 +1,4 @@
-"""Chain complexes of oriented Stirling trees.
+"""Chain complexes of oriented Stirling trees, on cluster bitmasks.
 
 A Stirling tree of type (n, k) is a stable n-tree with a distinguished
 vertex and a set of k >= 2 alternating input flags at that vertex.  The
@@ -6,61 +6,201 @@ complex in internal degree i is spanned by one generator per isomorphism
 class of such trees with i edges; each generator is the canonical element
 of det(edges) tensor det(alternating flags).
 
-The differential contracts edges.  Contracting an edge with no alternating
-flag gives a single term; contracting the edge below an alternating flag
-replaces that flag by each input of the vanished child vertex, one term
-per replacement.  Signs move the contracted edge to the last wedge slot and
-then align the surviving data with the target class's canonical reference
-orders.  The symmetric group on the n+1 leg labels acts by relabeling,
-with a signed replacement sum whenever the relabeled alternating set
-captures the output flag of the distinguished vertex.
+Clusters.  A stable tree with legs 1..n rooted at leg 0 is exactly its
+laminar family of clusters, the leaf sets below its edges (Buneman; Semple
+and Steel, *Phylogenetics*, 2003).  A leaf set is an int bitmask, bit j for
+leg j; an edge is named by its cluster, a vertex by the cluster of the edge
+above it and the root by the full mask.  Every flag at a vertex has a far
+side, the legs beyond it: ``1 << j`` for leg j, the child's cluster for an
+edge below, and the complement within {0..n} for the flag above.  A
+generator is the triple ``(clusters, dv, alt)``: its edge clusters, the
+cluster of the distinguished vertex, and the far sides of the alternating
+flags, with the two sets stored as ints that have bit m set for each
+member mask m.  The triple is canonical by construction, so it is the key
+by which every differential and action term finds its row.
+
+The differential contracts edges.  Contracting the edge above cluster C
+drops C, and the distinguished vertex moves to C's parent when it was C.
+An alternating C is replaced by each input of its vertex, one term per
+replacement.  The symmetric group on the n+1 leg labels permutes the bits;
+where the image of a cluster contains leg 0 the tree is re-rooted, and the
+cluster becomes the complement of that image.  When the alternating set
+captures the new output flag of the distinguished vertex, the image is the
+signed sum over trading it for each other flag there.
+
+Reference orders.  Signs move the contracted edge to the last wedge slot,
+then align the surviving edges and alternating flags with the target's
+reference orders.  Those orders and the generator's ``code`` come from one
+walk at enumeration that nests, sorts and, for a nonzero ``orient_seed``,
+shuffles exactly as ``trees.canonical_tree_data`` does on the flag tree, so
+generator order, codes and every matrix entry equal those of the flag-tree
+construction, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from .linalg import ChainComplex, SparseIntMatrix, compute_homology
-from .trees import (canonical_tree_data, contract_edge_with_maps,
-                    enumerate_stable_trees, map_edge, relative_sign, to_dot)
+from .trees import _rooted_shapes, _tree_from_shape, perm_parity, to_dot
 
 
 class DomainError(ValueError):
     """Parameters outside the domain where the complex is defined."""
 
 
+def _mask_set(masks):
+    """A set of masks as one int, bit m set for each member m."""
+    total = 0
+    for m in masks:
+        total |= 1 << m
+    return total
+
+
+class _Tree:
+    """One stable tree, shared by the generators on it.
+
+    ``inputs[D]`` lists the far sides of the input flags of vertex D: its
+    legs by label, then its child clusters.
+    """
+
+    __slots__ = ("n", "full", "clusters", "inputs")
+
+    def __init__(self, n, clusters):
+        full = (1 << n + 1) - 2
+        clusters = sorted(set(clusters), key=lambda c: (-c.bit_count(), c))
+        children = {full: []}
+        for pos, c in enumerate(clusters):
+            if c & ~full or not 2 <= c.bit_count() <= n - 1:
+                raise DomainError(f"cluster {c:#b} is not a leaf set of "
+                                  f"size 2..{n - 1} within legs 1..{n}")
+            if any(c & d not in (0, c) for d in clusters[:pos]):
+                raise DomainError("clusters must be nested or disjoint")
+            # the smallest earlier (larger) cluster holding c, else the root
+            children[next((d for d in reversed(clusters[:pos]) if d & c == c),
+                          full)].append(c)
+            children[c] = []
+        self.n = n
+        self.full = full
+        self.clusters = _mask_set(clusters)
+        self.inputs = {}
+        for d, kids in children.items():
+            legs = []
+            rest = d & ~_union(kids)
+            while rest:
+                leg = rest & -rest
+                legs.append(leg)
+                rest ^= leg
+            if len(legs) + len(kids) < 2:
+                raise DomainError("every vertex needs at least two inputs")
+            self.inputs[d] = tuple(legs + kids)
+
+    def parent(self, c):
+        """The vertex above the edge with cluster c."""
+        return min((d for d in self.inputs if d & c == c and d != c),
+                   key=int.bit_count)
+
+    def depth(self, d):
+        """The number of edges between vertex d and the root."""
+        return sum(1 for c in self.inputs if c & d == d and c != self.full)
+
+    def walk(self, d, dv, alt, alt_order, plain):
+        """``canonical_tree_data``'s recursion at vertex d: the nested code
+        of the subtree and its edges in reference order.  The alternating
+        inputs of dv are appended to ``alt_order`` in reference order;
+        ``plain`` caches the undecorated subtrees."""
+        if d & dv != dv:
+            # no decoration below d: the same for every generator
+            if d not in plain:
+                plain[d] = self.walk(d, 0, 0, None, plain)
+            return plain[d]
+        at_dv = d == dv
+        legs = []
+        kids = []
+        for side in self.inputs[d]:
+            is_alt = at_dv and alt >> side & 1 == 1
+            if side & side - 1:
+                sub_code, sub_edges = self.walk(side, dv, alt, alt_order, plain)
+                kids.append((sub_code, is_alt, side, sub_edges))
+            else:
+                legs.append((side.bit_length() - 1, is_alt))
+        kids.sort(key=lambda item: item[0])
+        edges = []
+        for _code, _is_alt, c, sub_edges in kids:
+            edges.append(c)
+            edges.extend(sub_edges)
+        if at_dv:
+            alt_order.extend(1 << j for j, is_alt in legs if is_alt)
+            alt_order.extend(c for _code, is_alt, c, _e in kids if is_alt)
+        code = (at_dv, tuple(legs), tuple((sub_code, is_alt)
+                                          for sub_code, is_alt, _c, _e in kids))
+        return code, tuple(edges)
+
+    def shape(self, d=None):
+        """The ``_rooted_shapes`` shape of this tree, or of the subtree at d."""
+        d = self.full if d is None else d
+        sides = self.inputs[d]
+        return (tuple(s.bit_length() - 1 for s in sides if not s & s - 1),
+                tuple(sorted(self.shape(s) for s in sides if s & s - 1)))
+
+
 class StirlingGenerator:
-    """One isomorphism class of decorated trees with its reference orders."""
+    """One isomorphism class of decorated trees with its reference orders.
 
-    __slots__ = ("tree", "dv", "alt", "code", "edge_order", "alt_order")
+    ``key`` is ``(clusters, dv, alt)``; ``edge_order`` lists the edge
+    clusters and ``alt_order`` the alternating far sides in reference order.
+    """
 
-    def __init__(self, tree, dv, alt, code, edge_order, alt_order):
+    __slots__ = ("tree", "key", "code", "edge_order", "alt_order")
+
+    def __init__(self, tree, dv, alt, orient_seed=0, plain=None):
+        alt_order = []
+        plain = {} if plain is None else plain
+        root_code, edge_order = tree.walk(tree.full, dv, alt, alt_order, plain)
+        code = f"T{tree.n}:{root_code!r}"
+        if orient_seed:
+            edge_order = list(edge_order)
+            rng = random.Random(f"{orient_seed}|{code}")
+            rng.shuffle(edge_order)
+            rng.shuffle(alt_order)
         self.tree = tree
-        self.dv = dv
-        self.alt = frozenset(alt)
+        self.key = (tree.clusters, dv, alt)
         self.code = code
-        self.edge_order = edge_order
-        self.alt_order = alt_order
+        self.edge_order = tuple(edge_order)
+        self.alt_order = tuple(alt_order)
+
+    @property
+    def dv(self):
+        return self.key[1]
 
     @property
     def k(self):
-        return len(self.alt)
+        return len(self.alt_order)
 
     def __repr__(self):
         return f"StirlingGenerator({self.code})"
 
 
-def make_generator(tree, dv, alt, orient_seed=0):
-    """Validate and canonically orient a decorated tree."""
-    alt = frozenset(alt)
+def make_generator(n, clusters, dv, alt, orient_seed=0):
+    """Validate and canonically orient a decorated tree given by its edge
+    clusters, the cluster of its distinguished vertex (the full mask of
+    legs 1..n for the root) and the far sides of its alternating flags."""
+    tree = _Tree(n, clusters)
+    alt = set(alt)
     if len(alt) < 2:
         raise DomainError("at least two alternating flags are required")
-    inputs = set(tree.input_flags(dv))
-    if not alt <= inputs:
+    if dv not in tree.inputs or not alt <= set(tree.inputs[dv]):
         raise DomainError("alternating flags must be input flags of the "
                           "distinguished vertex")
-    code, edge_order, alt_order = canonical_tree_data(tree, dv, alt, orient_seed)
-    return StirlingGenerator(tree, dv, alt, code, edge_order, alt_order)
+    return StirlingGenerator(tree, dv, _mask_set(alt), orient_seed)
+
+
+def _sign(seq_a, seq_b):
+    """Sign of the permutation taking the tuple seq_a to the tuple seq_b."""
+    if seq_a == seq_b:
+        return 1
+    return perm_parity([seq_a.index(x) for x in seq_b])
 
 
 class ChainVector:
@@ -113,6 +253,7 @@ class StirlingComplex(ChainComplex):
         self.n = n
         self.k = k
         self.orient_seed = orient_seed
+        self._rows = {}
 
     @property
     def max_edges(self):
@@ -130,72 +271,66 @@ class StirlingComplex(ChainComplex):
         if i < 0:
             return []
         gens = []
-        for tree in enumerate_stable_trees(self.n, i):
-            for v in range(tree.graph.num_vertices):
-                inputs = sorted(tree.input_flags(v))
-                if len(inputs) < self.k:
-                    continue
+        for shape in _rooted_shapes(frozenset(range(1, self.n + 1)), i):
+            tree = _Tree(self.n, _shape_clusters(shape)[1])
+            plain = {}
+            for dv, inputs in tree.inputs.items():
                 for alt in itertools.combinations(inputs, self.k):
-                    code, eo, ao = canonical_tree_data(tree, v, frozenset(alt),
-                                                       self.orient_seed)
-                    gens.append(StirlingGenerator(tree, v, alt, code, eo, ao))
+                    gens.append(StirlingGenerator(tree, dv, _mask_set(alt),
+                                                  self.orient_seed, plain))
         gens.sort(key=lambda g: g.code)
         return gens
+
+    def rows(self, i):
+        """Position of each degree-i generator, by key."""
+        if i not in self._rows:
+            self._rows[i] = {g.key: pos for pos, g in enumerate(self.generators(i))}
+        return self._rows[i]
 
     # -- differential -------------------------------------------------------
 
     def contraction_terms(self, gen):
         """Raw differential terms of one generator, before accumulation.
 
-        Yields ``(target_tree, target_dv, target_alt_order, surviving_edges,
-        move_sign)`` where the orders are the source orders transported
-        through the contraction (with the replacement flag substituted in
-        place for alternating-edge contractions).
+        Yields ``(target_key, surviving_edges, alt_order, move_sign)``: the
+        source orders with the contracted cluster removed, and for an
+        alternating edge the replacing input substituted in its place.
         """
+        clusters, dv, alt = gen.key
         tree = gen.tree
-        num_edges = len(gen.edge_order)
-        for pos, edge in enumerate(gen.edge_order):
+        edge_order = gen.edge_order
+        num_edges = len(edge_order)
+        for pos, c in enumerate(edge_order):
             move_sign = -1 if (num_edges - 1 - pos) % 2 else 1
-            f1, f2 = edge
-            alt_flag = f1 if f1 in gen.alt else (f2 if f2 in gen.alt else None)
-            target, flag_map, vertex_map = contract_edge_with_maps(tree, edge)
-            surviving = [map_edge(flag_map, e) for e in gen.edge_order if e != edge]
-            new_dv = vertex_map[gen.dv]
-            if alt_flag is None:
-                alt_order = [flag_map[f] for f in gen.alt_order]
-                yield target, new_dv, alt_order, surviving, move_sign
+            rest = clusters ^ 1 << c
+            surviving = edge_order[:pos] + edge_order[pos + 1:]
+            new_dv = tree.parent(c) if c == dv else dv
+            if not alt >> c & 1:
+                yield (rest, new_dv, alt), surviving, gen.alt_order, move_sign
             else:
                 # the edge hangs below the distinguished vertex; its child's
                 # inputs replace the lost alternating flag one at a time
-                child_out = f2 if alt_flag == f1 else f1
-                child = tree.graph.flag_vertex[child_out]
-                for b in tree.input_flags(child):
-                    alt_order = [flag_map[b if f == alt_flag else f]
-                                 for f in gen.alt_order]
-                    yield target, new_dv, alt_order, surviving, move_sign
+                others = alt ^ 1 << c
+                for b in tree.inputs[c]:
+                    alt_order = tuple(b if a == c else a for a in gen.alt_order)
+                    yield (rest, new_dv, others | 1 << b), surviving, alt_order, move_sign
 
     def differential(self, i):
         """Matrix of d: degree i -> degree i-1 (columns are sources)."""
         if i in self._diffs:
             return self._diffs[i]
         sources = self.generators(i)
-        nrows = self.dim(i - 1) if i >= 1 else 0
-        target_index = self.index(i - 1) if i >= 1 else {}
+        targets = self.generators(i - 1) if i >= 1 else []
+        rows = self.rows(i - 1) if i >= 1 else {}
         acc = {}
         for col, gen in enumerate(sources):
-            for target, dv, alt_order, surviving, move_sign in self.contraction_terms(gen):
-                code, ceo, cao = canonical_tree_data(target, dv,
-                                                     frozenset(alt_order),
-                                                     self.orient_seed)
-                sign = (move_sign * relative_sign(surviving, ceo)
-                        * relative_sign(alt_order, cao))
-                key = (target_index[code], col)
-                total = acc.get(key, 0) + sign
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-        matrix = SparseIntMatrix(nrows, len(sources), acc)
+            for key, surviving, alt_order, move_sign in self.contraction_terms(gen):
+                row = rows[key]
+                target = targets[row]
+                sign = (move_sign * _sign(surviving, target.edge_order)
+                        * _sign(alt_order, target.alt_order))
+                _accumulate(acc, (row, col), sign)
+        matrix = SparseIntMatrix(len(targets), len(sources), acc)
         self._diffs[i] = matrix
         return matrix
 
@@ -227,32 +362,45 @@ class StirlingComplex(ChainComplex):
         identified with these by exchanging the letters 0 and n+1.
         """
         perm = _as_permutation(perm, self.n)
+        everything = (1 << self.n + 1) - 1
+        image = [0] * (everything + 1)
+        for m in range(1, everything + 1):
+            low = m & -m
+            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+
+        def rerooted(c):
+            # an edge keeps the side of its image without leg 0
+            m = image[c]
+            return everything ^ m if m & 1 else m
+
         gens = self.generators(i)
-        index = self.index(i)
+        rows = self.rows(i)
         acc = {}
         for col, gen in enumerate(gens):
-            relabeled = gen.tree.relabeled(perm)
-            dv = gen.dv
-            out = relabeled.output_flag(dv)
-            if out not in gen.alt:
-                code, ceo, cao = canonical_tree_data(relabeled, dv, gen.alt,
-                                                     self.orient_seed)
-                sign = (relative_sign(gen.edge_order, ceo)
-                        * relative_sign(gen.alt_order, cao))
-                _accumulate(acc, (index[code], col), sign)
+            _clusters, dv, alt = gen.key
+            tree = gen.tree
+            edge_order = tuple(rerooted(c) for c in gen.edge_order)
+            clusters = _mask_set(edge_order)
+            sides = tree.inputs[dv] + (everything ^ dv,)
+            out = next(s for s in sides if image[s] & 1)
+            new_dv = everything ^ image[out]
+            alt_order = tuple(image[a] for a in gen.alt_order)
+            if not alt >> out & 1:
+                row = rows[(clusters, new_dv, _mask_set(alt_order))]
+                sign = (_sign(edge_order, gens[row].edge_order)
+                        * _sign(alt_order, gens[row].alt_order))
+                _accumulate(acc, (row, col), sign)
             else:
                 # the relabeled alternating set captured the new output flag;
                 # trade it for each remaining flag at the vertex
-                others = [f for f in relabeled.graph.vertex_flags(dv)
-                          if f not in gen.alt]
-                for b in others:
-                    alt_order = [b if f == out else f for f in gen.alt_order]
-                    code, ceo, cao = canonical_tree_data(relabeled, dv,
-                                                         frozenset(alt_order),
-                                                         self.orient_seed)
-                    sign = -(relative_sign(gen.edge_order, ceo)
-                             * relative_sign(alt_order, cao))
-                    _accumulate(acc, (index[code], col), sign)
+                for b in sides:
+                    if alt >> b & 1:
+                        continue
+                    traded = tuple(image[b] if a & 1 else a for a in alt_order)
+                    row = rows[(clusters, new_dv, _mask_set(traded))]
+                    sign = -(_sign(edge_order, gens[row].edge_order)
+                             * _sign(traded, gens[row].alt_order))
+                    _accumulate(acc, (row, col), sign)
         return SparseIntMatrix(len(gens), len(gens), acc)
 
     def verify_equivariance(self, perm):
@@ -275,33 +423,37 @@ class StirlingComplex(ChainComplex):
 
     # -- reach filtration ----------------------------------------------------
 
-    def in_acyclic_part(self, tree, dv):
+    def in_acyclic_part(self, gen):
         """Membership in the acyclic subcomplex: the distinguished vertex
         has valence above k+1, or it is not the root vertex."""
-        return tree.graph.valence(dv) > self.k + 1 or dv != tree.root_vertex
+        dv = gen.dv
+        return len(gen.tree.inputs[dv]) > self.k or dv != gen.tree.full
 
-    def reach(self, tree, dv):
-        if not self.in_acyclic_part(tree, dv):
+    def reach(self, gen):
+        if not self.in_acyclic_part(gen):
             raise DomainError("generator lies outside the acyclic subcomplex")
-        e = tree.graph.num_edges
-        p = len(tree.path_edges_to_root(dv))
-        nu = 1 if tree.graph.valence(dv) == self.k + 1 else 0
-        return 2 * e - p - nu
+        tree, dv = gen.tree, gen.dv
+        nu = 1 if len(tree.inputs[dv]) == self.k else 0
+        return 2 * len(gen.edge_order) - tree.depth(dv) - nu
 
     def reach_filtration_holds(self, i):
         """On the degree-i generators of the acyclic subcomplex, the
         differential never leaves that subcomplex and never increases the
         reach, and the reach stays within its bounds."""
         upper = 2 * (self.n - self.k) - 2
+        # the reach of each degree i-1 generator, None outside the acyclic part
+        target_reach = [self.reach(g) if self.in_acyclic_part(g) else None
+                        for g in (self.generators(i - 1) if i >= 1 else ())]
+        rows = self.rows(i - 1) if i >= 1 else {}
         for gen in self.generators(i):
-            if not self.in_acyclic_part(gen.tree, gen.dv):
+            if not self.in_acyclic_part(gen):
                 continue
-            r = self.reach(gen.tree, gen.dv)
+            r = self.reach(gen)
             if self.n > self.k and not 0 <= r <= upper:
                 return False
-            for target, dv, _ao, _se, _ms in self.contraction_terms(gen):
-                if (not self.in_acyclic_part(target, dv)
-                        or self.reach(target, dv) > r):
+            for key, _se, _ao, _ms in self.contraction_terms(gen):
+                reach = target_reach[rows[key]]
+                if reach is None or reach > r:
                     return False
         return True
 
@@ -309,6 +461,7 @@ class StirlingComplex(ChainComplex):
         """Drop cached data at degree i (memory relief for large runs)."""
         self._gens.pop(i, None)
         self._index.pop(i, None)
+        self._rows.pop(i, None)
         self._diffs.pop(i, None)
 
     def to_json_dict(self):
@@ -327,9 +480,50 @@ class StirlingComplex(ChainComplex):
         chunks = []
         for i in range(self.max_edges + 1):
             for pos, g in enumerate(self.generators(i)):
-                chunks.append(to_dot(g.tree, dv=g.dv, alt=g.alt,
+                tree = _tree_from_shape(g.tree.shape(), self.n)
+                dv, alt = _flag_decorations(tree, g)
+                chunks.append(to_dot(tree, dv=dv, alt=alt,
                                      name=f"s_{self.n}_{self.k}_{i}_{pos}"))
         return "\n".join(chunks)
+
+
+def _shape_clusters(shape):
+    """The leaf set of a ``_rooted_shapes`` shape and its edge clusters."""
+    legs, children = shape
+    mask = _mask_set(legs)
+    clusters = []
+    for child in children:
+        below, inner = _shape_clusters(child)
+        mask |= below
+        clusters.append(below)
+        clusters.extend(inner)
+    return mask, clusters
+
+
+def _flag_decorations(tree, gen):
+    """The distinguished vertex and alternating flags of ``gen`` on the
+    flag tree drawn from its shape."""
+    g = tree.graph
+
+    def far_side(f):
+        mate = g.involution[f]
+        if mate == f:
+            return 1 << g.flag_label[f]
+        return _union(far_side(x) for x in tree.input_flags(g.flag_vertex[mate]))
+
+    _clusters, dv, alt = gen.key
+    for v in range(g.num_vertices):
+        sides = {far_side(f): f for f in tree.input_flags(v)}
+        if _union(sides) == dv:
+            return v, [f for side, f in sides.items() if alt >> side & 1]
+    raise AssertionError("no vertex carries the distinguished cluster")
+
+
+def _union(masks):
+    total = 0
+    for m in masks:
+        total |= m
+    return total
 
 
 def _accumulate(acc, key, value):

@@ -1,0 +1,223 @@
+"""Reference Stirling complex on flag-graph trees, for the exactness tests.
+
+This is the flag-tree implementation the package used before generators
+became cluster bitmasks: every generator is a ``Tree`` with a distinguished
+vertex and a set of alternating flags, every differential term builds,
+validates and canonicalises the contracted tree, and the action relabels
+the tree and canonicalises it again.  It shares no enumeration, contraction
+or relabeling code with ``stirhom.stirling``, only ``canonical_tree_data``,
+which fixes the published codes and reference orders; the tests require
+the two to agree on codes, matrices and reach verdicts entry for entry.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from stirhom.linalg import ChainComplex, SparseIntMatrix
+from stirhom.stirling import DomainError, _as_permutation, _check_type
+from stirhom.trees import (canonical_tree_data, contract_edge_with_maps,
+                           enumerate_stable_trees, map_edge, relative_sign)
+
+
+class StirlingGenerator:
+    """One isomorphism class of decorated trees with its reference orders."""
+
+    __slots__ = ("tree", "dv", "alt", "code", "edge_order", "alt_order")
+
+    def __init__(self, tree, dv, alt, code, edge_order, alt_order):
+        self.tree = tree
+        self.dv = dv
+        self.alt = frozenset(alt)
+        self.code = code
+        self.edge_order = edge_order
+        self.alt_order = alt_order
+
+    @property
+    def k(self):
+        return len(self.alt)
+
+    def __repr__(self):
+        return f"StirlingGenerator({self.code})"
+
+
+def make_generator(tree, dv, alt, orient_seed=0):
+    """Validate and canonically orient a decorated tree."""
+    alt = frozenset(alt)
+    if len(alt) < 2:
+        raise DomainError("at least two alternating flags are required")
+    inputs = set(tree.input_flags(dv))
+    if not alt <= inputs:
+        raise DomainError("alternating flags must be input flags of the "
+                          "distinguished vertex")
+    code, edge_order, alt_order = canonical_tree_data(tree, dv, alt, orient_seed)
+    return StirlingGenerator(tree, dv, alt, code, edge_order, alt_order)
+
+
+class StirlingComplex(ChainComplex):
+    """The chain complex of type (n, k), graded by edge count i."""
+
+    def __init__(self, n, k, orient_seed=0):
+        _check_type(n, k)
+        super().__init__()
+        self.n = n
+        self.k = k
+        self.orient_seed = orient_seed
+
+    @property
+    def max_edges(self):
+        return self.n - self.k
+
+    def total_degree(self, i):
+        return i + self.k
+
+    def generators(self, i):
+        if i not in self._gens:
+            self._gens[i] = self._enumerate(i)
+        return self._gens[i]
+
+    def _enumerate(self, i):
+        if i < 0:
+            return []
+        gens = []
+        for tree in enumerate_stable_trees(self.n, i):
+            for v in range(tree.graph.num_vertices):
+                inputs = sorted(tree.input_flags(v))
+                if len(inputs) < self.k:
+                    continue
+                for alt in itertools.combinations(inputs, self.k):
+                    code, eo, ao = canonical_tree_data(tree, v, frozenset(alt),
+                                                       self.orient_seed)
+                    gens.append(StirlingGenerator(tree, v, alt, code, eo, ao))
+        gens.sort(key=lambda g: g.code)
+        return gens
+
+    # -- differential -------------------------------------------------------
+
+    def contraction_terms(self, gen):
+        """Raw differential terms of one generator, before accumulation.
+
+        Yields ``(target_tree, target_dv, target_alt_order, surviving_edges,
+        move_sign)`` where the orders are the source orders transported
+        through the contraction (with the replacement flag substituted in
+        place for alternating-edge contractions).
+        """
+        tree = gen.tree
+        num_edges = len(gen.edge_order)
+        for pos, edge in enumerate(gen.edge_order):
+            move_sign = -1 if (num_edges - 1 - pos) % 2 else 1
+            f1, f2 = edge
+            alt_flag = f1 if f1 in gen.alt else (f2 if f2 in gen.alt else None)
+            target, flag_map, vertex_map = contract_edge_with_maps(tree, edge)
+            surviving = [map_edge(flag_map, e) for e in gen.edge_order if e != edge]
+            new_dv = vertex_map[gen.dv]
+            if alt_flag is None:
+                alt_order = [flag_map[f] for f in gen.alt_order]
+                yield target, new_dv, alt_order, surviving, move_sign
+            else:
+                # the edge hangs below the distinguished vertex; its child's
+                # inputs replace the lost alternating flag one at a time
+                child_out = f2 if alt_flag == f1 else f1
+                child = tree.graph.flag_vertex[child_out]
+                for b in tree.input_flags(child):
+                    alt_order = [flag_map[b if f == alt_flag else f]
+                                 for f in gen.alt_order]
+                    yield target, new_dv, alt_order, surviving, move_sign
+
+    def differential(self, i):
+        """Matrix of d: degree i -> degree i-1 (columns are sources)."""
+        if i in self._diffs:
+            return self._diffs[i]
+        sources = self.generators(i)
+        nrows = self.dim(i - 1) if i >= 1 else 0
+        target_index = self.index(i - 1) if i >= 1 else {}
+        acc = {}
+        for col, gen in enumerate(sources):
+            for target, dv, alt_order, surviving, move_sign in self.contraction_terms(gen):
+                code, ceo, cao = canonical_tree_data(target, dv,
+                                                     frozenset(alt_order),
+                                                     self.orient_seed)
+                sign = (move_sign * relative_sign(surviving, ceo)
+                        * relative_sign(alt_order, cao))
+                key = (target_index[code], col)
+                total = acc.get(key, 0) + sign
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+        matrix = SparseIntMatrix(nrows, len(sources), acc)
+        self._diffs[i] = matrix
+        return matrix
+
+    # -- symmetric group action --------------------------------------------
+
+    def action_matrix(self, i, perm):
+        """Matrix of a permutation of the leg labels 0..n on degree i."""
+        perm = _as_permutation(perm, self.n)
+        gens = self.generators(i)
+        index = self.index(i)
+        acc = {}
+        for col, gen in enumerate(gens):
+            relabeled = gen.tree.relabeled(perm)
+            dv = gen.dv
+            out = relabeled.output_flag(dv)
+            if out not in gen.alt:
+                code, ceo, cao = canonical_tree_data(relabeled, dv, gen.alt,
+                                                     self.orient_seed)
+                sign = (relative_sign(gen.edge_order, ceo)
+                        * relative_sign(gen.alt_order, cao))
+                _accumulate(acc, (index[code], col), sign)
+            else:
+                # the relabeled alternating set captured the new output flag;
+                # trade it for each remaining flag at the vertex
+                others = [f for f in relabeled.graph.vertex_flags(dv)
+                          if f not in gen.alt]
+                for b in others:
+                    alt_order = [b if f == out else f for f in gen.alt_order]
+                    code, ceo, cao = canonical_tree_data(relabeled, dv,
+                                                         frozenset(alt_order),
+                                                         self.orient_seed)
+                    sign = -(relative_sign(gen.edge_order, ceo)
+                             * relative_sign(alt_order, cao))
+                    _accumulate(acc, (index[code], col), sign)
+        return SparseIntMatrix(len(gens), len(gens), acc)
+
+    # -- reach filtration ----------------------------------------------------
+
+    def in_acyclic_part(self, tree, dv):
+        """Membership in the acyclic subcomplex: the distinguished vertex
+        has valence above k+1, or it is not the root vertex."""
+        return tree.graph.valence(dv) > self.k + 1 or dv != tree.root_vertex
+
+    def reach(self, tree, dv):
+        if not self.in_acyclic_part(tree, dv):
+            raise DomainError("generator lies outside the acyclic subcomplex")
+        e = tree.graph.num_edges
+        p = len(tree.path_edges_to_root(dv))
+        nu = 1 if tree.graph.valence(dv) == self.k + 1 else 0
+        return 2 * e - p - nu
+
+    def reach_filtration_holds(self, i):
+        """On the degree-i generators of the acyclic subcomplex, the
+        differential never leaves that subcomplex and never increases the
+        reach, and the reach stays within its bounds."""
+        upper = 2 * (self.n - self.k) - 2
+        for gen in self.generators(i):
+            if not self.in_acyclic_part(gen.tree, gen.dv):
+                continue
+            r = self.reach(gen.tree, gen.dv)
+            if self.n > self.k and not 0 <= r <= upper:
+                return False
+            for target, dv, _ao, _se, _ms in self.contraction_terms(gen):
+                if (not self.in_acyclic_part(target, dv)
+                        or self.reach(target, dv) > r):
+                    return False
+        return True
+
+
+def _accumulate(acc, key, value):
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)

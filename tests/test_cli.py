@@ -62,6 +62,18 @@ def test_betti_requires_arguments(capsys):
         main(["betti", "--n", "3", "--k", "9"])
 
 
+def test_betti_grid_needs_a_type(capsys):
+    with pytest.raises(SystemExit):
+        main(["betti", "--max-n", "1"])
+    assert capsys.readouterr().out == ""
+
+
+def test_betti_grid_excludes_a_single_type(capsys):
+    with pytest.raises(SystemExit):
+        main(["betti", "--n", "4", "--k", "2", "--max-n", "3"])
+    assert capsys.readouterr().out == ""
+
+
 def test_verify(capsys):
     code, out = run(capsys, "verify", "--n", "3", "--k", "2")
     assert code == 0
@@ -72,6 +84,13 @@ def test_verify(capsys):
     assert json.loads(out)["results"] == {"d2": True, "euler": True}
     with pytest.raises(SystemExit):
         main(["verify", "--n", "3", "--k", "2", "--checks", "bogus"])
+
+
+def test_verify_refuses_an_empty_check_list(capsys):
+    for checks in (",", ""):
+        with pytest.raises(SystemExit):
+            main(["verify", "--n", "4", "--k", "2", "--checks", checks])
+    assert capsys.readouterr().out == ""
 
 
 def test_characters(capsys):

@@ -2,13 +2,16 @@
 
 The first-differential oracle below applies the contraction rules to
 one-edge trees directly (the only target is the corolla), sharing nothing
-with the production differential except the published basis orders.
+with the production differential except the published basis orders.  The
+flag-tree oracle in ``stirling_oracle`` must agree with the cluster-bitmask
+complex on every code, differential, action matrix and reach verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +23,16 @@ from stirhom.stirling import (DomainError, StirlingComplex, compose,
                               make_generator, survey, transposition)
 from stirhom.trees import _tree_from_shape, canonical_tree_data, relative_sign
 
+import stirling_oracle
+
 
 def tree_from_nested(shape, n):
     return _tree_from_shape(shape, n)
+
+
+def mask(*labels):
+    """The leaf set of the given leg labels as a bitmask."""
+    return sum(1 << j for j in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +85,15 @@ def test_generator_domain_errors():
         StirlingComplex(4, 1)
     with pytest.raises(DomainError):
         StirlingComplex(4, 5)
-    t = tree_from_nested(((1, 2, 3), ()), 3)
+    corolla = mask(1, 2, 3)
     with pytest.raises(DomainError):
-        make_generator(t, 0, [t.graph.legs[1]])
+        make_generator(3, [], corolla, [mask(1)])
     with pytest.raises(DomainError):
-        make_generator(t, 0, [t.graph.legs[0], t.graph.legs[1]])
+        make_generator(3, [], corolla, [mask(0), mask(1)])
+    # two crossing clusters are no tree
+    with pytest.raises(DomainError):
+        make_generator(4, [mask(1, 2), mask(2, 3)], mask(1, 2, 3, 4),
+                       [mask(4), mask(1, 2)])
 
 
 def test_generators_sorted_distinct():
@@ -103,11 +117,14 @@ def oracle_first_differential(cx):
     """
     sources = cx.generators(1)
     targets = cx.generators(0)
+
+    def label(side):
+        return side.bit_length() - 1
+
     by_labels = {}
     for row, g in enumerate(targets):
-        flag_label = g.tree.graph.flag_label
-        by_labels[frozenset(flag_label[f] for f in g.alt)] = (
-            row, [flag_label[f] for f in g.alt_order])
+        labels = [label(side) for side in g.alt_order]
+        by_labels[frozenset(labels)] = (row, labels)
     entries = {}
 
     def add(row, col, value):
@@ -119,25 +136,21 @@ def oracle_first_differential(cx):
             entries.pop(key, None)
 
     for col, g in enumerate(sources):
-        t = g.tree
-        (edge,) = t.graph.edges
-        flag_label = t.graph.flag_label
-        dv_edge_flag = next((f for f in edge
-                             if t.graph.flag_vertex[f] == g.dv
-                             and f in g.alt), None)
-        if dv_edge_flag is None:
+        (edge,) = g.edge_order
+        if edge not in g.alt_order:
             # no alternating flag on the edge: all alternating flags are
             # legs and survive with their labels
-            src = [flag_label[f] for f in g.alt_order]
+            src = [label(side) for side in g.alt_order]
             row, ref = by_labels[frozenset(src)]
             add(row, col, relative_sign(src, ref))
         else:
             # replacement: the child's inputs (all legs here) step in, one
             # term each, with no sign beyond the final alignment
-            child = t.graph.flag_vertex[t.graph.involution[dv_edge_flag]]
-            for b in t.input_flags(child):
-                src = [flag_label[b] if f == dv_edge_flag else flag_label[f]
-                       for f in g.alt_order]
+            for b in range(1, cx.n + 1):
+                if not edge >> b & 1:
+                    continue
+                src = [b if side == edge else label(side)
+                       for side in g.alt_order]
                 row, ref = by_labels[frozenset(src)]
                 add(row, col, relative_sign(src, ref))
     return SparseIntMatrix(len(targets), len(sources), entries)
@@ -159,19 +172,15 @@ def test_three_term_column():
     # two alternating flags at the root: one leg and one edge whose child
     # has two inputs; contracting the plain edge gives one term and the
     # alternating edge two replacement terms
-    shape = ((1,), (((2, 3), ()), ((4, 5), ())))
-    t = tree_from_nested(shape, 5)
-    dv = t.root_vertex
-    leg1 = t.graph.legs[1]
-    edge_flags = [f for f in t.input_flags(dv) if t.graph.involution[f] != f]
-    gen = make_generator(t, dv, [leg1, edge_flags[0]])
+    gen = make_generator(5, [mask(2, 3), mask(4, 5)], mask(1, 2, 3, 4, 5),
+                         [mask(1), mask(2, 3)])
     cx = StirlingComplex(5, 2)
     col = cx.index(2)[gen.code]
     column = {(r, c): v for (r, c), v in cx.differential(2).entries.items()
               if c == col}
     assert len(column) == 3
     assert all(v in (-1, 1) for v in column.values())
-    alt_edges = [e for e in t.graph.edges if e[0] in gen.alt or e[1] in gen.alt]
+    alt_edges = [c for c in gen.edge_order if c in gen.alt_order]
     assert len(alt_edges) == 1
     assert len(list(cx.contraction_terms(gen))) == 3
 
@@ -226,7 +235,7 @@ def test_root_swap_replacement_column():
     t = tree_from_nested(shape, 4)
     child = 1
     alt = [t.graph.legs[1], t.graph.legs[2]]
-    gen = make_generator(t, child, alt)
+    gen = stirling_oracle.make_generator(t, child, alt)
     cx = StirlingComplex(4, 2)
     col = cx.index(1)[gen.code]
     sigma = transposition(4, 0, 1)
@@ -273,33 +282,31 @@ def test_reach_values_from_marked_trees():
     cx = StirlingComplex(7, 2)
     # four edges, distinguished vertex two steps from the root with both
     # inputs alternating: reach 8 - 2 - 1 = 5
-    x = ((3, 4), ())
-    y = ((5, 6), ())
-    shape_a = ((1,), (((2, 7), (((), (x, y)),)),))
-    t_a = tree_from_nested(shape_a, 7)
-    dv_a = 2
-    assert t_a.graph.num_edges == 4
-    assert len(t_a.path_edges_to_root(dv_a)) == 2
-    assert t_a.graph.valence(dv_a) == 3
-    assert cx.reach(t_a, dv_a) == 5
+    x, y = mask(3, 4), mask(5, 6)
+    gen_a = make_generator(7, [mask(2, 3, 4, 5, 6, 7), x | y, x, y], x | y,
+                           [x, y])
+    assert len(gen_a.edge_order) == 4
+    assert gen_a.tree.depth(gen_a.dv) == 2
+    assert len(gen_a.tree.inputs[gen_a.dv]) + 1 == 3
+    assert cx.reach(gen_a) == 5
     # three edges, distinguished vertex adjacent to the root with two
     # alternating legs among four inputs: reach 6 - 1 - 0 = 5
-    shape_b = ((1,), (((2, 3), (((4, 5), ()), ((6, 7), ()))),))
-    t_b = tree_from_nested(shape_b, 7)
-    dv_b = 1
-    assert t_b.graph.num_edges == 3
-    assert len(t_b.path_edges_to_root(dv_b)) == 1
-    assert t_b.graph.valence(dv_b) == 5
-    assert cx.reach(t_b, dv_b) == 5
+    dv_b = mask(2, 3, 4, 5, 6, 7)
+    gen_b = make_generator(7, [dv_b, mask(4, 5), mask(6, 7)], dv_b,
+                           [mask(2), mask(3)])
+    assert len(gen_b.edge_order) == 3
+    assert gen_b.tree.depth(gen_b.dv) == 1
+    assert len(gen_b.tree.inputs[gen_b.dv]) + 1 == 5
+    assert cx.reach(gen_b) == 5
 
 
 def test_reach_corolla_and_domain():
     cx = StirlingComplex(5, 2)
-    t = tree_from_nested(((1, 2, 3, 4, 5), ()), 5)
-    assert cx.reach(t, 0) == 0
+    root = mask(1, 2, 3, 4, 5)
+    assert cx.reach(make_generator(5, [], root, [mask(1), mask(2)])) == 0
     full = StirlingComplex(5, 5)
     with pytest.raises(DomainError):
-        full.reach(t, 0)
+        full.reach(make_generator(5, [], root, [mask(j) for j in range(1, 6)]))
 
 
 def test_reach_filtration():
@@ -361,13 +368,14 @@ def test_chain_vector_differential_squares_to_zero():
 @given(st_.integers(0, 10 ** 6))
 def test_contraction_terms_drop_an_edge(pick):
     cx = StirlingComplex(5, 2)
-    gens = cx.generators(2) + cx.generators(3)
-    gen = gens[pick % len(gens)]
-    for target, dv, alt_order, surviving, _sign in cx.contraction_terms(gen):
-        assert target.graph.num_edges == gen.tree.graph.num_edges - 1
-        assert len(surviving) == target.graph.num_edges
+    gens = [(i, g) for i in (2, 3) for g in cx.generators(i)]
+    i, gen = gens[pick % len(gens)]
+    for key, surviving, alt_order, _sign in cx.contraction_terms(gen):
+        target = cx.generators(i - 1)[cx.rows(i - 1)[key]]
+        assert len(target.edge_order) == len(gen.edge_order) - 1
+        assert len(surviving) == len(target.edge_order)
         assert len(alt_order) == len(gen.alt_order)
-        assert set(alt_order) <= set(target.input_flags(dv))
+        assert set(alt_order) <= set(target.tree.inputs[target.dv])
 
 
 def test_survey_certificate():
@@ -421,3 +429,39 @@ def test_survey_reports_a_broken_d2_instead_of_raising(monkeypatch, capsys):
     assert min(result["betti"].values.values()) < 0
     assert main(["betti", "--n", "4", "--k", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# exactness against the flag-tree oracle
+
+
+def oracle_permutations(n):
+    """All of S_{n+1} for n <= 3; the transpositions (0 t) and seeded
+    random permutations for n = 4, 5; none above."""
+    if n <= 3:
+        return list(itertools.permutations(range(n + 1)))
+    if n > 5:
+        return []
+    rng = random.Random(n)
+    perms = [transposition(n, 0, t) for t in range(1, n + 1)]
+    for _ in range(4):
+        perm = list(range(n + 1))
+        rng.shuffle(perm)
+        perms.append(tuple(perm))
+    return perms
+
+
+@pytest.mark.parametrize("n,k,seed", [(n, k, seed) for n in range(2, 7)
+                                      for k in range(2, n + 1)
+                                      for seed in (0, 12345)])
+def test_matches_flag_tree_oracle(n, k, seed):
+    cx = StirlingComplex(n, k, orient_seed=seed)
+    oracle = stirling_oracle.StirlingComplex(n, k, orient_seed=seed)
+    perms = oracle_permutations(n)
+    for i in range(cx.max_edges + 1):
+        assert ([g.code for g in cx.generators(i)]
+                == [g.code for g in oracle.generators(i)])
+        assert cx.differential(i) == oracle.differential(i)
+        assert cx.reach_filtration_holds(i) == oracle.reach_filtration_holds(i)
+        for perm in perms:
+            assert cx.action_matrix(i, perm) == oracle.action_matrix(i, perm)
