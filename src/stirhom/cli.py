@@ -245,6 +245,8 @@ def cmd_graph(args):
     kill = not args.disable_orientation_kill
     if args.characters and not kill:
         raise SystemExit("--characters requires the orientation kill")
+    if args.characters and args.format == "dot":
+        raise SystemExit("--characters cannot be checked with --format dot")
     cx = gc.GraphComplex(m, orientation_kill=kill)
     if args.format == "dot":
         return True, {"dot": cx.generator_dot()}
@@ -333,8 +335,8 @@ def build_parser():
     p_graph = sub.add_parser("graph", help="genus-one graph complex homology")
     p_graph.add_argument("--m", type=int)
     p_graph.add_argument("--disable-orientation-kill", action="store_true",
-                         help="negative control: keep classes killed by odd "
-                              "automorphisms")
+                         help="negative control: keep the 2-cycle classes, "
+                              "which an odd automorphism kills")
     p_graph.add_argument("--characters", action="store_true",
                          help="also compare the full symmetric-group "
                               "characters of the two sides")

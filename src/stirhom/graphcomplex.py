@@ -1,18 +1,43 @@
 """The genus-one commutative graph complex with labeled legs.
 
 Generators in degree i are isomorphism classes of stable connected
-genus-one graphs with m labeled legs and i edges, each contributing the
-line det(edges) -- except that a class is killed (contributes zero) when
-some leg-fixing automorphism induces an odd permutation of its edge set.
-The differential is the signed sum of edge contractions: bridges merge
-their endpoints (genus labels add) and loops vanish while raising their
-vertex's genus by one.
+genus-one graphs with legs 1..m and i edges, each contributing the line
+det(edges), except for the classes the orientation kill removes (below).
+The differential is the signed sum of edge contractions.
 
-Genus-one graphs come in exactly two families: trees with a single
-genus-one vertex, and graphs with one cycle (a loop, a pair of parallel
-edges, or a polygon) and all genus labels zero.  Both are enumerated
-constructively from rooted-tree shapes hung on the special vertex or on
-the cycle, then deduplicated by canonical code.
+Two kinds.  A stable genus-one graph is either a genus-one vertex with
+trees hanging from it, or one cycle of c >= 1 genus-zero vertices (c = 1
+is a loop, c = 2 a pair of parallel edges), each vertex holding a non-empty
+block of legs, directly or in the trees hanging from it.  With leaf sets as
+int bitmasks, bit j for leg j as in ``stirling``, a class is its key
+``(cycle, clusters)``.  ``cycle`` is ``()`` for the genus-one vertex,
+``(full,)`` for a loop, and otherwise the blocks in cyclic order, rotated so
+that the block of leg 1 comes first and read in the direction whose second
+block has the smaller lowest leg.  ``clusters`` is the frozenset of the
+leaf sets below the hanging edges.  The key is canonical by construction,
+so every differential and action term finds its row by key.
+
+Edges are named by their cluster (a hanging edge), by the union of the two
+blocks they join (an edge of a cycle with c >= 3), or ``LOOP``.  The two
+parallel edges of a 2-cycle, which only the negative control keeps, are
+``full`` and ``full | 1`` (bit 0 is no leg's) in the order the
+representative adds them; a contraction that closes a 2-cycle names them
+in the order the source adds them.  Contracting a hanging
+edge drops its cluster, a cycle edge merges its two blocks, and the loop
+leaves the genus-one vertex with the same clusters.  A permutation of the
+legs acts on every mask bit by bit.
+
+The orientation kill.  The legs are labeled, so the hanging trees and the
+blocks are rigid: a leg-fixing automorphism can only flip a loop, which
+fixes its edge, or swap the two parallel edges of a 2-cycle, an odd
+permutation of the edges.  A class is therefore killed exactly when c = 2.
+
+Names and order.  Each generator keeps the code and reference edge order
+of the flag-graph construction: ``trees.canonical_modular_data`` runs once
+per class, on the representative rebuilt from its key (blocks in key
+order, trees hung in ``_rooted_shapes`` order).  The codes name the
+generators and fix their order, so every matrix entry and DOT drawing is
+that of the flag-graph construction.
 """
 
 from __future__ import annotations
@@ -21,24 +46,34 @@ import itertools
 import math
 
 from .linalg import ChainComplex, SparseIntMatrix
-from .stirling import StirlingComplex
+from .stirling import StirlingComplex, _accumulate, _shape_clusters
 from .trees import (Graph, GraphError, ModularGraph, _compositions,
                     _partitions_into_blocks, _rooted_shapes,
-                    canonical_modular_data, contract_edge_with_maps,
-                    has_odd_automorphism, map_edge, relative_sign, to_dot)
+                    canonical_modular_data, relative_sign, to_dot)
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
+LOOP = 0  # the name of the loop's edge; no leaf set is empty
+
 
 class GraphGenerator:
-    """One surviving isomorphism class with its reference edge order."""
+    """One class: its key, code and reference order of edge names."""
 
-    __slots__ = ("mgraph", "code", "edge_order")
+    __slots__ = ("m", "key", "code", "edge_order")
 
-    def __init__(self, mgraph, code, edge_order):
-        self.mgraph = mgraph
+    def __init__(self, m, key, orient_seed=0):
+        mgraph, names = _representative(m, key)
+        code, flag_order = canonical_modular_data(mgraph, orient_seed)
+        self.m = m
+        self.key = key
         self.code = code
-        self.edge_order = edge_order
+        # edge k of the representative is the flag pair (m + 2k, m + 2k + 1)
+        self.edge_order = tuple(names[(f - m) // 2] for f, _mate in flag_order)
+
+    @property
+    def mgraph(self):
+        """The representative flag graph, rebuilt from the key."""
+        return _representative(self.m, self.key)[0]
 
     def __repr__(self):
         return f"GraphGenerator({self.code})"
@@ -56,6 +91,7 @@ class _Assembler:
         self.genus = []
         self.leg_vertex = {}
         self.edge_list = []
+        self.names = []
 
     def add_vertex(self, genus):
         self.genus.append(genus)
@@ -64,10 +100,12 @@ class _Assembler:
     def add_leg(self, v, label):
         self.leg_vertex[label] = v
 
-    def add_edge(self, u, w):
+    def add_edge(self, u, w, name):
         self.edge_list.append((u, w))
+        self.names.append(name)
 
     def build(self):
+        """The graph and the names of its edges in insertion order."""
         flag_vertex = [self.leg_vertex[lab] for lab in range(1, self.m + 1)]
         involution = list(range(self.m))
         for u, w in self.edge_list:
@@ -76,7 +114,7 @@ class _Assembler:
             involution.extend((a + 1, a))
         legs = {lab: lab - 1 for lab in range(1, self.m + 1)}
         graph = Graph(len(self.genus), flag_vertex, involution, legs, check=False)
-        return ModularGraph(graph, self.genus)
+        return ModularGraph(graph, self.genus), tuple(self.names)
 
 
 def _hang(asm, shape, vertex):
@@ -85,85 +123,99 @@ def _hang(asm, shape, vertex):
         asm.add_leg(vertex, lab)
     for child in children:
         cid = asm.add_vertex(0)
-        asm.add_edge(vertex, cid)
+        asm.add_edge(vertex, cid, _shape_clusters(child)[0])
         _hang(asm, child, cid)
 
 
-def _shape_edge_count(shape):
-    _legs, children = shape
-    return sum(1 + _shape_edge_count(c) for c in children)
+def _shape(leaves, clusters):
+    """The ``_rooted_shapes`` shape hung from a vertex with leaf set
+    ``leaves``: the largest of ``clusters`` within it sit below its edges."""
+    inside = [c for c in clusters if c & leaves == c]
+    kids = [c for c in inside if not any(c != d and c & d == c for d in inside)]
+    below = [c for c in inside if c not in kids]
+    rest = leaves
+    for c in kids:
+        rest ^= c
+    legs = tuple(j for j in range(rest.bit_length()) if rest >> j & 1)
+    return legs, tuple(sorted(_shape(c, below) for c in kids))
 
 
-def _genus_vertex_family(m, i):
-    """Trees with one genus-one vertex, built as shapes rooted there."""
-    for shape in _rooted_shapes(frozenset(range(1, m + 1)), i, min_inputs=1):
-        asm = _Assembler(m)
-        root = asm.add_vertex(1)
-        _hang(asm, shape, root)
-        yield asm.build()
+def _cycle_names(cycle):
+    """The names of the cycle edges; edge pos joins blocks pos and pos+1."""
+    c = len(cycle)
+    if c == 1:
+        return (LOOP,)
+    names = [cycle[pos] | cycle[(pos + 1) % c] for pos in range(c)]
+    if c == 2:
+        names[1] |= 1  # the second parallel edge
+    return tuple(names)
 
 
-def _loop_family(m, i):
-    """A single loop, with the rest of the graph hanging off its vertex."""
-    if i < 1:
-        return
-    for shape in _rooted_shapes(frozenset(range(1, m + 1)), i - 1, min_inputs=1):
-        asm = _Assembler(m)
-        root = asm.add_vertex(0)
-        asm.add_edge(root, root)
-        _hang(asm, shape, root)
-        yield asm.build()
+def _normal_cycle(blocks):
+    """The cycle read from the block of leg 1, in the direction whose second
+    block has the smaller lowest leg."""
+    if not blocks:
+        return blocks
+    start = next(pos for pos, b in enumerate(blocks) if b & 2)
+    blocks = blocks[start:] + blocks[:start]
+    if len(blocks) > 2 and blocks[1] & -blocks[1] > blocks[-1] & -blocks[-1]:
+        blocks = blocks[:1] + blocks[:0:-1]
+    return blocks
 
 
-def _cycle_family(m, i):
-    """One cycle of length >= 2 with a non-empty hanging tree per vertex."""
+def _representative(m, key):
+    """The flag graph of a key and the names of its edges in flag order."""
+    cycle, clusters = key
+    asm = _Assembler(m)
+    if not cycle:
+        _hang(asm, _shape((1 << m + 1) - 2, clusters), asm.add_vertex(1))
+        return asm.build()
+    ids = [asm.add_vertex(0) for _ in cycle]
+    for pos, name in enumerate(_cycle_names(cycle)):
+        asm.add_edge(ids[pos], ids[(pos + 1) % len(ids)], name)
+    for vertex, block in zip(ids, cycle):
+        _hang(asm, _shape(block, clusters), vertex)
+    return asm.build()
+
+
+def _keys(m, i):
+    """The key of every class with m legs and i edges, each once."""
     labels = tuple(range(1, m + 1))
-    for c in range(2, min(i, m) + 1):
-        hang_edges = i - c
+
+    def clusters(shapes):
+        return frozenset(c for s in shapes for c in _shape_clusters(s)[1])
+
+    for shape in _rooted_shapes(frozenset(labels), i, min_inputs=1):
+        yield (), clusters([shape])
+    for c in range(1, min(i, m) + 1):
         for blocks in _partitions_into_blocks(labels, c, 1):
-            # fix the block containing the smallest label at position 0 to
-            # quotient rotations; reflections are removed by code dedup
+            # the block of leg 1 comes first and blocks come ordered by
+            # their lowest leg, so each cycle is read in one direction
             first, rest = blocks[0], blocks[1:]
             for arrangement in itertools.permutations(rest):
+                if arrangement and min(arrangement[0]) > min(arrangement[-1]):
+                    continue
                 ordered = (first,) + arrangement
+                cycle = tuple(sum(1 << j for j in b) for b in ordered)
                 caps = [len(b) - 1 for b in ordered]
-                for alloc in _compositions(hang_edges, caps):
-                    pools = [_rooted_shapes(frozenset(b), e, min_inputs=1)
+                for alloc in _compositions(i - c, caps):
+                    pools = [_rooted_shapes(b, e, min_inputs=1)
                              for b, e in zip(ordered, alloc)]
-                    if any(not pool for pool in pools):
-                        continue
                     for combo in itertools.product(*pools):
-                        asm = _Assembler(m)
-                        ids = [asm.add_vertex(0) for _ in range(c)]
-                        for pos in range(c):
-                            asm.add_edge(ids[pos], ids[(pos + 1) % c])
-                        for vertex, shape in zip(ids, combo):
-                            _hang(asm, shape, vertex)
-                        yield asm.build()
+                        yield cycle, clusters(combo)
 
 
 def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0):
-    """Classes of genus-one graphs with m legs and i edges, in one pass.
+    """The degree-i generators, one per class, sorted by code.
 
-    Returns the surviving generators, sorted by canonical code, and the set
-    of codes of the classes killed by an odd automorphism.  With
-    ``orientation_kill`` disabled nothing is killed (negative-control mode;
-    the resulting numbers are deliberately wrong).
+    With the orientation kill the classes with a 2-cycle are left out;
+    without it (the negative control) they stay and the numbers are
+    deliberately wrong.
     """
-    classes = {}
-    for mg in itertools.chain(_genus_vertex_family(m, i),
-                              _loop_family(m, i),
-                              _cycle_family(m, i)):
-        code, edge_order = canonical_modular_data(mg, orient_seed)
-        if code not in classes:
-            classes[code] = GraphGenerator(mg, code, edge_order)
-    survivors, killed = [], set()
-    for code, gen in sorted(classes.items()):
-        if orientation_kill and has_odd_automorphism(gen.mgraph):
-            killed.add(code)
-        else:
-            survivors.append(gen)
-    return survivors, killed
+    gens = [GraphGenerator(m, key, orient_seed) for key in _keys(m, i)
+            if not (orientation_kill and len(key[0]) == 2)]
+    gens.sort(key=lambda g: g.code)
+    return gens
 
 
 class GraphComplex(ChainComplex):
@@ -182,7 +234,6 @@ class GraphComplex(ChainComplex):
         self.m = m
         self.orientation_kill = orientation_kill
         self.orient_seed = orient_seed
-        self._killed = {}
 
     @property
     def max_edges(self):
@@ -190,49 +241,68 @@ class GraphComplex(ChainComplex):
 
     def generators(self, i):
         if i not in self._gens:
-            self._gens[i], self._killed[i] = enumerate_graph_generators(
+            self._gens[i] = enumerate_graph_generators(
                 self.m, i, self.orientation_kill, self.orient_seed)
         return self._gens[i]
+
+    def contraction_terms(self, gen):
+        """Raw differential terms of one generator, before accumulation.
+
+        Yields ``(target_key, surviving_names, move_sign)``: the source
+        order without the contracted edge, its edges renamed as in the
+        target.  Targets with a 2-cycle are yielded too.
+        """
+        cycle, clusters = gen.key
+        names = gen.edge_order
+        cycle_names = _cycle_names(cycle)
+        for pos, name in enumerate(names):
+            move_sign = -1 if (len(names) - 1 - pos) % 2 else 1
+            rename = {}
+            if name in clusters:
+                target = (cycle, clusters - {name})
+            elif len(cycle) == 1:
+                target = ((), clusters)
+            elif len(cycle) == 2:
+                # the other parallel edge becomes the loop
+                target = ((cycle[0] | cycle[1],), clusters)
+                rename = {name ^ 1: LOOP}
+            else:
+                j = cycle_names.index(name)
+                rotated = cycle[j:] + cycle[:j]
+                target = (_normal_cycle((name,) + rotated[2:]), clusters)
+                others = [n for n in cycle_names if n != name]
+                if len(cycle) == 3:
+                    # the two left become parallel, named in source order
+                    rename = dict(zip(others, _cycle_names(target[0])))
+                else:
+                    rename = {n: n | name for n in others if n & name}
+            surviving = tuple(rename.get(n, n) for n in names if n != name)
+            yield target, surviving, move_sign
 
     def differential(self, i):
         if i in self._diffs:
             return self._diffs[i]
         sources = self.generators(i)
-        target_index = self.index(i - 1) if i >= 1 else {}
+        targets = self.generators(i - 1)
+        rows = self.rows(i - 1)
         acc = {}
         for col, gen in enumerate(sources):
-            num_edges = len(gen.edge_order)
-            for pos, edge in enumerate(gen.edge_order):
-                move_sign = -1 if (num_edges - 1 - pos) % 2 else 1
-                target, flag_map, _vm = contract_edge_with_maps(gen.mgraph, edge)
-                surviving = [map_edge(flag_map, e)
-                             for e in gen.edge_order if e != edge]
-                code, ceo = canonical_modular_data(target, self.orient_seed)
-                row = target_index.get(code)
-                if row is None:
-                    if code not in self._killed[i - 1]:
-                        raise RuntimeError(
-                            f"contraction left the enumerated classes: {code}")
-                    continue
-                sign = move_sign * relative_sign(surviving, ceo)
-                key = (row, col)
-                total = acc.get(key, 0) + sign
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-        matrix = SparseIntMatrix(self.dim(i - 1) if i >= 1 else 0,
-                                 len(sources), acc)
+            for key, surviving, move_sign in self.contraction_terms(gen):
+                if self.orientation_kill and len(key[0]) == 2:
+                    continue  # the target class is killed
+                row = rows[key]
+                sign = move_sign * relative_sign(surviving, targets[row].edge_order)
+                _accumulate(acc, (row, col), sign)
+        matrix = SparseIntMatrix(len(targets), len(sources), acc)
         self._diffs[i] = matrix
         return matrix
 
     def action_matrix(self, i, perm):
         """Matrix of a permutation of the leg labels 1..m on degree i.
 
-        Optional equivariant machinery: relabeling maps surviving classes
-        to surviving classes (automorphism groups are conjugate), and the
-        orientation transport is well-defined because survivors admit only
-        even edge automorphisms.  Each column has a single +-1 entry.
+        ``perm`` is a dict or a sequence with ``perm[j - 1]`` the image of
+        j.  Relabeling preserves the cycle length, so it maps surviving
+        classes to surviving classes; each column has a single +-1 entry.
         """
         if isinstance(perm, dict):
             perm = {int(a): int(b) for a, b in perm.items()}
@@ -241,19 +311,22 @@ class GraphComplex(ChainComplex):
         if sorted(perm) != list(range(1, self.m + 1)) \
                 or sorted(perm.values()) != list(range(1, self.m + 1)):
             raise GraphError(f"expected a bijection of 1..{self.m}")
+        # bit 0, which no leg owns, stays put
+        image = [0] * (1 << self.m + 1)
+        for mask in range(1, len(image)):
+            low = mask & -mask
+            bit = low.bit_length() - 1
+            image[mask] = image[mask ^ low] | 1 << perm.get(bit, 0)
         gens = self.generators(i)
-        index = self.index(i)
+        rows = self.rows(i)
         acc = {}
         for col, gen in enumerate(gens):
-            g = gen.mgraph.graph
-            new_legs = {perm[lab]: f for lab, f in g.legs.items()}
-            relabeled = ModularGraph(g.with_legs(new_legs), gen.mgraph.genus,
-                                     check=False)
-            code, ceo = canonical_modular_data(relabeled, self.orient_seed)
-            row = index.get(code)
-            if row is None:
-                raise RuntimeError("relabeling left the surviving classes")
-            acc[(row, col)] = relative_sign(gen.edge_order, ceo)
+            cycle, clusters = gen.key
+            key = (_normal_cycle(tuple(image[b] for b in cycle)),
+                   frozenset(image[c] for c in clusters))
+            row = rows[key]
+            names = tuple(image[n] for n in gen.edge_order)
+            acc[(row, col)] = relative_sign(names, gens[row].edge_order)
         return SparseIntMatrix(len(gens), len(gens), acc)
 
     def generator_dot(self):

@@ -31,8 +31,8 @@ agreement required (``"two-prime-modular"``) and exact recomputation on
 disagreement.  Pivots are chosen to minimize fill.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
-lazily enumerated degrees 0..max_edges and their homology, computed once
-per rank seed.
+lazily enumerated degrees 0..max_edges, the position of each generator by
+code and by key, and the homology, computed once per rank seed.
 """
 
 from __future__ import annotations
@@ -461,13 +461,14 @@ class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
     Subclasses provide ``max_edges``, ``generators(i)`` (sorted objects
-    with a ``code``) and ``differential(i)``, and may shift
-    ``total_degree``.
+    with a ``code``, and a ``key`` where ``rows`` is used) and
+    ``differential(i)``, and may shift ``total_degree``.
     """
 
     def __init__(self):
         self._gens = {}
         self._index = {}
+        self._rows = {}
         self._diffs = {}
         self._homology = {}
 
@@ -478,6 +479,12 @@ class ChainComplex:
         if i not in self._index:
             self._index[i] = {g.code: pos for pos, g in enumerate(self.generators(i))}
         return self._index[i]
+
+    def rows(self, i):
+        """Position of each degree-i generator, by key."""
+        if i not in self._rows:
+            self._rows[i] = {g.key: pos for pos, g in enumerate(self.generators(i))}
+        return self._rows[i]
 
     def dim(self, i):
         return len(self.generators(i))

@@ -253,7 +253,6 @@ class StirlingComplex(ChainComplex):
         self.n = n
         self.k = k
         self.orient_seed = orient_seed
-        self._rows = {}
 
     @property
     def max_edges(self):
@@ -280,12 +279,6 @@ class StirlingComplex(ChainComplex):
                                                   self.orient_seed, plain))
         gens.sort(key=lambda g: g.code)
         return gens
-
-    def rows(self, i):
-        """Position of each degree-i generator, by key."""
-        if i not in self._rows:
-            self._rows[i] = {g.key: pos for pos, g in enumerate(self.generators(i))}
-        return self._rows[i]
 
     # -- differential -------------------------------------------------------
 

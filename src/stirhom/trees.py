@@ -10,6 +10,11 @@ genus-labeled graphs carry leg labels {1..m} and a genus per vertex.
 Canonical codes identify objects up to label-preserving isomorphism and
 induce the reference edge / flag orderings used for all sign computations
 downstream.
+
+Nothing here contracts edges or searches for automorphisms: ``stirling``
+and ``graphcomplex`` contract and relabel leaf-set keys, leg-labeled stable
+trees are rigid, and the genus-one orientation kill is read off the cycle
+length (see ``graphcomplex``).
 """
 
 from __future__ import annotations
@@ -357,71 +362,6 @@ class ModularGraph:
 
 
 # ---------------------------------------------------------------------------
-# edge contraction
-
-
-def contract_edge_with_maps(obj, edge):
-    """Contract an edge, returning (result, flag_map, vertex_map).
-
-    ``flag_map`` sends surviving old flags to new flag indices (the two
-    flags of the contracted edge map to None); ``vertex_map`` sends old
-    vertices to new ones.  Bridges merge their endpoints (genus labels add);
-    a loop disappears and raises its vertex's genus by one.
-    """
-    if isinstance(obj, Tree):
-        graph, genus = obj.graph, None
-    elif isinstance(obj, ModularGraph):
-        graph, genus = obj.graph, list(obj.genus)
-    else:
-        raise TypeError("expected a Tree or a ModularGraph")
-    f1, f2 = edge
-    if not graph.is_edge((f1, f2)):
-        raise GraphError(f"({f1}, {f2}) is not an edge of this graph")
-    u, w = graph.flag_vertex[f1], graph.flag_vertex[f2]
-    removed = (f1, f2)
-
-    survivors = [f for f in range(graph.num_flags) if f not in removed]
-    flag_map = [None] * graph.num_flags
-    for new, old in enumerate(survivors):
-        flag_map[old] = new
-
-    if u == w:
-        if genus is None:
-            raise GraphError("a tree cannot contain a loop")
-        vertex_map = list(range(graph.num_vertices))
-        num_vertices = graph.num_vertices
-        genus[u] += 1
-    else:
-        keep, drop = u, w
-        vertex_map = [v - (1 if v > drop else 0) for v in range(graph.num_vertices)]
-        vertex_map[drop] = vertex_map[keep]
-        num_vertices = graph.num_vertices - 1
-        if genus is not None:
-            genus[keep] += genus[drop]
-            genus = [gv for v, gv in enumerate(genus) if v != drop]
-
-    flag_vertex = [vertex_map[graph.flag_vertex[old]] for old in survivors]
-    involution = [flag_map[graph.involution[old]] for old in survivors]
-    legs = {lab: flag_map[f] for lab, f in graph.legs.items()}
-    new_graph = Graph(num_vertices, flag_vertex, involution, legs, check=False)
-    if genus is None:
-        result = Tree(new_graph)
-    else:
-        result = ModularGraph(new_graph, genus)
-    return result, tuple(flag_map), tuple(vertex_map)
-
-
-def contract_edge(obj, edge):
-    """Contract an edge of a tree or genus-labeled graph."""
-    return contract_edge_with_maps(obj, edge)[0]
-
-
-def map_edge(flag_map, edge):
-    a, b = flag_map[edge[0]], flag_map[edge[1]]
-    return (a, b) if a < b else (b, a)
-
-
-# ---------------------------------------------------------------------------
 # canonical forms for trees
 
 
@@ -481,7 +421,7 @@ def canonical_tree_data(tree, dv=None, alt=(), orient_seed=0):
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and automorphisms for genus-labeled graphs
+# canonical forms for genus-labeled graphs
 
 
 def _vertex_keys(mg):
@@ -550,113 +490,6 @@ def canonical_code(obj, orient_seed=0):
     if isinstance(obj, ModularGraph):
         return canonical_modular_data(obj, orient_seed=orient_seed)[0]
     raise TypeError("expected a Tree or a ModularGraph")
-
-
-def _edge_bundles(graph):
-    """Group edges by unordered endpoint pair; loops keyed by (v, v)."""
-    bundles = {}
-    for e in graph.edges:
-        u, w = graph.flag_vertex[e[0]], graph.flag_vertex[e[1]]
-        key = (u, w) if u <= w else (w, u)
-        bundles.setdefault(key, []).append(e)
-    return bundles
-
-
-def _automorphism_iter(mg):
-    """Yield all leg-fixing automorphisms as flag permutation tuples."""
-    g = mg.graph
-    keys = _vertex_keys(mg)
-    classes = {}
-    for v, key in enumerate(keys):
-        classes.setdefault(key, []).append(v)
-    bundles = _edge_bundles(g)
-    bundle_keys = list(bundles)
-    identity_flags = list(range(g.num_flags))
-
-    blocks = list(classes.values())
-    for perm_blocks in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        pi = [0] * g.num_vertices
-        ok = True
-        for block, image in zip(blocks, perm_blocks):
-            for v, w in zip(block, image):
-                pi[v] = w
-        # the vertex map must preserve the multi-edge structure
-        for key in bundle_keys:
-            u, w = key
-            mapped = (pi[u], pi[w]) if pi[u] <= pi[w] else (pi[w], pi[u])
-            if len(bundles.get(mapped, ())) != len(bundles[key]):
-                ok = False
-                break
-        if not ok:
-            continue
-        # legged vertices must be fixed pointwise on their legs
-        for v in range(g.num_vertices):
-            if pi[v] != v and any(g.involution[f] == f for f in g.vertex_flags(v)):
-                ok = False
-                break
-        if not ok:
-            continue
-
-        # extend the vertex map to flags, bundle by bundle
-        choice_sets = []
-        for key in bundle_keys:
-            u, w = key
-            src = bundles[key]
-            mapped = (pi[u], pi[w]) if pi[u] <= pi[w] else (pi[w], pi[u])
-            dst = bundles[mapped]
-            if u == w:
-                # loops: bijection between loops plus per-loop orientation
-                options = []
-                for assign in itertools.permutations(dst):
-                    for flips in itertools.product((False, True), repeat=len(src)):
-                        pairs = []
-                        for (s1, s2), (d1, d2), flip in zip(src, assign, flips):
-                            if flip:
-                                pairs.extend(((s1, d2), (s2, d1)))
-                            else:
-                                pairs.extend(((s1, d1), (s2, d2)))
-                        options.append(pairs)
-                choice_sets.append(options)
-            else:
-                options = []
-                for assign in itertools.permutations(dst):
-                    pairs = []
-                    for (s1, s2), (d1, d2) in zip(src, assign):
-                        # match flag sides through the vertex map
-                        if g.flag_vertex[d1] == pi[g.flag_vertex[s1]]:
-                            pairs.extend(((s1, d1), (s2, d2)))
-                        else:
-                            pairs.extend(((s1, d2), (s2, d1)))
-                    options.append(pairs)
-                choice_sets.append(options)
-
-        for combo in itertools.product(*choice_sets):
-            phi = identity_flags[:]
-            for pairs in combo:
-                for s, d in pairs:
-                    phi[s] = d
-            yield tuple(phi)
-
-
-def automorphisms(mg):
-    """All structure-, genus- and leg-label-preserving flag permutations."""
-    return sorted(set(_automorphism_iter(mg)))
-
-
-def edge_permutation_sign(mg, flag_perm):
-    """Sign of the permutation a flag automorphism induces on the edge set."""
-    edges = mg.graph.edges
-    index = {e: i for i, e in enumerate(edges)}
-    images = []
-    for e in edges:
-        a, b = flag_perm[e[0]], flag_perm[e[1]]
-        images.append(index[(a, b) if a < b else (b, a)])
-    return perm_parity(images)
-
-
-def has_odd_automorphism(mg):
-    """True when some leg-fixing automorphism acts oddly on the edges."""
-    return any(edge_permutation_sign(mg, phi) < 0 for phi in _automorphism_iter(mg))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,44 @@ import itertools
 
 from stirhom.linalg import ChainComplex, SparseIntMatrix
 from stirhom.stirling import DomainError, _as_permutation, _check_type
-from stirhom.trees import (canonical_tree_data, contract_edge_with_maps,
-                           enumerate_stable_trees, map_edge, relative_sign)
+from stirhom.trees import (Graph, GraphError, Tree, canonical_tree_data,
+                           enumerate_stable_trees, relative_sign)
+
+
+def contract_edge_with_maps(tree, edge):
+    """Contract an edge of a tree, returning (result, flag_map, vertex_map).
+
+    ``flag_map`` sends surviving old flags to new flag indices (the two
+    flags of the contracted edge map to None); ``vertex_map`` sends old
+    vertices to new ones.  The result is built and validated afresh.
+    """
+    graph = tree.graph
+    f1, f2 = edge
+    if not graph.is_edge((f1, f2)):
+        raise GraphError(f"({f1}, {f2}) is not an edge of this graph")
+    keep, drop = graph.flag_vertex[f1], graph.flag_vertex[f2]
+    survivors = [f for f in range(graph.num_flags) if f not in edge]
+    flag_map = [None] * graph.num_flags
+    for new, old in enumerate(survivors):
+        flag_map[old] = new
+    vertex_map = [v - (1 if v > drop else 0) for v in range(graph.num_vertices)]
+    vertex_map[drop] = vertex_map[keep]
+    flag_vertex = [vertex_map[graph.flag_vertex[old]] for old in survivors]
+    involution = [flag_map[graph.involution[old]] for old in survivors]
+    legs = {lab: flag_map[f] for lab, f in graph.legs.items()}
+    result = Tree(Graph(graph.num_vertices - 1, flag_vertex, involution, legs,
+                        check=False))
+    return result, tuple(flag_map), tuple(vertex_map)
+
+
+def contract_edge(tree, edge):
+    """Contract an edge of a tree."""
+    return contract_edge_with_maps(tree, edge)[0]
+
+
+def map_edge(flag_map, edge):
+    a, b = flag_map[edge[0]], flag_map[edge[1]]
+    return (a, b) if a < b else (b, a)
 
 
 class StirlingGenerator:

@@ -136,6 +136,16 @@ def test_graph_characters_without_kill_rejected_before_work(monkeypatch):
               "--disable-orientation-kill"])
 
 
+def test_graph_characters_with_dot_rejected_before_work(monkeypatch):
+    # a DOT drawing carries no character comparison, so the check would be
+    # skipped silently
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex was built before the rejection")
+    monkeypatch.setattr("stirhom.graphcomplex.GraphComplex", refuse)
+    with pytest.raises(SystemExit):
+        main(["graph", "--m", "3", "--characters", "--format", "dot"])
+
+
 def test_graph_characters_builds_each_complex_once(monkeypatch, capsys):
     from stirhom import graphcomplex, stirling
     enumerated, built = Counter(), Counter()

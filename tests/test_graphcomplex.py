@@ -3,13 +3,17 @@
 The oracle below re-derives a full differential matrix from scratch:
 graphs are reduced to (genus, legs, edge-endpoint multiset) encodings,
 contraction and isomorphism matching are reimplemented on that encoding,
-and only the engine's published reference edge orders are shared (they fix
-the basis both computations must express themselves in).
+and only the published reference edge orders are shared: those that
+``canonical_modular_data`` gives the representative flag graph of each
+generator (they fix the basis both computations must express themselves
+in).  The orientation kill is checked against a search over vertex
+automorphisms that shares nothing with the engine's cycle-length rule.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -17,7 +21,7 @@ import pytest
 from stirhom.graphcomplex import (GraphComplex, enumerate_graph_generators,
                                   verify_decomposition)
 from stirhom.linalg import SparseIntMatrix, composes_to_zero
-from stirhom.trees import relative_sign
+from stirhom.trees import canonical_modular_data, perm_parity, relative_sign
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +56,12 @@ def test_no_generators_beyond_max_edges():
 
 
 def test_parallel_edges_killed():
-    with_kill, killed = enumerate_graph_generators(3, 2)
-    without, none_killed = enumerate_graph_generators(3, 2, orientation_kill=False)
-    assert len(without) > len(with_kill)
-    assert len(without) == len(with_kill) + len(killed) and not none_killed
+    with_kill = enumerate_graph_generators(3, 2)
+    without = enumerate_graph_generators(3, 2, orientation_kill=False)
+    surviving = {g.code for g in with_kill}
+    killed = [g for g in without if g.code not in surviving]
+    assert killed and len(without) == len(with_kill) + len(killed)
+    assert all(len(g.key[0]) == 2 for g in killed)
 
     def has_parallel(mg):
         pairs = Counter()
@@ -123,12 +129,12 @@ def contract_encoding(genus, legs, edges, pair):
     return tuple(genus), new_legs, new_edges
 
 
-def find_isomorphism(enc_a, enc_b):
-    """Vertex bijection matching genus, legs and edge multisets, or None."""
+def vertex_isomorphisms(enc_a, enc_b):
+    """Every vertex bijection matching genus, legs and edge multisets."""
     genus_a, legs_a, edges_a = enc_a
     genus_b, legs_b, edges_b = enc_b
     if len(genus_a) != len(genus_b):
-        return None
+        return
     leg_map_a, leg_map_b = dict(legs_a), dict(legs_b)
     for pi in itertools.permutations(range(len(genus_a))):
         if any(genus_a[v] != genus_b[pi[v]] for v in range(len(genus_a))):
@@ -140,25 +146,73 @@ def find_isomorphism(enc_a, enc_b):
             a2, b2 = pi[a], pi[b]
             mapped[(min(a2, b2), max(a2, b2))] += count
         if mapped == edges_b:
-            return pi
-    return None
+            yield pi
+
+
+def find_isomorphism(enc_a, enc_b):
+    """A vertex bijection matching genus, legs and edge multisets, or None."""
+    return next(vertex_isomorphisms(enc_a, enc_b), None)
+
+
+def oracle_has_odd_automorphism(enc):
+    """Whether some leg-fixing automorphism permutes the edges oddly.
+
+    An automorphism is a vertex automorphism lifted bundle by bundle: any
+    bijection of each bundle of parallel edges (or loops) onto its image,
+    loops flipped at will (a flip fixes the edge).  A bundle of two or more
+    edges therefore allows a transposition; otherwise every vertex
+    automorphism lifts to one edge permutation, whose parity is read off.
+    """
+    edges = enc[2]
+    if any(count > 1 for count in edges.values()):
+        return True
+    pairs = sorted(edges)
+    for pi in vertex_isomorphisms(enc, enc):
+        images = [pairs.index((min(pi[a], pi[b]), max(pi[a], pi[b])))
+                  for a, b in pairs]
+        if perm_parity(images) < 0:
+            return True
+    return False
+
+
+def test_kill_rule_is_two_cycle():
+    # every class with m <= 5: an odd automorphism exists exactly when the
+    # key has a cycle of two blocks, and exactly then the kill drops it
+    for m in (3, 4, 5):
+        everything = GraphComplex(m, orientation_kill=False)
+        survivors = GraphComplex(m)
+        for i in range(m + 1):
+            for gen in everything.generators(i):
+                odd = oracle_has_odd_automorphism(encode(gen.mgraph))
+                assert odd == (len(gen.key[0]) == 2), gen.code
+                assert odd == (gen.code not in survivors.index(i)), gen.code
+
+
+def vertex_pairs(mg, edges):
+    """The endpoint pair of each flag edge."""
+    g = mg.graph
+    return [tuple(sorted((g.flag_vertex[f1], g.flag_vertex[f2])))
+            for f1, f2 in edges]
 
 
 def oracle_differential(cx, i):
     sources = cx.generators(i)
     targets = cx.generators(i - 1)
-    target_encodings = [encode(g.mgraph) for g in targets]
+    target_data = []
+    for target in targets:
+        mg = target.mgraph
+        code, flag_order = canonical_modular_data(mg, cx.orient_seed)
+        assert code == target.code
+        target_data.append((encode(mg), vertex_pairs(mg, flag_order)))
     entries = {}
     for col, gen in enumerate(sources):
-        g = gen.mgraph.graph
+        mg = gen.mgraph
+        code, flag_order = canonical_modular_data(mg, cx.orient_seed)
+        assert code == gen.code
         # survivors have no parallel edges, so endpoint pairs name edges
-        def pair_of(edge):
-            u, w = g.flag_vertex[edge[0]], g.flag_vertex[edge[1]]
-            return (min(u, w), max(u, w))
-
-        order = [pair_of(e) for e in gen.edge_order]
+        order = vertex_pairs(mg, flag_order)
         assert len(set(order)) == len(order)
-        genus, legs, edges = encode(gen.mgraph)
+        genus, legs, edges = encode(mg)
         for pos, pair in enumerate(order):
             move_sign = (-1) ** (len(order) - 1 - pos)
             new_enc = contract_encoding(genus, legs, edges, pair)
@@ -176,18 +230,13 @@ def oracle_differential(cx, i):
                     ru, rw = u, w
                 surviving.append((min(ru, rw), max(ru, rw)))
             row = None
-            for idx, enc_b in enumerate(target_encodings):
+            for idx, (enc_b, _ref) in enumerate(target_data):
                 pi = find_isomorphism(new_enc, enc_b)
                 if pi is not None:
                     row = idx
                     break
             assert row is not None, "contraction left the surviving classes"
-            target = targets[row]
-            tg = target.mgraph.graph
-            ref = []
-            for e in target.edge_order:
-                u, w = tg.flag_vertex[e[0]], tg.flag_vertex[e[1]]
-                ref.append((min(u, w), max(u, w)))
+            ref = target_data[row][1]
             transported = [(min(pi[u], pi[w]), max(pi[u], pi[w]))
                            for u, w in surviving]
             sign = move_sign * relative_sign(transported, ref)
@@ -200,10 +249,31 @@ def oracle_differential(cx, i):
     return SparseIntMatrix(len(targets), len(sources), entries)
 
 
-@pytest.mark.parametrize("m,i", [(4, 2), (4, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("m,i", [(3, 1), (3, 2), (3, 3),
+                                 (4, 1), (4, 2), (4, 3), (4, 4)])
 def test_differential_matches_oracle(m, i):
-    cx = GraphComplex(m)
-    assert cx.differential(i) == oracle_differential(cx, i)
+    for seed in (0, 12345):
+        cx = GraphComplex(m, orient_seed=seed)
+        assert cx.differential(i) == oracle_differential(cx, i)
+
+
+def test_canonical_form_once_per_class(monkeypatch):
+    # rows are found by key: the flag-graph canonical form only names the
+    # classes, once each, however many terms land on them
+    from stirhom import graphcomplex
+    calls = []
+    canonical = graphcomplex.canonical_modular_data
+
+    def counting(mg, orient_seed=0):
+        calls.append(mg)
+        return canonical(mg, orient_seed)
+
+    monkeypatch.setattr(graphcomplex, "canonical_modular_data", counting)
+    cx = GraphComplex(4)
+    cx.differentials()
+    for i in range(cx.max_edges + 1):
+        cx.action_matrix(i, [2, 3, 1, 4])
+    assert len(calls) == sum(cx.dims().values())
 
 
 def test_d_squared():
@@ -278,6 +348,32 @@ def test_graph_action_is_signed_permutation_and_commutes():
         assert actions[i - 1] @ d == d @ actions[i]
     with pytest.raises(Exception):
         cx.action_matrix(0, {1: 1, 2: 2, 3: 3, 4: 5})
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_graph_action_group_law_and_equivariance(m):
+    cx = GraphComplex(m)
+    rng = random.Random(m)
+    perms = []
+    for j in range(2, m + 1):
+        perm = list(range(1, m + 1))
+        perm[0], perm[j - 1] = j, 1
+        perms.append(perm)
+    for _ in range(3):
+        perm = list(range(1, m + 1))
+        rng.shuffle(perm)
+        perms.append(perm)
+    d = cx.differentials()
+    for sigma, tau in zip(perms, perms[1:] + perms[:1]):
+        # (sigma after tau)(j) = sigma(tau(j)), as sequences of images
+        product = [sigma[t - 1] for t in tau]
+        for i in range(cx.max_edges + 1):
+            assert (cx.action_matrix(i, sigma) @ cx.action_matrix(i, tau)
+                    == cx.action_matrix(i, product))
+    for perm in perms:
+        actions = [cx.action_matrix(i, perm) for i in range(cx.max_edges + 1)]
+        for i, di in d.items():
+            assert actions[i - 1] @ di == di @ actions[i]
 
 
 def test_character_level_decomposition():

@@ -1,4 +1,9 @@
-"""Core graph/tree machinery against independent brute-force oracles."""
+"""Core graph/tree machinery against independent brute-force oracles.
+
+Tree contraction lives in the flag-tree oracle ``stirling_oracle``; the
+genus-one graphs are contracted through ``GraphComplex.contraction_terms``
+and their orientation kill is checked against a raw automorphism search.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from stirhom import trees as T
+from stirhom.graphcomplex import GraphComplex
+from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
 
 
 def build_two_vertex_tree(n, child_labels):
@@ -157,38 +164,52 @@ def test_corolla_has_no_edges():
     t = corolla(3)
     assert t.graph.num_edges == 0
     with pytest.raises(T.GraphError):
-        T.contract_edge(t, (0, 1))
+        contract_edge(t, (0, 1))
 
 
 def test_contract_two_vertex_tree_gives_corolla():
     t = build_two_vertex_tree(3, (2, 3))
     (edge,) = t.graph.edges
-    result = T.contract_edge(t, edge)
+    result = contract_edge(t, edge)
     assert T.canonical_code(result) == T.canonical_code(corolla(3))
 
 
 def test_contract_loop():
-    g = T.Graph(1, [0, 0, 0], [0, 2, 1], {1: 0})
-    mg = T.ModularGraph(g, (0,))
-    assert mg.total_genus() == 1
-    out = T.contract_edge(mg, (1, 2))
+    # the loop's one term lands on the genus-one vertex, trees unchanged
+    cx = GraphComplex(3)
+    (loop,) = [g for g in cx.generators(1) if len(g.key[0]) == 1]
+    assert loop.mgraph.total_genus() == 1
+    ((key, surviving, move_sign),) = cx.contraction_terms(loop)
+    assert key == ((), loop.key[1]) and surviving == () and move_sign == 1
+    out = cx.generators(0)[cx.rows(0)[key]].mgraph
     assert out.genus == (1,)
     assert out.graph.num_edges == 0
     assert out.total_genus() == 1
-    assert len(out.graph.legs) == 1
+    assert len(out.graph.legs) == 3
 
 
 def test_contract_counts_and_genus():
     for t in T.enumerate_stable_trees(5, 2):
         for edge in t.graph.edges:
-            out = T.contract_edge(t, edge)
+            out = contract_edge(t, edge)
             assert out.graph.num_edges == t.graph.num_edges - 1
             assert out.graph.num_vertices == t.graph.num_vertices - 1
-    mg = triangle_graph({1: 0, 2: 1, 3: 2})
-    for edge in mg.graph.edges:
-        out = T.contract_edge(mg, edge)
-        assert out.total_genus() == 1
-        assert out.graph.num_edges == mg.graph.num_edges - 1
+    # every contraction of a genus-one graph, the triangle's included, keeps
+    # genus one and drops one edge; nothing is killed, so every target exists
+    triangle = T.canonical_code(triangle_graph({1: 0, 2: 1, 3: 2}))
+    for m in (3, 4):
+        cx = GraphComplex(m, orientation_kill=False)
+        for i in range(1, m + 1):
+            targets = cx.generators(i - 1)
+            for gen in cx.generators(i):
+                terms = list(cx.contraction_terms(gen))
+                assert len(terms) == i
+                for key, surviving, _sign in terms:
+                    out = targets[cx.rows(i - 1)[key]].mgraph
+                    assert out.total_genus() == 1
+                    assert out.graph.num_edges == i - 1 == len(surviving)
+                if gen.code == triangle:
+                    assert sorted(len(key[0]) for key, _s, _m in terms) == [2, 2, 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,34 +221,39 @@ def test_double_contraction_commutes(pick):
     e1, e2 = edges[pick % len(edges)], edges[(pick // 7) % len(edges)]
     if e1 == e2:
         return
-    r1, fm1, _ = T.contract_edge_with_maps(t, e1)
-    r12 = T.contract_edge(r1, T.map_edge(fm1, e2))
-    r2, fm2, _ = T.contract_edge_with_maps(t, e2)
-    r21 = T.contract_edge(r2, T.map_edge(fm2, e1))
+    r1, fm1, _ = contract_edge_with_maps(t, e1)
+    r12 = contract_edge(r1, map_edge(fm1, e2))
+    r2, fm2, _ = contract_edge_with_maps(t, e2)
+    r21 = contract_edge(r2, map_edge(fm2, e1))
     assert T.canonical_code(r12) == T.canonical_code(r21)
 
 
 def test_contract_rejects_non_edges():
     t = build_two_vertex_tree(3, (2, 3))
     with pytest.raises(T.GraphError):
-        T.contract_edge(t, (0, 1))
+        contract_edge(t, (0, 1))
     with pytest.raises(T.GraphError):
-        T.contract_edge(t, (50, 51))
+        contract_edge(t, (50, 51))
 
 
 # ---------------------------------------------------------------------------
-# automorphisms (vs an exhaustive flag-permutation oracle)
+# automorphisms: a raw flag-permutation search against the cycle-length rule
 
 
 def oracle_automorphisms(mg):
-    """All flag permutations commuting with the structure, by raw search."""
+    """All flag permutations commuting with the structure, by raw search.
+
+    Legs are fixed, so only the edge flags are permuted.
+    """
     g = mg.graph
     nf = g.num_flags
-    out = []
     legs = set(g.legs.values())
-    for phi in itertools.permutations(range(nf)):
-        if any(phi[f] != f for f in legs):
-            continue
+    inner = [f for f in range(nf) if f not in legs]
+    out = []
+    for images in itertools.permutations(inner):
+        phi = list(range(nf))
+        for f, x in zip(inner, images):
+            phi[f] = x
         if any(phi[g.involution[f]] != g.involution[phi[f]] for f in range(nf)):
             continue
         # the induced vertex map must be a well-defined genus-preserving bijection
@@ -242,43 +268,82 @@ def oracle_automorphisms(mg):
             continue
         if any(mg.genus[v] != mg.genus[w] for v, w in vmap.items()):
             continue
-        out.append(phi)
+        out.append(tuple(phi))
     return sorted(out)
+
+
+def oracle_killed(mg):
+    """True when some automorphism permutes the edges oddly."""
+    edges = mg.graph.edges
+    index = {e: pos for pos, e in enumerate(edges)}
+    return any(T.perm_parity([index[tuple(sorted((phi[a], phi[b])))]
+                              for a, b in edges]) < 0
+               for phi in oracle_automorphisms(mg))
+
+
+def parallel_pair_graph():
+    """Legs 1, 2 on one vertex, leg 3 on the other, two edges between."""
+    g = T.Graph(2, [0, 0, 1, 0, 1, 1, 0], [0, 1, 2, 4, 3, 6, 5],
+                {1: 0, 2: 1, 3: 2})
+    return T.ModularGraph(g, (0, 0))
 
 
 def test_tree_automorphisms_trivial():
     for t in T.enumerate_stable_trees(4, 2):
-        autos = T.automorphisms(t.as_modular())
+        autos = oracle_automorphisms(t.as_modular())
         assert autos == [tuple(range(t.graph.num_flags))]
+    # so a genus-one vertex with hanging trees is rigid as well
+    cx = GraphComplex(4)
+    for i in range(cx.max_edges + 1):
+        for gen in cx.generators(i):
+            if not gen.key[0]:
+                mg = gen.mgraph
+                assert oracle_automorphisms(mg) == [tuple(range(mg.graph.num_flags))]
 
 
 def test_parallel_edge_automorphisms():
-    g = T.Graph(2, [0, 1, 0, 0, 1, 1], [0, 1, 4, 5, 2, 3], {1: 0, 2: 1})
-    mg = T.ModularGraph(g, (0, 0))
-    autos = T.automorphisms(mg)
-    assert autos == oracle_automorphisms(mg)
+    mg = parallel_pair_graph()
+    autos = oracle_automorphisms(mg)
     assert len(autos) == 2
-    assert T.has_odd_automorphism(mg)
+    assert oracle_killed(mg)
+    # its class has a 2-cycle and is killed
+    code = T.canonical_code(mg)
+    (gen,) = [g for g in GraphComplex(3, orientation_kill=False).generators(2)
+              if g.code == code]
+    assert len(gen.key[0]) == 2
+    assert code not in GraphComplex(3).index(2)
 
 
 def test_loop_automorphisms():
-    g = T.Graph(1, [0, 0, 0], [0, 2, 1], {1: 0})
+    g = T.Graph(1, [0, 0, 0, 0, 0], [0, 1, 2, 4, 3], {1: 0, 2: 1, 3: 2})
     mg = T.ModularGraph(g, (0,))
-    autos = T.automorphisms(mg)
-    assert autos == oracle_automorphisms(mg)
+    autos = oracle_automorphisms(mg)
     assert len(autos) == 2
     # the loop-flag swap fixes the single edge, hence acts evenly
-    assert not T.has_odd_automorphism(mg)
+    assert not oracle_killed(mg)
+    code = T.canonical_code(mg)
+    (gen,) = [g for g in GraphComplex(3).generators(1) if g.code == code]
+    assert len(gen.key[0]) == 1
 
 
 def test_automorphisms_closed_under_composition():
-    g = T.Graph(2, [0, 1, 0, 0, 1, 1], [0, 1, 4, 5, 2, 3], {1: 0, 2: 1})
-    mg = T.ModularGraph(g, (0, 0))
-    autos = set(T.automorphisms(mg))
+    mg = parallel_pair_graph()
+    autos = set(oracle_automorphisms(mg))
     assert tuple(range(mg.graph.num_flags)) in autos
     for a in autos:
         for b in autos:
             assert tuple(a[x] for x in b) in autos
+
+
+def test_kill_rule_matches_raw_search():
+    # m = 3 has few flags: every class against the raw search
+    everything = GraphComplex(3, orientation_kill=False)
+    survivors = GraphComplex(3)
+    for i in range(everything.max_edges + 1):
+        for gen in everything.generators(i):
+            killed = oracle_killed(gen.mgraph)
+            assert killed == (len(gen.key[0]) == 2), gen.code
+            assert killed == (gen.code not in survivors.index(i)), gen.code
 
 
 # ---------------------------------------------------------------------------
