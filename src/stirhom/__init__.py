@@ -19,15 +19,12 @@ from .graphcomplex import GraphComplex
 from .characters import (ClassFunction, decompose, equivariant_euler_character,
                          hook_length_dimension, irreducible_character,
                          stirling_signed, stirling_unsigned)
-from .trees import (Graph, ModularGraph, Tree, canonical_code,
-                    enumerate_stable_trees, to_dot)
 
 __all__ = [
-    "BettiVector", "ClassFunction", "Graph", "GraphComplex", "ModularGraph",
-    "SparseIntMatrix", "StirlingComplex", "Tree", "canonical_code",
-    "decompose", "enumerate_stable_trees", "equivariant_euler_character",
+    "BettiVector", "ClassFunction", "GraphComplex", "SparseIntMatrix",
+    "StirlingComplex", "decompose", "equivariant_euler_character",
     "hook_length_dimension", "irreducible_character", "rank_exact",
-    "stirling_signed", "stirling_unsigned", "to_dot",
+    "stirling_signed", "stirling_unsigned",
 ]
 
 __version__ = "0.1.0"

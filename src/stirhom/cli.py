@@ -25,6 +25,9 @@ from . import stirling as st
 from .linalg import composes_to_zero
 
 SCHEMA = 1
+# the largest n a Stirling command accepts: (7, 2) already has 283,668
+# generators and peaks near 360 MiB, and n = 8 is many times larger
+MAX_N = 7
 
 
 def _seed_default():
@@ -124,16 +127,16 @@ def cmd_betti(args):
     if args.max_n is not None:
         if args.n is not None or args.k is not None:
             raise SystemExit("betti takes --max-n or --n/--k, not both")
-        if args.max_n < 2:
-            raise SystemExit("betti --max-n must be at least 2")
+        if not 2 <= args.max_n <= MAX_N:
+            raise SystemExit(f"betti --max-n must be between 2 and {MAX_N}")
         jobs = [(n, k) for n in range(2, args.max_n + 1) for k in range(2, n + 1)]
     elif args.n is None or args.k is None:
         raise SystemExit("betti requires --n and --k (or --max-n)")
     else:
         jobs = [(args.n, args.k)]
     for n, k in jobs:
-        if not 2 <= k <= n:
-            raise SystemExit(f"type ({n}, {k}) requires 2 <= k <= n")
+        if not 2 <= k <= n <= MAX_N:
+            raise SystemExit(f"type ({n}, {k}) requires 2 <= k <= n <= {MAX_N}")
     if args.format == "dot":
         return True, {"dot": "\n".join(st.StirlingComplex(n, k).generator_dot()
                                        for n, k in jobs)}
@@ -154,8 +157,8 @@ def cmd_betti(args):
 
 def cmd_verify(args):
     n, k = args.n, args.k
-    if n is None or k is None or not 2 <= k <= n:
-        raise SystemExit("verify requires --n and --k with 2 <= k <= n")
+    if n is None or k is None or not 2 <= k <= n <= MAX_N:
+        raise SystemExit(f"verify requires --n and --k with 2 <= k <= n <= {MAX_N}")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"d2", "equivariance", "reach", "euler"}
     unknown = set(checks) - known

@@ -13,131 +13,80 @@ int bitmasks, bit j for leg j as in ``stirling``, a class is its key
 ``(cycle, clusters)``.  ``cycle`` is ``()`` for the genus-one vertex,
 ``(full,)`` for a loop, and otherwise the blocks in cyclic order, rotated so
 that the block of leg 1 comes first and read in the direction whose second
-block has the smaller lowest leg.  ``clusters`` is the frozenset of the
-leaf sets below the hanging edges.  The key is canonical by construction,
+block has the smaller lowest leg.  ``clusters`` is the set of the leaf
+sets below the hanging edges.  The key is canonical by construction,
 so every differential and action term finds its row by key.
 
 Edges are named by their cluster (a hanging edge), by the union of the two
 blocks they join (an edge of a cycle with c >= 3), or ``LOOP``.  The two
 parallel edges of a 2-cycle, which only the negative control keeps, are
-``full`` and ``full | 1`` (bit 0 is no leg's) in the order the
-representative adds them; a contraction that closes a 2-cycle names them
-in the order the source adds them.  Contracting a hanging
-edge drops its cluster, a cycle edge merges its two blocks, and the loop
-leaves the genus-one vertex with the same clusters.  A permutation of the
-legs acts on every mask bit by bit.
+``full`` and ``full | 1`` (bit 0 is no leg's); a contraction that closes a
+2-cycle names them in the order of the source's cycle edges.  Contracting a
+hanging edge drops its cluster, a cycle edge merges its two blocks, and the
+loop leaves the genus-one vertex with the same clusters.  A permutation of
+the legs acts on every mask bit by bit.
 
 The orientation kill.  The legs are labeled, so the hanging trees and the
 blocks are rigid: a leg-fixing automorphism can only flip a loop, which
 fixes its edge, or swap the two parallel edges of a 2-cycle, an odd
 permutation of the edges.  A class is therefore killed exactly when c = 2.
 
-Names and order.  Each generator keeps the code and reference edge order
-of the flag-graph construction: ``trees.canonical_modular_data`` runs once
-per class, on the representative rebuilt from its key (blocks in key
-order, trees hung in ``_rooted_shapes`` order).  The codes name the
-generators and fix their order, so every matrix entry and DOT drawing is
-that of the flag-graph construction.
+Names and order.  A generator is named by its key: ``clusters`` is stored
+as an int with bit C set for each cluster C, so keys are totally ordered
+and the generators of a degree are sorted by key, and ``code`` spells the
+key out.  The reference edge order is the edge names sorted ascending; a
+nonzero ``orient_seed`` shuffles it, seeded by the code, which only flips
+the sign of each basis vector.  Contracting a hanging edge or the loop
+keeps the surviving names sorted, so only a cycle contraction, which
+renames, or a relabeling leaves a permutation to take the sign of.  The
+tests check every matrix against the flag-graph construction up to that
+signed bijection.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 from .linalg import ChainComplex, SparseIntMatrix
-from .stirling import StirlingComplex, _accumulate, _shape_clusters
-from .trees import (Graph, GraphError, ModularGraph, _compositions,
-                    _partitions_into_blocks, _rooted_shapes,
-                    canonical_modular_data, relative_sign, to_dot)
+from .stirling import (StirlingComplex, _accumulate, _mask_set, _members,
+                       _shape_clusters, _spell)
+from .trees import (RootedShapes, _compositions, _partitions_into_blocks,
+                    relative_sign)
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
 LOOP = 0  # the name of the loop's edge; no leaf set is empty
 
 
-class GraphGenerator:
-    """One class: its key, code and reference order of edge names."""
+class GraphError(ValueError):
+    """Parameters outside the domain of the genus-one graph complex."""
 
-    __slots__ = ("m", "key", "code", "edge_order")
+
+class GraphGenerator:
+    """One class: its key and reference order of edge names."""
+
+    __slots__ = ("m", "key", "edge_order")
 
     def __init__(self, m, key, orient_seed=0):
-        mgraph, names = _representative(m, key)
-        code, flag_order = canonical_modular_data(mgraph, orient_seed)
+        cycle, clusters = key
         self.m = m
         self.key = key
-        self.code = code
-        # edge k of the representative is the flag pair (m + 2k, m + 2k + 1)
-        self.edge_order = tuple(names[(f - m) // 2] for f, _mate in flag_order)
+        self.edge_order = tuple(sorted(_cycle_names(cycle) + tuple(_members(clusters))))
+        if orient_seed:
+            edge_order = list(self.edge_order)
+            random.Random(f"{orient_seed}|{self.code}").shuffle(edge_order)
+            self.edge_order = tuple(edge_order)
 
     @property
-    def mgraph(self):
-        """The representative flag graph, rebuilt from the key."""
-        return _representative(self.m, self.key)[0]
+    def code(self):
+        """The key spelled out: cycle blocks and clusters, as decimal masks."""
+        cycle, clusters = self.key
+        return f"G{self.m}:{_spell(cycle)}|{_spell(_members(clusters))}"
 
     def __repr__(self):
         return f"GraphGenerator({self.code})"
-
-
-class _Assembler:
-    """Incremental construction of a genus-labeled graph.
-
-    Legs must be added for labels 1..m; they receive the lowest flag
-    indices ordered by label, edge flags follow in insertion order.
-    """
-
-    def __init__(self, m):
-        self.m = m
-        self.genus = []
-        self.leg_vertex = {}
-        self.edge_list = []
-        self.names = []
-
-    def add_vertex(self, genus):
-        self.genus.append(genus)
-        return len(self.genus) - 1
-
-    def add_leg(self, v, label):
-        self.leg_vertex[label] = v
-
-    def add_edge(self, u, w, name):
-        self.edge_list.append((u, w))
-        self.names.append(name)
-
-    def build(self):
-        """The graph and the names of its edges in insertion order."""
-        flag_vertex = [self.leg_vertex[lab] for lab in range(1, self.m + 1)]
-        involution = list(range(self.m))
-        for u, w in self.edge_list:
-            a = len(flag_vertex)
-            flag_vertex.extend((u, w))
-            involution.extend((a + 1, a))
-        legs = {lab: lab - 1 for lab in range(1, self.m + 1)}
-        graph = Graph(len(self.genus), flag_vertex, involution, legs, check=False)
-        return ModularGraph(graph, self.genus), tuple(self.names)
-
-
-def _hang(asm, shape, vertex):
-    legs, children = shape
-    for lab in legs:
-        asm.add_leg(vertex, lab)
-    for child in children:
-        cid = asm.add_vertex(0)
-        asm.add_edge(vertex, cid, _shape_clusters(child)[0])
-        _hang(asm, child, cid)
-
-
-def _shape(leaves, clusters):
-    """The ``_rooted_shapes`` shape hung from a vertex with leaf set
-    ``leaves``: the largest of ``clusters`` within it sit below its edges."""
-    inside = [c for c in clusters if c & leaves == c]
-    kids = [c for c in inside if not any(c != d and c & d == c for d in inside)]
-    below = [c for c in inside if c not in kids]
-    rest = leaves
-    for c in kids:
-        rest ^= c
-    legs = tuple(j for j in range(rest.bit_length()) if rest >> j & 1)
-    return legs, tuple(sorted(_shape(c, below) for c in kids))
 
 
 def _cycle_names(cycle):
@@ -163,29 +112,15 @@ def _normal_cycle(blocks):
     return blocks
 
 
-def _representative(m, key):
-    """The flag graph of a key and the names of its edges in flag order."""
-    cycle, clusters = key
-    asm = _Assembler(m)
-    if not cycle:
-        _hang(asm, _shape((1 << m + 1) - 2, clusters), asm.add_vertex(1))
-        return asm.build()
-    ids = [asm.add_vertex(0) for _ in cycle]
-    for pos, name in enumerate(_cycle_names(cycle)):
-        asm.add_edge(ids[pos], ids[(pos + 1) % len(ids)], name)
-    for vertex, block in zip(ids, cycle):
-        _hang(asm, _shape(block, clusters), vertex)
-    return asm.build()
-
-
-def _keys(m, i):
-    """The key of every class with m legs and i edges, each once."""
+def _keys(m, i, shapes):
+    """The key of every class with m legs and i edges, each once, with the
+    rooted shapes taken from ``shapes``."""
     labels = tuple(range(1, m + 1))
 
-    def clusters(shapes):
-        return frozenset(c for s in shapes for c in _shape_clusters(s)[1])
+    def clusters(hung):
+        return _mask_set(c for s in hung for c in _shape_clusters(s)[1])
 
-    for shape in _rooted_shapes(frozenset(labels), i, min_inputs=1):
+    for shape in shapes(labels, i, min_inputs=1):
         yield (), clusters([shape])
     for c in range(1, min(i, m) + 1):
         for blocks in _partitions_into_blocks(labels, c, 1):
@@ -199,23 +134,25 @@ def _keys(m, i):
                 cycle = tuple(sum(1 << j for j in b) for b in ordered)
                 caps = [len(b) - 1 for b in ordered]
                 for alloc in _compositions(i - c, caps):
-                    pools = [_rooted_shapes(b, e, min_inputs=1)
+                    pools = [shapes(b, e, min_inputs=1)
                              for b, e in zip(ordered, alloc)]
                     for combo in itertools.product(*pools):
                         yield cycle, clusters(combo)
 
 
-def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0):
-    """The degree-i generators, one per class, sorted by code.
+def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0,
+                               shapes=None):
+    """The degree-i generators, one per class, sorted by key.
 
     With the orientation kill the classes with a 2-cycle are left out;
     without it (the negative control) they stay and the numbers are
-    deliberately wrong.
+    deliberately wrong.  ``shapes`` is the calling complex's rooted-shape
+    memo; a fresh one is used when it is not given.
     """
-    gens = [GraphGenerator(m, key, orient_seed) for key in _keys(m, i)
-            if not (orientation_kill and len(key[0]) == 2)]
-    gens.sort(key=lambda g: g.code)
-    return gens
+    shapes = RootedShapes() if shapes is None else shapes
+    keys = sorted(key for key in _keys(m, i, shapes)
+                  if not (orientation_kill and len(key[0]) == 2))
+    return [GraphGenerator(m, key, orient_seed) for key in keys]
 
 
 class GraphComplex(ChainComplex):
@@ -234,6 +171,7 @@ class GraphComplex(ChainComplex):
         self.m = m
         self.orientation_kill = orientation_kill
         self.orient_seed = orient_seed
+        self._shapes = RootedShapes()
 
     @property
     def max_edges(self):
@@ -242,7 +180,7 @@ class GraphComplex(ChainComplex):
     def generators(self, i):
         if i not in self._gens:
             self._gens[i] = enumerate_graph_generators(
-                self.m, i, self.orientation_kill, self.orient_seed)
+                self.m, i, self.orientation_kill, self.orient_seed, self._shapes)
         return self._gens[i]
 
     def contraction_terms(self, gen):
@@ -258,8 +196,8 @@ class GraphComplex(ChainComplex):
         for pos, name in enumerate(names):
             move_sign = -1 if (len(names) - 1 - pos) % 2 else 1
             rename = {}
-            if name in clusters:
-                target = (cycle, clusters - {name})
+            if clusters >> name & 1:
+                target = (cycle, clusters ^ 1 << name)
             elif len(cycle) == 1:
                 target = ((), clusters)
             elif len(cycle) == 2:
@@ -323,18 +261,46 @@ class GraphComplex(ChainComplex):
         for col, gen in enumerate(gens):
             cycle, clusters = gen.key
             key = (_normal_cycle(tuple(image[b] for b in cycle)),
-                   frozenset(image[c] for c in clusters))
+                   _mask_set(image[c] for c in _members(clusters)))
             row = rows[key]
             names = tuple(image[n] for n in gen.edge_order)
             acc[(row, col)] = relative_sign(names, gens[row].edge_order)
         return SparseIntMatrix(len(gens), len(gens), acc)
 
     def generator_dot(self):
-        chunks = []
-        for i in range(self.max_edges + 1):
-            for pos, g in enumerate(self.generators(i)):
-                chunks.append(to_dot(g.mgraph, name=f"gc_{self.m}_{i}_{pos}"))
-        return "\n".join(chunks)
+        """DOT drawings of every generator, genus labels on the vertices."""
+        return "\n".join(_graph_dot(self.m, g.key, f"gc_{self.m}_{i}_{pos}")
+                         for i in range(self.max_edges + 1)
+                         for pos, g in enumerate(self.generators(i)))
+
+
+def _graph_dot(m, key, name):
+    """GraphViz source of one class, drawn from its key: the genus-one
+    vertex or the cycle vertices in block order come first, then the vertex
+    below each cluster in ascending order."""
+    cycle, clusters = key
+    members = _members(clusters)
+    blocks = cycle or ((1 << m + 1) - 2,)
+    below = {c: len(blocks) + pos for pos, c in enumerate(members)}
+
+    def holder(leaves):
+        # the smallest cluster strictly holding leaves, else its block
+        above = [c for c in members if c & leaves == leaves and c != leaves]
+        if above:
+            return below[min(above, key=int.bit_count)]
+        return next(pos for pos, b in enumerate(blocks) if b & leaves)
+
+    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines += [f'  v{pos} [label="g={0 if cycle else 1}"];'
+              for pos in range(len(blocks))]
+    lines += [f'  v{v} [label="g=0"];' for v in below.values()]
+    for lab in range(1, m + 1):
+        lines.append(f'  leg{lab} [shape=plaintext, label="{lab}"];')
+        lines.append(f"  v{holder(1 << lab)} -- leg{lab};")
+    lines += [f"  v{pos} -- v{(pos + 1) % len(cycle)};" for pos in range(len(cycle))]
+    lines += [f"  v{holder(c)} -- v{v};" for c, v in below.items()]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def graph_homology_character(cx, rank_seed=0):

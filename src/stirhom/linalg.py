@@ -32,7 +32,7 @@ disagreement.  Pivots are chosen to minimize fill.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges, the position of each generator by
-code and by key, and the homology, computed once per rank seed.
+key, and the homology, computed once per rank seed.
 """
 
 from __future__ import annotations
@@ -460,25 +460,19 @@ def compute_homology(dims, diffs, degree_of, seed=0):
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
-    Subclasses provide ``max_edges``, ``generators(i)`` (sorted objects
-    with a ``code``, and a ``key`` where ``rows`` is used) and
-    ``differential(i)``, and may shift ``total_degree``.
+    Subclasses provide ``max_edges``, ``generators(i)`` (objects with a
+    ``key``, sorted by it) and ``differential(i)``, and may shift
+    ``total_degree``.
     """
 
     def __init__(self):
         self._gens = {}
-        self._index = {}
         self._rows = {}
         self._diffs = {}
         self._homology = {}
 
     def total_degree(self, i):
         return i
-
-    def index(self, i):
-        if i not in self._index:
-            self._index[i] = {g.code: pos for pos, g in enumerate(self.generators(i))}
-        return self._index[i]
 
     def rows(self, i):
         """Position of each degree-i generator, by key."""

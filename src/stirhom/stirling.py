@@ -28,13 +28,17 @@ cluster becomes the complement of that image.  When the alternating set
 captures the new output flag of the distinguished vertex, the image is the
 signed sum over trading it for each other flag there.
 
-Reference orders.  Signs move the contracted edge to the last wedge slot,
-then align the surviving edges and alternating flags with the target's
-reference orders.  Those orders and the generator's ``code`` come from one
-walk at enumeration that nests, sorts and, for a nonzero ``orient_seed``,
-shuffles exactly as ``trees.canonical_tree_data`` does on the flag tree, so
-generator order, codes and every matrix entry equal those of the flag-tree
-construction, which the tests keep as their oracle.
+Reference orders.  A generator is named by its key and ordered by it:
+the generators of a degree are sorted by key, and ``code`` spells the key
+out.  The reference order of the edges is their clusters sorted ascending,
+that of the alternating flags their far sides sorted ascending; a nonzero
+``orient_seed`` shuffles both, seeded by the code, which only flips the sign
+of each basis vector.  Signs move the contracted edge to the last wedge
+slot, then align the surviving edges and alternating flags with the
+target's reference orders.  Dropping a cluster keeps the rest sorted, so
+with the sorted orders only a replaced alternating flag or a relabeling
+leaves a permutation to take the sign of.  The tests check every matrix
+against the flag-tree construction up to that signed bijection.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import itertools
 import random
 
 from .linalg import ChainComplex, SparseIntMatrix, compute_homology
-from .trees import _rooted_shapes, _tree_from_shape, perm_parity, to_dot
+from .trees import RootedShapes, relative_sign
 
 
 class DomainError(ValueError):
@@ -61,11 +65,11 @@ def _mask_set(masks):
 class _Tree:
     """One stable tree, shared by the generators on it.
 
-    ``inputs[D]`` lists the far sides of the input flags of vertex D: its
-    legs by label, then its child clusters.
+    ``edges`` lists its clusters ascending, the reference edge order, and
+    ``inputs[D]`` the far sides of the input flags of vertex D ascending.
     """
 
-    __slots__ = ("n", "full", "clusters", "inputs")
+    __slots__ = ("n", "full", "clusters", "edges", "inputs")
 
     def __init__(self, n, clusters):
         full = (1 << n + 1) - 2
@@ -84,6 +88,7 @@ class _Tree:
         self.n = n
         self.full = full
         self.clusters = _mask_set(clusters)
+        self.edges = tuple(sorted(clusters))
         self.inputs = {}
         for d, kids in children.items():
             legs = []
@@ -94,7 +99,7 @@ class _Tree:
                 rest ^= leg
             if len(legs) + len(kids) < 2:
                 raise DomainError("every vertex needs at least two inputs")
-            self.inputs[d] = tuple(legs + kids)
+            self.inputs[d] = tuple(sorted(legs + kids))
 
     def parent(self, c):
         """The vertex above the edge with cluster c."""
@@ -105,70 +110,36 @@ class _Tree:
         """The number of edges between vertex d and the root."""
         return sum(1 for c in self.inputs if c & d == d and c != self.full)
 
-    def walk(self, d, dv, alt, alt_order, plain):
-        """``canonical_tree_data``'s recursion at vertex d: the nested code
-        of the subtree and its edges in reference order.  The alternating
-        inputs of dv are appended to ``alt_order`` in reference order;
-        ``plain`` caches the undecorated subtrees."""
-        if d & dv != dv:
-            # no decoration below d: the same for every generator
-            if d not in plain:
-                plain[d] = self.walk(d, 0, 0, None, plain)
-            return plain[d]
-        at_dv = d == dv
-        legs = []
-        kids = []
-        for side in self.inputs[d]:
-            is_alt = at_dv and alt >> side & 1 == 1
-            if side & side - 1:
-                sub_code, sub_edges = self.walk(side, dv, alt, alt_order, plain)
-                kids.append((sub_code, is_alt, side, sub_edges))
-            else:
-                legs.append((side.bit_length() - 1, is_alt))
-        kids.sort(key=lambda item: item[0])
-        edges = []
-        for _code, _is_alt, c, sub_edges in kids:
-            edges.append(c)
-            edges.extend(sub_edges)
-        if at_dv:
-            alt_order.extend(1 << j for j, is_alt in legs if is_alt)
-            alt_order.extend(c for _code, is_alt, c, _e in kids if is_alt)
-        code = (at_dv, tuple(legs), tuple((sub_code, is_alt)
-                                          for sub_code, is_alt, _c, _e in kids))
-        return code, tuple(edges)
-
-    def shape(self, d=None):
-        """The ``_rooted_shapes`` shape of this tree, or of the subtree at d."""
-        d = self.full if d is None else d
-        sides = self.inputs[d]
-        return (tuple(s.bit_length() - 1 for s in sides if not s & s - 1),
-                tuple(sorted(self.shape(s) for s in sides if s & s - 1)))
-
 
 class StirlingGenerator:
     """One isomorphism class of decorated trees with its reference orders.
 
     ``key`` is ``(clusters, dv, alt)``; ``edge_order`` lists the edge
     clusters and ``alt_order`` the alternating far sides in reference order.
+    ``alt`` must list the far sides ascending.
     """
 
-    __slots__ = ("tree", "key", "code", "edge_order", "alt_order")
+    __slots__ = ("tree", "key", "edge_order", "alt_order")
 
-    def __init__(self, tree, dv, alt, orient_seed=0, plain=None):
-        alt_order = []
-        plain = {} if plain is None else plain
-        root_code, edge_order = tree.walk(tree.full, dv, alt, alt_order, plain)
-        code = f"T{tree.n}:{root_code!r}"
+    def __init__(self, tree, dv, alt, orient_seed=0):
+        self.tree = tree
+        self.key = (tree.clusters, dv, _mask_set(alt))
+        self.edge_order = tree.edges
+        self.alt_order = tuple(alt)
         if orient_seed:
-            edge_order = list(edge_order)
-            rng = random.Random(f"{orient_seed}|{code}")
+            rng = random.Random(f"{orient_seed}|{self.code}")
+            edge_order, alt_order = list(self.edge_order), list(alt)
             rng.shuffle(edge_order)
             rng.shuffle(alt_order)
-        self.tree = tree
-        self.key = (tree.clusters, dv, alt)
-        self.code = code
-        self.edge_order = tuple(edge_order)
-        self.alt_order = tuple(alt_order)
+            self.edge_order, self.alt_order = tuple(edge_order), tuple(alt_order)
+
+    @property
+    def code(self):
+        """The key spelled out: edge clusters, distinguished vertex and
+        alternating far sides, as decimal masks."""
+        _clusters, dv, alt = self.key
+        return (f"T{self.tree.n}:{_spell(self.tree.edges)}|{dv}|"
+                f"{_spell(_members(alt))}")
 
     @property
     def dv(self):
@@ -183,56 +154,17 @@ class StirlingGenerator:
 
 
 def make_generator(n, clusters, dv, alt, orient_seed=0):
-    """Validate and canonically orient a decorated tree given by its edge
-    clusters, the cluster of its distinguished vertex (the full mask of
-    legs 1..n for the root) and the far sides of its alternating flags."""
+    """Validate and orient a decorated tree given by its edge clusters, the
+    cluster of its distinguished vertex (the full mask of legs 1..n for the
+    root) and the far sides of its alternating flags."""
     tree = _Tree(n, clusters)
-    alt = set(alt)
+    alt = sorted(set(alt))
     if len(alt) < 2:
         raise DomainError("at least two alternating flags are required")
-    if dv not in tree.inputs or not alt <= set(tree.inputs[dv]):
+    if dv not in tree.inputs or not set(alt) <= set(tree.inputs[dv]):
         raise DomainError("alternating flags must be input flags of the "
                           "distinguished vertex")
-    return StirlingGenerator(tree, dv, _mask_set(alt), orient_seed)
-
-
-def _sign(seq_a, seq_b):
-    """Sign of the permutation taking the tuple seq_a to the tuple seq_b."""
-    if seq_a == seq_b:
-        return 1
-    return perm_parity([seq_a.index(x) for x in seq_b])
-
-
-class ChainVector:
-    """Finite integer combination of generators within one (n, k, i)."""
-
-    __slots__ = ("n", "k", "i", "coeffs")
-
-    def __init__(self, n, k, i, coeffs=()):
-        self.n = n
-        self.k = k
-        self.i = i
-        self.coeffs = {code: v for code, v in dict(coeffs).items() if v}
-
-    def __add__(self, other):
-        if (self.n, self.k, self.i) != (other.n, other.k, other.i):
-            raise DomainError("chain vectors live in different degrees")
-        merged = dict(self.coeffs)
-        for code, v in other.coeffs.items():
-            merged[code] = merged.get(code, 0) + v
-        return ChainVector(self.n, self.k, self.i, merged)
-
-    def scaled(self, factor):
-        return ChainVector(self.n, self.k, self.i,
-                           {c: factor * v for c, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, ChainVector)
-                and (self.n, self.k, self.i) == (other.n, other.k, other.i)
-                and self.coeffs == other.coeffs)
+    return StirlingGenerator(tree, dv, alt, orient_seed)
 
 
 def _check_type(n, k):
@@ -253,6 +185,7 @@ class StirlingComplex(ChainComplex):
         self.n = n
         self.k = k
         self.orient_seed = orient_seed
+        self._shapes = RootedShapes()
 
     @property
     def max_edges(self):
@@ -270,14 +203,12 @@ class StirlingComplex(ChainComplex):
         if i < 0:
             return []
         gens = []
-        for shape in _rooted_shapes(frozenset(range(1, self.n + 1)), i):
+        for shape in self._shapes(range(1, self.n + 1), i):
             tree = _Tree(self.n, _shape_clusters(shape)[1])
-            plain = {}
             for dv, inputs in tree.inputs.items():
                 for alt in itertools.combinations(inputs, self.k):
-                    gens.append(StirlingGenerator(tree, dv, _mask_set(alt),
-                                                  self.orient_seed, plain))
-        gens.sort(key=lambda g: g.code)
+                    gens.append(StirlingGenerator(tree, dv, alt, self.orient_seed))
+        gens.sort(key=lambda g: g.key)
         return gens
 
     # -- differential -------------------------------------------------------
@@ -320,30 +251,12 @@ class StirlingComplex(ChainComplex):
             for key, surviving, alt_order, move_sign in self.contraction_terms(gen):
                 row = rows[key]
                 target = targets[row]
-                sign = (move_sign * _sign(surviving, target.edge_order)
-                        * _sign(alt_order, target.alt_order))
+                sign = (move_sign * relative_sign(surviving, target.edge_order)
+                        * relative_sign(alt_order, target.alt_order))
                 _accumulate(acc, (row, col), sign)
         matrix = SparseIntMatrix(len(targets), len(sources), acc)
         self._diffs[i] = matrix
         return matrix
-
-    def apply_differential(self, vector):
-        """Image of a chain vector under the differential."""
-        if (vector.n, vector.k) != (self.n, self.k):
-            raise DomainError("vector belongs to a different complex")
-        i = vector.i
-        matrix = self.differential(i)
-        positions = self.index(i)
-        target = self.generators(i - 1)
-        by_col = {}
-        for (r, c), v in matrix.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        coeffs = {}
-        for code, coefficient in vector.coeffs.items():
-            for r, v in by_col.get(positions[code], ()):
-                key = target[r].code
-                coeffs[key] = coeffs.get(key, 0) + coefficient * v
-        return ChainVector(self.n, self.k, i - 1, coeffs)
 
     # -- symmetric group action --------------------------------------------
 
@@ -380,8 +293,8 @@ class StirlingComplex(ChainComplex):
             alt_order = tuple(image[a] for a in gen.alt_order)
             if not alt >> out & 1:
                 row = rows[(clusters, new_dv, _mask_set(alt_order))]
-                sign = (_sign(edge_order, gens[row].edge_order)
-                        * _sign(alt_order, gens[row].alt_order))
+                sign = (relative_sign(edge_order, gens[row].edge_order)
+                        * relative_sign(alt_order, gens[row].alt_order))
                 _accumulate(acc, (row, col), sign)
             else:
                 # the relabeled alternating set captured the new output flag;
@@ -391,8 +304,8 @@ class StirlingComplex(ChainComplex):
                         continue
                     traded = tuple(image[b] if a & 1 else a for a in alt_order)
                     row = rows[(clusters, new_dv, _mask_set(traded))]
-                    sign = -(_sign(edge_order, gens[row].edge_order)
-                             * _sign(traded, gens[row].alt_order))
+                    sign = -(relative_sign(edge_order, gens[row].edge_order)
+                             * relative_sign(traded, gens[row].alt_order))
                     _accumulate(acc, (row, col), sign)
         return SparseIntMatrix(len(gens), len(gens), acc)
 
@@ -453,7 +366,6 @@ class StirlingComplex(ChainComplex):
     def release(self, i):
         """Drop cached data at degree i (memory relief for large runs)."""
         self._gens.pop(i, None)
-        self._index.pop(i, None)
         self._rows.pop(i, None)
         self._diffs.pop(i, None)
 
@@ -470,18 +382,40 @@ class StirlingComplex(ChainComplex):
 
     def generator_dot(self):
         """DOT drawings of every generator, decorations marked."""
-        chunks = []
-        for i in range(self.max_edges + 1):
-            for pos, g in enumerate(self.generators(i)):
-                tree = _tree_from_shape(g.tree.shape(), self.n)
-                dv, alt = _flag_decorations(tree, g)
-                chunks.append(to_dot(tree, dv=dv, alt=alt,
-                                     name=f"s_{self.n}_{self.k}_{i}_{pos}"))
-        return "\n".join(chunks)
+        return "\n".join(_tree_dot(g, f"s_{self.n}_{self.k}_{i}_{pos}")
+                         for i in range(self.max_edges + 1)
+                         for pos, g in enumerate(self.generators(i)))
+
+
+def _tree_dot(gen, name):
+    """GraphViz source of one generator, drawn from its key: the root is
+    v0, the vertex below cluster C is numbered by C's place in the edge
+    order, and the distinguished vertex and alternating flags are red."""
+    tree = gen.tree
+    _clusters, dv, alt = gen.key
+    vertex = {tree.full: 0}
+    vertex.update((c, pos + 1) for pos, c in enumerate(tree.edges))
+    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    for d, v in vertex.items():
+        color = ", color=red" if d == dv else ""
+        lines.append(f'  v{v} [label=""{color}];')
+    leg_vertex = {0: 0}
+    leg_vertex.update((side.bit_length() - 1, vertex[d])
+                      for d, sides in tree.inputs.items()
+                      for side in sides if not side & side - 1)
+    for lab in range(tree.n + 1):
+        style = " [color=red]" if alt >> (1 << lab) & 1 else ""
+        lines.append(f'  leg{lab} [shape=plaintext, label="{lab}"];')
+        lines.append(f"  v{leg_vertex[lab]} -- leg{lab}{style};")
+    for c in tree.edges:
+        style = " [color=red]" if alt >> c & 1 else ""
+        lines.append(f"  v{vertex[tree.parent(c)]} -- v{vertex[c]}{style};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _shape_clusters(shape):
-    """The leaf set of a ``_rooted_shapes`` shape and its edge clusters."""
+    """The leaf set of a rooted shape and its edge clusters."""
     legs, children = shape
     mask = _mask_set(legs)
     clusters = []
@@ -493,23 +427,18 @@ def _shape_clusters(shape):
     return mask, clusters
 
 
-def _flag_decorations(tree, gen):
-    """The distinguished vertex and alternating flags of ``gen`` on the
-    flag tree drawn from its shape."""
-    g = tree.graph
+def _members(mask_set):
+    """The member masks of a mask-set, ascending."""
+    out = []
+    while mask_set:
+        low = mask_set & -mask_set
+        out.append(low.bit_length() - 1)
+        mask_set ^= low
+    return out
 
-    def far_side(f):
-        mate = g.involution[f]
-        if mate == f:
-            return 1 << g.flag_label[f]
-        return _union(far_side(x) for x in tree.input_flags(g.flag_vertex[mate]))
 
-    _clusters, dv, alt = gen.key
-    for v in range(g.num_vertices):
-        sides = {far_side(f): f for f in tree.input_flags(v)}
-        if _union(sides) == dv:
-            return v, [f for side, f in sides.items() if alt >> side & 1]
-    raise AssertionError("no vertex carries the distinguished cluster")
+def _spell(masks):
+    return ",".join(map(str, masks))
 
 
 def _union(masks):

@@ -5,9 +5,11 @@ became cluster bitmasks: every generator is a ``Tree`` with a distinguished
 vertex and a set of alternating flags, every differential term builds,
 validates and canonicalises the contracted tree, and the action relabels
 the tree and canonicalises it again.  It shares no enumeration, contraction
-or relabeling code with ``stirhom.stirling``, only ``canonical_tree_data``,
-which fixes the published codes and reference orders; the tests require
-the two to agree on codes, matrices and reach verdicts entry for entry.
+or relabeling code with ``stirhom.stirling``.  Its generators are named,
+sorted and oriented by ``flag_graphs.canonical_tree_data``, as the package
+did before it named them by their keys; ``key_orders`` reads each one's key
+and reference orders in key names, and the tests require the two
+complexes to agree up to the signed generator bijection this gives.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from __future__ import annotations
 import itertools
 
 from stirhom.linalg import ChainComplex, SparseIntMatrix
-from stirhom.stirling import DomainError, _as_permutation, _check_type
-from stirhom.trees import (Graph, GraphError, Tree, canonical_tree_data,
-                           enumerate_stable_trees, relative_sign)
+from stirhom.stirling import DomainError, _as_permutation, _check_type, _mask_set
+from stirhom.trees import relative_sign
+
+from flag_graphs import (Graph, GraphError, Tree, canonical_tree_data,
+                         enumerate_stable_trees)
 
 
 def contract_edge_with_maps(tree, edge):
@@ -90,12 +94,69 @@ def make_generator(tree, dv, alt, orient_seed=0):
     return StirlingGenerator(tree, dv, alt, code, edge_order, alt_order)
 
 
+def key_orders(gen):
+    """The key of an oracle generator and its edge and alternating orders
+    as key names: edges by their clusters, flags by their far sides."""
+    tree = gen.tree
+    g = tree.graph
+
+    def below(v):
+        # the leaf set below vertex v
+        return sum(far(f) for f in tree.input_flags(v))
+
+    def far(f):
+        mate = g.involution[f]
+        if mate == f:
+            return 1 << g.flag_label[f]
+        return below(g.flag_vertex[mate])
+
+    def cluster(edge):
+        # the leaf set below the edge's lower end, whose output flag it holds
+        f1, f2 = edge
+        lower = g.flag_vertex[f2]
+        if tree.output_flag(lower) != f2:
+            lower = g.flag_vertex[f1]
+        return below(lower)
+
+    edge_order = tuple(cluster(e) for e in gen.edge_order)
+    alt_order = tuple(far(f) for f in gen.alt_order)
+    key = (_mask_set(edge_order), below(gen.dv), _mask_set(alt_order))
+    return key, edge_order, alt_order
+
+
+def position(cx, i, gen):
+    """The row of an oracle generator in degree i of the key-native
+    complex ``cx``, and the sign between the two orientations."""
+    key, edge_order, alt_order = key_orders(gen)
+    row = cx.rows(i)[key]
+    new = cx.generators(i)[row]
+    return row, (relative_sign(edge_order, new.edge_order)
+                 * relative_sign(alt_order, new.alt_order))
+
+
+def signed_bijection(cx, oracle, i):
+    """P_i as the list of ``position`` of each oracle generator; it must hit
+    every generator of ``cx`` once."""
+    p = [position(cx, i, gen) for gen in oracle.generators(i)]
+    assert sorted(row for row, _sign in p) == list(range(cx.dim(i)))
+    return p
+
+
+def transport(matrix, p_rows, p_cols):
+    """P_rows M P_cols^-1, the signed bijections given as ``(row, sign)``
+    lists; a signed permutation matrix is inverted by its transpose."""
+    entries = {(p_rows[r][0], p_cols[c][0]): p_rows[r][1] * v * p_cols[c][1]
+               for (r, c), v in matrix.entries.items()}
+    return SparseIntMatrix(len(p_rows), len(p_cols), entries)
+
+
 class StirlingComplex(ChainComplex):
     """The chain complex of type (n, k), graded by edge count i."""
 
     def __init__(self, n, k, orient_seed=0):
         _check_type(n, k)
         super().__init__()
+        self._index = {}
         self.n = n
         self.k = k
         self.orient_seed = orient_seed
@@ -111,6 +172,12 @@ class StirlingComplex(ChainComplex):
         if i not in self._gens:
             self._gens[i] = self._enumerate(i)
         return self._gens[i]
+
+    def index(self, i):
+        """Position of each degree-i generator, by code."""
+        if i not in self._index:
+            self._index[i] = {g.code: pos for pos, g in enumerate(self.generators(i))}
+        return self._index[i]
 
     def _enumerate(self, i):
         if i < 0:

@@ -74,6 +74,24 @@ def test_betti_grid_excludes_a_single_type(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", "--n", "8", "--k", "2"],
+    ["betti", "--n", "8", "--k", "8", "--format", "dot"],
+    ["betti", "--max-n", "8"],
+    ["verify", "--n", "8", "--k", "3"],
+])
+def test_stirling_runs_above_n7_refused_before_work(monkeypatch, capsys, argv):
+    # (7, 2) already takes seconds and hundreds of MiB; n = 8 is refused
+    # before any complex is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex was built before the refusal")
+    monkeypatch.setattr("stirhom.stirling.StirlingComplex", refuse)
+    with pytest.raises(SystemExit) as refusal:
+        main(argv)
+    assert "n <= 7" in str(refusal.value) or "and 7" in str(refusal.value)
+    assert capsys.readouterr().out == ""
+
+
 def test_verify(capsys):
     code, out = run(capsys, "verify", "--n", "3", "--k", "2")
     assert code == 0

@@ -3,11 +3,14 @@
 The oracle below re-derives a full differential matrix from scratch:
 graphs are reduced to (genus, legs, edge-endpoint multiset) encodings,
 contraction and isomorphism matching are reimplemented on that encoding,
-and only the published reference edge orders are shared: those that
-``canonical_modular_data`` gives the representative flag graph of each
-generator (they fix the basis both computations must express themselves
-in).  The orientation kill is checked against a search over vertex
-automorphisms that shares nothing with the engine's cycle-length rule.
+and only the published reference edge orders are shared, read off the flag
+representative ``flag_graphs.representative`` draws from each key (they
+fix the basis both computations must express themselves in).  The
+orientation kill is checked against a search over vertex automorphisms
+that shares nothing with the engine's cycle-length rule.  The flag-graph
+complex of ``flag_graphs``, which names and orients its classes by their
+canonical codes, must give every differential and action matrix up to the
+signed generator bijection between the two bases.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ import pytest
 from stirhom.graphcomplex import (GraphComplex, enumerate_graph_generators,
                                   verify_decomposition)
 from stirhom.linalg import SparseIntMatrix, composes_to_zero
-from stirhom.trees import canonical_modular_data, perm_parity, relative_sign
+from stirhom.trees import perm_parity, relative_sign
+
+from flag_graphs import FlagGraphComplex, representative
+from stirling_oracle import transport
+
+
+def flag_graph(gen):
+    """The flag representative of a generator, drawn from its key."""
+    return representative(gen.m, gen.key)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +42,7 @@ from stirhom.trees import canonical_modular_data, perm_parity, relative_sign
 def test_single_genus_one_corolla():
     gens = GraphComplex(3).generators(0)
     assert len(gens) == 1
-    mg = gens[0].mgraph
+    mg = flag_graph(gens[0])
     assert mg.graph.num_vertices == 1 and mg.genus == (1,)
     assert mg.total_genus() == 1
 
@@ -41,12 +52,13 @@ def test_generator_invariants():
         cx = GraphComplex(m)
         for i in range(0, m + 1):
             for gen in cx.generators(i):
-                g = gen.mgraph.graph
-                assert gen.mgraph.total_genus() == 1
+                mg = flag_graph(gen)
+                g = mg.graph
+                assert mg.total_genus() == 1
                 assert g.num_flags == 2 * g.num_edges + m
                 assert g.num_edges == i
                 assert set(g.legs) == set(range(1, m + 1))
-                assert all(2 * gen.mgraph.genus[v] + g.valence(v) >= 3
+                assert all(2 * mg.genus[v] + g.valence(v) >= 3
                            for v in range(g.num_vertices))
 
 
@@ -58,8 +70,8 @@ def test_no_generators_beyond_max_edges():
 def test_parallel_edges_killed():
     with_kill = enumerate_graph_generators(3, 2)
     without = enumerate_graph_generators(3, 2, orientation_kill=False)
-    surviving = {g.code for g in with_kill}
-    killed = [g for g in without if g.code not in surviving]
+    surviving = {g.key for g in with_kill}
+    killed = [g for g in without if g.key not in surviving]
     assert killed and len(without) == len(with_kill) + len(killed)
     assert all(len(g.key[0]) == 2 for g in killed)
 
@@ -70,13 +82,13 @@ def test_parallel_edges_killed():
             pairs[(min(u, w), max(u, w))] += 1
         return any(v > 1 for v in pairs.values())
 
-    assert all(not has_parallel(g.mgraph) for g in with_kill)
-    assert any(has_parallel(g.mgraph) for g in without)
+    assert all(not has_parallel(flag_graph(g)) for g in with_kill)
+    assert any(has_parallel(flag_graph(g)) for g in without)
 
 
 def test_triangle_survives():
     gens = GraphComplex(3).generators(3)
-    shapes = [(g.mgraph.graph.num_vertices, g.mgraph.graph.first_betti())
+    shapes = [(flag_graph(g).graph.num_vertices, flag_graph(g).graph.first_betti())
               for g in gens]
     assert (3, 1) in shapes  # the triangle with one leg per vertex
 
@@ -84,11 +96,12 @@ def test_triangle_survives():
 def test_loop_contraction_hits_genus_one_corolla():
     cx = GraphComplex(3)
     loop_gens = [g for g in cx.generators(1)
-                 if g.mgraph.graph.num_vertices == 1 and g.mgraph.genus == (0,)]
+                 if flag_graph(g).graph.num_vertices == 1
+                 and flag_graph(g).genus == (0,)]
     assert len(loop_gens) == 1
-    col = cx.index(1)[loop_gens[0].code]
+    col = cx.rows(1)[loop_gens[0].key]
     column = {r: v for (r, c), v in cx.differential(1).entries.items() if c == col}
-    corolla_row = cx.index(0)[cx.generators(0)[0].code]
+    corolla_row = cx.rows(0)[cx.generators(0)[0].key]
     assert column == {corolla_row: 1} or column == {corolla_row: -1}
 
 
@@ -183,9 +196,9 @@ def test_kill_rule_is_two_cycle():
         survivors = GraphComplex(m)
         for i in range(m + 1):
             for gen in everything.generators(i):
-                odd = oracle_has_odd_automorphism(encode(gen.mgraph))
+                odd = oracle_has_odd_automorphism(encode(flag_graph(gen)))
                 assert odd == (len(gen.key[0]) == 2), gen.code
-                assert odd == (gen.code not in survivors.index(i)), gen.code
+                assert odd == (gen.key not in survivors.rows(i)), gen.code
 
 
 def vertex_pairs(mg, edges):
@@ -195,22 +208,26 @@ def vertex_pairs(mg, edges):
             for f1, f2 in edges]
 
 
+def reference_pairs(gen):
+    """The flag representative of a generator and its reference edge order
+    as endpoint pairs; edge k of the representative is the flag pair
+    (m + 2k, m + 2k + 1)."""
+    mg, names = representative(gen.m, gen.key)
+    flags = {name: (gen.m + 2 * k, gen.m + 2 * k + 1) for k, name in enumerate(names)}
+    return mg, vertex_pairs(mg, [flags[name] for name in gen.edge_order])
+
+
 def oracle_differential(cx, i):
     sources = cx.generators(i)
     targets = cx.generators(i - 1)
     target_data = []
     for target in targets:
-        mg = target.mgraph
-        code, flag_order = canonical_modular_data(mg, cx.orient_seed)
-        assert code == target.code
-        target_data.append((encode(mg), vertex_pairs(mg, flag_order)))
+        mg, order = reference_pairs(target)
+        target_data.append((encode(mg), order))
     entries = {}
     for col, gen in enumerate(sources):
-        mg = gen.mgraph
-        code, flag_order = canonical_modular_data(mg, cx.orient_seed)
-        assert code == gen.code
         # survivors have no parallel edges, so endpoint pairs name edges
-        order = vertex_pairs(mg, flag_order)
+        mg, order = reference_pairs(gen)
         assert len(set(order)) == len(order)
         genus, legs, edges = encode(mg)
         for pos, pair in enumerate(order):
@@ -258,22 +275,81 @@ def test_differential_matches_oracle(m, i):
 
 
 def test_canonical_form_once_per_class(monkeypatch):
-    # rows are found by key: the flag-graph canonical form only names the
-    # classes, once each, however many terms land on them
+    # rows are found by key: each class is named and oriented once, however
+    # many differential or action terms land on it
     from stirhom import graphcomplex
     calls = []
-    canonical = graphcomplex.canonical_modular_data
+    init = graphcomplex.GraphGenerator.__init__
 
-    def counting(mg, orient_seed=0):
-        calls.append(mg)
-        return canonical(mg, orient_seed)
+    def counting(self, m, key, orient_seed=0):
+        calls.append(key)
+        init(self, m, key, orient_seed)
 
-    monkeypatch.setattr(graphcomplex, "canonical_modular_data", counting)
+    monkeypatch.setattr(graphcomplex.GraphGenerator, "__init__", counting)
     cx = GraphComplex(4)
     cx.differentials()
     for i in range(cx.max_edges + 1):
         cx.action_matrix(i, [2, 3, 1, 4])
-    assert len(calls) == sum(cx.dims().values())
+    assert len(calls) == len(set(calls)) == sum(cx.dims().values())
+
+
+def flag_bijection(cx, oracle, i):
+    """P_i: the row of each flag-complex generator in ``cx`` and the sign
+    between its flag and key-native orientations."""
+    p = []
+    for gen in oracle.gens[i]:
+        row = cx.rows(i)[gen.key]
+        p.append((row, relative_sign(gen.name_order(),
+                                     cx.generators(i)[row].edge_order)))
+    assert sorted(row for row, _sign in p) == list(range(cx.dim(i)))
+    return p
+
+
+@pytest.mark.parametrize("m,kill,seed", [(m, kill, seed) for m in (3, 4, 5)
+                                         for kill in (True, False)
+                                         for seed in (0, 12345)])
+def test_matches_flag_graph_oracle(m, kill, seed):
+    # D = P D_flag P^-1 for every differential, and the same for the action
+    # of the transpositions (1 j), with P the signed bijection from the
+    # flag-graph generators to the key-native ones
+    cx = GraphComplex(m, orientation_kill=kill, orient_seed=seed)
+    everything = GraphComplex(m, orientation_kill=False)
+    oracle = FlagGraphComplex(
+        m, {i: list(everything.rows(i)) for i in range(m + 1)}, kill, seed)
+    p = {i: flag_bijection(cx, oracle, i) for i in range(m + 1)}
+    for i in range(1, m + 1):
+        assert cx.differential(i) == transport(oracle.differential(i), p[i - 1], p[i])
+    for j in range(2, m + 1):
+        perm = {a: a for a in range(1, m + 1)}
+        perm[1], perm[j] = j, 1
+        for i in range(m + 1):
+            assert cx.action_matrix(i, perm) == transport(
+                oracle.action_matrix(i, perm), p[i], p[i])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_orient_seed_flips_signs_only(m):
+    # same generators in the same order; every matrix is S D S' with S, S'
+    # diagonal +-1, the parities between the two reference orders
+    for kill in (True, False):
+        plain = GraphComplex(m, orientation_kill=kill)
+        seeded = GraphComplex(m, orientation_kill=kill, orient_seed=12345)
+        signs = {}
+        for i in range(m + 1):
+            pairs = list(zip(plain.generators(i), seeded.generators(i)))
+            assert [a.key for a, _b in pairs] == [b.key for _a, b in pairs]
+            signs[i] = [(pos, relative_sign(a.edge_order, b.edge_order))
+                        for pos, (a, b) in enumerate(pairs)]
+        assert any(s < 0 for degree in signs.values() for _pos, s in degree)
+        for i in range(1, m + 1):
+            assert seeded.differential(i) == transport(
+                plain.differential(i), signs[i - 1], signs[i])
+        for j in range(2, m + 1):
+            perm = [j] + list(range(2, m + 1))
+            perm[j - 1] = 1
+            for i in range(m + 1):
+                assert seeded.action_matrix(i, perm) == transport(
+                    plain.action_matrix(i, perm), signs[i], signs[i])
 
 
 def test_d_squared():

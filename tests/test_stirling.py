@@ -3,8 +3,11 @@
 The first-differential oracle below applies the contraction rules to
 one-edge trees directly (the only target is the corolla), sharing nothing
 with the production differential except the published basis orders.  The
-flag-tree oracle in ``stirling_oracle`` must agree with the cluster-bitmask
-complex on every code, differential, action matrix and reach verdict.
+flag-tree oracle in ``stirling_oracle`` names and orients its generators
+the way the package did before keys named them; every differential and
+action matrix must equal its matrices up to the signed generator bijection
+P between the two bases, D = P D_flag P^-1, and every reach verdict must
+agree.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from stirhom.cli import main
 from stirhom.linalg import SparseIntMatrix, composes_to_zero, rank_exact
 from stirhom.stirling import (DomainError, StirlingComplex, compose,
                               make_generator, survey, transposition)
-from stirhom.trees import _tree_from_shape, canonical_tree_data, relative_sign
+from stirhom.trees import relative_sign
 
 import stirling_oracle
+from flag_graphs import _tree_from_shape, canonical_tree_data
 
 
 def tree_from_nested(shape, n):
@@ -98,9 +102,10 @@ def test_generator_domain_errors():
 
 def test_generators_sorted_distinct():
     gens = StirlingComplex(5, 3).generators(2)
-    codes = [g.code for g in gens]
-    assert codes == sorted(codes)
-    assert len(set(codes)) == len(codes)
+    keys = [g.key for g in gens]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+    assert len({g.code for g in gens}) == len(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,7 @@ def test_three_term_column():
     gen = make_generator(5, [mask(2, 3), mask(4, 5)], mask(1, 2, 3, 4, 5),
                          [mask(1), mask(2, 3)])
     cx = StirlingComplex(5, 2)
-    col = cx.index(2)[gen.code]
+    col = cx.rows(2)[gen.key]
     column = {(r, c): v for (r, c), v in cx.differential(2).entries.items()
               if c == col}
     assert len(column) == 3
@@ -237,7 +242,7 @@ def test_root_swap_replacement_column():
     alt = [t.graph.legs[1], t.graph.legs[2]]
     gen = stirling_oracle.make_generator(t, child, alt)
     cx = StirlingComplex(4, 2)
-    col = cx.index(1)[gen.code]
+    col, source_sign = stirling_oracle.position(cx, 1, gen)
     sigma = transposition(4, 0, 1)
     column = {r: v for (r, c), v in cx.action_matrix(1, sigma).entries.items()
               if c == col}
@@ -250,10 +255,13 @@ def test_root_swap_replacement_column():
     expected = {}
     for b in others:
         alt_order = [b if f == z else f for f in gen.alt_order]
-        code, ceo, cao = canonical_tree_data(relabeled, child, frozenset(alt_order))
+        _code, ceo, cao = canonical_tree_data(relabeled, child, frozenset(alt_order))
         sign = -(relative_sign(gen.edge_order, ceo)
                  * relative_sign(alt_order, cao))
-        expected[cx.index(1)[code]] = sign
+        # from the flag orientations to the key-native ones
+        target = stirling_oracle.make_generator(relabeled, child, alt_order)
+        row, target_sign = stirling_oracle.position(cx, 1, target)
+        expected[row] = target_sign * sign * source_sign
     assert column == expected
 
 
@@ -352,16 +360,13 @@ def test_json_shape():
 
 
 def test_chain_vector_differential_squares_to_zero():
-    from stirhom.stirling import ChainVector
+    # a chain vector as a one-column matrix: d takes it to a nonzero
+    # boundary, and d again to zero
     cx = StirlingComplex(5, 2)
-    gens = cx.generators(2)
-    vec = ChainVector(5, 2, 2, {gens[0].code: 1, gens[7].code: -2})
-    once = cx.apply_differential(vec)
+    vec = SparseIntMatrix(cx.dim(2), 1, {(0, 0): 1, (7, 0): -2})
+    once = cx.differential(2) @ vec
     assert not once.is_zero()
-    assert cx.apply_differential(once).is_zero()
-    assert (vec + vec.scaled(-1)).is_zero()
-    with pytest.raises(DomainError):
-        vec + ChainVector(5, 2, 1, {})
+    assert (cx.differential(1) @ once).is_zero()
 
 
 @settings(max_examples=20, deadline=None)
@@ -436,18 +441,17 @@ def test_survey_reports_a_broken_d2_instead_of_raising(monkeypatch, capsys):
 
 
 def oracle_permutations(n):
-    """All of S_{n+1} for n <= 3; the transpositions (0 t) and seeded
-    random permutations for n = 4, 5; none above."""
+    """All of S_{n+1} for n <= 3; above that the transpositions (0 t) and
+    (1 t), and for n = 4, 5 seeded random permutations too."""
     if n <= 3:
         return list(itertools.permutations(range(n + 1)))
-    if n > 5:
-        return []
-    rng = random.Random(n)
-    perms = [transposition(n, 0, t) for t in range(1, n + 1)]
-    for _ in range(4):
-        perm = list(range(n + 1))
-        rng.shuffle(perm)
-        perms.append(tuple(perm))
+    perms = [transposition(n, a, t) for a in (0, 1) for t in range(a + 1, n + 1)]
+    if n <= 5:
+        rng = random.Random(n)
+        for _ in range(4):
+            perm = list(range(n + 1))
+            rng.shuffle(perm)
+            perms.append(tuple(perm))
     return perms
 
 
@@ -455,13 +459,45 @@ def oracle_permutations(n):
                                       for k in range(2, n + 1)
                                       for seed in (0, 12345)])
 def test_matches_flag_tree_oracle(n, k, seed):
+    # D = P D_flag P^-1 for every differential and action matrix, with P
+    # the signed bijection from the flag generators to the key-native ones
     cx = StirlingComplex(n, k, orient_seed=seed)
     oracle = stirling_oracle.StirlingComplex(n, k, orient_seed=seed)
     perms = oracle_permutations(n)
+    p = {i: stirling_oracle.signed_bijection(cx, oracle, i)
+         for i in range(cx.max_edges + 1)}
+    p[-1] = []
     for i in range(cx.max_edges + 1):
-        assert ([g.code for g in cx.generators(i)]
-                == [g.code for g in oracle.generators(i)])
-        assert cx.differential(i) == oracle.differential(i)
+        assert cx.differential(i) == stirling_oracle.transport(
+            oracle.differential(i), p[i - 1], p[i])
         assert cx.reach_filtration_holds(i) == oracle.reach_filtration_holds(i)
         for perm in perms:
-            assert cx.action_matrix(i, perm) == oracle.action_matrix(i, perm)
+            assert cx.action_matrix(i, perm) == stirling_oracle.transport(
+                oracle.action_matrix(i, perm), p[i], p[i])
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_orient_seed_flips_signs_only(n):
+    # a seeded complex has the same generators in the same order; each
+    # basis vector only changes sign, by the parity between its two
+    # reference orders, so every matrix is S D S' with S, S' diagonal +-1
+    flipped = 0
+    for k in range(2, n + 1):
+        plain = StirlingComplex(n, k)
+        seeded = StirlingComplex(n, k, orient_seed=12345)
+        signs = {-1: []}
+        for i in range(plain.max_edges + 1):
+            pairs = list(zip(plain.generators(i), seeded.generators(i)))
+            assert [a.key for a, _b in pairs] == [b.key for _a, b in pairs]
+            signs[i] = [(pos, relative_sign(a.edge_order, b.edge_order)
+                         * relative_sign(a.alt_order, b.alt_order))
+                        for pos, (a, b) in enumerate(pairs)]
+        flipped += sum(s < 0 for degree in signs.values() for _pos, s in degree)
+        for i in range(plain.max_edges + 1):
+            assert seeded.differential(i) == stirling_oracle.transport(
+                plain.differential(i), signs[i - 1], signs[i])
+            for t in range(1, n + 1):
+                perm = transposition(n, 0, t)
+                assert seeded.action_matrix(i, perm) == stirling_oracle.transport(
+                    plain.action_matrix(i, perm), signs[i], signs[i])
+    assert flipped or n == 2

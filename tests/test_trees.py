@@ -1,8 +1,13 @@
-"""Core graph/tree machinery against independent brute-force oracles.
+"""The flag-graph oracle against brute force, and the key-native classes
+against the oracle.
 
-Tree contraction lives in the flag-tree oracle ``stirling_oracle``; the
-genus-one graphs are contracted through ``GraphComplex.contraction_terms``
-and their orientation kill is checked against a raw automorphism search.
+``flag_graphs`` (the flag presentation, canonical codes and stable-tree
+enumeration) is checked against labeled-tree enumeration, isomorphism
+search and ``networkx`` path counts; tree contraction lives in the
+flag-tree oracle ``stirling_oracle``.  The genus-one classes are contracted
+through ``GraphComplex.contraction_terms``, drawn as flag graphs from their
+keys, and their orientation kill is checked against a raw automorphism
+search.
 """
 
 from __future__ import annotations
@@ -13,9 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from stirhom import trees as T
+import flag_graphs as T
 from stirhom.graphcomplex import GraphComplex
+from stirhom.trees import perm_parity
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
+
+
+def flag_graph(gen):
+    """The flag representative of a genus-one generator, drawn from its key."""
+    return T.representative(gen.m, gen.key)[0]
 
 
 def build_two_vertex_tree(n, child_labels):
@@ -178,10 +189,10 @@ def test_contract_loop():
     # the loop's one term lands on the genus-one vertex, trees unchanged
     cx = GraphComplex(3)
     (loop,) = [g for g in cx.generators(1) if len(g.key[0]) == 1]
-    assert loop.mgraph.total_genus() == 1
+    assert flag_graph(loop).total_genus() == 1
     ((key, surviving, move_sign),) = cx.contraction_terms(loop)
     assert key == ((), loop.key[1]) and surviving == () and move_sign == 1
-    out = cx.generators(0)[cx.rows(0)[key]].mgraph
+    out = flag_graph(cx.generators(0)[cx.rows(0)[key]])
     assert out.genus == (1,)
     assert out.graph.num_edges == 0
     assert out.total_genus() == 1
@@ -205,10 +216,10 @@ def test_contract_counts_and_genus():
                 terms = list(cx.contraction_terms(gen))
                 assert len(terms) == i
                 for key, surviving, _sign in terms:
-                    out = targets[cx.rows(i - 1)[key]].mgraph
+                    out = flag_graph(targets[cx.rows(i - 1)[key]])
                     assert out.total_genus() == 1
                     assert out.graph.num_edges == i - 1 == len(surviving)
-                if gen.code == triangle:
+                if T.canonical_code(flag_graph(gen)) == triangle:
                     assert sorted(len(key[0]) for key, _s, _m in terms) == [2, 2, 2]
 
 
@@ -276,7 +287,7 @@ def oracle_killed(mg):
     """True when some automorphism permutes the edges oddly."""
     edges = mg.graph.edges
     index = {e: pos for pos, e in enumerate(edges)}
-    return any(T.perm_parity([index[tuple(sorted((phi[a], phi[b])))]
+    return any(perm_parity([index[tuple(sorted((phi[a], phi[b])))]
                               for a, b in edges]) < 0
                for phi in oracle_automorphisms(mg))
 
@@ -297,7 +308,7 @@ def test_tree_automorphisms_trivial():
     for i in range(cx.max_edges + 1):
         for gen in cx.generators(i):
             if not gen.key[0]:
-                mg = gen.mgraph
+                mg = flag_graph(gen)
                 assert oracle_automorphisms(mg) == [tuple(range(mg.graph.num_flags))]
 
 
@@ -309,9 +320,9 @@ def test_parallel_edge_automorphisms():
     # its class has a 2-cycle and is killed
     code = T.canonical_code(mg)
     (gen,) = [g for g in GraphComplex(3, orientation_kill=False).generators(2)
-              if g.code == code]
+              if T.canonical_code(flag_graph(g)) == code]
     assert len(gen.key[0]) == 2
-    assert code not in GraphComplex(3).index(2)
+    assert gen.key not in GraphComplex(3).rows(2)
 
 
 def test_loop_automorphisms():
@@ -322,7 +333,8 @@ def test_loop_automorphisms():
     # the loop-flag swap fixes the single edge, hence acts evenly
     assert not oracle_killed(mg)
     code = T.canonical_code(mg)
-    (gen,) = [g for g in GraphComplex(3).generators(1) if g.code == code]
+    (gen,) = [g for g in GraphComplex(3).generators(1)
+              if T.canonical_code(flag_graph(g)) == code]
     assert len(gen.key[0]) == 1
 
 
@@ -341,32 +353,39 @@ def test_kill_rule_matches_raw_search():
     survivors = GraphComplex(3)
     for i in range(everything.max_edges + 1):
         for gen in everything.generators(i):
-            killed = oracle_killed(gen.mgraph)
+            killed = oracle_killed(flag_graph(gen))
             assert killed == (len(gen.key[0]) == 2), gen.code
-            assert killed == (gen.code not in survivors.index(i)), gen.code
+            assert killed == (gen.key not in survivors.rows(i)), gen.code
 
 
 # ---------------------------------------------------------------------------
 # paths
 
 
+def as_networkx(tree):
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(tree.graph.num_vertices))
+    g.add_edges_from((tree.graph.flag_vertex[f1], tree.graph.flag_vertex[f2])
+                     for f1, f2 in tree.graph.edges)
+    return g
+
+
 def test_unique_shortest_paths_in_trees():
     for t in T.enumerate_stable_trees(5, 3):
-        nv = t.graph.num_vertices
-        for v in range(nv):
-            for w in range(nv):
-                _dist, count = T.count_shortest_paths(t.graph, v, w)
-                assert count == 1
+        g = as_networkx(t)
+        for v in g.nodes:
+            for w in g.nodes:
+                assert len(list(nx.all_shortest_paths(g, v, w))) == 1
 
 
 def test_output_flags_point_to_root():
     for t in T.enumerate_stable_trees(5, 3):
         assert t.output_flag(t.root_vertex) == t.graph.legs[0]
+        g = as_networkx(t)
         for v in range(t.graph.num_vertices):
             assert len(t.input_flags(v)) == t.graph.valence(v) - 1
             depth = len(t.path_edges_to_root(v))
-            dist, _ = T.count_shortest_paths(t.graph, v, t.root_vertex)
-            assert depth == dist
+            assert depth == nx.shortest_path_length(g, v, t.root_vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +393,57 @@ def test_output_flags_point_to_root():
 
 
 def test_dot_export_mentions_decorations():
-    t = build_two_vertex_tree(3, (2, 3))
-    dv = 1
-    alt = t.input_flags(dv)[:2]
-    text = T.to_dot(t, dv=dv, alt=alt)
-    assert "color=red" in text
-    assert text.count("leg") >= 4
-    mg = triangle_graph({1: 0, 2: 1, 3: 2})
-    assert 'label="g=0"' in T.to_dot(mg)
+    from stirhom.stirling import StirlingComplex
+    # the generator with one edge below the root, its child distinguished
+    # with alternating legs 2 and 3: drawn from its key
+    cx = StirlingComplex(3, 2)
+    (pos,) = [pos for pos, g in enumerate(cx.generators(1))
+              if g.key == (1 << 0b1100, 0b1100, 1 << 4 | 1 << 8)]
+    text = cx.generator_dot().split("\n\n")[cx.dim(0) + pos]
+    assert text.startswith(f"graph s_3_2_1_{pos} ")
+    assert "  v1 [label=\"\", color=red];" in text
+    assert "v1 -- leg2 [color=red]" in text and "v1 -- leg3 [color=red]" in text
+    assert text.count("leg") == 8 and "  v0 -- v1;" in text
+    graphs = GraphComplex(3)
+    (pos,) = [pos for pos, g in enumerate(graphs.generators(3)) if len(g.key[0]) == 3]
+    triangle = graphs.generator_dot().split("\n\n")[-graphs.dim(3) + pos]
+    assert triangle.startswith(f"graph gc_3_3_{pos} ")
+    assert triangle.count('label="g=0"') == 3
+    assert "  v0 -- v1;" in triangle and "  v2 -- v0;" in triangle
+
+
+# ---------------------------------------------------------------------------
+# the rooted-shape memo lives and dies with its complex
+
+
+def reachable_from(module):
+    """Every object reachable from a module's attributes, not entering
+    other modules or their globals."""
+    import gc
+    import sys
+    skip = {id(m) for m in sys.modules.values()}
+    skip |= {id(vars(m)) for m in sys.modules.values() if m is not None}
+    seen = set(skip)
+    stack = [v for v in vars(module).values() if id(v) not in skip]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(x for x in gc.get_referents(obj) if id(x) not in seen)
+
+
+def test_shape_memo_is_freed_with_its_complex():
+    import gc
+    from stirhom import trees
+    from stirhom.stirling import StirlingComplex
+    corolla = ((1, 2, 3, 4, 5), ())
+    cherry = ((1, 2, 3), (((4, 5), ()),))
+    cx = StirlingComplex(5, 2)
+    cx.differentials()
+    del cx
+    gc.collect()
+    left = [obj for obj in reachable_from(trees)
+            if type(obj) is tuple and (obj == corolla or obj == cherry)]
+    assert left == []
