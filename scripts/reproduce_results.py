@@ -20,7 +20,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-m", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--include-large", action="store_true",
                         help="also run types (7, 2) and (7, 3)")
     args = parser.parse_args()
@@ -34,7 +33,7 @@ def main():
         types += [(7, 2), (7, 3)]
     for n, k in types:
         t0 = time.time()
-        result = S.survey(n, k, rank_seed=args.seed)
+        result = S.survey(n, k)
         expected = C.stirling_unsigned(n, k)
         betti = result["betti"]
         ok = (betti[n] == expected and betti.support() == [n]
@@ -49,26 +48,23 @@ def main():
     for m in range(3, args.max_m + 1):
         t0 = time.time()
         cx = GraphComplex(m)
-        betti = cx.betti(seed=args.seed)
+        betti = cx.betti()
         expected = math.factorial(m - 1) // 2
         ok = betti.support() and betti[betti.support()[0]] == expected \
-            and verify_decomposition(cx, seed=args.seed)
+            and verify_decomposition(cx)
         failures += not ok
         print(f"  m={m}: betti={betti.as_dict()} expected_top={expected} "
               f"[{time.time() - t0:.1f}s] {'ok' if ok else 'MISMATCH'}")
 
     print("== homology decompositions ==")
     for n in range(2, min(args.max_n, 6) + 1):
-        cf = C.equivariant_euler_character(S.StirlingComplex(n, n),
-                                           rank_seed=args.seed)
+        cf = C.equivariant_euler_character(S.StirlingComplex(n, n))
         print(f"  ({n},{n}): {C.decompose(cf)}")
     for n in range(3, min(args.max_n, 6) + 1):
-        cf = C.equivariant_euler_character(S.StirlingComplex(n, n - 1),
-                                           rank_seed=args.seed)
+        cf = C.equivariant_euler_character(S.StirlingComplex(n, n - 1))
         print(f"  ({n},{n - 1}): {C.decompose(cf)}")
     if args.max_n >= 5:
-        cf = C.equivariant_euler_character(S.StirlingComplex(5, 3),
-                                           rank_seed=args.seed)
+        cf = C.equivariant_euler_character(S.StirlingComplex(5, 3))
         print(f"  (5,3): {C.decompose(cf)}")
 
     print(f"done in {time.time() - start:.1f}s, {failures} mismatches")

@@ -317,7 +317,7 @@ def restricted_chain_character(cx, i):
         [i], (-1) ** cx.total_degree(i))
 
 
-def homology_character(cx, size, perm_of, rank_seed=0):
+def homology_character(cx, size, perm_of):
     """Character of the homology of ``cx``, which must be concentrated in
     one total degree (verified, with d^2 = 0; failure would signal an
     upstream bug and make the identification invalid).
@@ -326,7 +326,7 @@ def homology_character(cx, size, perm_of, rank_seed=0):
     degrees, normalized so that the value at the identity equals the
     Betti number of the concentration degree.
     """
-    result = cx.homology(rank_seed)
+    result = cx.homology()
     support = result.betti.support()
     if not result.d2_ok or len(support) != 1:
         raise RuntimeError(f"homology is not concentrated in one degree: "
@@ -335,8 +335,7 @@ def homology_character(cx, size, perm_of, rank_seed=0):
                            (-1) ** support[0])
 
 
-def equivariant_euler_character(cx, rank_seed=0):
+def equivariant_euler_character(cx):
     """Character of the top homology of a Stirling complex under the n+1
     leg-label symmetries."""
-    return homology_character(cx, cx.n + 1, representative_permutation,
-                              rank_seed)
+    return homology_character(cx, cx.n + 1, representative_permutation)

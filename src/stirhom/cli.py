@@ -1,7 +1,7 @@
 """Command-line interface: every computation as a reproducible subcommand.
 
 All numeric output is exact.  JSON output is deterministic byte-for-byte
-for a fixed seed (keys sorted, no timestamps); the exit code is zero
+(keys sorted, no timestamps) and echoes the seed; the exit code is zero
 exactly when every requested check passed.  Each command returns whether
 its checks passed and its report in every format it offers (a JSON
 payload, CSV rows, text lines, or DOT text); ``main`` writes the one that
@@ -94,8 +94,8 @@ def cmd_table(args):
 # betti
 
 
-def _betti_report(n, k, seed):
-    result = st.survey(n, k, rank_seed=seed, reach_check=False)
+def _betti_report(n, k):
+    result = st.survey(n, k, reach_check=False)
     expected = chars.stirling_unsigned(n, k)
     betti = result["betti"]
     ok = betti[n] == expected and all(b == 0 for d, b in betti.values.items()
@@ -140,7 +140,7 @@ def cmd_betti(args):
     if args.format == "dot":
         return True, {"dot": "\n".join(st.StirlingComplex(n, k).generator_dot()
                                        for n, k in jobs)}
-    reports = [_betti_report(n, k, args.seed) for n, k in jobs]
+    reports = [_betti_report(n, k) for n, k in jobs]
     payload = {"schema": SCHEMA, "command": "betti", "seed": args.seed,
                "reports": reports}
     rows = [["n", "k", "degree", "betti", "expected_top", "status"]]
@@ -205,8 +205,7 @@ def cmd_characters(args):
     n, k = args.n, args.k
     if n is None or k is None or not 2 <= k <= n or n > 6:
         raise SystemExit("characters requires --n and --k with 2 <= k <= n <= 6")
-    cf = chars.equivariant_euler_character(st.StirlingComplex(n, k),
-                                           rank_seed=args.seed)
+    cf = chars.equivariant_euler_character(st.StirlingComplex(n, k))
     decomposition = [(lam, mult, chars.hook_length_dimension(lam))
                      for lam, mult in chars.decompose(cf)]
     total = sum(mult * dim for _lam, mult, dim in decomposition)
@@ -253,7 +252,7 @@ def cmd_graph(args):
     cx = gc.GraphComplex(m, orientation_kill=kill)
     if args.format == "dot":
         return True, {"dot": cx.generator_dot()}
-    result = cx.homology(args.seed)
+    result = cx.homology()
     betti = result.betti.as_dict()
     expected = math.factorial(m - 1) // 2
     stirling_sum = sum(chars.stirling_unsigned(m - 1, k)
@@ -263,8 +262,7 @@ def cmd_graph(args):
           and betti[support[0]] == expected == stirling_sum)
     characters_ok = None
     if args.characters:
-        characters_ok = gc.verify_decomposition(cx, seed=args.seed,
-                                                include_characters=True)
+        characters_ok = gc.verify_decomposition(cx, include_characters=True)
         ok = ok and characters_ok
     dims = cx.dims()
     payload = {
@@ -304,7 +302,8 @@ def build_parser():
         p.add_argument("--format", choices=fmt, default="table")
         if seeded:
             p.add_argument("--seed", type=int, default=None,
-                           help="seed for the modular-rank primes "
+                           help="seed of the random permutations that "
+                                "verify draws, echoed in JSON output "
                                 "(STIRLING_SEED env fallback)")
         p.add_argument("--out", default=None, help="write output to a file")
 

@@ -303,15 +303,14 @@ def _graph_dot(m, key, name):
     return "\n".join(lines) + "\n"
 
 
-def graph_homology_character(cx, rank_seed=0):
+def graph_homology_character(cx):
     """Character of the graph homology under leg-label permutations
     (optional equivariant machinery; see ``homology_character``)."""
     return homology_character(
-        cx, cx.m, lambda mu: [p + 1 for p in representative_permutation(mu)],
-        rank_seed)
+        cx, cx.m, lambda mu: [p + 1 for p in representative_permutation(mu)])
 
 
-def verify_decomposition(cx, seed=0, include_characters=False):
+def verify_decomposition(cx, include_characters=False):
     """Rank comparison between the graph complex and its Stirling pieces.
 
     The graph homology must be concentrated in a single degree, its rank
@@ -321,7 +320,7 @@ def verify_decomposition(cx, seed=0, include_characters=False):
     symmetric-group characters of the two sides are compared as well
     (optional; ranks are the required check).  Each piece is built once.
     """
-    graph = cx.homology(seed)
+    graph = cx.homology()
     support = graph.betti.support()
     if not graph.d2_ok or len(support) != 1:
         return False
@@ -332,7 +331,7 @@ def verify_decomposition(cx, seed=0, include_characters=False):
     pieces = [StirlingComplex(n, k) for k in range(2, n + 1, 2)]
     total = 0
     for piece in pieces:
-        result = piece.homology(seed)
+        result = piece.homology()
         if (not result.d2_ok or result.betti.support() != [n]
                 or result.betti[n] != stirling_unsigned(n, piece.k)):
             return False
@@ -340,7 +339,7 @@ def verify_decomposition(cx, seed=0, include_characters=False):
     if value != total:
         return False
     if include_characters:
-        characters = [equivariant_euler_character(piece, seed) for piece in pieces]
-        if graph_homology_character(cx, seed) != sum(characters[1:], characters[0]):
+        characters = [equivariant_euler_character(piece) for piece in pieces]
+        if graph_homology_character(cx) != sum(characters[1:], characters[0]):
             return False
     return True

@@ -20,71 +20,26 @@ deterministic: every cell in order of degree, then index, followed by the
 cells that become removable, first in first out.
 
 When the restricted differential is zero, the remaining (critical) cells
-are a basis of a free homology group and the certificate is
-``"morse-integral"``.  Otherwise each residual degree is ranked by
-``rank_exact`` and the certificate names the weakest path it took.
-
-``rank_exact`` takes ranks over the rationals.  Small matrices are
-eliminated exactly (``"exact-rational"``); larger ones are eliminated modulo
-two independent random 61-bit primes drawn from a seeded generator, with
-agreement required (``"two-prime-modular"``) and exact recomputation on
-disagreement.  Pivots are chosen to minimize fill.
+are a basis of a free homology group.  Otherwise each residual degree goes
+through the one elimination routine, ``_eliminate_rank``: fraction-free
+over the integers, +-1 pivots first, then Markowitz order.  When every
+pivot it takes is +-1, each residual differential is equivalent over Z to
+an identity block plus zero, so the homology is still free and the
+certificate is ``"morse-integral"``; a larger pivot (Z/2 in RP^2, say)
+leaves only ranks over Q and the certificate ``"exact-rational"``.
+``rank_exact`` is the same routine with only the rank kept.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges, the position of each generator by
-key, and the homology, computed once per rank seed.
+key, and the homology, computed once.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-EXACT_COLUMN_LIMIT = 2000
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    # deterministic Miller-Rabin, valid for n < 2**64
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def seeded_primes(seed, count=2, bits=61):
-    """Distinct primes >= 2**bits from a deterministic seeded stream."""
-    rng = random.Random(seed)
-    primes = []
-    while len(primes) < count:
-        candidate = rng.randrange(1 << bits, 1 << (bits + 1)) | 1
-        while not _is_prime(candidate):
-            candidate += 2
-        if candidate not in primes:
-            primes.append(candidate)
-    return primes
-
 
 @dataclass
 class SparseIntMatrix:
@@ -152,81 +107,81 @@ class SparseIntMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _eliminate_rank(matrix, p=None):
-    """Sparse Gaussian elimination; exact when p is None, else modulo p.
+def _eliminate_rank(matrix):
+    """Fraction-free sparse elimination over the integers.
 
-    Pivots are chosen greedily to minimize the Markowitz fill estimate
-    (nnz(row)-1)*(nnz(col)-1), which makes singleton rows and columns free
-    and keeps fill low on the very sparse differentials this package
-    produces.
+    Returns the rank and whether every pivot was +-1.  A pivot a_rc clears
+    its column by row_j <- (a_rc/g) row_j - (a_jc/g) row_r with
+    g = gcd(a_rc, a_jc), an elementary operation over Z when a_rc = +-1.
+    The pivot is a +-1 entry while any is left (rows holding one come first
+    in the row heap), and among the entries of the smallest row and column
+    it minimizes the Markowitz fill estimate (nnz(row)-1)*(nnz(col)-1),
+    which makes singleton rows and columns free and keeps fill low on the
+    very sparse differentials this package produces.
     """
     rows = {}
     cols = {}
     for (r, c), v in matrix.entries.items():
-        if p is not None:
-            v %= p
-            if not v:
-                continue
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
 
-    row_heap = [(len(row), r) for r, row in rows.items()]
+    def row_key(row):
+        return all(abs(v) != 1 for v in row.values()), len(row)
+
+    row_heap = [(row_key(row), r) for r, row in rows.items()]
     col_heap = [(len(rs), c) for c, rs in cols.items()]
     heapq.heapify(row_heap)
     heapq.heapify(col_heap)
     rank = 0
+    unit = True
 
-    def pop_live(heap, table):
+    def pop_live(heap, table, key):
         while heap:
-            size, idx = heap[0]
+            stored, idx = heap[0]
             current = table.get(idx)
             if current is None:
                 heapq.heappop(heap)
                 continue
-            if len(current) != size:
+            if key(current) != stored:
                 heapq.heappop(heap)
-                heapq.heappush(heap, (len(current), idx))
+                heapq.heappush(heap, (key(current), idx))
                 continue
-            return size, idx
+            return stored, idx
         return None
 
     while True:
-        row_cand = pop_live(row_heap, rows)
-        col_cand = pop_live(col_heap, cols)
-        if row_cand is None and col_cand is None:
+        # rows and cols hold the same entries, so both run out together
+        row_cand = pop_live(row_heap, rows, row_key)
+        if row_cand is None:
             break
-        pivot = None
-        if row_cand is not None:
-            nr, r = row_cand
-            c = min(rows[r], key=lambda cc: len(cols[cc]))
-            pivot = (nr - 1) * (len(cols[c]) - 1), r, c
-        if col_cand is not None:
-            nc, c2 = col_cand
-            r2 = min(cols[c2], key=lambda rr: len(rows[rr]))
-            score = (len(rows[r2]) - 1) * (nc - 1)
-            if pivot is None or score < pivot[0]:
-                pivot = score, r2, c2
+        (no_unit, nr), r = row_cand
+        c = min(rows[r], key=lambda cc: (abs(rows[r][cc]) != 1, len(cols[cc])))
+        pivot = (no_unit, (nr - 1) * (len(cols[c]) - 1)), r, c
+        nc, c2 = pop_live(col_heap, cols, len)
+        r2 = min(cols[c2], key=lambda rr: (abs(rows[rr][c2]) != 1, len(rows[rr])))
+        score = (abs(rows[r2][c2]) != 1, (len(rows[r2]) - 1) * (nc - 1))
+        if score < pivot[0]:
+            pivot = score, r2, c2
         _, r, c = pivot
 
         prow = rows[r]
         pval = prow[c]
+        unit = unit and abs(pval) == 1
         targets = [j for j in cols[c] if j != r]
-        if p is not None:
-            inv = pow(pval, -1, p)
         for j in targets:
             row_j = rows[j]
-            if p is not None:
-                factor = row_j[c] * inv % p
-            else:
-                factor = Fraction(row_j[c], 1) / pval
+            a = row_j.pop(c)
+            g = math.gcd(pval, a)
+            scale, factor = pval // g, a // g
+            if scale < 0:
+                scale, factor = -scale, -factor
+            if scale != 1:
+                for cc in row_j:
+                    row_j[cc] *= scale
             for cc, vv in prow.items():
                 if cc == c:
-                    del row_j[cc]
                     continue
-                if p is not None:
-                    new = (row_j.get(cc, 0) - factor * vv) % p
-                else:
-                    new = row_j.get(cc, 0) - factor * vv
+                new = row_j.get(cc, 0) - factor * vv
                 if new:
                     if cc not in row_j:
                         cols[cc].add(j)
@@ -235,7 +190,7 @@ def _eliminate_rank(matrix, p=None):
                     del row_j[cc]
                     cols[cc].discard(j)
             if row_j:
-                heapq.heappush(row_heap, (len(row_j), j))
+                heapq.heappush(row_heap, (row_key(row_j), j))
             else:
                 del rows[j]
         # retire the pivot row and column
@@ -250,35 +205,12 @@ def _eliminate_rank(matrix, p=None):
         del rows[r]
         del cols[c]
         rank += 1
-    return rank
+    return rank, unit
 
 
-def _rank_with_path(matrix, seed):
-    if matrix.ncols <= EXACT_COLUMN_LIMIT:
-        return _eliminate_rank(matrix), "exact-rational"
-    p1, p2 = seeded_primes(seed, count=2)
-    r1 = _eliminate_rank(matrix, p1)
-    r2 = _eliminate_rank(matrix, p2)
-    if r1 == r2:
-        return r1, "two-prime-modular"
-    return _eliminate_rank(matrix), "exact-rational"
-
-
-def rank_exact(matrix, seed=0):
-    """Rank over the rationals.
-
-    Matrices with at most ``EXACT_COLUMN_LIMIT`` columns are eliminated
-    exactly.  Larger matrices are eliminated modulo two independent seeded
-    61-bit primes; disagreement (which certifies an unlucky prime) falls
-    back to the exact path.
-    """
-    if not matrix.entries:
-        return 0
-    return _rank_with_path(matrix, seed)[0]
-
-
-# certificates from strongest to weakest
-CERTIFICATES = ("morse-integral", "exact-rational", "two-prime-modular")
+def rank_exact(matrix):
+    """Rank over the rationals, by exact elimination over the integers."""
+    return _eliminate_rank(matrix)[0]
 
 
 @dataclass
@@ -286,8 +218,9 @@ class MorseReduction:
     """Outcome of ``morse_reduce``.
 
     ``ranks[i]`` is the rank of d_i over the rationals, ``critical[i]`` the
-    number of cells left in degree i, and ``certificate`` one of
-    ``CERTIFICATES``.
+    number of cells left in degree i, and ``certificate`` is
+    ``"morse-integral"`` when the homology is free and read off over the
+    integers, else ``"exact-rational"``.
     """
 
     ranks: dict
@@ -295,13 +228,15 @@ class MorseReduction:
     certificate: str
 
 
-def morse_reduce(dims, diffs, seed=0):
+def morse_reduce(dims, diffs):
     """Ranks of every differential of a complex by coreduction.
 
     ``dims`` maps each degree i to dim C_i and ``diffs`` maps i to the
     matrix of d_i: C_i -> C_{i-1} (columns are sources).  The caller must
-    have verified that consecutive differentials compose to zero.  ``seed``
-    only matters when a residual differential is left for ``rank_exact``.
+    have verified that consecutive differentials compose to zero.  A
+    residual differential left by the coreduction is eliminated by
+    ``_eliminate_rank``; the certificate stays ``"morse-integral"`` when
+    every residual pivot was +-1.
     """
     # faces[i][c]: sorted rows of column c of d_i; cofaces[i][r]: sorted
     # columns of row r of d_{i+1}; nfaces/ncofaces count the live ones.
@@ -364,7 +299,7 @@ def morse_reduce(dims, diffs, seed=0):
         c for c, flag in enumerate(flags) if flag)} for i, flags in live.items()}
     critical = {i: len(pos) for i, pos in positions.items()}
     ranks = dict(pairs)
-    certificate = CERTIFICATES[0]
+    certificate = "morse-integral"
     for i, d in diffs.items():
         rows, cols = positions[i - 1], positions[i]
         residual = SparseIntMatrix(
@@ -372,9 +307,10 @@ def morse_reduce(dims, diffs, seed=0):
             {(rows[r], cols[c]): v for (r, c), v in d.entries.items()
              if r in rows and c in cols})
         if residual.entries:
-            rank, path = _rank_with_path(residual, seed)
+            rank, unit = _eliminate_rank(residual)
             ranks[i] += rank
-            certificate = max(certificate, path, key=CERTIFICATES.index)
+            if not unit:
+                certificate = "exact-rational"
     return MorseReduction(ranks, critical, certificate)
 
 
@@ -426,8 +362,8 @@ def composes_to_zero(diffs):
 @dataclass
 class Homology:
     """Outcome of ``compute_homology``: the rank of every d_i, the Betti
-    numbers by total degree, and a certificate (one of ``CERTIFICATES``, or
-    ``"unverified"`` when d^2 = 0 failed)."""
+    numbers by total degree, and a certificate (that of ``morse_reduce``,
+    or ``"unverified"`` when d^2 = 0 failed)."""
 
     ranks: dict
     betti: BettiVector
@@ -438,19 +374,18 @@ class Homology:
         return self.certificate != "unverified"
 
 
-def compute_homology(dims, diffs, degree_of, seed=0):
+def compute_homology(dims, diffs, degree_of):
     """Homology of the sequence ``diffs`` (i -> matrix of d_i) over ``dims``,
     with Betti numbers reported at total degree ``degree_of(i)``.
 
-    d^2 = 0 is checked once; the coreduction runs only when it holds.
-    ``seed`` only matters for a matrix that ``rank_exact`` ranks modulo
-    primes.
+    d^2 = 0 is checked once; the coreduction runs only when it holds, and
+    otherwise every differential is ranked whole by ``rank_exact``.
     """
     if composes_to_zero(diffs):
-        reduction = morse_reduce(dims, diffs, seed)
+        reduction = morse_reduce(dims, diffs)
         ranks, certificate = reduction.ranks, reduction.certificate
     else:
-        ranks = {i: rank_exact(d, seed) for i, d in diffs.items()}
+        ranks = {i: rank_exact(d) for i, d in diffs.items()}
         certificate = "unverified"
     betti = betti_from_dims_and_ranks(dims, ranks, degree_of,
                                       strict=certificate != "unverified")
@@ -469,7 +404,7 @@ class ChainComplex:
         self._gens = {}
         self._rows = {}
         self._diffs = {}
-        self._homology = {}
+        self._homology = None
 
     def total_degree(self, i):
         return i
@@ -493,13 +428,13 @@ class ChainComplex:
         """Alternating sum of chain dimensions in the edge grading."""
         return sum((-1) ** i * d for i, d in self.dims().items())
 
-    def homology(self, seed=0):
-        """``compute_homology`` of this complex, computed once per seed."""
-        if seed not in self._homology:
-            self._homology[seed] = compute_homology(
-                self.dims(), self.differentials(), self.total_degree, seed)
-        return self._homology[seed]
+    def homology(self):
+        """``compute_homology`` of this complex, computed once."""
+        if self._homology is None:
+            self._homology = compute_homology(
+                self.dims(), self.differentials(), self.total_degree)
+        return self._homology
 
-    def betti(self, seed=0):
+    def betti(self):
         """Betti numbers indexed by total degree."""
-        return self.homology(seed).betti
+        return self.homology().betti

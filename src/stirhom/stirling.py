@@ -482,6 +482,10 @@ def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True):
     the d^2 and reach checks, and the certificate of ``compute_homology``
     (``"unverified"`` when d^2 = 0 failed).  The generators of degree i-2
     are released once degree i is assembled; only the matrices are kept.
+
+    ``rank_seed`` is accepted and ignored: every rank is exact and takes no
+    seed, and callers that still pass one (``perfbench/workloads.py``) keep
+    working.
     """
     cx = StirlingComplex(n, k, orient_seed)
     dims = {}
@@ -494,7 +498,7 @@ def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True):
         if i >= 1:
             diffs[i] = cx.differential(i)
             cx.release(i - 2)
-    result = compute_homology(dims, diffs, cx.total_degree, rank_seed)
+    result = compute_homology(dims, diffs, cx.total_degree)
     return {"n": n, "k": k, "dims": dims, "ranks": result.ranks,
             "betti": result.betti, "d2_ok": result.d2_ok,
             "reach_ok": reach_ok, "certificate": result.certificate,

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from stirhom import stirling as st
 from stirhom.cli import main
 
 
@@ -254,3 +255,30 @@ def test_golden_output(monkeypatch, capsys, name, fmt):
     code, out = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+
+
+def test_negative_control_golden(monkeypatch, capsys):
+    # the kill-off m = 6 complex fails d^2 = 0, so every differential is
+    # ranked whole, 6200 and 6780 columns for d_4 and d_5
+    monkeypatch.delenv("STIRLING_SEED", raising=False)
+    code, out = run(capsys, "graph", "--m", "6", "--disable-orientation-kill",
+                    "--format", "json", "--seed", "0")
+    assert code == 1
+    assert out.encode() == (GOLDEN_DIR / "graph_m6_kill_off.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["betti", "--n", "5", "--k", "3"],
+                                  ["characters", "--n", "4", "--k", "3"],
+                                  ["graph", "--m", "4"]])
+def test_seed_is_only_echoed(capsys, argv):
+    _, base = run(capsys, *argv, "--format", "json", "--seed", "0")
+    _, other = run(capsys, *argv, "--format", "json", "--seed", "987")
+    assert base.count('"seed":0') == 1
+    assert other == base.replace('"seed":0', '"seed":987')
+
+
+def test_survey_ignores_rank_seed():
+    base, other = st.survey(5, 3), st.survey(5, 3, rank_seed=987)
+    for field in ("dims", "ranks", "certificate"):
+        assert other[field] == base[field]
+    assert other["betti"].as_dict() == base["betti"].as_dict()

@@ -34,3 +34,11 @@ def test_export_complex_matches_golden(monkeypatch, capsys, tmp_path, n, k):
     assert len(expected) == 2 + n - k
     for name in expected:
         assert (tmp_path / name).read_bytes() == (EXPORT_GOLDEN / name).read_bytes()
+
+
+def test_reproduce_results_runs_clean(monkeypatch, capsys):
+    script = load_script("reproduce_results")
+    monkeypatch.setattr("sys.argv", ["reproduce_results.py", "--max-n", "4",
+                                     "--max-m", "4"])
+    assert script.main() == 0
+    assert "0 mismatches" in capsys.readouterr().out
