@@ -290,15 +290,14 @@ def trace_character(cx, size, perm_of, degrees, sign):
     """The one trace routine: the class function of S_size whose value at
     a cycle type mu is ``sign`` times the sum, over ``degrees``, of
     (-1)^(total degree) times the trace of ``perm_of(mu)`` on that degree
-    of ``cx``."""
+    of ``cx``.  ``cx.trace`` reads only the action terms that fix their
+    source, so no action matrix is built."""
     values = {}
     for mu in partitions(size):
         perm = perm_of(mu)
         values[mu] = sign * sum(
             (-1) ** cx.total_degree(i)
-            * sum(v for (r, c), v in cx.action_matrix(i, perm).entries.items()
-                  if r == c)
-            for i in degrees)
+            * cx.trace(i, perm) for i in degrees)
     return ClassFunction(size, values)
 
 

@@ -3,7 +3,8 @@
 Generators in degree i are isomorphism classes of stable connected
 genus-one graphs with legs 1..m and i edges, each contributing the line
 det(edges), except for the classes the orientation kill removes (below).
-The differential is the signed sum of edge contractions.
+The differential is the signed sum of edge contractions; it and the
+action of leg relabelings are given as terms that ``ChainComplex`` assembles.
 
 Two kinds.  A stable genus-one graph is either a genus-one vertex with
 trees hanging from it, or one cycle of c >= 1 genus-zero vertices (c = 1
@@ -49,11 +50,10 @@ import itertools
 import math
 import random
 
-from .linalg import ChainComplex, SparseIntMatrix
-from .stirling import (StirlingComplex, _accumulate, _mask_set, _members,
+from .linalg import ChainComplex
+from .stirling import (StirlingComplex, _bit_images, _mask_set, _members,
                        _shape_clusters, _spell)
-from .trees import (RootedShapes, _compositions, _partitions_into_blocks,
-                    relative_sign)
+from .trees import RootedShapes, _compositions, _partitions_into_blocks
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
@@ -65,9 +65,11 @@ class GraphError(ValueError):
 
 
 class GraphGenerator:
-    """One class: its key and reference order of edge names."""
+    """One class: its key and reference order of edge names.  A graph has
+    no alternating flags, so its alternating order is always empty."""
 
     __slots__ = ("m", "key", "edge_order")
+    alt_order = ()
 
     def __init__(self, m, key, orient_seed=0):
         cycle, clusters = key
@@ -184,11 +186,12 @@ class GraphComplex(ChainComplex):
         return self._gens[i]
 
     def contraction_terms(self, gen):
-        """Raw differential terms of one generator, before accumulation.
+        """The differential's terms of one generator, one per edge.
 
-        Yields ``(target_key, surviving_names, move_sign)``: the source
+        Yields ``(target_key, surviving_names, (), move_sign)``: the source
         order without the contracted edge, its edges renamed as in the
-        target.  Targets with a 2-cycle are yielded too.
+        target; a graph has no alternating flags.  With the orientation
+        kill, targets with a 2-cycle are killed and not yielded.
         """
         cycle, clusters = gen.key
         names = gen.edge_order
@@ -214,58 +217,37 @@ class GraphComplex(ChainComplex):
                     rename = dict(zip(others, _cycle_names(target[0])))
                 else:
                     rename = {n: n | name for n in others if n & name}
+            if self.orientation_kill and len(target[0]) == 2:
+                continue
             surviving = tuple(rename.get(n, n) for n in names if n != name)
-            yield target, surviving, move_sign
+            yield target, surviving, (), move_sign
 
-    def differential(self, i):
-        if i in self._diffs:
-            return self._diffs[i]
-        sources = self.generators(i)
-        targets = self.generators(i - 1)
-        rows = self.rows(i - 1)
-        acc = {}
-        for col, gen in enumerate(sources):
-            for key, surviving, move_sign in self.contraction_terms(gen):
-                if self.orientation_kill and len(key[0]) == 2:
-                    continue  # the target class is killed
-                row = rows[key]
-                sign = move_sign * relative_sign(surviving, targets[row].edge_order)
-                _accumulate(acc, (row, col), sign)
-        matrix = SparseIntMatrix(len(targets), len(sources), acc)
-        self._diffs[i] = matrix
-        return matrix
-
-    def action_matrix(self, i, perm):
-        """Matrix of a permutation of the leg labels 1..m on degree i.
+    def action_terms(self, perm):
+        """The terms of a permutation of the leg labels 1..m, as a function
+        from a generator to its one term.
 
         ``perm`` is a dict or a sequence with ``perm[j - 1]`` the image of
-        j.  Relabeling preserves the cycle length, so it maps surviving
-        classes to surviving classes; each column has a single +-1 entry.
+        j; it is checked, and its image table built, once.  Relabeling
+        preserves the cycle length, so it maps surviving classes to
+        surviving classes.
         """
         if isinstance(perm, dict):
             perm = {int(a): int(b) for a, b in perm.items()}
         else:
             perm = {j + 1: p for j, p in enumerate(perm)}
-        if sorted(perm) != list(range(1, self.m + 1)) \
-                or sorted(perm.values()) != list(range(1, self.m + 1)):
+        legs = list(range(1, self.m + 1))
+        if sorted(perm) != legs or sorted(perm.values()) != legs:
             raise GraphError(f"expected a bijection of 1..{self.m}")
         # bit 0, which no leg owns, stays put
-        image = [0] * (1 << self.m + 1)
-        for mask in range(1, len(image)):
-            low = mask & -mask
-            bit = low.bit_length() - 1
-            image[mask] = image[mask ^ low] | 1 << perm.get(bit, 0)
-        gens = self.generators(i)
-        rows = self.rows(i)
-        acc = {}
-        for col, gen in enumerate(gens):
+        image = _bit_images([0] + [perm[j] for j in legs])
+
+        def terms(gen):
             cycle, clusters = gen.key
             key = (_normal_cycle(tuple(image[b] for b in cycle)),
                    _mask_set(image[c] for c in _members(clusters)))
-            row = rows[key]
-            names = tuple(image[n] for n in gen.edge_order)
-            acc[(row, col)] = relative_sign(names, gens[row].edge_order)
-        return SparseIntMatrix(len(gens), len(gens), acc)
+            yield key, tuple(image[n] for n in gen.edge_order), (), 1
+
+        return terms
 
     def generator_dot(self):
         """DOT drawings of every generator, genus labels on the vertices."""

@@ -31,7 +31,8 @@ leaves only ranks over Q and the certificate ``"exact-rational"``.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges, the position of each generator by
-key, and the homology, computed once.
+key, the shared assembler that turns contraction and action terms into the
+differential, an action matrix or a trace, and the homology, computed once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+
+from .trees import relative_sign
+
 
 @dataclass
 class SparseIntMatrix:
@@ -395,9 +399,13 @@ def compute_homology(dims, diffs, degree_of):
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
-    Subclasses provide ``max_edges``, ``generators(i)`` (objects with a
-    ``key``, sorted by it) and ``differential(i)``, and may shift
-    ``total_degree``.
+    Subclasses provide ``max_edges``, ``generators(i)`` (sorted by ``key``,
+    with reference orders ``edge_order`` and ``alt_order``),
+    ``contraction_terms(gen)`` and ``action_terms(perm)``, and may shift
+    ``total_degree``; every matrix is assembled here from their terms.  A
+    term ``(target_key, edge_names, alt_far_sides, sign)`` names the
+    generator it lands on, the source's edges and alternating far sides in
+    the target's naming, and the sign of the move itself.
     """
 
     def __init__(self):
@@ -421,6 +429,43 @@ class ChainComplex:
     def dims(self):
         return {i: self.dim(i) for i in range(self.max_edges + 1)}
 
+    def _assemble(self, i, j, terms):
+        """The matrix from degree i to degree j (columns are sources) whose
+        column of each degree-i generator sums ``terms(gen)``.  A term's
+        entry sits in the row of its key and is its sign times the parities
+        taking its orders to the target's reference orders.  No two terms
+        of one generator share a target, so each is one +-1 entry."""
+        targets = self.generators(j)
+        rows = self.rows(j)
+        acc = {}
+        for col, gen in enumerate(self.generators(i)):
+            for key, edges, alt, sign in terms(gen):
+                row = rows[key]
+                total = acc.get((row, col), 0) + sign * _orientation(edges, alt, targets[row])
+                if total:
+                    acc[(row, col)] = total
+                else:
+                    del acc[(row, col)]
+        return SparseIntMatrix(len(targets), self.dim(i), acc)
+
+    def differential(self, i):
+        """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""
+        if i not in self._diffs:
+            self._diffs[i] = self._assemble(i, i - 1, self.contraction_terms)
+        return self._diffs[i]
+
+    def action_matrix(self, i, perm):
+        """Matrix of a leg relabeling on degree i, from ``action_terms``."""
+        return self._assemble(i, i, self.action_terms(perm))
+
+    def trace(self, i, perm):
+        """Trace of a leg relabeling on degree i, with no matrix built: the
+        signed count of the action terms that land on their own source."""
+        terms = self.action_terms(perm)
+        return sum(sign * _orientation(edges, alt, gen)
+                   for gen in self.generators(i)
+                   for key, edges, alt, sign in terms(gen) if key == gen.key)
+
     def differentials(self):
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}
 
@@ -438,3 +483,9 @@ class ChainComplex:
     def betti(self):
         """Betti numbers indexed by total degree."""
         return self.homology().betti
+
+
+def _orientation(edges, alt, target):
+    """The parity taking a term's orders to those of ``target``."""
+    return (relative_sign(edges, target.edge_order)
+            * relative_sign(alt, target.alt_order))

@@ -26,7 +26,8 @@ replacement.  The symmetric group on the n+1 leg labels permutes the bits;
 where the image of a cluster contains leg 0 the tree is re-rooted, and the
 cluster becomes the complement of that image.  When the alternating set
 captures the new output flag of the distinguished vertex, the image is the
-signed sum over trading it for each other flag there.
+signed sum over trading it for each other flag there.  The differential and
+the action are given as terms that ``ChainComplex`` assembles and traces.
 
 Reference orders.  A generator is named by its key and ordered by it:
 the generators of a degree are sorted by key, and ``code`` spells the key
@@ -46,8 +47,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .linalg import ChainComplex, SparseIntMatrix, compute_homology
-from .trees import RootedShapes, relative_sign
+from .linalg import ChainComplex, compute_homology
+from .trees import RootedShapes
 
 
 class DomainError(ValueError):
@@ -211,10 +212,11 @@ class StirlingComplex(ChainComplex):
         gens.sort(key=lambda g: g.key)
         return gens
 
-    # -- differential -------------------------------------------------------
+    # -- terms ---------------------------------------------------------------
 
     def contraction_terms(self, gen):
-        """Raw differential terms of one generator, before accumulation.
+        """The differential's terms of one generator, one per contraction
+        and, for an alternating edge, one per replacing input.
 
         Yields ``(target_key, surviving_edges, alt_order, move_sign)``: the
         source orders with the contracted cluster removed, and for an
@@ -239,75 +241,39 @@ class StirlingComplex(ChainComplex):
                     alt_order = tuple(b if a == c else a for a in gen.alt_order)
                     yield (rest, new_dv, others | 1 << b), surviving, alt_order, move_sign
 
-    def differential(self, i):
-        """Matrix of d: degree i -> degree i-1 (columns are sources)."""
-        if i in self._diffs:
-            return self._diffs[i]
-        sources = self.generators(i)
-        targets = self.generators(i - 1) if i >= 1 else []
-        rows = self.rows(i - 1) if i >= 1 else {}
-        acc = {}
-        for col, gen in enumerate(sources):
-            for key, surviving, alt_order, move_sign in self.contraction_terms(gen):
-                row = rows[key]
-                target = targets[row]
-                sign = (move_sign * relative_sign(surviving, target.edge_order)
-                        * relative_sign(alt_order, target.alt_order))
-                _accumulate(acc, (row, col), sign)
-        matrix = SparseIntMatrix(len(targets), len(sources), acc)
-        self._diffs[i] = matrix
-        return matrix
-
-    # -- symmetric group action --------------------------------------------
-
-    def action_matrix(self, i, perm):
-        """Matrix of a permutation of the leg labels 0..n on degree i.
+    def action_terms(self, perm):
+        """The terms of a permutation of the leg labels 0..n, as a function
+        from a generator to its terms: one term, or the signed trade terms
+        when the relabeled alternating set captures the new output flag.
 
         ``perm`` is a bijection of {0..n} given as a sequence (perm[j] is
-        the image of j); the classical permutation group on n+1 letters is
-        identified with these by exchanging the letters 0 and n+1.
+        the image of j) or a dict; the classical permutation group on n+1
+        letters is identified with these by exchanging the letters 0 and
+        n+1.  It is checked, and its image table built, once.
         """
-        perm = _as_permutation(perm, self.n)
-        everything = (1 << self.n + 1) - 1
-        image = [0] * (everything + 1)
-        for m in range(1, everything + 1):
-            low = m & -m
-            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+        image = _bit_images(_as_permutation(perm, self.n))
+        everything = len(image) - 1
 
-        def rerooted(c):
-            # an edge keeps the side of its image without leg 0
-            m = image[c]
-            return everything ^ m if m & 1 else m
-
-        gens = self.generators(i)
-        rows = self.rows(i)
-        acc = {}
-        for col, gen in enumerate(gens):
+        def terms(gen):
             _clusters, dv, alt = gen.key
-            tree = gen.tree
-            edge_order = tuple(rerooted(c) for c in gen.edge_order)
+            # an edge keeps the side of its image without leg 0
+            edge_order = tuple(everything ^ m if m & 1 else m
+                               for m in (image[c] for c in gen.edge_order))
             clusters = _mask_set(edge_order)
-            sides = tree.inputs[dv] + (everything ^ dv,)
+            sides = gen.tree.inputs[dv] + (everything ^ dv,)
             out = next(s for s in sides if image[s] & 1)
             new_dv = everything ^ image[out]
             alt_order = tuple(image[a] for a in gen.alt_order)
             if not alt >> out & 1:
-                row = rows[(clusters, new_dv, _mask_set(alt_order))]
-                sign = (relative_sign(edge_order, gens[row].edge_order)
-                        * relative_sign(alt_order, gens[row].alt_order))
-                _accumulate(acc, (row, col), sign)
-            else:
-                # the relabeled alternating set captured the new output flag;
-                # trade it for each remaining flag at the vertex
-                for b in sides:
-                    if alt >> b & 1:
-                        continue
+                yield (clusters, new_dv, _mask_set(alt_order)), edge_order, alt_order, 1
+                return
+            # trade the captured output flag for each remaining flag there
+            for b in sides:
+                if not alt >> b & 1:
                     traded = tuple(image[b] if a & 1 else a for a in alt_order)
-                    row = rows[(clusters, new_dv, _mask_set(traded))]
-                    sign = -(relative_sign(edge_order, gens[row].edge_order)
-                             * relative_sign(traded, gens[row].alt_order))
-                    _accumulate(acc, (row, col), sign)
-        return SparseIntMatrix(len(gens), len(gens), acc)
+                    yield (clusters, new_dv, _mask_set(traded)), edge_order, traded, -1
+
+        return terms
 
     def verify_equivariance(self, perm):
         """True when the action of ``perm`` commutes with the differential."""
@@ -345,23 +311,20 @@ class StirlingComplex(ChainComplex):
     def reach_filtration_holds(self, i):
         """On the degree-i generators of the acyclic subcomplex, the
         differential never leaves that subcomplex and never increases the
-        reach, and the reach stays within its bounds."""
+        reach, and the reach stays within its bounds.
+
+        The targets are read off the entries of ``differential(i)``: no two
+        contraction terms of one generator share a target, so none cancels.
+        """
         upper = 2 * (self.n - self.k) - 2
-        # the reach of each degree i-1 generator, None outside the acyclic part
-        target_reach = [self.reach(g) if self.in_acyclic_part(g) else None
-                        for g in (self.generators(i - 1) if i >= 1 else ())]
-        rows = self.rows(i - 1) if i >= 1 else {}
-        for gen in self.generators(i):
-            if not self.in_acyclic_part(gen):
-                continue
-            r = self.reach(gen)
-            if self.n > self.k and not 0 <= r <= upper:
-                return False
-            for key, _se, _ao, _ms in self.contraction_terms(gen):
-                reach = target_reach[rows[key]]
-                if reach is None or reach > r:
-                    return False
-        return True
+        # the reach of each generator, None outside the acyclic part
+        source, target = ([self.reach(g) if self.in_acyclic_part(g) else None
+                           for g in self.generators(j)] for j in (i, i - 1))
+        if self.n > self.k and any(r is not None and not 0 <= r <= upper
+                                   for r in source):
+            return False
+        return all(source[c] is None or target[r] is not None and target[r] <= source[c]
+                   for r, c in self.differential(i).entries)
 
     def release(self, i):
         """Drop cached data at degree i (memory relief for large runs)."""
@@ -448,22 +411,25 @@ def _union(masks):
     return total
 
 
-def _accumulate(acc, key, value):
-    total = acc.get(key, 0) + value
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
-
-
 def _as_permutation(perm, n):
+    labels = list(range(n + 1))
     if isinstance(perm, dict):
-        perm = tuple(perm[j] for j in range(n + 1))
+        perm = tuple(perm[j] for j in labels) if sorted(perm) == labels else ()
     else:
         perm = tuple(perm)
-    if len(perm) != n + 1 or sorted(perm) != list(range(n + 1)):
+    if sorted(perm) != labels:
         raise DomainError(f"expected a bijection of 0..{n}")
     return perm
+
+
+def _bit_images(perm):
+    """The image of every mask over bits 0..len(perm)-1 when bit j goes to
+    bit perm[j]."""
+    image = [0] * (1 << len(perm))
+    for m in range(1, len(image)):
+        low = m & -m
+        image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+    return image
 
 
 def transposition(n, a, b):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from stirhom import characters as C
+from stirhom.graphcomplex import GraphComplex
 from stirhom.stirling import StirlingComplex
 
 
@@ -235,3 +236,23 @@ def test_restricted_zero_degree_characters():
         assert C.restricted_chain_character(StirlingComplex(n, n), 0) == C.sign_character(n)
         expected = C.character_of((1,) * n) + C.character_of((2,) + (1,) * (n - 2))
         assert C.restricted_chain_character(StirlingComplex(n, n - 1), 0) == expected
+
+
+def _diagonal_sum(matrix):
+    return sum(v for (r, c), v in matrix.entries.items() if r == c)
+
+
+def test_trace_is_the_action_diagonal():
+    # the trace reads only the action terms that land on their source; the
+    # whole action matrix is its oracle, at the representative of every
+    # cycle type and in every degree
+    cases = [(StirlingComplex(n, k, orient_seed=seed), n + 1, C.representative_permutation)
+             for n in range(2, 6) for k in range(2, n + 1) for seed in (0, 12345)]
+    cases += [(GraphComplex(m, orientation_kill=kill), m,
+               lambda mu: [p + 1 for p in C.representative_permutation(mu)])
+              for m in range(3, 6) for kill in (True, False)]
+    for cx, size, perm_of in cases:
+        for mu in C.partitions(size):
+            perm = perm_of(mu)
+            for i in range(cx.max_edges + 1):
+                assert cx.trace(i, perm) == _diagonal_sum(cx.action_matrix(i, perm))

@@ -280,6 +280,8 @@ def test_action_rejects_non_bijections():
         cx.action_matrix(0, (0, 1, 1, 2))
     with pytest.raises(DomainError):
         cx.action_matrix(0, (0, 1, 2))
+    with pytest.raises(DomainError, match="bijection of 0..3"):
+        cx.action_matrix(0, {0: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +323,36 @@ def test_reach_filtration():
     for n, k in [(5, 2), (3, 2), (4, 3)]:
         cx = StirlingComplex(n, k)
         assert all(cx.reach_filtration_holds(i) for i in range(cx.max_edges + 1))
+
+
+def test_contraction_terms_never_cancel():
+    # the reach check reads its targets off the differential's entries,
+    # which is sound only because every contraction term is one +-1 entry
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            cx = StirlingComplex(n, k)
+            for i in range(1, cx.max_edges + 1):
+                column = {}
+                for (_r, c), v in cx.differential(i).entries.items():
+                    column.setdefault(c, []).append(v)
+                for col, gen in enumerate(cx.generators(i)):
+                    values = column.get(col, [])
+                    assert len(values) == len(list(cx.contraction_terms(gen)))
+                    assert all(v in (-1, 1) for v in values)
+
+
+def test_reach_check_can_fail(monkeypatch):
+    # with the edgeless generators left out of the acyclic part, a
+    # one-edge generator's contraction leaves it
+    original = StirlingComplex.in_acyclic_part
+
+    def without_corollas(self, gen):
+        return bool(gen.edge_order) and original(self, gen)
+
+    monkeypatch.setattr(StirlingComplex, "in_acyclic_part", without_corollas)
+    cx = StirlingComplex(4, 2)
+    assert [cx.reach_filtration_holds(i) for i in range(3)] == [True, False, True]
+    assert survey(4, 2)["reach_ok"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_contract_loop():
     cx = GraphComplex(3)
     (loop,) = [g for g in cx.generators(1) if len(g.key[0]) == 1]
     assert flag_graph(loop).total_genus() == 1
-    ((key, surviving, move_sign),) = cx.contraction_terms(loop)
+    ((key, surviving, _alt, move_sign),) = cx.contraction_terms(loop)
     assert key == ((), loop.key[1]) and surviving == () and move_sign == 1
     out = flag_graph(cx.generators(0)[cx.rows(0)[key]])
     assert out.genus == (1,)
@@ -215,12 +215,12 @@ def test_contract_counts_and_genus():
             for gen in cx.generators(i):
                 terms = list(cx.contraction_terms(gen))
                 assert len(terms) == i
-                for key, surviving, _sign in terms:
+                for key, surviving, _alt, _sign in terms:
                     out = flag_graph(targets[cx.rows(i - 1)[key]])
                     assert out.total_genus() == 1
                     assert out.graph.num_edges == i - 1 == len(surviving)
                 if T.canonical_code(flag_graph(gen)) == triangle:
-                    assert sorted(len(key[0]) for key, _s, _m in terms) == [2, 2, 2]
+                    assert sorted(len(key[0]) for key, _s, _a, _m in terms) == [2, 2, 2]
 
 
 @settings(max_examples=40, deadline=None)
