@@ -251,10 +251,6 @@ def character_of(lam):
                              for mu in partitions(m)})
 
 
-def trivial_character(m):
-    return character_of((m,))
-
-
 def sign_character(m):
     return ClassFunction(m, {mu: class_sign(mu) for mu in partitions(m)})
 

@@ -62,6 +62,8 @@ def _render(fmt, report):
 
 def cmd_table(args):
     max_n = args.max_n
+    if max_n < 1:
+        raise SystemExit("table --max-n must be at least 1")
     table = chars.stirling_table(max_n)
     basics_ok = all(chars.verify_basics(n) for n in range(1, max_n + 1))
     alt_ok = all(chars.verify_identity_alt(n, k)

@@ -51,9 +51,8 @@ import math
 import random
 
 from .linalg import ChainComplex
-from .stirling import (StirlingComplex, _bit_images, _mask_set, _members,
-                       _shape_clusters, _spell)
-from .trees import RootedShapes, _compositions, _partitions_into_blocks
+from .stirling import StirlingComplex, _bit_images, _mask_set, _members, _spell
+from .trees import RootedShapes, _compositions, _partitions_into_blocks, vertices
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
@@ -119,11 +118,14 @@ def _keys(m, i, shapes):
     rooted shapes taken from ``shapes``."""
     labels = tuple(range(1, m + 1))
 
-    def clusters(hung):
-        return _mask_set(c for s in hung for c in _shape_clusters(s)[1])
+    def hung(block, e):
+        # the clusters of each shape hung from a vertex: every vertex below
+        # its root, even a single child with the root's leaf set
+        return [_mask_set(c for c, _ in itertools.islice(vertices(s), 1, None))
+                for s in shapes(block, e, min_inputs=1)]
 
-    for shape in shapes(labels, i, min_inputs=1):
-        yield (), clusters([shape])
+    for clusters in hung(labels, i):
+        yield (), clusters
     for c in range(1, min(i, m) + 1):
         for blocks in _partitions_into_blocks(labels, c, 1):
             # the block of leg 1 comes first and blocks come ordered by
@@ -136,10 +138,10 @@ def _keys(m, i, shapes):
                 cycle = tuple(sum(1 << j for j in b) for b in ordered)
                 caps = [len(b) - 1 for b in ordered]
                 for alloc in _compositions(i - c, caps):
-                    pools = [shapes(b, e, min_inputs=1)
-                             for b, e in zip(ordered, alloc)]
+                    pools = [hung(b, e) for b, e in zip(ordered, alloc)]
+                    # clusters in different blocks differ, so the sets add
                     for combo in itertools.product(*pools):
-                        yield cycle, clusters(combo)
+                        yield cycle, sum(combo)
 
 
 def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0,

@@ -12,12 +12,16 @@ and Steel, *Phylogenetics*, 2003).  A leaf set is an int bitmask, bit j for
 leg j; an edge is named by its cluster, a vertex by the cluster of the edge
 above it and the root by the full mask.  Every flag at a vertex has a far
 side, the legs beyond it: ``1 << j`` for leg j, the child's cluster for an
-edge below, and the complement within {0..n} for the flag above.  A
-generator is the triple ``(clusters, dv, alt)``: its edge clusters, the
-cluster of the distinguished vertex, and the far sides of the alternating
-flags, with the two sets stored as ints that have bit m set for each
-member mask m.  The triple is canonical by construction, so it is the key
-by which every differential and action term finds its row.
+edge below, and the complement within {0..n} for the flag above.  Each
+tree is built once from its enumerated rooted shape, whose walk gives every
+vertex's cluster and input far sides, so nothing is re-derived or
+validated; ``make_generator`` validates a cluster list by finding the
+enumerated tree whose edges are exactly those clusters.  A generator is the
+triple ``(clusters, dv, alt)``: its edge clusters, the cluster of the
+distinguished vertex, and the far sides of the alternating flags, with the
+two sets stored as ints that have bit m set for each member mask m.  The
+triple is canonical by construction, so it is the key by which every
+differential and action term finds its row.
 
 The differential contracts edges.  Contracting the edge above cluster C
 drops C, and the distinguished vertex moves to C's parent when it was C.
@@ -48,7 +52,7 @@ import itertools
 import random
 
 from .linalg import ChainComplex, compute_homology
-from .trees import RootedShapes
+from .trees import RootedShapes, vertices
 
 
 class DomainError(ValueError):
@@ -64,48 +68,27 @@ def _mask_set(masks):
 
 
 class _Tree:
-    """One stable tree, shared by the generators on it.
+    """One stable tree, built from its rooted shape and shared by the
+    generators on it.
 
-    ``edges`` lists its clusters ascending, the reference edge order, and
-    ``inputs[D]`` the far sides of the input flags of vertex D ascending.
+    ``inputs[D]`` lists the far sides of the input flags of vertex D
+    ascending, read off the shape's walk, and ``edges`` lists every vertex
+    but the root ascending, the reference edge order.
     """
 
     __slots__ = ("n", "full", "clusters", "edges", "inputs")
 
-    def __init__(self, n, clusters):
-        full = (1 << n + 1) - 2
-        clusters = sorted(set(clusters), key=lambda c: (-c.bit_count(), c))
-        children = {full: []}
-        for pos, c in enumerate(clusters):
-            if c & ~full or not 2 <= c.bit_count() <= n - 1:
-                raise DomainError(f"cluster {c:#b} is not a leaf set of "
-                                  f"size 2..{n - 1} within legs 1..{n}")
-            if any(c & d not in (0, c) for d in clusters[:pos]):
-                raise DomainError("clusters must be nested or disjoint")
-            # the smallest earlier (larger) cluster holding c, else the root
-            children[next((d for d in reversed(clusters[:pos]) if d & c == c),
-                          full)].append(c)
-            children[c] = []
+    def __init__(self, n, shape):
         self.n = n
-        self.full = full
-        self.clusters = _mask_set(clusters)
-        self.edges = tuple(sorted(clusters))
-        self.inputs = {}
-        for d, kids in children.items():
-            legs = []
-            rest = d & ~_union(kids)
-            while rest:
-                leg = rest & -rest
-                legs.append(leg)
-                rest ^= leg
-            if len(legs) + len(kids) < 2:
-                raise DomainError("every vertex needs at least two inputs")
-            self.inputs[d] = tuple(sorted(legs + kids))
+        self.full = shape[0]
+        self.inputs = dict(vertices(shape))
+        # the root holds every leaf, so it sorts last
+        self.edges = tuple(sorted(self.inputs))[:-1]
+        self.clusters = _mask_set(self.edges)
 
     def parent(self, c):
         """The vertex above the edge with cluster c."""
-        return min((d for d in self.inputs if d & c == c and d != c),
-                   key=int.bit_count)
+        return next(d for d, sides in self.inputs.items() if c in sides)
 
     def depth(self, d):
         """The number of edges between vertex d and the root."""
@@ -146,10 +129,6 @@ class StirlingGenerator:
     def dv(self):
         return self.key[1]
 
-    @property
-    def k(self):
-        return len(self.alt_order)
-
     def __repr__(self):
         return f"StirlingGenerator({self.code})"
 
@@ -157,8 +136,16 @@ class StirlingGenerator:
 def make_generator(n, clusters, dv, alt, orient_seed=0):
     """Validate and orient a decorated tree given by its edge clusters, the
     cluster of its distinguished vertex (the full mask of legs 1..n for the
-    root) and the far sides of its alternating flags."""
-    tree = _Tree(n, clusters)
+    root) and the far sides of its alternating flags.  The tree is the
+    enumerated one whose edges are those clusters; there is none when they
+    are not the clusters of a stable tree on legs 1..n."""
+    wanted = _mask_set(clusters)
+    trees = (_Tree(n, shape)
+             for shape in RootedShapes()(range(1, n + 1), wanted.bit_count()))
+    tree = next((t for t in trees if t.clusters == wanted), None)
+    if tree is None:
+        raise DomainError("the clusters are not the edges of a stable tree "
+                          f"on legs 1..{n}")
     alt = sorted(set(alt))
     if len(alt) < 2:
         raise DomainError("at least two alternating flags are required")
@@ -187,6 +174,7 @@ class StirlingComplex(ChainComplex):
         self.k = k
         self.orient_seed = orient_seed
         self._shapes = RootedShapes()
+        self._reach = {}
 
     @property
     def max_edges(self):
@@ -205,7 +193,7 @@ class StirlingComplex(ChainComplex):
             return []
         gens = []
         for shape in self._shapes(range(1, self.n + 1), i):
-            tree = _Tree(self.n, _shape_clusters(shape)[1])
+            tree = _Tree(self.n, shape)
             for dv, inputs in tree.inputs.items():
                 for alt in itertools.combinations(inputs, self.k):
                     gens.append(StirlingGenerator(tree, dv, alt, self.orient_seed))
@@ -308,6 +296,14 @@ class StirlingComplex(ChainComplex):
         nu = 1 if len(tree.inputs[dv]) == self.k else 0
         return 2 * len(gen.edge_order) - tree.depth(dv) - nu
 
+    def _reaches(self, i):
+        """The reach of each degree-i generator, None outside the acyclic
+        part; kept until ``release(i)``, so each is scored once."""
+        if i not in self._reach:
+            self._reach[i] = [self.reach(g) if self.in_acyclic_part(g) else None
+                              for g in self.generators(i)]
+        return self._reach[i]
+
     def reach_filtration_holds(self, i):
         """On the degree-i generators of the acyclic subcomplex, the
         differential never leaves that subcomplex and never increases the
@@ -317,9 +313,7 @@ class StirlingComplex(ChainComplex):
         contraction terms of one generator share a target, so none cancels.
         """
         upper = 2 * (self.n - self.k) - 2
-        # the reach of each generator, None outside the acyclic part
-        source, target = ([self.reach(g) if self.in_acyclic_part(g) else None
-                           for g in self.generators(j)] for j in (i, i - 1))
+        source, target = self._reaches(i), self._reaches(i - 1)
         if self.n > self.k and any(r is not None and not 0 <= r <= upper
                                    for r in source):
             return False
@@ -331,6 +325,7 @@ class StirlingComplex(ChainComplex):
         self._gens.pop(i, None)
         self._rows.pop(i, None)
         self._diffs.pop(i, None)
+        self._reach.pop(i, None)
 
     def to_json_dict(self):
         degrees = [{"i": i, "dim": self.dim(i),
@@ -356,38 +351,22 @@ def _tree_dot(gen, name):
     order, and the distinguished vertex and alternating flags are red."""
     tree = gen.tree
     _clusters, dv, alt = gen.key
-    vertex = {tree.full: 0}
-    vertex.update((c, pos + 1) for pos, c in enumerate(tree.edges))
+    vertex = {d: pos for pos, d in enumerate((tree.full,) + tree.edges)}
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for d, v in vertex.items():
         color = ", color=red" if d == dv else ""
         lines.append(f'  v{v} [label=""{color}];')
-    leg_vertex = {0: 0}
-    leg_vertex.update((side.bit_length() - 1, vertex[d])
-                      for d, sides in tree.inputs.items()
-                      for side in sides if not side & side - 1)
+    # the vertex each input flag sits at, by far side; leg 0 is the root's
+    above = {side: vertex[d] for d, sides in tree.inputs.items() for side in sides}
     for lab in range(tree.n + 1):
         style = " [color=red]" if alt >> (1 << lab) & 1 else ""
         lines.append(f'  leg{lab} [shape=plaintext, label="{lab}"];')
-        lines.append(f"  v{leg_vertex[lab]} -- leg{lab}{style};")
+        lines.append(f"  v{above.get(1 << lab, 0)} -- leg{lab}{style};")
     for c in tree.edges:
         style = " [color=red]" if alt >> c & 1 else ""
-        lines.append(f"  v{vertex[tree.parent(c)]} -- v{vertex[c]}{style};")
+        lines.append(f"  v{above[c]} -- v{vertex[c]}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _shape_clusters(shape):
-    """The leaf set of a rooted shape and its edge clusters."""
-    legs, children = shape
-    mask = _mask_set(legs)
-    clusters = []
-    for child in children:
-        below, inner = _shape_clusters(child)
-        mask |= below
-        clusters.append(below)
-        clusters.extend(inner)
-    return mask, clusters
 
 
 def _members(mask_set):
@@ -402,13 +381,6 @@ def _members(mask_set):
 
 def _spell(masks):
     return ",".join(map(str, masks))
-
-
-def _union(masks):
-    total = 0
-    for m in masks:
-        total |= m
-    return total
 
 
 def _as_permutation(perm, n):

@@ -1,12 +1,13 @@
 """Rooted-shape enumeration and permutation parity, shared by both complexes.
 
 A rooted shape is an isomorphism class of rooted trees over a fixed set of
-leaf labels, written ``(legs, children)``: the labels attached directly to
-the root and the shapes hanging below it, sorted.  ``stirling`` turns each
-shape into its laminar family of clusters and ``graphcomplex`` hangs shapes
-from the genus-one vertex or the cycle vertices; both then work on leaf-set
-bitmasks only.  Signs are parities of permutations between two orders of
-the same names.
+leaf labels, written ``(leaves, legs, children)``: its leaf-set bitmask
+(bit j for leg j), the bits ``1 << j`` of the legs at the root ascending,
+and the memoised, shared shapes hanging below it, sorted.  ``vertices``
+walks a shape root first, giving each vertex's leaf set and the far sides
+of its inputs; ``stirling`` builds its trees and ``graphcomplex`` its
+clusters from that walk.  Signs are parities of permutations between two
+orders of the same names.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class RootedShapes:
         return self._memo[memo_key]
 
     def _shapes(self, labels_t, num_edges, min_inputs):
+        leaves = sum(1 << x for x in labels_t)
         out = []
         for r in range(0, min(num_edges, len(labels_t) // 2) + 1):
             inner = num_edges - r
@@ -123,13 +125,21 @@ class RootedShapes:
                 if len(labels_t) - support_size + r < min_inputs:
                     continue
                 for support in itertools.combinations(labels_t, support_size):
-                    legs = tuple(x for x in labels_t if x not in support)
+                    legs = tuple(1 << x for x in labels_t if x not in support)
                     for blocks in _partitions_into_blocks(support, r, 2):
                         caps = [len(b) - 2 for b in blocks]
                         for alloc in _compositions(inner, caps):
                             pools = [self(b, e) for b, e in zip(blocks, alloc)]
-                            if any(not pool for pool in pools):
-                                continue
                             for combo in itertools.product(*pools):
-                                out.append((legs, tuple(sorted(combo))))
+                                out.append((leaves, legs, tuple(sorted(combo))))
         return tuple(out)
+
+
+def vertices(shape):
+    """Each vertex of a shape, root first, as ``(leaves, inputs)``: its leaf
+    set and the far sides of its input flags, ascending."""
+    stack = [shape]
+    while stack:
+        leaves, legs, children = stack.pop()
+        yield leaves, tuple(sorted(legs + tuple([c[0] for c in children])))
+        stack += children

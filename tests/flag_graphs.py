@@ -22,8 +22,8 @@ import random
 
 from stirhom.graphcomplex import GraphError, _cycle_names
 from stirhom.linalg import SparseIntMatrix
-from stirhom.stirling import _members, _shape_clusters
-from stirhom.trees import RootedShapes, relative_sign
+from stirhom.stirling import _members
+from stirhom.trees import RootedShapes, relative_sign, vertices
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +460,10 @@ def enumerate_stable_trees(n, i):
         raise GraphError("stable n-trees require n >= 2")
     if i < 0:
         raise GraphError("edge count must be non-negative")
-    shapes = RootedShapes()(range(1, n + 1), i)
-    trees = [_tree_from_shape(shape, n) for shape in shapes]
+    # each enumerated shape rebuilt as a nested shape of labels from its
+    # leaf sets, every vertex but the root an edge
+    trees = [_tree_from_shape(_shape(shape[0], [c for c, _ in vertices(shape)][1:]), n)
+             for shape in RootedShapes()(range(1, n + 1), i)]
     trees.sort(key=lambda t: canonical_tree_data(t)[0])
     return trees
 
@@ -549,8 +551,14 @@ def _hang(asm, shape, vertex):
         asm.add_leg(vertex, lab)
     for child in children:
         cid = asm.add_vertex(0)
-        asm.add_edge(vertex, cid, _shape_clusters(child)[0])
+        asm.add_edge(vertex, cid, _leaves(child))
         _hang(asm, child, cid)
+
+
+def _leaves(shape):
+    """The leaf set of a nested shape of labels, as a bitmask."""
+    legs, children = shape
+    return sum(1 << lab for lab in legs) + sum(map(_leaves, children))
 
 
 def _shape(leaves, clusters):

@@ -69,6 +69,16 @@ def test_betti_grid_needs_a_type(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-n", "0"],
+    ["table", "--max-n", "-3", "--format", "json"],
+])
+def test_table_needs_a_row(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
 def test_betti_grid_excludes_a_single_type(capsys):
     with pytest.raises(SystemExit):
         main(["betti", "--n", "4", "--k", "2", "--max-n", "3"])

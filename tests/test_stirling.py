@@ -325,6 +325,18 @@ def test_reach_filtration():
         assert all(cx.reach_filtration_holds(i) for i in range(cx.max_edges + 1))
 
 
+def test_survey_scores_each_reach_once(monkeypatch):
+    scored = []
+    reach = StirlingComplex.reach
+    monkeypatch.setattr(StirlingComplex, "reach",
+                        lambda cx, gen: scored.append(gen) or reach(cx, gen))
+    assert survey(5, 3)["reach_ok"]
+    cx = StirlingComplex(5, 3)
+    acyclic = [g for i in range(cx.max_edges + 1) for g in cx.generators(i)
+               if cx.in_acyclic_part(g)]
+    assert len(scored) == len(acyclic) == 140
+
+
 def test_contraction_terms_never_cancel():
     # the reach check reads its targets off the differential's entries,
     # which is sound only because every contraction term is one +-1 entry

@@ -416,15 +416,15 @@ def test_dot_export_mentions_decorations():
 # the rooted-shape memo lives and dies with its complex
 
 
-def reachable_from(module):
-    """Every object reachable from a module's attributes, not entering
-    other modules or their globals."""
+def reachable_from(*roots):
+    """Every object reachable from ``roots``, not entering modules or their
+    globals."""
     import gc
     import sys
     skip = {id(m) for m in sys.modules.values()}
     skip |= {id(vars(m)) for m in sys.modules.values() if m is not None}
     seen = set(skip)
-    stack = [v for v in vars(module).values() if id(v) not in skip]
+    stack = [v for v in roots if id(v) not in skip]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
@@ -438,12 +438,21 @@ def test_shape_memo_is_freed_with_its_complex():
     import gc
     from stirhom import trees
     from stirhom.stirling import StirlingComplex
-    corolla = ((1, 2, 3, 4, 5), ())
-    cherry = ((1, 2, 3), (((4, 5), ()),))
+
+    def mask(*labels):
+        return sum(1 << j for j in labels)
+
+    leaves = mask(1, 2, 3, 4, 5)
+    corolla = (leaves, (mask(1), mask(2), mask(3), mask(4), mask(5)), ())
+    cherry = (leaves, (mask(1), mask(2), mask(3)), ((mask(4, 5), (mask(4), mask(5)), ()),))
+
+    def probes(objects):
+        return [obj for obj in objects
+                if type(obj) is tuple and (obj == corolla or obj == cherry)]
+
     cx = StirlingComplex(5, 2)
     cx.differentials()
+    assert sorted(probes(reachable_from(cx))) == [cherry, corolla]
     del cx
     gc.collect()
-    left = [obj for obj in reachable_from(trees)
-            if type(obj) is tuple and (obj == corolla or obj == cherry)]
-    assert left == []
+    assert probes(reachable_from(*vars(trees).values())) == []
