@@ -117,12 +117,18 @@ def _keys(m, i, shapes):
     """The key of every class with m legs and i edges, each once, with the
     rooted shapes taken from ``shapes``."""
     labels = tuple(range(1, m + 1))
+    walked = {}
 
     def hung(block, e):
         # the clusters of each shape hung from a vertex: every vertex below
-        # its root, even a single child with the root's leaf set
-        return [_mask_set(c for c, _ in itertools.islice(vertices(s), 1, None))
+        # its root, even a single child with the root's leaf set; a pool
+        # serves many cycle arrangements and edge allocations, so it is
+        # walked once per call
+        if (block, e) not in walked:
+            walked[block, e] = [
+                _mask_set(c for c, _ in itertools.islice(vertices(s), 1, None))
                 for s in shapes(block, e, min_inputs=1)]
+        return walked[block, e]
 
     for clusters in hung(labels, i):
         yield (), clusters

@@ -40,73 +40,60 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .trees import relative_sign
 
 
 @dataclass
 class SparseIntMatrix:
-    """Coordinate-format integer matrix; no zero entries are stored."""
+    """Integer matrix stored by column (Davis 2006): ``cols[c]`` maps the
+    row of each nonzero entry of column c to its value; no zero is stored."""
 
     nrows: int
-    ncols: int
-    entries: dict = field(default_factory=dict)
+    cols: list
+
+    @property
+    def ncols(self):
+        return len(self.cols)
 
     @classmethod
     def from_triplets(cls, nrows, ncols, triplets):
-        entries = {}
+        cols = [{} for _ in range(ncols)]
         for r, c, v in triplets:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(f"entry ({r}, {c}) outside a {nrows}x{ncols} matrix")
-            key = (r, c)
-            total = entries.get(key, 0) + v
-            if total:
-                entries[key] = total
-            else:
-                entries.pop(key, None)
-        return cls(nrows, ncols, entries)
+            cols[c][r] = cols[c].get(r, 0) + v
+        return cls(nrows, [{r: v for r, v in col.items() if v} for col in cols])
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+    def triplets(self):
+        """Every entry as ``(r, c, v)``, column by column."""
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                yield r, c, v
 
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.cols))
 
     def is_zero(self):
-        return not self.entries
-
-    def transpose(self):
-        return SparseIntMatrix(self.ncols, self.nrows,
-                               {(c, r): v for (r, c), v in self.entries.items()})
+        return not any(self.cols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        by_col = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        acc = {}
-        for (r2, c2), v2 in other.entries.items():
-            for r1, v1 in by_col.get(r2, ()):
-                key = (r1, c2)
-                total = acc.get(key, 0) + v1 * v2
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-        return SparseIntMatrix(self.nrows, other.ncols, acc)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseIntMatrix)
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.entries == other.entries)
+        product = []
+        for col in other.cols:
+            acc = {}
+            for r2, v2 in col.items():
+                for r1, v1 in self.cols[r2].items():
+                    acc[r1] = acc.get(r1, 0) + v1 * v2
+            product.append({r: v for r, v in acc.items() if v})
+        return SparseIntMatrix(self.nrows, product)
 
     def to_matrix_market(self):
         lines = ["%%MatrixMarket matrix coordinate integer general",
-                 f"{self.nrows} {self.ncols} {len(self.entries)}"]
-        for (r, c), v in sorted(self.entries.items()):
+                 f"{self.nrows} {self.ncols} {self.nnz()}"]
+        for r, c, v in sorted(self.triplets()):
             lines.append(f"{r + 1} {c + 1} {v}")
         return "\n".join(lines) + "\n"
 
@@ -125,7 +112,7 @@ def _eliminate_rank(matrix):
     """
     rows = {}
     cols = {}
-    for (r, c), v in matrix.entries.items():
+    for r, c, v in matrix.triplets():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
 
@@ -241,21 +228,19 @@ def morse_reduce(dims, diffs):
     residual differential left by the coreduction is eliminated by
     ``_eliminate_rank``; the certificate stays ``"morse-integral"`` when
     every residual pivot was +-1.
+
+    Cell c of degree i has as faces the rows of column c of d_i, sorted so
+    that the queue ignores the order within a column, and as cofaces the
+    columns of row c of d_{i+1}, appended in column order and so ascending.
     """
-    # faces[i][c]: sorted rows of column c of d_i; cofaces[i][r]: sorted
-    # columns of row r of d_{i+1}; nfaces/ncofaces count the live ones.
-    # Sorting makes the order of the queue independent of dict order.
-    faces = {i: [[] for _ in range(dim)] for i, dim in dims.items()}
+    faces = {i: [()] * dim for i, dim in dims.items()}
     cofaces = {i: [[] for _ in range(dim)] for i, dim in dims.items()}
     for i, d in diffs.items():
-        col_faces, row_cofaces = faces[i], cofaces[i - 1]
-        for r, c in d.entries:
-            col_faces[c].append(r)
-            row_cofaces[r].append(c)
-    for adjacency in (faces, cofaces):
-        for cells in adjacency.values():
-            for neighbours in cells:
-                neighbours.sort()
+        faces[i] = [sorted(col) for col in d.cols]
+        row_cofaces = cofaces[i - 1]
+        for c, rows in enumerate(faces[i]):
+            for r in rows:
+                row_cofaces[r].append(c)
     nfaces = {i: [len(f) for f in cells] for i, cells in faces.items()}
     ncofaces = {i: [len(f) for f in cells] for i, cells in cofaces.items()}
     live = {i: bytearray(b"\x01") * dim for i, dim in dims.items()}
@@ -285,11 +270,11 @@ def morse_reduce(dims, diffs):
         pair = None
         if nfaces[i][c] == 1:
             r = unique_live(faces[i][c], i - 1)
-            if abs(diffs[i].entries[(r, c)]) == 1:
+            if abs(diffs[i].cols[c][r]) == 1:
                 pair = (i, c), (i - 1, r)
         if pair is None and ncofaces[i][c] == 1:
             s = unique_live(cofaces[i][c], i + 1)
-            if abs(diffs[i + 1].entries[(c, s)]) == 1:
+            if abs(diffs[i + 1].cols[s][c]) == 1:
                 pair = (i + 1, s), (i, c)
         if pair is None:
             continue
@@ -306,11 +291,9 @@ def morse_reduce(dims, diffs):
     certificate = "morse-integral"
     for i, d in diffs.items():
         rows, cols = positions[i - 1], positions[i]
-        residual = SparseIntMatrix(
-            len(rows), len(cols),
-            {(rows[r], cols[c]): v for (r, c), v in d.entries.items()
-             if r in rows and c in cols})
-        if residual.entries:
+        residual = SparseIntMatrix(len(rows), [
+            {rows[r]: v for r, v in d.cols[c].items() if r in rows} for c in cols])
+        if not residual.is_zero():
             rank, unit = _eliminate_rank(residual)
             ranks[i] += rank
             if not unit:
@@ -437,16 +420,18 @@ class ChainComplex:
         of one generator share a target, so each is one +-1 entry."""
         targets = self.generators(j)
         rows = self.rows(j)
-        acc = {}
-        for col, gen in enumerate(self.generators(i)):
+        cols = []
+        for gen in self.generators(i):
+            col = {}
             for key, edges, alt, sign in terms(gen):
                 row = rows[key]
-                total = acc.get((row, col), 0) + sign * _orientation(edges, alt, targets[row])
+                total = col.get(row, 0) + sign * _orientation(edges, alt, targets[row])
                 if total:
-                    acc[(row, col)] = total
+                    col[row] = total
                 else:
-                    del acc[(row, col)]
-        return SparseIntMatrix(len(targets), self.dim(i), acc)
+                    del col[row]
+            cols.append(col)
+        return SparseIntMatrix(len(targets), cols)
 
     def differential(self, i):
         """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""

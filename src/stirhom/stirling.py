@@ -318,7 +318,7 @@ class StirlingComplex(ChainComplex):
                                    for r in source):
             return False
         return all(source[c] is None or target[r] is not None and target[r] <= source[c]
-                   for r, c in self.differential(i).entries)
+                   for r, c, _ in self.differential(i).triplets())
 
     def release(self, i):
         """Drop cached data at degree i (memory relief for large runs)."""
@@ -332,8 +332,8 @@ class StirlingComplex(ChainComplex):
                     "generators": [g.code for g in self.generators(i)]}
                    for i in range(self.max_edges + 1)]
         diffs = [{"i": i,
-                  "triplets": [[r, c, v] for (r, c), v in
-                               sorted(self.differential(i).entries.items())]}
+                  "triplets": [[r, c, v] for r, c, v in
+                               sorted(self.differential(i).triplets())]}
                  for i in range(1, self.max_edges + 1)]
         return {"schema": 1, "n": self.n, "k": self.k,
                 "degrees": degrees, "differentials": diffs}

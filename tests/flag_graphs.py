@@ -670,7 +670,7 @@ class FlagGraphComplex:
             assert len(self.index[i]) == len(gens), "two keys name one class"
 
     def differential(self, i):
-        acc = {}
+        triplets = []
         for col, gen in enumerate(self.gens[i]):
             order = gen.edge_order
             for pos, edge in enumerate(order):
@@ -681,30 +681,24 @@ class FlagGraphComplex:
                 code, ceo = canonical_modular_data(target, self.orient_seed)
                 surviving = [tuple(sorted((flag_map[a], flag_map[b])))
                              for a, b in order if (a, b) != edge]
-                _accumulate(acc, (self.index[i - 1][code], col),
-                            move_sign * relative_sign(surviving, ceo))
-        return SparseIntMatrix(len(self.gens[i - 1]), len(self.gens[i]), acc)
+                triplets.append((self.index[i - 1][code], col,
+                                 move_sign * relative_sign(surviving, ceo)))
+        return SparseIntMatrix.from_triplets(
+            len(self.gens[i - 1]), len(self.gens[i]), triplets)
 
     def action_matrix(self, i, perm):
         """``perm[j]`` is the image of leg j, a dict on 1..m."""
-        acc = {}
+        triplets = []
         for col, gen in enumerate(self.gens[i]):
             graph = gen.mgraph.graph
             relabeled = ModularGraph(
                 graph.with_legs({perm[lab]: f for lab, f in graph.legs.items()}),
                 gen.mgraph.genus, check=False)
             code, ceo = canonical_modular_data(relabeled, self.orient_seed)
-            _accumulate(acc, (self.index[i][code], col),
-                        relative_sign(gen.edge_order, ceo))
-        return SparseIntMatrix(len(self.gens[i]), len(self.gens[i]), acc)
-
-
-def _accumulate(acc, key, value):
-    total = acc.get(key, 0) + value
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
+            triplets.append((self.index[i][code], col,
+                             relative_sign(gen.edge_order, ceo)))
+        return SparseIntMatrix.from_triplets(
+            len(self.gens[i]), len(self.gens[i]), triplets)
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,10 @@ def signed_bijection(cx, oracle, i):
 def transport(matrix, p_rows, p_cols):
     """P_rows M P_cols^-1, the signed bijections given as ``(row, sign)``
     lists; a signed permutation matrix is inverted by its transpose."""
-    entries = {(p_rows[r][0], p_cols[c][0]): p_rows[r][1] * v * p_cols[c][1]
-               for (r, c), v in matrix.entries.items()}
-    return SparseIntMatrix(len(p_rows), len(p_cols), entries)
+    return SparseIntMatrix.from_triplets(
+        len(p_rows), len(p_cols),
+        [(p_rows[r][0], p_cols[c][0], p_rows[r][1] * v * p_cols[c][1])
+         for r, c, v in matrix.triplets()])
 
 
 class StirlingComplex(ChainComplex):
@@ -234,7 +235,7 @@ class StirlingComplex(ChainComplex):
         sources = self.generators(i)
         nrows = self.dim(i - 1) if i >= 1 else 0
         target_index = self.index(i - 1) if i >= 1 else {}
-        acc = {}
+        triplets = []
         for col, gen in enumerate(sources):
             for target, dv, alt_order, surviving, move_sign in self.contraction_terms(gen):
                 code, ceo, cao = canonical_tree_data(target, dv,
@@ -242,13 +243,8 @@ class StirlingComplex(ChainComplex):
                                                      self.orient_seed)
                 sign = (move_sign * relative_sign(surviving, ceo)
                         * relative_sign(alt_order, cao))
-                key = (target_index[code], col)
-                total = acc.get(key, 0) + sign
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-        matrix = SparseIntMatrix(nrows, len(sources), acc)
+                triplets.append((target_index[code], col, sign))
+        matrix = SparseIntMatrix.from_triplets(nrows, len(sources), triplets)
         self._diffs[i] = matrix
         return matrix
 
@@ -259,7 +255,7 @@ class StirlingComplex(ChainComplex):
         perm = _as_permutation(perm, self.n)
         gens = self.generators(i)
         index = self.index(i)
-        acc = {}
+        triplets = []
         for col, gen in enumerate(gens):
             relabeled = gen.tree.relabeled(perm)
             dv = gen.dv
@@ -269,7 +265,7 @@ class StirlingComplex(ChainComplex):
                                                      self.orient_seed)
                 sign = (relative_sign(gen.edge_order, ceo)
                         * relative_sign(gen.alt_order, cao))
-                _accumulate(acc, (index[code], col), sign)
+                triplets.append((index[code], col, sign))
             else:
                 # the relabeled alternating set captured the new output flag;
                 # trade it for each remaining flag at the vertex
@@ -282,8 +278,8 @@ class StirlingComplex(ChainComplex):
                                                          self.orient_seed)
                     sign = -(relative_sign(gen.edge_order, ceo)
                              * relative_sign(alt_order, cao))
-                    _accumulate(acc, (index[code], col), sign)
-        return SparseIntMatrix(len(gens), len(gens), acc)
+                    triplets.append((index[code], col, sign))
+        return SparseIntMatrix.from_triplets(len(gens), len(gens), triplets)
 
     # -- reach filtration ----------------------------------------------------
 
@@ -316,11 +312,3 @@ class StirlingComplex(ChainComplex):
                         or self.reach(target, dv) > r):
                     return False
         return True
-
-
-def _accumulate(acc, key, value):
-    total = acc.get(key, 0) + value
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)

@@ -239,7 +239,7 @@ def test_restricted_zero_degree_characters():
 
 
 def _diagonal_sum(matrix):
-    return sum(v for (r, c), v in matrix.entries.items() if r == c)
+    return sum(v for r, c, v in matrix.triplets() if r == c)
 
 
 def test_trace_is_the_action_diagonal():

@@ -79,6 +79,21 @@ def test_table_needs_a_row(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-n", "101"],
+    ["table", "--max-n", "2000", "--format", "json"],
+])
+def test_huge_table_refused_before_work(monkeypatch, capsys, argv):
+    # the table's cost grows about as n^5, so --max-n 2000 would run for
+    # hours; it is refused before the table is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was computed before the refusal")
+    monkeypatch.setattr("stirhom.characters.stirling_table", refuse)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
 def test_betti_grid_excludes_a_single_type(capsys):
     with pytest.raises(SystemExit):
         main(["betti", "--n", "4", "--k", "2", "--max-n", "3"])

@@ -21,10 +21,11 @@ from collections import Counter
 
 import pytest
 
-from stirhom.graphcomplex import (GraphComplex, enumerate_graph_generators,
+from stirhom.graphcomplex import (GraphComplex, _keys,
+                                  enumerate_graph_generators,
                                   verify_decomposition)
 from stirhom.linalg import SparseIntMatrix, composes_to_zero
-from stirhom.trees import perm_parity, relative_sign
+from stirhom.trees import RootedShapes, perm_parity, relative_sign
 
 from flag_graphs import FlagGraphComplex, representative
 from stirling_oracle import transport
@@ -100,7 +101,7 @@ def test_loop_contraction_hits_genus_one_corolla():
                  and flag_graph(g).genus == (0,)]
     assert len(loop_gens) == 1
     col = cx.rows(1)[loop_gens[0].key]
-    column = {r: v for (r, c), v in cx.differential(1).entries.items() if c == col}
+    column = cx.differential(1).cols[col]
     corolla_row = cx.rows(0)[cx.generators(0)[0].key]
     assert column == {corolla_row: 1} or column == {corolla_row: -1}
 
@@ -224,7 +225,7 @@ def oracle_differential(cx, i):
     for target in targets:
         mg, order = reference_pairs(target)
         target_data.append((encode(mg), order))
-    entries = {}
+    triplets = []
     for col, gen in enumerate(sources):
         # survivors have no parallel edges, so endpoint pairs name edges
         mg, order = reference_pairs(gen)
@@ -257,13 +258,8 @@ def oracle_differential(cx, i):
             transported = [(min(pi[u], pi[w]), max(pi[u], pi[w]))
                            for u, w in surviving]
             sign = move_sign * relative_sign(transported, ref)
-            key = (row, col)
-            total = entries.get(key, 0) + sign
-            if total:
-                entries[key] = total
-            else:
-                del entries[key]
-    return SparseIntMatrix(len(targets), len(sources), entries)
+            triplets.append((row, col, sign))
+    return SparseIntMatrix.from_triplets(len(targets), len(sources), triplets)
 
 
 @pytest.mark.parametrize("m,i", [(3, 1), (3, 2), (3, 3),
@@ -272,6 +268,23 @@ def test_differential_matches_oracle(m, i):
     for seed in (0, 12345):
         cx = GraphComplex(m, orient_seed=seed)
         assert cx.differential(i) == oracle_differential(cx, i)
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_keys_walk_each_hung_pool_once(i):
+    # a pool of hung shapes serves many cycle arrangements and edge
+    # allocations; one key enumeration asks the shape memo for it once
+    shapes = RootedShapes()
+    requests = []
+
+    def recording(labels, num_edges, min_inputs=2):
+        if min_inputs == 1:
+            requests.append((tuple(sorted(labels)), num_edges))
+        return shapes(labels, num_edges, min_inputs)
+
+    keys = list(_keys(5, i, recording))
+    assert keys and requests
+    assert len(requests) == len(set(requests))
 
 
 def test_canonical_form_once_per_class(monkeypatch):
@@ -417,8 +430,8 @@ def test_graph_action_is_signed_permutation_and_commutes():
     perm = {1: 3, 2: 1, 3: 2, 4: 4}
     actions = {i: cx.action_matrix(i, perm) for i in range(cx.max_edges + 1)}
     for i, m in actions.items():
-        assert len(m.entries) == cx.dim(i)
-        assert all(v in (-1, 1) for v in m.entries.values())
+        assert m.nnz() == cx.dim(i)
+        assert all(v in (-1, 1) for _r, _c, v in m.triplets())
     for i in range(1, cx.max_edges + 1):
         d = cx.differential(i)
         assert actions[i - 1] @ d == d @ actions[i]
