@@ -251,10 +251,6 @@ def character_of(lam):
                              for mu in partitions(m)})
 
 
-def sign_character(m):
-    return ClassFunction(m, {mu: class_sign(mu) for mu in partitions(m)})
-
-
 def decompose(cf):
     """Multiplicities of every irreducible in a class function.
 
@@ -295,21 +291,6 @@ def trace_character(cx, size, perm_of, degrees, sign):
             (-1) ** cx.total_degree(i)
             * cx.trace(i, perm) for i in degrees)
     return ClassFunction(size, values)
-
-
-def chain_character(cx, i):
-    """Character of the action of the n+1 leg-label symmetries on degree i
-    of a Stirling complex."""
-    return trace_character(cx, cx.n + 1, representative_permutation, [i],
-                           (-1) ** cx.total_degree(i))
-
-
-def restricted_chain_character(cx, i):
-    """Character of the subgroup fixing the root label 0 on degree i."""
-    return trace_character(
-        cx, cx.n,
-        lambda mu: (0,) + tuple(x + 1 for x in representative_permutation(mu)),
-        [i], (-1) ** cx.total_degree(i))
 
 
 def homology_character(cx, size, perm_of):

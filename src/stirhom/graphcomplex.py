@@ -232,7 +232,8 @@ class GraphComplex(ChainComplex):
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 1..m, as a function
-        from a generator to its one term.
+        from a generator to its one term; with ``fixed`` only when the
+        generator is fixed, tested on the cycle, then on each cluster.
 
         ``perm`` is a dict or a sequence with ``perm[j - 1]`` the image of
         j; it is checked, and its image table built, once.  Relabeling
@@ -249,11 +250,21 @@ class GraphComplex(ChainComplex):
         # bit 0, which no leg owns, stays put
         image = _bit_images([0] + [perm[j] for j in legs])
 
-        def terms(gen):
+        def terms(gen, fixed=False):
             cycle, clusters = gen.key
-            key = (_normal_cycle(tuple(image[b] for b in cycle)),
-                   _mask_set(image[c] for c in _members(clusters)))
-            yield key, tuple(image[n] for n in gen.edge_order), (), 1
+            blocks = _normal_cycle(tuple(map(image.__getitem__, cycle)))
+            if not fixed:
+                key = (blocks, _mask_set(image[c] for c in _members(clusters)))
+            elif blocks != cycle:
+                return
+            else:
+                # the edges named by a cluster, each of whose images must
+                # be a cluster again; then the set of clusters is kept
+                for name in gen.edge_order:
+                    if clusters >> name & 1 and not clusters >> image[name] & 1:
+                        return
+                key = gen.key
+            yield key, tuple(map(image.__getitem__, gen.edge_order)), (), 1
 
         return terms
 

@@ -33,6 +33,8 @@ leaves only ranks over Q and the certificate ``"exact-rational"``.
 lazily enumerated degrees 0..max_edges, the position of each generator by
 key, the shared assembler that turns contraction and action terms into the
 differential, an action matrix or a trace, and the homology, computed once.
+A trace is the signed count of the generators a relabeling fixes, and
+each relabeling stops at the first piece of the image that moves.
 """
 
 from __future__ import annotations
@@ -56,15 +58,6 @@ class SparseIntMatrix:
     @property
     def ncols(self):
         return len(self.cols)
-
-    @classmethod
-    def from_triplets(cls, nrows, ncols, triplets):
-        cols = [{} for _ in range(ncols)]
-        for r, c, v in triplets:
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry ({r}, {c}) outside a {nrows}x{ncols} matrix")
-            cols[c][r] = cols[c].get(r, 0) + v
-        return cls(nrows, [{r: v for r, v in col.items() if v} for col in cols])
 
     def triplets(self):
         """Every entry as ``(r, c, v)``, column by column."""
@@ -388,7 +381,9 @@ class ChainComplex:
     ``total_degree``; every matrix is assembled here from their terms.  A
     term ``(target_key, edge_names, alt_far_sides, sign)`` names the
     generator it lands on, the source's edges and alternating far sides in
-    the target's naming, and the sign of the move itself.
+    the target's naming, and the sign of the move itself.  The function
+    ``action_terms(perm)`` returns takes ``(gen, fixed=False)``; with
+    ``fixed`` it yields only the terms whose target is ``gen``.
     """
 
     def __init__(self):
@@ -445,11 +440,12 @@ class ChainComplex:
 
     def trace(self, i, perm):
         """Trace of a leg relabeling on degree i, with no matrix built: the
-        signed count of the action terms that land on their own source."""
+        signed count of the generators it fixes, each relabeling stopped at
+        the first piece of the image that misses the generator's key."""
         terms = self.action_terms(perm)
         return sum(sign * _orientation(edges, alt, gen)
                    for gen in self.generators(i)
-                   for key, edges, alt, sign in terms(gen) if key == gen.key)
+                   for _key, edges, alt, sign in terms(gen, fixed=True))
 
     def differentials(self):
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}

@@ -233,6 +233,8 @@ class StirlingComplex(ChainComplex):
         """The terms of a permutation of the leg labels 0..n, as a function
         from a generator to its terms: one term, or the signed trade terms
         when the relabeled alternating set captures the new output flag.
+        With ``fixed`` only terms landing on the generator are yielded: the
+        vertex, then each edge, and last the alternating sets are tested.
 
         ``perm`` is a bijection of {0..n} given as a sequence (perm[j] is
         the image of j) or a dict; the classical permutation group on n+1
@@ -241,25 +243,32 @@ class StirlingComplex(ChainComplex):
         """
         image = _bit_images(_as_permutation(perm, self.n))
         everything = len(image) - 1
+        # an edge keeps the side of its image without leg 0
+        side = [everything ^ m if m & 1 else m for m in image]
 
-        def terms(gen):
-            _clusters, dv, alt = gen.key
-            # an edge keeps the side of its image without leg 0
-            edge_order = tuple(everything ^ m if m & 1 else m
-                               for m in (image[c] for c in gen.edge_order))
-            clusters = _mask_set(edge_order)
+        def terms(gen, fixed=False):
+            clusters, dv, alt = gen.key
             sides = gen.tree.inputs[dv] + (everything ^ dv,)
             out = next(s for s in sides if image[s] & 1)
             new_dv = everything ^ image[out]
+            # every term shares the distinguished vertex and the clusters
+            if fixed and (new_dv != dv or any(not clusters >> side[c] & 1
+                                              for c in gen.edge_order)):
+                return
+            edge_order = tuple(side[c] for c in gen.edge_order)
+            if not fixed:
+                clusters = _mask_set(edge_order)
             alt_order = tuple(image[a] for a in gen.alt_order)
             if not alt >> out & 1:
-                yield (clusters, new_dv, _mask_set(alt_order)), edge_order, alt_order, 1
-                return
-            # trade the captured output flag for each remaining flag there
-            for b in sides:
-                if not alt >> b & 1:
-                    traded = tuple(image[b] if a & 1 else a for a in alt_order)
-                    yield (clusters, new_dv, _mask_set(traded)), edge_order, traded, -1
+                candidates = [(alt_order, 1)]
+            else:
+                # trade the captured output flag for each remaining flag there
+                candidates = [(tuple(image[b] if a & 1 else a for a in alt_order), -1)
+                              for b in sides if not alt >> b & 1]
+            for alt_order, sign in candidates:
+                new_alt = _mask_set(alt_order)
+                if not fixed or new_alt == alt:
+                    yield (clusters, new_dv, new_alt), edge_order, alt_order, sign
 
         return terms
 

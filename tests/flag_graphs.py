@@ -21,9 +21,10 @@ import itertools
 import random
 
 from stirhom.graphcomplex import GraphError, _cycle_names
-from stirhom.linalg import SparseIntMatrix
 from stirhom.stirling import _members
 from stirhom.trees import RootedShapes, relative_sign, vertices
+
+from helpers import from_triplets
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +684,7 @@ class FlagGraphComplex:
                              for a, b in order if (a, b) != edge]
                 triplets.append((self.index[i - 1][code], col,
                                  move_sign * relative_sign(surviving, ceo)))
-        return SparseIntMatrix.from_triplets(
+        return from_triplets(
             len(self.gens[i - 1]), len(self.gens[i]), triplets)
 
     def action_matrix(self, i, perm):
@@ -697,7 +698,7 @@ class FlagGraphComplex:
             code, ceo = canonical_modular_data(relabeled, self.orient_seed)
             triplets.append((self.index[i][code], col,
                              relative_sign(gen.edge_order, ceo)))
-        return SparseIntMatrix.from_triplets(
+        return from_triplets(
             len(self.gens[i]), len(self.gens[i]), triplets)
 
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 
-from stirhom.linalg import ChainComplex, SparseIntMatrix
+from stirhom.linalg import ChainComplex
 from stirhom.stirling import DomainError, _as_permutation, _check_type, _mask_set
 from stirhom.trees import relative_sign
 
+from helpers import from_triplets
 from flag_graphs import (Graph, GraphError, Tree, canonical_tree_data,
                          enumerate_stable_trees)
 
@@ -145,7 +146,7 @@ def signed_bijection(cx, oracle, i):
 def transport(matrix, p_rows, p_cols):
     """P_rows M P_cols^-1, the signed bijections given as ``(row, sign)``
     lists; a signed permutation matrix is inverted by its transpose."""
-    return SparseIntMatrix.from_triplets(
+    return from_triplets(
         len(p_rows), len(p_cols),
         [(p_rows[r][0], p_cols[c][0], p_rows[r][1] * v * p_cols[c][1])
          for r, c, v in matrix.triplets()])
@@ -244,7 +245,7 @@ class StirlingComplex(ChainComplex):
                 sign = (move_sign * relative_sign(surviving, ceo)
                         * relative_sign(alt_order, cao))
                 triplets.append((target_index[code], col, sign))
-        matrix = SparseIntMatrix.from_triplets(nrows, len(sources), triplets)
+        matrix = from_triplets(nrows, len(sources), triplets)
         self._diffs[i] = matrix
         return matrix
 
@@ -279,7 +280,7 @@ class StirlingComplex(ChainComplex):
                     sign = -(relative_sign(gen.edge_order, ceo)
                              * relative_sign(alt_order, cao))
                     triplets.append((index[code], col, sign))
-        return SparseIntMatrix.from_triplets(len(gens), len(gens), triplets)
+        return from_triplets(len(gens), len(gens), triplets)
 
     # -- reach filtration ----------------------------------------------------
 

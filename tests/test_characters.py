@@ -9,16 +9,20 @@ combinatorics.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from stirhom import characters as C
 from stirhom.graphcomplex import GraphComplex
 from stirhom.stirling import StirlingComplex
+
+from helpers import chain_character, restricted_chain_character, sign_character
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,7 @@ def test_hook_dimensions():
 def test_decompose_roundtrip_examples():
     cf = C.character_of((3, 1)) + C.character_of((2, 2))
     assert C.decompose(cf) == [((3, 1), 1), ((2, 2), 1)]
-    assert C.decompose(C.sign_character(5)) == [((1, 1, 1, 1, 1), 1)]
+    assert C.decompose(sign_character(5)) == [((1, 1, 1, 1, 1), 1)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,18 +228,18 @@ def test_equivariant_euler_at_identity_is_top_betti():
 
 def test_full_alternating_complexes_give_sign():
     for n in [2, 3, 4]:
-        assert C.equivariant_euler_character(StirlingComplex(n, n)) == C.sign_character(n + 1)
+        assert C.equivariant_euler_character(StirlingComplex(n, n)) == sign_character(n + 1)
 
 
 def test_chain_character_of_near_top():
-    assert C.decompose(C.chain_character(StirlingComplex(4, 3), 0)) == [((2, 1, 1, 1), 1)]
+    assert C.decompose(chain_character(StirlingComplex(4, 3), 0)) == [((2, 1, 1, 1), 1)]
 
 
 def test_restricted_zero_degree_characters():
     for n in [3, 4]:
-        assert C.restricted_chain_character(StirlingComplex(n, n), 0) == C.sign_character(n)
+        assert restricted_chain_character(StirlingComplex(n, n), 0) == sign_character(n)
         expected = C.character_of((1,) * n) + C.character_of((2,) + (1,) * (n - 2))
-        assert C.restricted_chain_character(StirlingComplex(n, n - 1), 0) == expected
+        assert restricted_chain_character(StirlingComplex(n, n - 1), 0) == expected
 
 
 def _diagonal_sum(matrix):
@@ -256,3 +260,65 @@ def test_trace_is_the_action_diagonal():
             perm = perm_of(mu)
             for i in range(cx.max_edges + 1):
                 assert cx.trace(i, perm) == _diagonal_sum(cx.action_matrix(i, perm))
+
+
+@functools.lru_cache(maxsize=None)
+def _complex(kind, size, k_or_kill, seed):
+    if kind == "stirling":
+        return StirlingComplex(size, k_or_kill, orient_seed=seed)
+    return GraphComplex(size, orientation_kill=k_or_kill, orient_seed=seed)
+
+
+def _labels(cx):
+    return range(cx.n + 1) if isinstance(cx, StirlingComplex) else range(1, cx.m + 1)
+
+
+def _assert_trace_is_the_diagonal(cx, perm):
+    for i in range(cx.max_edges + 1):
+        assert cx.trace(i, perm) == _diagonal_sum(cx.action_matrix(i, perm))
+
+
+def test_trace_is_the_diagonal_for_all_of_s4():
+    # the trace stops relabeling at the first piece that moves; every
+    # permutation of four letters, each its own matrix oracle
+    cases = [_complex("graph", 4, kill, seed)
+             for kill in (True, False) for seed in (0, 12345)]
+    cases += [_complex("stirling", 3, k, seed) for k in (2, 3) for seed in (0, 12345)]
+    for cx in cases:
+        for perm in itertools.permutations(_labels(cx)):
+            _assert_trace_is_the_diagonal(cx, perm)
+
+
+@st_.composite
+def complexes_and_permutations(draw):
+    """A Stirling complex with 2 <= k <= n <= 5 or a graph complex with
+    m <= 5, and two permutations of its labels as dicts."""
+    seed = draw(st_.sampled_from((0, 12345)))
+    if draw(st_.booleans()):
+        n = draw(st_.integers(2, 5))
+        cx = _complex("stirling", n, draw(st_.integers(2, n)), seed)
+    else:
+        cx = _complex("graph", draw(st_.integers(3, 5)), draw(st_.booleans()), seed)
+    labels = list(_labels(cx))
+    sigma, tau = (dict(zip(labels, draw(st_.permutations(labels)))) for _ in range(2))
+    return cx, sigma, tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes_and_permutations())
+@example((_complex("stirling", 4, 2, 0), {0: 1, 1: 0, 2: 2, 3: 3, 4: 4},
+          {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}))
+@example((_complex("stirling", 5, 3, 12345), {0: 3, 1: 5, 2: 0, 3: 1, 4: 4, 5: 2},
+          {0: 2, 1: 0, 2: 1, 3: 3, 4: 5, 5: 4}))
+def test_trace_is_a_class_function_of_any_permutation(case):
+    # leg 0 moving re-roots the tree; the trade terms and the complement
+    # are where a fixed term would hide from an early exit
+    cx, sigma, tau = case
+    labels = _labels(cx)
+    as_sequence = [sigma[j] for j in labels]
+    conjugate = {tau[j]: tau[sigma[j]] for j in labels}
+    _assert_trace_is_the_diagonal(cx, as_sequence)
+    for i in range(cx.max_edges + 1):
+        value = cx.trace(i, as_sequence)
+        assert cx.trace(i, sigma) == value
+        assert cx.trace(i, conjugate) == value

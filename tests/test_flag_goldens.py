@@ -17,11 +17,11 @@ import re
 import pytest
 
 from stirhom.graphcomplex import GraphComplex
-from stirhom.linalg import SparseIntMatrix
 from stirhom.stirling import StirlingComplex
 
 import stirling_oracle
 from flag_graphs import FlagGraphComplex, dot_code, parse_dot
+from helpers import from_triplets
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -70,7 +70,7 @@ def test_dot_golden_matches_flag_drawings(path):
 def read_mtx(text):
     lines = text.splitlines()
     nrows, ncols, _nnz = map(int, lines[1].split())
-    return SparseIntMatrix.from_triplets(
+    return from_triplets(
         nrows, ncols, [(r - 1, c - 1, v) for r, c, v in
                        (map(int, line.split()) for line in lines[2:])])
 
@@ -91,8 +91,8 @@ def test_export_golden_matches_flag_export(n, k):
     for old_d, new_d in zip(old["differentials"], new["differentials"]):
         i = old_d["i"]
         shape = (len(p[i - 1]), len(p[i]))
-        old_matrix = SparseIntMatrix.from_triplets(*shape, old_d["triplets"])
-        new_matrix = SparseIntMatrix.from_triplets(*shape, new_d["triplets"])
+        old_matrix = from_triplets(*shape, old_d["triplets"])
+        new_matrix = from_triplets(*shape, new_d["triplets"])
         assert new_matrix == stirling_oracle.transport(old_matrix, p[i - 1], p[i])
         mtx = [read_mtx((DATA / folder / "export" / f"{stem}_d{i}.mtx").read_text())
                for folder in ("flag", ".")]

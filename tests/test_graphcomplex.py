@@ -24,10 +24,11 @@ import pytest
 from stirhom.graphcomplex import (GraphComplex, _keys,
                                   enumerate_graph_generators,
                                   verify_decomposition)
-from stirhom.linalg import SparseIntMatrix, composes_to_zero
+from stirhom.linalg import composes_to_zero
 from stirhom.trees import RootedShapes, perm_parity, relative_sign
 
 from flag_graphs import FlagGraphComplex, representative
+from helpers import from_triplets
 from stirling_oracle import transport
 
 
@@ -259,7 +260,7 @@ def oracle_differential(cx, i):
                            for u, w in surviving]
             sign = move_sign * relative_sign(transported, ref)
             triplets.append((row, col, sign))
-    return SparseIntMatrix.from_triplets(len(targets), len(sources), triplets)
+    return from_triplets(len(targets), len(sources), triplets)
 
 
 @pytest.mark.parametrize("m,i", [(3, 1), (3, 2), (3, 3),

@@ -18,6 +18,8 @@ from stirhom.linalg import (SparseIntMatrix, _eliminate_rank,
                             morse_reduce, rank_exact)
 from stirhom.stirling import StirlingComplex
 
+from helpers import from_triplets
+
 
 def dense_rank(matrix):
     """Plain dense Gauss-Jordan elimination over exact rationals."""
@@ -40,8 +42,8 @@ def dense_rank(matrix):
 
 
 def test_zero_and_identity():
-    assert rank_exact(SparseIntMatrix.from_triplets(4, 9, [])) == 0
-    assert rank_exact(SparseIntMatrix.from_triplets(
+    assert rank_exact(from_triplets(4, 9, [])) == 0
+    assert rank_exact(from_triplets(
         5, 5, [(i, i, 1) for i in range(5)])) == 5
 
 
@@ -53,7 +55,7 @@ def test_first_differential_rank_matches_dense_oracle():
 
 def sparse_matrices(values):
     return st_.builds(
-        lambda nr, nc, trips: SparseIntMatrix.from_triplets(
+        lambda nr, nc, trips: from_triplets(
             nr, nc, [(r % nr, c % nc, v) for r, c, v in trips]),
         st_.integers(1, 7), st_.integers(1, 7),
         st_.lists(st_.tuples(st_.integers(0, 6), st_.integers(0, 6), values),
@@ -68,7 +70,7 @@ matrices = sparse_matrices(st_.integers(-4, 4))
 def test_rank_matches_oracle(m):
     expected = dense_rank(m)
     assert rank_exact(m) == expected
-    assert rank_exact(SparseIntMatrix.from_triplets(
+    assert rank_exact(from_triplets(
         m.ncols, m.nrows, [(c, r, v) for r, c, v in m.triplets()])) == expected
     assert expected <= min(m.nrows, m.ncols)
 
@@ -83,33 +85,33 @@ def test_rank_with_larger_pivots_matches_oracle(m):
 def test_unit_entries_are_pivots_first():
     # the row [2, 1], and the singleton row (2) beside the rows [1, 1] and
     # [0, 1], hold a larger entry that fill alone would pick first
-    assert _eliminate_rank(SparseIntMatrix.from_triplets(
+    assert _eliminate_rank(from_triplets(
         1, 2, [(0, 0, 2), (0, 1, 1)])) == (1, True)
-    assert _eliminate_rank(SparseIntMatrix.from_triplets(
+    assert _eliminate_rank(from_triplets(
         3, 2, [(0, 0, 2), (1, 0, 1), (1, 1, 1), (2, 1, 1)])) == (2, True)
     # no +-1 entry at all: a rank over Q only
-    assert _eliminate_rank(SparseIntMatrix.from_triplets(
+    assert _eliminate_rank(from_triplets(
         1, 2, [(0, 0, 2), (0, 1, 3)])) == (1, False)
 
 
 def test_matmul_and_equality():
-    a = SparseIntMatrix.from_triplets(2, 3, [(0, 0, 1), (0, 2, -2), (1, 1, 3)])
-    b = SparseIntMatrix.from_triplets(3, 2, [(0, 0, 4), (2, 0, 1), (1, 1, 5)])
+    a = from_triplets(2, 3, [(0, 0, 1), (0, 2, -2), (1, 1, 3)])
+    b = from_triplets(3, 2, [(0, 0, 4), (2, 0, 1), (1, 1, 5)])
     prod = a @ b
-    assert prod == SparseIntMatrix.from_triplets(2, 2, [(0, 0, 2), (1, 1, 15)])
+    assert prod == from_triplets(2, 2, [(0, 0, 2), (1, 1, 15)])
     with pytest.raises(ValueError):
         a @ a
 
 
 def test_from_triplets_accumulates_and_drops_zeros():
-    m = SparseIntMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, 2)])
+    m = from_triplets(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, 2)])
     assert m.cols == [{}, {1: 2}]
     with pytest.raises(ValueError):
-        SparseIntMatrix.from_triplets(1, 1, [(1, 0, 1)])
+        from_triplets(1, 1, [(1, 0, 1)])
 
 
 def test_matrix_market_format():
-    m = SparseIntMatrix.from_triplets(2, 3, [(1, 2, -7), (0, 0, 3)])
+    m = from_triplets(2, 3, [(1, 2, -7), (0, 0, 3)])
     text = m.to_matrix_market()
     lines = text.strip().splitlines()
     assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
@@ -129,7 +131,7 @@ def test_betti_assembly():
 def test_homology_reports_a_failed_d_squared():
     # d_1 d_2 = 1: not a complex, so no coreduction, no strictness, and a
     # negative Betti number is reported rather than raised
-    one = SparseIntMatrix.from_triplets(1, 1, [(0, 0, 1)])
+    one = from_triplets(1, 1, [(0, 0, 1)])
     result = compute_homology({0: 1, 1: 1, 2: 1}, {1: one, 2: one}, lambda i: i)
     assert result.certificate == "unverified" and not result.d2_ok
     assert result.ranks == {1: 1, 2: 1}
@@ -169,7 +171,7 @@ def test_graph_reduction_matches_rank_oracle(m):
 
 def test_reduction_without_unit_pairs_takes_residual_path():
     # Z --2--> Z: rank 1 over Q, no unit pair, homology Z/2 in degree 0
-    doubling = SparseIntMatrix.from_triplets(1, 1, [(0, 0, 2)])
+    doubling = from_triplets(1, 1, [(0, 0, 2)])
     reduction = morse_reduce({0: 1, 1: 1}, {1: doubling})
     assert reduction.ranks == {1: 1}
     assert reduction.critical == {0: 1, 1: 1}
@@ -183,7 +185,7 @@ def test_unit_pivots_keep_the_residual_integral():
     # the coreduction pairs nothing, yet the matrix is unimodular and its
     # +-1 pivots clear it over Z
     dims = {0: 2, 1: 2}
-    d1 = SparseIntMatrix.from_triplets(
+    d1 = from_triplets(
         2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)])
     reduction = morse_reduce(dims, {1: d1})
     assert reduction.critical == {0: 2, 1: 2}
@@ -195,7 +197,7 @@ def test_unit_pivots_keep_the_residual_integral():
     dims, diffs = cx.dims(), cx.differentials()
     rng = random.Random(1)
     perm = {i: rng.sample(range(dim), dim) for i, dim in dims.items()}
-    shuffled = {i: SparseIntMatrix.from_triplets(d.nrows, d.ncols, [
+    shuffled = {i: from_triplets(d.nrows, d.ncols, [
         (perm[i - 1][r], perm[i][c], v) for r, c, v in d.triplets()])
         for i, d in diffs.items()}
     reduction = morse_reduce(dims, shuffled)
@@ -236,7 +238,7 @@ def simplicial_complex(facets):
     diffs = {}
     for i in range(1, len(by_degree)):
         index = {face: pos for pos, face in enumerate(by_degree[i - 1])}
-        diffs[i] = SparseIntMatrix.from_triplets(
+        diffs[i] = from_triplets(
             dims[i - 1], dims[i],
             [(index[face[:j] + face[j + 1:]], col, (-1) ** j)
              for col, face in enumerate(by_degree[i]) for j in range(i + 1)])

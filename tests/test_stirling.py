@@ -21,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from stirhom.cli import main
-from stirhom.linalg import SparseIntMatrix, composes_to_zero, rank_exact
+from stirhom.linalg import composes_to_zero, rank_exact
 from stirhom.stirling import (DomainError, StirlingComplex, compose,
                               make_generator, survey, transposition)
 from stirhom.trees import relative_sign
 
 import stirling_oracle
 from flag_graphs import _tree_from_shape, canonical_tree_data
+from helpers import from_triplets
 
 
 def tree_from_nested(shape, n):
@@ -149,7 +150,7 @@ def oracle_first_differential(cx):
                        for side in g.alt_order]
                 row, ref = by_labels[frozenset(src)]
                 triplets.append((row, col, relative_sign(src, ref)))
-    return SparseIntMatrix.from_triplets(len(targets), len(sources), triplets)
+    return from_triplets(len(targets), len(sources), triplets)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 4), (5, 3)])
@@ -207,7 +208,7 @@ def test_euler_characteristic_identity():
 def test_identity_action():
     cx = StirlingComplex(4, 2)
     for i in range(cx.max_edges + 1):
-        identity = SparseIntMatrix.from_triplets(
+        identity = from_triplets(
             cx.dim(i), cx.dim(i), [(j, j, 1) for j in range(cx.dim(i))])
         assert cx.action_matrix(i, tuple(range(5))) == identity
 
@@ -398,7 +399,7 @@ def test_chain_vector_differential_squares_to_zero():
     # a chain vector as a one-column matrix: d takes it to a nonzero
     # boundary, and d again to zero
     cx = StirlingComplex(5, 2)
-    vec = SparseIntMatrix.from_triplets(cx.dim(2), 1, [(0, 0, 1), (7, 0, -2)])
+    vec = from_triplets(cx.dim(2), 1, [(0, 0, 1), (7, 0, -2)])
     once = cx.differential(2) @ vec
     assert not once.is_zero()
     assert (cx.differential(1) @ once).is_zero()
@@ -436,7 +437,7 @@ def corrupt(monkeypatch, degree):
             return d
         triplets = list(d.triplets())
         triplets.remove(min(triplets))
-        return SparseIntMatrix.from_triplets(d.nrows, d.ncols, triplets)
+        return from_triplets(d.nrows, d.ncols, triplets)
 
     monkeypatch.setattr(StirlingComplex, "differential", corrupted)
 
