@@ -74,11 +74,6 @@ def verify_identity_alt(n, k):
     return stirling_signed(n, k) == rhs
 
 
-def even_cycle_count_sum(n):
-    """Sum of |s(n, k)| over even k; equals n!/2 for n >= 2."""
-    return sum(stirling_unsigned(n, k) for k in range(2, n + 1, 2))
-
-
 # ---------------------------------------------------------------------------
 # partitions and conjugacy classes
 
@@ -145,10 +140,6 @@ def representative_permutation(mu):
         perm.extend(list(range(start + 1, start + part)) + [start])
         start += part
     return tuple(perm)
-
-
-def class_sign(mu):
-    return (-1) ** (sum(mu) - len(mu))
 
 
 # ---------------------------------------------------------------------------

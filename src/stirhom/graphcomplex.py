@@ -32,27 +32,28 @@ blocks are rigid: a leg-fixing automorphism can only flip a loop, which
 fixes its edge, or swap the two parallel edges of a 2-cycle, an odd
 permutation of the edges.  A class is therefore killed exactly when c = 2.
 
-Names and order.  A generator is named by its key: ``clusters`` is stored
-as an int with bit C set for each cluster C, so keys are totally ordered
-and the generators of a degree are sorted by key, and ``code`` spells the
-key out.  The reference edge order is the edge names sorted ascending; a
-nonzero ``orient_seed`` shuffles it, seeded by the code, which only flips
-the sign of each basis vector.  Contracting a hanging edge or the loop
-keeps the surviving names sorted, so only a cycle contraction, which
-renames, or a relabeling leaves a permutation to take the sign of.  The
-tests check every matrix against the flag-graph construction up to that
-signed bijection.
+Names and signs.  A generator is its key: ``clusters`` is stored as an int
+with bit C set for each cluster C, so keys are totally ordered, the
+generators of a degree are sorted by key, and ``code`` spells the key out.
+The reference edge order is the edge names sorted ascending, so each term
+reads its sign off positions.  Contracting the edge at place p of e gives
+(-1)^(e-1-p); dropping a hanging edge or the loop leaves the other names
+sorted, and a cycle contraction, which renames, or a relabeling takes the
+parity of sorting the renamed names.  A nonzero ``orient_seed`` only flips
+the sign of each basis vector (``ChainComplex``).  The tests check every
+matrix against the flag-graph construction up to the signed generator
+bijection.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 
 from .linalg import ChainComplex
 from .stirling import StirlingComplex, _bit_images, _mask_set, _members, _spell
-from .trees import RootedShapes, _compositions, _partitions_into_blocks, vertices
+from .trees import (RootedShapes, _compositions, _partitions_into_blocks, sort_sign,
+                    vertices)
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
@@ -61,33 +62,6 @@ LOOP = 0  # the name of the loop's edge; no leaf set is empty
 
 class GraphError(ValueError):
     """Parameters outside the domain of the genus-one graph complex."""
-
-
-class GraphGenerator:
-    """One class: its key and reference order of edge names.  A graph has
-    no alternating flags, so its alternating order is always empty."""
-
-    __slots__ = ("m", "key", "edge_order")
-    alt_order = ()
-
-    def __init__(self, m, key, orient_seed=0):
-        cycle, clusters = key
-        self.m = m
-        self.key = key
-        self.edge_order = tuple(sorted(_cycle_names(cycle) + tuple(_members(clusters))))
-        if orient_seed:
-            edge_order = list(self.edge_order)
-            random.Random(f"{orient_seed}|{self.code}").shuffle(edge_order)
-            self.edge_order = tuple(edge_order)
-
-    @property
-    def code(self):
-        """The key spelled out: cycle blocks and clusters, as decimal masks."""
-        cycle, clusters = self.key
-        return f"G{self.m}:{_spell(cycle)}|{_spell(_members(clusters))}"
-
-    def __repr__(self):
-        return f"GraphGenerator({self.code})"
 
 
 def _cycle_names(cycle):
@@ -99,6 +73,12 @@ def _cycle_names(cycle):
     if c == 2:
         names[1] |= 1  # the second parallel edge
     return tuple(names)
+
+
+def _names(key):
+    """The names of a class's edges, sorted: its reference order."""
+    cycle, clusters = key
+    return sorted(_cycle_names(cycle) + tuple(_members(clusters)))
 
 
 def _normal_cycle(blocks):
@@ -150,9 +130,8 @@ def _keys(m, i, shapes):
                         yield cycle, sum(combo)
 
 
-def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0,
-                               shapes=None):
-    """The degree-i generators, one per class, sorted by key.
+def enumerate_graph_generators(m, i, orientation_kill=True, shapes=None):
+    """The keys of the degree-i generators, one per class, sorted.
 
     With the orientation kill the classes with a 2-cycle are left out;
     without it (the negative control) they stay and the numbers are
@@ -160,9 +139,8 @@ def enumerate_graph_generators(m, i, orientation_kill=True, orient_seed=0,
     memo; a fresh one is used when it is not given.
     """
     shapes = RootedShapes() if shapes is None else shapes
-    keys = sorted(key for key in _keys(m, i, shapes)
+    return sorted(key for key in _keys(m, i, shapes)
                   if not (orientation_kill and len(key[0]) == 2))
-    return [GraphGenerator(m, key, orient_seed) for key in keys]
 
 
 class GraphComplex(ChainComplex):
@@ -177,10 +155,9 @@ class GraphComplex(ChainComplex):
     def __init__(self, m, orientation_kill=True, orient_seed=0):
         if m < 3:
             raise GraphError("the genus-one graph complex requires m >= 3")
-        super().__init__()
+        super().__init__(orient_seed)
         self.m = m
         self.orientation_kill = orientation_kill
-        self.orient_seed = orient_seed
         self._shapes = RootedShapes()
 
     @property
@@ -190,22 +167,28 @@ class GraphComplex(ChainComplex):
     def generators(self, i):
         if i not in self._gens:
             self._gens[i] = enumerate_graph_generators(
-                self.m, i, self.orientation_kill, self.orient_seed, self._shapes)
+                self.m, i, self.orientation_kill, self._shapes)
         return self._gens[i]
 
-    def contraction_terms(self, gen):
-        """The differential's terms of one generator, one per edge.
+    def code(self, key):
+        """The key spelled out: cycle blocks and clusters, as decimal masks."""
+        cycle, clusters = key
+        return f"G{self.m}:{_spell(cycle)}|{_spell(_members(clusters))}"
 
-        Yields ``(target_key, surviving_names, (), move_sign)``: the source
-        order without the contracted edge, its edges renamed as in the
-        target; a graph has no alternating flags.  With the orientation
-        kill, targets with a 2-cycle are killed and not yielded.
-        """
-        cycle, clusters = gen.key
-        names = gen.edge_order
+    def orders(self, key):
+        # a graph has no alternating flags
+        return (_names(key),)
+
+    def contraction_terms(self, key):
+        """The differential's terms of one generator, one per edge; a cycle
+        edge renames its neighbours.  With the orientation kill, targets
+        with a 2-cycle are killed and not yielded."""
+        cycle, clusters = key
+        names = _names(key)
         cycle_names = _cycle_names(cycle)
+        last = len(names) - 1
         for pos, name in enumerate(names):
-            move_sign = -1 if (len(names) - 1 - pos) % 2 else 1
+            sign = -1 if (last - pos) % 2 else 1
             rename = {}
             if clusters >> name & 1:
                 target = (cycle, clusters ^ 1 << name)
@@ -227,13 +210,15 @@ class GraphComplex(ChainComplex):
                     rename = {n: n | name for n in others if n & name}
             if self.orientation_kill and len(target[0]) == 2:
                 continue
-            surviving = tuple(rename.get(n, n) for n in names if n != name)
-            yield target, surviving, (), move_sign
+            if rename:
+                sign *= sort_sign([rename.get(n, n) for n in names if n != name])
+            yield target, sign
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 1..m, as a function
-        from a generator to its one term; with ``fixed`` only when the
-        generator is fixed, tested on the cycle, then on each cluster.
+        from a generator to its one term, signed by the parity of sorting
+        the relabeled edge names; with ``fixed`` only when the generator is
+        fixed, tested on the cycle, then on each cluster.
 
         ``perm`` is a dict or a sequence with ``perm[j - 1]`` the image of
         j; it is checked, and its image table built, once.  Relabeling
@@ -250,29 +235,32 @@ class GraphComplex(ChainComplex):
         # bit 0, which no leg owns, stays put
         image = _bit_images([0] + [perm[j] for j in legs])
 
-        def terms(gen, fixed=False):
-            cycle, clusters = gen.key
+        def terms(key, fixed=False):
+            cycle, clusters = key
             blocks = _normal_cycle(tuple(map(image.__getitem__, cycle)))
             if not fixed:
-                key = (blocks, _mask_set(image[c] for c in _members(clusters)))
+                target = (blocks, _mask_set(image[c] for c in _members(clusters)))
             elif blocks != cycle:
                 return
             else:
-                # the edges named by a cluster, each of whose images must
-                # be a cluster again; then the set of clusters is kept
-                for name in gen.edge_order:
-                    if clusters >> name & 1 and not clusters >> image[name] & 1:
+                # the image of each cluster must be a cluster again; then
+                # the set of clusters is kept
+                rest = clusters
+                while rest:
+                    low = rest & -rest
+                    if not clusters >> image[low.bit_length() - 1] & 1:
                         return
-                key = gen.key
-            yield key, tuple(map(image.__getitem__, gen.edge_order)), (), 1
+                    rest ^= low
+                target = key
+            yield target, sort_sign([image[name] for name in _names(key)])
 
         return terms
 
     def generator_dot(self):
         """DOT drawings of every generator, genus labels on the vertices."""
-        return "\n".join(_graph_dot(self.m, g.key, f"gc_{self.m}_{i}_{pos}")
+        return "\n".join(_graph_dot(self.m, key, f"gc_{self.m}_{i}_{pos}")
                          for i in range(self.max_edges + 1)
-                         for pos, g in enumerate(self.generators(i)))
+                         for pos, key in enumerate(self.generators(i)))
 
 
 def _graph_dot(m, key, name):

@@ -30,9 +30,10 @@ leaves only ranks over Q and the certificate ``"exact-rational"``.
 ``rank_exact`` is the same routine with only the rank kept.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
-lazily enumerated degrees 0..max_edges, the position of each generator by
-key, the shared assembler that turns contraction and action terms into the
-differential, an action matrix or a trace, and the homology, computed once.
+lazily enumerated degrees 0..max_edges of sorted generator keys, the
+position of each key, the shared assembler that turns signed contraction
+and action terms into the differential, an action matrix or a trace, and
+the homology, computed once.
 A trace is the signed count of the generators a relabeling fixes, and
 each relabeling stops at the first piece of the image that moves.
 """
@@ -41,10 +42,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 
-from .trees import relative_sign
+from .trees import sort_sign
 
 
 @dataclass
@@ -222,19 +224,19 @@ def morse_reduce(dims, diffs):
     ``_eliminate_rank``; the certificate stays ``"morse-integral"`` when
     every residual pivot was +-1.
 
-    Cell c of degree i has as faces the rows of column c of d_i, sorted so
-    that the queue ignores the order within a column, and as cofaces the
-    columns of row c of d_{i+1}, appended in column order and so ascending.
+    Cell c of degree i has as faces the rows of column c of d_i, and as
+    cofaces the columns of row c of d_{i+1}, appended in column order and so
+    ascending.  A removed cell retires its faces in sorted order, so the
+    queue ignores the order within a column.
     """
-    faces = {i: [()] * dim for i, dim in dims.items()}
     cofaces = {i: [[] for _ in range(dim)] for i, dim in dims.items()}
+    nfaces = {i: [0] * dim for i, dim in dims.items()}
     for i, d in diffs.items():
-        faces[i] = [sorted(col) for col in d.cols]
         row_cofaces = cofaces[i - 1]
-        for c, rows in enumerate(faces[i]):
-            for r in rows:
+        for c, col in enumerate(d.cols):
+            nfaces[i][c] = len(col)
+            for r in col:
                 row_cofaces[r].append(c)
-    nfaces = {i: [len(f) for f in cells] for i, cells in faces.items()}
     ncofaces = {i: [len(f) for f in cells] for i, cells in cofaces.items()}
     live = {i: bytearray(b"\x01") * dim for i, dim in dims.items()}
     pairs = {i: 0 for i in diffs}
@@ -245,7 +247,7 @@ def morse_reduce(dims, diffs):
         return next(x for x in neighbours if flags[x])
 
     def retire(i, c):
-        for r in faces[i][c]:
+        for r in (sorted(diffs[i].cols[c]) if i in diffs else ()):
             if live[i - 1][r]:
                 ncofaces[i - 1][r] -= 1
                 if ncofaces[i - 1][r] == 1:
@@ -262,7 +264,7 @@ def morse_reduce(dims, diffs):
             continue
         pair = None
         if nfaces[i][c] == 1:
-            r = unique_live(faces[i][c], i - 1)
+            r = unique_live(diffs[i].cols[c], i - 1)
             if abs(diffs[i].cols[c][r]) == 1:
                 pair = (i, c), (i - 1, r)
         if pair is None and ncofaces[i][c] == 1:
@@ -375,20 +377,23 @@ def compute_homology(dims, diffs, degree_of):
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
-    Subclasses provide ``max_edges``, ``generators(i)`` (sorted by ``key``,
-    with reference orders ``edge_order`` and ``alt_order``),
-    ``contraction_terms(gen)`` and ``action_terms(perm)``, and may shift
-    ``total_degree``; every matrix is assembled here from their terms.  A
-    term ``(target_key, edge_names, alt_far_sides, sign)`` names the
-    generator it lands on, the source's edges and alternating far sides in
-    the target's naming, and the sign of the move itself.  The function
-    ``action_terms(perm)`` returns takes ``(gen, fixed=False)``; with
-    ``fixed`` it yields only the terms whose target is ``gen``.
+    Subclasses provide ``max_edges``, ``generators(i)`` (the sorted keys of
+    degree i), ``code(key)``, ``orders(key)`` (new lists of the edge names
+    and alternating far sides, each sorted: the reference orders),
+    ``contraction_terms(key)`` and ``action_terms(perm)``, whose function
+    takes ``(key, fixed=False)`` and with ``fixed`` yields only the terms
+    landing on ``key``.  A term ``(target_key, sign)`` carries its whole
+    sign, read off the sorted positions.  A nonzero ``orient_seed`` shuffles
+    each generator's orders, edges first, with
+    ``random.Random(f"{orient_seed}|{code}")``, which flips its basis vector
+    by the parity of the shuffle: every matrix becomes S D S'.
     """
 
-    def __init__(self):
+    def __init__(self, orient_seed=0):
+        self.orient_seed = orient_seed
         self._gens = {}
         self._rows = {}
+        self._signs = {}
         self._diffs = {}
         self._homology = None
 
@@ -398,7 +403,7 @@ class ChainComplex:
     def rows(self, i):
         """Position of each degree-i generator, by key."""
         if i not in self._rows:
-            self._rows[i] = {g.key: pos for pos, g in enumerate(self.generators(i))}
+            self._rows[i] = {key: pos for pos, key in enumerate(self.generators(i))}
         return self._rows[i]
 
     def dim(self, i):
@@ -407,26 +412,40 @@ class ChainComplex:
     def dims(self):
         return {i: self.dim(i) for i in range(self.max_edges + 1)}
 
+    def _orientations(self, i):
+        """The sign of each degree-i basis vector under ``orient_seed``."""
+        if i not in self._signs:
+            self._signs[i] = []
+            for key in self.generators(i):
+                rng = random.Random(f"{self.orient_seed}|{self.code(key)}")
+                orders = self.orders(key)
+                for names in orders:
+                    rng.shuffle(names)
+                self._signs[i].append(math.prod(map(sort_sign, orders)))
+        return self._signs[i]
+
     def _assemble(self, i, j, terms):
         """The matrix from degree i to degree j (columns are sources) whose
-        column of each degree-i generator sums ``terms(gen)``.  A term's
-        entry sits in the row of its key and is its sign times the parities
-        taking its orders to the target's reference orders.  No two terms
-        of one generator share a target, so each is one +-1 entry."""
-        targets = self.generators(j)
+        column of each degree-i generator sums ``terms(key)``, then S_j D S_i.
+        Two terms share a target only for the parallel edges of a 2-cycle."""
         rows = self.rows(j)
         cols = []
-        for gen in self.generators(i):
+        for key in self.generators(i):
             col = {}
-            for key, edges, alt, sign in terms(gen):
-                row = rows[key]
-                total = col.get(row, 0) + sign * _orientation(edges, alt, targets[row])
+            for target, sign in terms(key):
+                row = rows[target]
+                total = col.get(row, 0) + sign
                 if total:
                     col[row] = total
                 else:
                     del col[row]
             cols.append(col)
-        return SparseIntMatrix(len(targets), cols)
+        if self.orient_seed:
+            row_signs = self._orientations(j)
+            for col, sign in zip(cols, self._orientations(i)):
+                for row in col:
+                    col[row] *= sign * row_signs[row]
+        return SparseIntMatrix(len(rows), cols)
 
     def differential(self, i):
         """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""
@@ -441,11 +460,11 @@ class ChainComplex:
     def trace(self, i, perm):
         """Trace of a leg relabeling on degree i, with no matrix built: the
         signed count of the generators it fixes, each relabeling stopped at
-        the first piece of the image that misses the generator's key."""
+        the first piece of the image that misses the generator's key.  The
+        seeded orientations conjugate by S, which keeps the diagonal."""
         terms = self.action_terms(perm)
-        return sum(sign * _orientation(edges, alt, gen)
-                   for gen in self.generators(i)
-                   for _key, edges, alt, sign in terms(gen, fixed=True))
+        return sum(sign for key in self.generators(i)
+                   for _target, sign in terms(key, fixed=True))
 
     def differentials(self):
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}
@@ -464,9 +483,3 @@ class ChainComplex:
     def betti(self):
         """Betti numbers indexed by total degree."""
         return self.homology().betti
-
-
-def _orientation(edges, alt, target):
-    """The parity taking a term's orders to those of ``target``."""
-    return (relative_sign(edges, target.edge_order)
-            * relative_sign(alt, target.alt_order))

@@ -15,13 +15,13 @@ side, the legs beyond it: ``1 << j`` for leg j, the child's cluster for an
 edge below, and the complement within {0..n} for the flag above.  Each
 tree is built once from its enumerated rooted shape, whose walk gives every
 vertex's cluster and input far sides, so nothing is re-derived or
-validated; ``make_generator`` validates a cluster list by finding the
-enumerated tree whose edges are exactly those clusters.  A generator is the
-triple ``(clusters, dv, alt)``: its edge clusters, the cluster of the
+validated; the trees of a degree are shared by its generators, which find
+theirs by their clusters.  A generator is its key, the triple
+``(clusters, dv, alt)``: its edge clusters, the cluster of the
 distinguished vertex, and the far sides of the alternating flags, with the
 two sets stored as ints that have bit m set for each member mask m.  The
-triple is canonical by construction, so it is the key by which every
-differential and action term finds its row.
+triple is canonical by construction, so every differential and action term
+finds its row by it.
 
 The differential contracts edges.  Contracting the edge above cluster C
 drops C, and the distinguished vertex moves to C's parent when it was C.
@@ -33,26 +33,25 @@ captures the new output flag of the distinguished vertex, the image is the
 signed sum over trading it for each other flag there.  The differential and
 the action are given as terms that ``ChainComplex`` assembles and traces.
 
-Reference orders.  A generator is named by its key and ordered by it:
-the generators of a degree are sorted by key, and ``code`` spells the key
-out.  The reference order of the edges is their clusters sorted ascending,
-that of the alternating flags their far sides sorted ascending; a nonzero
-``orient_seed`` shuffles both, seeded by the code, which only flips the sign
-of each basis vector.  Signs move the contracted edge to the last wedge
-slot, then align the surviving edges and alternating flags with the
-target's reference orders.  Dropping a cluster keeps the rest sorted, so
-with the sorted orders only a replaced alternating flag or a relabeling
-leaves a permutation to take the sign of.  The tests check every matrix
-against the flag-tree construction up to that signed bijection.
+Signs by position.  The generators of a degree are sorted by key, and
+``code`` spells the key out.  The reference order of the edges is their
+clusters sorted ascending, that of the alternating flags their far sides
+sorted ascending, so each term reads its sign off positions.  Contracting
+the edge at place p of e moves it to the last wedge slot, (-1)^(e-1-p), and
+leaves the other clusters sorted.  Trading an alternating far side a for b
+passes the other alternating far sides strictly between a and b, one sign
+each.  A relabeling, or a trade term of one, takes the parity of sorting
+the renamed edges and far sides.  A nonzero ``orient_seed`` only flips the
+sign of each basis vector (``ChainComplex``).  The tests check every matrix
+against the flag-tree construction up to the signed generator bijection.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 from .linalg import ChainComplex, compute_homology
-from .trees import RootedShapes, vertices
+from .trees import RootedShapes, sort_sign, vertices
 
 
 class DomainError(ValueError):
@@ -69,7 +68,7 @@ def _mask_set(masks):
 
 class _Tree:
     """One stable tree, built from its rooted shape and shared by the
-    generators on it.
+    generators on it, which find it by their clusters.
 
     ``inputs[D]`` lists the far sides of the input flags of vertex D
     ascending, read off the shape's walk, and ``edges`` lists every vertex
@@ -95,66 +94,6 @@ class _Tree:
         return sum(1 for c in self.inputs if c & d == d and c != self.full)
 
 
-class StirlingGenerator:
-    """One isomorphism class of decorated trees with its reference orders.
-
-    ``key`` is ``(clusters, dv, alt)``; ``edge_order`` lists the edge
-    clusters and ``alt_order`` the alternating far sides in reference order.
-    ``alt`` must list the far sides ascending.
-    """
-
-    __slots__ = ("tree", "key", "edge_order", "alt_order")
-
-    def __init__(self, tree, dv, alt, orient_seed=0):
-        self.tree = tree
-        self.key = (tree.clusters, dv, _mask_set(alt))
-        self.edge_order = tree.edges
-        self.alt_order = tuple(alt)
-        if orient_seed:
-            rng = random.Random(f"{orient_seed}|{self.code}")
-            edge_order, alt_order = list(self.edge_order), list(alt)
-            rng.shuffle(edge_order)
-            rng.shuffle(alt_order)
-            self.edge_order, self.alt_order = tuple(edge_order), tuple(alt_order)
-
-    @property
-    def code(self):
-        """The key spelled out: edge clusters, distinguished vertex and
-        alternating far sides, as decimal masks."""
-        _clusters, dv, alt = self.key
-        return (f"T{self.tree.n}:{_spell(self.tree.edges)}|{dv}|"
-                f"{_spell(_members(alt))}")
-
-    @property
-    def dv(self):
-        return self.key[1]
-
-    def __repr__(self):
-        return f"StirlingGenerator({self.code})"
-
-
-def make_generator(n, clusters, dv, alt, orient_seed=0):
-    """Validate and orient a decorated tree given by its edge clusters, the
-    cluster of its distinguished vertex (the full mask of legs 1..n for the
-    root) and the far sides of its alternating flags.  The tree is the
-    enumerated one whose edges are those clusters; there is none when they
-    are not the clusters of a stable tree on legs 1..n."""
-    wanted = _mask_set(clusters)
-    trees = (_Tree(n, shape)
-             for shape in RootedShapes()(range(1, n + 1), wanted.bit_count()))
-    tree = next((t for t in trees if t.clusters == wanted), None)
-    if tree is None:
-        raise DomainError("the clusters are not the edges of a stable tree "
-                          f"on legs 1..{n}")
-    alt = sorted(set(alt))
-    if len(alt) < 2:
-        raise DomainError("at least two alternating flags are required")
-    if dv not in tree.inputs or not set(alt) <= set(tree.inputs[dv]):
-        raise DomainError("alternating flags must be input flags of the "
-                          "distinguished vertex")
-    return StirlingGenerator(tree, dv, alt, orient_seed)
-
-
 def _check_type(n, k):
     if n < 2 or k < 2 or k > n:
         raise DomainError(f"type ({n}, {k}) requires 2 <= k <= n")
@@ -169,11 +108,11 @@ class StirlingComplex(ChainComplex):
 
     def __init__(self, n, k, orient_seed=0):
         _check_type(n, k)
-        super().__init__()
+        super().__init__(orient_seed)
         self.n = n
         self.k = k
-        self.orient_seed = orient_seed
         self._shapes = RootedShapes()
+        self._trees = {}
         self._reach = {}
 
     @property
@@ -184,55 +123,64 @@ class StirlingComplex(ChainComplex):
         return i + self.k
 
     def generators(self, i):
+        """The keys of degree i, sorted; the trees they are on are kept by
+        their clusters."""
         if i not in self._gens:
-            self._gens[i] = self._enumerate(i)
+            trees = self._trees[i] = {}
+            for shape in self._shapes(range(1, self.n + 1), i):
+                tree = _Tree(self.n, shape)
+                trees[tree.clusters] = tree
+            self._gens[i] = sorted(
+                (tree.clusters, dv, _mask_set(alt)) for tree in trees.values()
+                for dv, inputs in tree.inputs.items()
+                for alt in itertools.combinations(inputs, self.k))
         return self._gens[i]
 
-    def _enumerate(self, i):
-        if i < 0:
-            return []
-        gens = []
-        for shape in self._shapes(range(1, self.n + 1), i):
-            tree = _Tree(self.n, shape)
-            for dv, inputs in tree.inputs.items():
-                for alt in itertools.combinations(inputs, self.k):
-                    gens.append(StirlingGenerator(tree, dv, alt, self.orient_seed))
-        gens.sort(key=lambda g: g.key)
-        return gens
+    def tree(self, clusters):
+        """The tree whose edges are ``clusters``, its degree built first."""
+        i = clusters.bit_count()
+        if i not in self._trees:
+            self.generators(i)
+        return self._trees[i][clusters]
+
+    def code(self, key):
+        """The key spelled out: edge clusters, distinguished vertex and
+        alternating far sides, as decimal masks."""
+        clusters, dv, alt = key
+        return f"T{self.n}:{_spell(_members(clusters))}|{dv}|{_spell(_members(alt))}"
+
+    def orders(self, key):
+        clusters, _dv, alt = key
+        return _members(clusters), _members(alt)
 
     # -- terms ---------------------------------------------------------------
 
-    def contraction_terms(self, gen):
+    def contraction_terms(self, key):
         """The differential's terms of one generator, one per contraction
-        and, for an alternating edge, one per replacing input.
-
-        Yields ``(target_key, surviving_edges, alt_order, move_sign)``: the
-        source orders with the contracted cluster removed, and for an
-        alternating edge the replacing input substituted in its place.
-        """
-        clusters, dv, alt = gen.key
-        tree = gen.tree
-        edge_order = gen.edge_order
-        num_edges = len(edge_order)
-        for pos, c in enumerate(edge_order):
-            move_sign = -1 if (num_edges - 1 - pos) % 2 else 1
+        and, for an alternating edge, one per replacing input b, which lies
+        inside the contracted cluster c and so sorts below it."""
+        clusters, dv, alt = key
+        tree = self.tree(clusters)
+        last = len(tree.edges) - 1
+        for pos, c in enumerate(tree.edges):
+            sign = -1 if (last - pos) % 2 else 1
             rest = clusters ^ 1 << c
-            surviving = edge_order[:pos] + edge_order[pos + 1:]
             new_dv = tree.parent(c) if c == dv else dv
             if not alt >> c & 1:
-                yield (rest, new_dv, alt), surviving, gen.alt_order, move_sign
+                yield (rest, new_dv, alt), sign
             else:
                 # the edge hangs below the distinguished vertex; its child's
                 # inputs replace the lost alternating flag one at a time
                 others = alt ^ 1 << c
                 for b in tree.inputs[c]:
-                    alt_order = tuple(b if a == c else a for a in gen.alt_order)
-                    yield (rest, new_dv, others | 1 << b), surviving, alt_order, move_sign
+                    passed = (others & (1 << c) - (1 << b + 1)).bit_count()
+                    yield (rest, new_dv, others | 1 << b), -sign if passed % 2 else sign
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 0..n, as a function
         from a generator to its terms: one term, or the signed trade terms
-        when the relabeled alternating set captures the new output flag.
+        when the relabeled alternating set captures the new output flag,
+        signed by the parity of sorting the renamed edges and far sides.
         With ``fixed`` only terms landing on the generator are yielded: the
         vertex, then each edge, and last the alternating sets are tested.
 
@@ -246,29 +194,31 @@ class StirlingComplex(ChainComplex):
         # an edge keeps the side of its image without leg 0
         side = [everything ^ m if m & 1 else m for m in image]
 
-        def terms(gen, fixed=False):
-            clusters, dv, alt = gen.key
-            sides = gen.tree.inputs[dv] + (everything ^ dv,)
+        def terms(key, fixed=False):
+            clusters, dv, alt = key
+            tree = self.tree(clusters)
+            sides = tree.inputs[dv] + (everything ^ dv,)
             out = next(s for s in sides if image[s] & 1)
             new_dv = everything ^ image[out]
             # every term shares the distinguished vertex and the clusters
             if fixed and (new_dv != dv or any(not clusters >> side[c] & 1
-                                              for c in gen.edge_order)):
+                                              for c in tree.edges)):
                 return
-            edge_order = tuple(side[c] for c in gen.edge_order)
+            edges = [side[c] for c in tree.edges]
             if not fixed:
-                clusters = _mask_set(edge_order)
-            alt_order = tuple(image[a] for a in gen.alt_order)
+                clusters = _mask_set(edges)
+            edge_sign = sort_sign(edges)
+            alt_images = [image[a] for a in _members(alt)]
             if not alt >> out & 1:
-                candidates = [(alt_order, 1)]
+                candidates = [(alt_images, edge_sign)]
             else:
                 # trade the captured output flag for each remaining flag there
-                candidates = [(tuple(image[b] if a & 1 else a for a in alt_order), -1)
+                candidates = [([image[b] if a & 1 else a for a in alt_images], -edge_sign)
                               for b in sides if not alt >> b & 1]
-            for alt_order, sign in candidates:
-                new_alt = _mask_set(alt_order)
+            for names, sign in candidates:
+                new_alt = _mask_set(names)
                 if not fixed or new_alt == alt:
-                    yield (clusters, new_dv, new_alt), edge_order, alt_order, sign
+                    yield (clusters, new_dv, new_alt), sign * sort_sign(names)
 
         return terms
 
@@ -292,25 +242,25 @@ class StirlingComplex(ChainComplex):
 
     # -- reach filtration ----------------------------------------------------
 
-    def in_acyclic_part(self, gen):
+    def in_acyclic_part(self, key):
         """Membership in the acyclic subcomplex: the distinguished vertex
         has valence above k+1, or it is not the root vertex."""
-        dv = gen.dv
-        return len(gen.tree.inputs[dv]) > self.k or dv != gen.tree.full
+        tree, dv = self.tree(key[0]), key[1]
+        return len(tree.inputs[dv]) > self.k or dv != tree.full
 
-    def reach(self, gen):
-        if not self.in_acyclic_part(gen):
+    def reach(self, key):
+        if not self.in_acyclic_part(key):
             raise DomainError("generator lies outside the acyclic subcomplex")
-        tree, dv = gen.tree, gen.dv
+        tree, dv = self.tree(key[0]), key[1]
         nu = 1 if len(tree.inputs[dv]) == self.k else 0
-        return 2 * len(gen.edge_order) - tree.depth(dv) - nu
+        return 2 * len(tree.edges) - tree.depth(dv) - nu
 
     def _reaches(self, i):
         """The reach of each degree-i generator, None outside the acyclic
         part; kept until ``release(i)``, so each is scored once."""
         if i not in self._reach:
-            self._reach[i] = [self.reach(g) if self.in_acyclic_part(g) else None
-                              for g in self.generators(i)]
+            self._reach[i] = [self.reach(key) if self.in_acyclic_part(key) else None
+                              for key in self.generators(i)]
         return self._reach[i]
 
     def reach_filtration_holds(self, i):
@@ -332,13 +282,15 @@ class StirlingComplex(ChainComplex):
     def release(self, i):
         """Drop cached data at degree i (memory relief for large runs)."""
         self._gens.pop(i, None)
+        self._trees.pop(i, None)
         self._rows.pop(i, None)
+        self._signs.pop(i, None)
         self._diffs.pop(i, None)
         self._reach.pop(i, None)
 
     def to_json_dict(self):
         degrees = [{"i": i, "dim": self.dim(i),
-                    "generators": [g.code for g in self.generators(i)]}
+                    "generators": [self.code(key) for key in self.generators(i)]}
                    for i in range(self.max_edges + 1)]
         diffs = [{"i": i,
                   "triplets": [[r, c, v] for r, c, v in
@@ -349,17 +301,17 @@ class StirlingComplex(ChainComplex):
 
     def generator_dot(self):
         """DOT drawings of every generator, decorations marked."""
-        return "\n".join(_tree_dot(g, f"s_{self.n}_{self.k}_{i}_{pos}")
+        return "\n".join(_tree_dot(self.tree(key[0]), key, f"s_{self.n}_{self.k}_{i}_{pos}")
                          for i in range(self.max_edges + 1)
-                         for pos, g in enumerate(self.generators(i)))
+                         for pos, key in enumerate(self.generators(i)))
 
 
-def _tree_dot(gen, name):
-    """GraphViz source of one generator, drawn from its key: the root is
-    v0, the vertex below cluster C is numbered by C's place in the edge
-    order, and the distinguished vertex and alternating flags are red."""
-    tree = gen.tree
-    _clusters, dv, alt = gen.key
+def _tree_dot(tree, key, name):
+    """GraphViz source of one generator, drawn from its key on its tree: the
+    root is v0, the vertex below cluster C is numbered by C's place among
+    the sorted clusters, and the distinguished vertex and alternating flags
+    are red."""
+    _clusters, dv, alt = key
     vertex = {d: pos for pos, d in enumerate((tree.full,) + tree.edges)}
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for d, v in vertex.items():

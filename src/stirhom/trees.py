@@ -1,4 +1,4 @@
-"""Rooted-shape enumeration and permutation parity, shared by both complexes.
+"""Rooted-shape enumeration and the sign of sorting, shared by both complexes.
 
 A rooted shape is an isomorphism class of rooted trees over a fixed set of
 leaf labels, written ``(leaves, legs, children)``: its leaf-set bitmask
@@ -6,8 +6,8 @@ leaf labels, written ``(leaves, legs, children)``: its leaf-set bitmask
 and the memoised, shared shapes hanging below it, sorted.  ``vertices``
 walks a shape root first, giving each vertex's leaf set and the far sides
 of its inputs; ``stirling`` builds its trees and ``graphcomplex`` its
-clusters from that walk.  Signs are parities of permutations between two
-orders of the same names.
+clusters from that walk.  Every reference order is sorted, so a sign is
+the parity of sorting the names a term leaves.
 """
 
 from __future__ import annotations
@@ -16,47 +16,17 @@ import itertools
 
 
 # ---------------------------------------------------------------------------
-# permutation parities
+# sign of sorting
 
 
-def perm_parity(images):
-    """Sign of the permutation i -> images[i] of range(len(images))."""
-    n = len(images)
-    seen = [False] * n
-    sign = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def relative_sign(seq_a, seq_b):
-    """Sign of the permutation taking the ordering seq_a to seq_b.
-
-    Both sequences must enumerate the same set of distinct elements.  Equal
-    sequences, the common case when both follow the sorted reference order,
-    give 1 without further work.
-    """
-    if seq_a == seq_b:
-        return 1
-    if len(seq_a) != len(seq_b):
-        raise ValueError("orderings have different lengths")
-    pos = {x: i for i, x in enumerate(seq_a)}
-    if len(pos) != len(seq_a):
-        raise ValueError("ordering contains repeated elements")
-    try:
-        images = [pos[x] for x in seq_b]
-    except KeyError as exc:
-        raise ValueError(f"orderings differ as sets: missing {exc}") from None
-    return perm_parity(images)
+def sort_sign(names):
+    """Sign of the permutation that sorts the distinct ``names`` ascending,
+    the parity of the pairs out of order."""
+    inversions = 0
+    for pos, a in enumerate(names):
+        for b in names[pos + 1:]:
+            inversions += a > b
+    return -1 if inversions & 1 else 1
 
 
 # ---------------------------------------------------------------------------

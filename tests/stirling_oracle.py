@@ -9,7 +9,8 @@ or relabeling code with ``stirhom.stirling``.  Its generators are named,
 sorted and oriented by ``flag_graphs.canonical_tree_data``, as the package
 did before it named them by their keys; ``key_orders`` reads each one's key
 and reference orders in key names, and the tests require the two
-complexes to agree up to the signed generator bijection this gives.
+complexes to agree up to the signed generator bijection this gives against
+the documented reference orders of ``helpers.reference_orders``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import itertools
 
 from stirhom.linalg import ChainComplex
 from stirhom.stirling import DomainError, _as_permutation, _check_type, _mask_set
-from stirhom.trees import relative_sign
 
-from helpers import from_triplets
+from helpers import from_triplets, reference_orders, relative_sign
 from flag_graphs import (Graph, GraphError, Tree, canonical_tree_data,
                          enumerate_stable_trees)
 
@@ -129,10 +129,9 @@ def position(cx, i, gen):
     """The row of an oracle generator in degree i of the key-native
     complex ``cx``, and the sign between the two orientations."""
     key, edge_order, alt_order = key_orders(gen)
-    row = cx.rows(i)[key]
-    new = cx.generators(i)[row]
-    return row, (relative_sign(edge_order, new.edge_order)
-                 * relative_sign(alt_order, new.alt_order))
+    new_edges, new_alt = reference_orders(cx, key)
+    return cx.rows(i)[key], (relative_sign(edge_order, new_edges)
+                             * relative_sign(alt_order, new_alt))
 
 
 def signed_bijection(cx, oracle, i):

@@ -1,0 +1,32 @@
+"""Enumerated chain dimensions against the counts of ``species_counts``.
+
+The Euler characteristic checks only the alternating sum of the
+dimensions; these counts share no code with the enumeration, so a class
+dropped or listed twice in any one degree fails here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from stirhom.graphcomplex import GraphComplex
+from stirhom.stirling import StirlingComplex
+
+from species_counts import graph_dims, stirling_dims
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stirling_dims_match_counts(n):
+    for k in range(2, n + 1):
+        assert StirlingComplex(n, k).dims() == stirling_dims(n, k)
+
+
+@pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
+                                    for kill in (True, False)])
+def test_graph_dims_match_counts(m, kill):
+    assert GraphComplex(m, orientation_kill=kill).dims() == graph_dims(m, kill)
+
+
+def test_counted_totals():
+    assert sum(stirling_dims(7, 3).values()) == 54_936
+    assert sum(graph_dims(7).values()) == 214_844

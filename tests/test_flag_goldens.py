@@ -45,7 +45,7 @@ def flag_codes(name):
         oracle = FlagGraphComplex(m, {i: list(cx.rows(i)) for i in degrees})
         by_key = {g.key: g.code for i in degrees for g in oracle.gens[i]}
         old = {i: [g.code for g in oracle.gens[i]] for i in degrees}
-    new = {i: [by_key[g.key] for g in cx.generators(i)] for i in degrees}
+    new = {i: [by_key[key] for key in cx.generators(i)] for i in degrees}
     return old, new
 
 
@@ -86,7 +86,7 @@ def test_export_golden_matches_flag_export(n, k):
     for old_degree, new_degree in zip(old["degrees"], new["degrees"]):
         i = old_degree["i"]
         assert old_degree["generators"] == [g.code for g in oracle.generators(i)]
-        assert new_degree["generators"] == [g.code for g in cx.generators(i)]
+        assert new_degree["generators"] == [cx.code(key) for key in cx.generators(i)]
         p[i] = stirling_oracle.signed_bijection(cx, oracle, i)
     for old_d, new_d in zip(old["differentials"], new["differentials"]):
         i = old_d["i"]

@@ -3,14 +3,15 @@
 The oracle below re-derives a full differential matrix from scratch:
 graphs are reduced to (genus, legs, edge-endpoint multiset) encodings,
 contraction and isomorphism matching are reimplemented on that encoding,
-and only the published reference edge orders are shared, read off the flag
-representative ``flag_graphs.representative`` draws from each key (they
-fix the basis both computations must express themselves in).  The
-orientation kill is checked against a search over vertex automorphisms
-that shares nothing with the engine's cycle-length rule.  The flag-graph
-complex of ``flag_graphs``, which names and orients its classes by their
-canonical codes, must give every differential and action matrix up to the
-signed generator bijection between the two bases.
+and only the published reference edge orders are shared, spelled out by
+``helpers.reference_orders`` and read off the flag representative
+``flag_graphs.representative`` draws from each key (they fix the basis both
+computations must express themselves in).  The orientation kill is
+checked against a search over vertex automorphisms that shares nothing
+with the engine's cycle-length rule.  The flag-graph complex of
+``flag_graphs``, which names and orients its classes by their canonical
+codes, must give every differential and action matrix up to the signed
+generator bijection between the two bases.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from stirhom.graphcomplex import (GraphComplex, _keys,
                                   enumerate_graph_generators,
                                   verify_decomposition)
 from stirhom.linalg import composes_to_zero
-from stirhom.trees import RootedShapes, perm_parity, relative_sign
+from stirhom.trees import RootedShapes
 
 from flag_graphs import FlagGraphComplex, representative
-from helpers import from_triplets
+from helpers import from_triplets, perm_parity, reference_orders, relative_sign
 from stirling_oracle import transport
 
 
-def flag_graph(gen):
+def flag_graph(m, key):
     """The flag representative of a generator, drawn from its key."""
-    return representative(gen.m, gen.key)[0]
+    return representative(m, key)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,7 @@ def flag_graph(gen):
 def test_single_genus_one_corolla():
     gens = GraphComplex(3).generators(0)
     assert len(gens) == 1
-    mg = flag_graph(gens[0])
+    mg = flag_graph(3, gens[0])
     assert mg.graph.num_vertices == 1 and mg.genus == (1,)
     assert mg.total_genus() == 1
 
@@ -53,8 +54,8 @@ def test_generator_invariants():
     for m in (3, 4):
         cx = GraphComplex(m)
         for i in range(0, m + 1):
-            for gen in cx.generators(i):
-                mg = flag_graph(gen)
+            for key in cx.generators(i):
+                mg = flag_graph(m, key)
                 g = mg.graph
                 assert mg.total_genus() == 1
                 assert g.num_flags == 2 * g.num_edges + m
@@ -72,10 +73,10 @@ def test_no_generators_beyond_max_edges():
 def test_parallel_edges_killed():
     with_kill = enumerate_graph_generators(3, 2)
     without = enumerate_graph_generators(3, 2, orientation_kill=False)
-    surviving = {g.key for g in with_kill}
-    killed = [g for g in without if g.key not in surviving]
+    surviving = set(with_kill)
+    killed = [key for key in without if key not in surviving]
     assert killed and len(without) == len(with_kill) + len(killed)
-    assert all(len(g.key[0]) == 2 for g in killed)
+    assert all(len(key[0]) == 2 for key in killed)
 
     def has_parallel(mg):
         pairs = Counter()
@@ -84,26 +85,26 @@ def test_parallel_edges_killed():
             pairs[(min(u, w), max(u, w))] += 1
         return any(v > 1 for v in pairs.values())
 
-    assert all(not has_parallel(flag_graph(g)) for g in with_kill)
-    assert any(has_parallel(flag_graph(g)) for g in without)
+    assert all(not has_parallel(flag_graph(3, key)) for key in with_kill)
+    assert any(has_parallel(flag_graph(3, key)) for key in without)
 
 
 def test_triangle_survives():
     gens = GraphComplex(3).generators(3)
-    shapes = [(flag_graph(g).graph.num_vertices, flag_graph(g).graph.first_betti())
-              for g in gens]
+    shapes = [(flag_graph(3, key).graph.num_vertices,
+               flag_graph(3, key).graph.first_betti()) for key in gens]
     assert (3, 1) in shapes  # the triangle with one leg per vertex
 
 
 def test_loop_contraction_hits_genus_one_corolla():
     cx = GraphComplex(3)
-    loop_gens = [g for g in cx.generators(1)
-                 if flag_graph(g).graph.num_vertices == 1
-                 and flag_graph(g).genus == (0,)]
+    loop_gens = [key for key in cx.generators(1)
+                 if flag_graph(3, key).graph.num_vertices == 1
+                 and flag_graph(3, key).genus == (0,)]
     assert len(loop_gens) == 1
-    col = cx.rows(1)[loop_gens[0].key]
+    col = cx.rows(1)[loop_gens[0]]
     column = cx.differential(1).cols[col]
-    corolla_row = cx.rows(0)[cx.generators(0)[0].key]
+    corolla_row = cx.rows(0)[cx.generators(0)[0]]
     assert column == {corolla_row: 1} or column == {corolla_row: -1}
 
 
@@ -197,10 +198,10 @@ def test_kill_rule_is_two_cycle():
         everything = GraphComplex(m, orientation_kill=False)
         survivors = GraphComplex(m)
         for i in range(m + 1):
-            for gen in everything.generators(i):
-                odd = oracle_has_odd_automorphism(encode(flag_graph(gen)))
-                assert odd == (len(gen.key[0]) == 2), gen.code
-                assert odd == (gen.key not in survivors.rows(i)), gen.code
+            for key in everything.generators(i):
+                odd = oracle_has_odd_automorphism(encode(flag_graph(m, key)))
+                assert odd == (len(key[0]) == 2), everything.code(key)
+                assert odd == (key not in survivors.rows(i)), everything.code(key)
 
 
 def vertex_pairs(mg, edges):
@@ -210,13 +211,15 @@ def vertex_pairs(mg, edges):
             for f1, f2 in edges]
 
 
-def reference_pairs(gen):
+def reference_pairs(cx, key):
     """The flag representative of a generator and its reference edge order
     as endpoint pairs; edge k of the representative is the flag pair
     (m + 2k, m + 2k + 1)."""
-    mg, names = representative(gen.m, gen.key)
-    flags = {name: (gen.m + 2 * k, gen.m + 2 * k + 1) for k, name in enumerate(names)}
-    return mg, vertex_pairs(mg, [flags[name] for name in gen.edge_order])
+    m = cx.m
+    mg, names = representative(m, key)
+    flags = {name: (m + 2 * k, m + 2 * k + 1) for k, name in enumerate(names)}
+    edge_order = reference_orders(cx, key)[0]
+    return mg, vertex_pairs(mg, [flags[name] for name in edge_order])
 
 
 def oracle_differential(cx, i):
@@ -224,12 +227,12 @@ def oracle_differential(cx, i):
     targets = cx.generators(i - 1)
     target_data = []
     for target in targets:
-        mg, order = reference_pairs(target)
+        mg, order = reference_pairs(cx, target)
         target_data.append((encode(mg), order))
     triplets = []
-    for col, gen in enumerate(sources):
+    for col, key in enumerate(sources):
         # survivors have no parallel edges, so endpoint pairs name edges
-        mg, order = reference_pairs(gen)
+        mg, order = reference_pairs(cx, key)
         assert len(set(order)) == len(order)
         genus, legs, edges = encode(mg)
         for pos, pair in enumerate(order):
@@ -289,17 +292,18 @@ def test_keys_walk_each_hung_pool_once(i):
 
 
 def test_canonical_form_once_per_class(monkeypatch):
-    # rows are found by key: each class is named and oriented once, however
-    # many differential or action terms land on it
+    # rows are found by key: each class is enumerated once, however many
+    # differential or action terms land on it
     from stirhom import graphcomplex
     calls = []
-    init = graphcomplex.GraphGenerator.__init__
+    enumerate_graph_generators = graphcomplex.enumerate_graph_generators
 
-    def counting(self, m, key, orient_seed=0):
-        calls.append(key)
-        init(self, m, key, orient_seed)
+    def counting(*args):
+        keys = enumerate_graph_generators(*args)
+        calls.extend(keys)
+        return keys
 
-    monkeypatch.setattr(graphcomplex.GraphGenerator, "__init__", counting)
+    monkeypatch.setattr(graphcomplex, "enumerate_graph_generators", counting)
     cx = GraphComplex(4)
     cx.differentials()
     for i in range(cx.max_edges + 1):
@@ -312,9 +316,8 @@ def flag_bijection(cx, oracle, i):
     between its flag and key-native orientations."""
     p = []
     for gen in oracle.gens[i]:
-        row = cx.rows(i)[gen.key]
-        p.append((row, relative_sign(gen.name_order(),
-                                     cx.generators(i)[row].edge_order)))
+        p.append((cx.rows(i)[gen.key], relative_sign(
+            gen.name_order(), reference_orders(cx, gen.key)[0])))
     assert sorted(row for row, _sign in p) == list(range(cx.dim(i)))
     return p
 
@@ -350,10 +353,10 @@ def test_orient_seed_flips_signs_only(m):
         seeded = GraphComplex(m, orientation_kill=kill, orient_seed=12345)
         signs = {}
         for i in range(m + 1):
-            pairs = list(zip(plain.generators(i), seeded.generators(i)))
-            assert [a.key for a, _b in pairs] == [b.key for _a, b in pairs]
-            signs[i] = [(pos, relative_sign(a.edge_order, b.edge_order))
-                        for pos, (a, b) in enumerate(pairs)]
+            assert plain.generators(i) == seeded.generators(i)
+            signs[i] = [(pos, relative_sign(reference_orders(plain, key)[0],
+                                            reference_orders(seeded, key)[0]))
+                        for pos, key in enumerate(plain.generators(i))]
         assert any(s < 0 for degree in signs.values() for _pos, s in degree)
         for i in range(1, m + 1):
             assert seeded.differential(i) == transport(

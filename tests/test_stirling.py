@@ -2,12 +2,12 @@
 
 The first-differential oracle below applies the contraction rules to
 one-edge trees directly (the only target is the corolla), sharing nothing
-with the production differential except the published basis orders.  The
-flag-tree oracle in ``stirling_oracle`` names and orients its generators
-the way the package did before keys named them; every differential and
-action matrix must equal its matrices up to the signed generator bijection
-P between the two bases, D = P D_flag P^-1, and every reach verdict must
-agree.
+with the production differential except the published basis orders, which
+``helpers.reference_orders`` spells out.  The flag-tree oracle in
+``stirling_oracle`` names and orients its generators the way the package
+did before keys named them; every differential and action matrix must
+equal its matrices up to the signed generator bijection P between the two
+bases, D = P D_flag P^-1, and every reach verdict must agree.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from hypothesis import strategies as st_
 
 from stirhom.cli import main
 from stirhom.linalg import composes_to_zero, rank_exact
-from stirhom.stirling import (DomainError, StirlingComplex, compose,
-                              make_generator, survey, transposition)
-from stirhom.trees import relative_sign
+from stirhom.stirling import (DomainError, StirlingComplex, compose, survey,
+                              transposition)
 
 import stirling_oracle
 from flag_graphs import _tree_from_shape, canonical_tree_data
-from helpers import from_triplets
+from helpers import (from_triplets, make_generator, reference_orders,
+                     relative_sign)
 
 
 def tree_from_nested(shape, n):
@@ -102,11 +102,11 @@ def test_generator_domain_errors():
 
 
 def test_generators_sorted_distinct():
-    gens = StirlingComplex(5, 3).generators(2)
-    keys = [g.key for g in gens]
+    cx = StirlingComplex(5, 3)
+    keys = cx.generators(2)
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    assert len({g.code for g in gens}) == len(gens)
+    assert len({cx.code(key) for key in keys}) == len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +128,16 @@ def oracle_first_differential(cx):
         return side.bit_length() - 1
 
     by_labels = {}
-    for row, g in enumerate(targets):
-        labels = [label(side) for side in g.alt_order]
+    for row, key in enumerate(targets):
+        labels = [label(side) for side in reference_orders(cx, key)[1]]
         by_labels[frozenset(labels)] = (row, labels)
     triplets = []
-    for col, g in enumerate(sources):
-        (edge,) = g.edge_order
-        if edge not in g.alt_order:
+    for col, key in enumerate(sources):
+        (edge,), alt_order = reference_orders(cx, key)
+        if edge not in alt_order:
             # no alternating flag on the edge: all alternating flags are
             # legs and survive with their labels
-            src = [label(side) for side in g.alt_order]
+            src = [label(side) for side in alt_order]
             row, ref = by_labels[frozenset(src)]
             triplets.append((row, col, relative_sign(src, ref)))
         else:
@@ -147,7 +147,7 @@ def oracle_first_differential(cx):
                 if not edge >> b & 1:
                     continue
                 src = [b if side == edge else label(side)
-                       for side in g.alt_order]
+                       for side in alt_order]
                 row, ref = by_labels[frozenset(src)]
                 triplets.append((row, col, relative_sign(src, ref)))
     return from_triplets(len(targets), len(sources), triplets)
@@ -169,16 +169,17 @@ def test_three_term_column():
     # two alternating flags at the root: one leg and one edge whose child
     # has two inputs; contracting the plain edge gives one term and the
     # alternating edge two replacement terms
-    gen = make_generator(5, [mask(2, 3), mask(4, 5)], mask(1, 2, 3, 4, 5),
+    key = make_generator(5, [mask(2, 3), mask(4, 5)], mask(1, 2, 3, 4, 5),
                          [mask(1), mask(2, 3)])
     cx = StirlingComplex(5, 2)
-    col = cx.rows(2)[gen.key]
+    col = cx.rows(2)[key]
     column = cx.differential(2).cols[col]
     assert len(column) == 3
     assert all(v in (-1, 1) for v in column.values())
-    alt_edges = [c for c in gen.edge_order if c in gen.alt_order]
+    edge_order, alt_order = reference_orders(cx, key)
+    alt_edges = [c for c in edge_order if c in alt_order]
     assert len(alt_edges) == 1
-    assert len(list(cx.contraction_terms(gen))) == 3
+    assert len(list(cx.contraction_terms(key))) == 3
 
 
 def test_all_entries_unit():
@@ -287,18 +288,20 @@ def test_reach_values_from_marked_trees():
     x, y = mask(3, 4), mask(5, 6)
     gen_a = make_generator(7, [mask(2, 3, 4, 5, 6, 7), x | y, x, y], x | y,
                            [x, y])
-    assert len(gen_a.edge_order) == 4
-    assert gen_a.tree.depth(gen_a.dv) == 2
-    assert len(gen_a.tree.inputs[gen_a.dv]) + 1 == 3
+    tree_a, dv_a = cx.tree(gen_a[0]), gen_a[1]
+    assert len(reference_orders(cx, gen_a)[0]) == 4
+    assert tree_a.depth(dv_a) == 2
+    assert len(tree_a.inputs[dv_a]) + 1 == 3
     assert cx.reach(gen_a) == 5
     # three edges, distinguished vertex adjacent to the root with two
     # alternating legs among four inputs: reach 6 - 1 - 0 = 5
     dv_b = mask(2, 3, 4, 5, 6, 7)
     gen_b = make_generator(7, [dv_b, mask(4, 5), mask(6, 7)], dv_b,
                            [mask(2), mask(3)])
-    assert len(gen_b.edge_order) == 3
-    assert gen_b.tree.depth(gen_b.dv) == 1
-    assert len(gen_b.tree.inputs[gen_b.dv]) + 1 == 5
+    tree_b = cx.tree(gen_b[0])
+    assert len(reference_orders(cx, gen_b)[0]) == 3
+    assert tree_b.depth(dv_b) == 1
+    assert len(tree_b.inputs[dv_b]) + 1 == 5
     assert cx.reach(gen_b) == 5
 
 
@@ -350,8 +353,8 @@ def test_reach_check_can_fail(monkeypatch):
     # one-edge generator's contraction leaves it
     original = StirlingComplex.in_acyclic_part
 
-    def without_corollas(self, gen):
-        return bool(gen.edge_order) and original(self, gen)
+    def without_corollas(self, key):
+        return bool(key[0]) and original(self, key)
 
     monkeypatch.setattr(StirlingComplex, "in_acyclic_part", without_corollas)
     cx = StirlingComplex(4, 2)
@@ -411,12 +414,13 @@ def test_contraction_terms_drop_an_edge(pick):
     cx = StirlingComplex(5, 2)
     gens = [(i, g) for i in (2, 3) for g in cx.generators(i)]
     i, gen = gens[pick % len(gens)]
-    for key, surviving, alt_order, _sign in cx.contraction_terms(gen):
-        target = cx.generators(i - 1)[cx.rows(i - 1)[key]]
-        assert len(target.edge_order) == len(gen.edge_order) - 1
-        assert len(surviving) == len(target.edge_order)
-        assert len(alt_order) == len(gen.alt_order)
-        assert set(alt_order) <= set(target.tree.inputs[target.dv])
+    edge_order, alt_order = reference_orders(cx, gen)
+    for key, sign in cx.contraction_terms(gen):
+        assert key in cx.rows(i - 1) and sign in (-1, 1)
+        target_edges, target_alt = reference_orders(cx, key)
+        assert len(target_edges) == len(edge_order) - 1
+        assert len(target_alt) == len(alt_order)
+        assert set(target_alt) <= set(cx.tree(key[0]).inputs[key[1]])
 
 
 def test_survey_certificate():
@@ -523,11 +527,13 @@ def test_orient_seed_flips_signs_only(n):
         seeded = StirlingComplex(n, k, orient_seed=12345)
         signs = {-1: []}
         for i in range(plain.max_edges + 1):
-            pairs = list(zip(plain.generators(i), seeded.generators(i)))
-            assert [a.key for a, _b in pairs] == [b.key for _a, b in pairs]
-            signs[i] = [(pos, relative_sign(a.edge_order, b.edge_order)
-                         * relative_sign(a.alt_order, b.alt_order))
-                        for pos, (a, b) in enumerate(pairs)]
+            assert plain.generators(i) == seeded.generators(i)
+            signs[i] = []
+            for pos, key in enumerate(plain.generators(i)):
+                (a_edges, a_alt), (b_edges, b_alt) = (
+                    reference_orders(plain, key), reference_orders(seeded, key))
+                signs[i].append((pos, relative_sign(a_edges, b_edges)
+                                 * relative_sign(a_alt, b_alt)))
         flipped += sum(s < 0 for degree in signs.values() for _pos, s in degree)
         for i in range(plain.max_edges + 1):
             assert seeded.differential(i) == stirling_oracle.transport(

@@ -20,13 +20,13 @@ from hypothesis import strategies as st_
 
 import flag_graphs as T
 from stirhom.graphcomplex import GraphComplex
-from stirhom.trees import perm_parity
+from helpers import perm_parity
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
 
 
-def flag_graph(gen):
+def flag_graph(m, key):
     """The flag representative of a genus-one generator, drawn from its key."""
-    return T.representative(gen.m, gen.key)[0]
+    return T.representative(m, key)[0]
 
 
 def build_two_vertex_tree(n, child_labels):
@@ -188,11 +188,11 @@ def test_contract_two_vertex_tree_gives_corolla():
 def test_contract_loop():
     # the loop's one term lands on the genus-one vertex, trees unchanged
     cx = GraphComplex(3)
-    (loop,) = [g for g in cx.generators(1) if len(g.key[0]) == 1]
-    assert flag_graph(loop).total_genus() == 1
-    ((key, surviving, _alt, move_sign),) = cx.contraction_terms(loop)
-    assert key == ((), loop.key[1]) and surviving == () and move_sign == 1
-    out = flag_graph(cx.generators(0)[cx.rows(0)[key]])
+    (loop,) = [key for key in cx.generators(1) if len(key[0]) == 1]
+    assert flag_graph(3, loop).total_genus() == 1
+    ((key, sign),) = cx.contraction_terms(loop)
+    assert key == ((), loop[1]) and sign == 1
+    out = flag_graph(3, cx.generators(0)[cx.rows(0)[key]])
     assert out.genus == (1,)
     assert out.graph.num_edges == 0
     assert out.total_genus() == 1
@@ -215,12 +215,12 @@ def test_contract_counts_and_genus():
             for gen in cx.generators(i):
                 terms = list(cx.contraction_terms(gen))
                 assert len(terms) == i
-                for key, surviving, _alt, _sign in terms:
-                    out = flag_graph(targets[cx.rows(i - 1)[key]])
+                for key, _sign in terms:
+                    out = flag_graph(m, targets[cx.rows(i - 1)[key]])
                     assert out.total_genus() == 1
-                    assert out.graph.num_edges == i - 1 == len(surviving)
-                if T.canonical_code(flag_graph(gen)) == triangle:
-                    assert sorted(len(key[0]) for key, _s, _a, _m in terms) == [2, 2, 2]
+                    assert out.graph.num_edges == i - 1
+                if T.canonical_code(flag_graph(m, gen)) == triangle:
+                    assert sorted(len(key[0]) for key, _sign in terms) == [2, 2, 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,9 +306,9 @@ def test_tree_automorphisms_trivial():
     # so a genus-one vertex with hanging trees is rigid as well
     cx = GraphComplex(4)
     for i in range(cx.max_edges + 1):
-        for gen in cx.generators(i):
-            if not gen.key[0]:
-                mg = flag_graph(gen)
+        for key in cx.generators(i):
+            if not key[0]:
+                mg = flag_graph(4, key)
                 assert oracle_automorphisms(mg) == [tuple(range(mg.graph.num_flags))]
 
 
@@ -319,10 +319,10 @@ def test_parallel_edge_automorphisms():
     assert oracle_killed(mg)
     # its class has a 2-cycle and is killed
     code = T.canonical_code(mg)
-    (gen,) = [g for g in GraphComplex(3, orientation_kill=False).generators(2)
-              if T.canonical_code(flag_graph(g)) == code]
-    assert len(gen.key[0]) == 2
-    assert gen.key not in GraphComplex(3).rows(2)
+    (key,) = [key for key in GraphComplex(3, orientation_kill=False).generators(2)
+              if T.canonical_code(flag_graph(3, key)) == code]
+    assert len(key[0]) == 2
+    assert key not in GraphComplex(3).rows(2)
 
 
 def test_loop_automorphisms():
@@ -333,9 +333,9 @@ def test_loop_automorphisms():
     # the loop-flag swap fixes the single edge, hence acts evenly
     assert not oracle_killed(mg)
     code = T.canonical_code(mg)
-    (gen,) = [g for g in GraphComplex(3).generators(1)
-              if T.canonical_code(flag_graph(g)) == code]
-    assert len(gen.key[0]) == 1
+    (key,) = [key for key in GraphComplex(3).generators(1)
+              if T.canonical_code(flag_graph(3, key)) == code]
+    assert len(key[0]) == 1
 
 
 def test_automorphisms_closed_under_composition():
@@ -352,10 +352,10 @@ def test_kill_rule_matches_raw_search():
     everything = GraphComplex(3, orientation_kill=False)
     survivors = GraphComplex(3)
     for i in range(everything.max_edges + 1):
-        for gen in everything.generators(i):
-            killed = oracle_killed(flag_graph(gen))
-            assert killed == (len(gen.key[0]) == 2), gen.code
-            assert killed == (gen.key not in survivors.rows(i)), gen.code
+        for key in everything.generators(i):
+            killed = oracle_killed(flag_graph(3, key))
+            assert killed == (len(key[0]) == 2), everything.code(key)
+            assert killed == (key not in survivors.rows(i)), everything.code(key)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +397,15 @@ def test_dot_export_mentions_decorations():
     # the generator with one edge below the root, its child distinguished
     # with alternating legs 2 and 3: drawn from its key
     cx = StirlingComplex(3, 2)
-    (pos,) = [pos for pos, g in enumerate(cx.generators(1))
-              if g.key == (1 << 0b1100, 0b1100, 1 << 4 | 1 << 8)]
+    (pos,) = [pos for pos, key in enumerate(cx.generators(1))
+              if key == (1 << 0b1100, 0b1100, 1 << 4 | 1 << 8)]
     text = cx.generator_dot().split("\n\n")[cx.dim(0) + pos]
     assert text.startswith(f"graph s_3_2_1_{pos} ")
     assert "  v1 [label=\"\", color=red];" in text
     assert "v1 -- leg2 [color=red]" in text and "v1 -- leg3 [color=red]" in text
     assert text.count("leg") == 8 and "  v0 -- v1;" in text
     graphs = GraphComplex(3)
-    (pos,) = [pos for pos, g in enumerate(graphs.generators(3)) if len(g.key[0]) == 3]
+    (pos,) = [pos for pos, key in enumerate(graphs.generators(3)) if len(key[0]) == 3]
     triangle = graphs.generator_dot().split("\n\n")[-graphs.dim(3) + pos]
     assert triangle.startswith(f"graph gc_3_3_{pos} ")
     assert triangle.count('label="g=0"') == 3
