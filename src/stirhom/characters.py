@@ -3,9 +3,10 @@
 Covers the signed Stirling triangle and its identities, irreducible
 characters via the border-strip (Murnaghan-Nakayama) recursion, hook-length
 dimensions, class functions with inner products and exact irreducible
-decomposition, and the one trace routine behind every chain and homology
-character: the equivariant Euler characteristic of a complex, which equals
-the character of its homology once concentration is established.
+decomposition, and the one trace routine behind every homology character:
+the equivariant Euler characteristic of a complex, taken in its one pass
+over the degrees, which equals the character of its homology once
+concentration is established.
 """
 
 from __future__ import annotations
@@ -110,25 +111,6 @@ def class_size(mu):
     for length, mult in counts.items():
         z *= length ** mult * math.factorial(mult)
     return math.factorial(m) // z
-
-
-def cycle_type(perm):
-    """Cycle type of a permutation given as an image sequence on 0..m-1."""
-    m = len(perm)
-    seen = [False] * m
-    parts = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parts.append(length)
-    parts.sort(reverse=True)
-    return tuple(parts)
 
 
 def representative_permutation(mu):
@@ -266,40 +248,34 @@ def decompose(cf):
 
 
 # ---------------------------------------------------------------------------
-# characters of chain groups and homology
-
-
-def trace_character(cx, size, perm_of, degrees, sign):
-    """The one trace routine: the class function of S_size whose value at
-    a cycle type mu is ``sign`` times the sum, over ``degrees``, of
-    (-1)^(total degree) times the trace of ``perm_of(mu)`` on that degree
-    of ``cx``.  ``cx.trace`` reads only the action terms that fix their
-    source, so no action matrix is built."""
-    values = {}
-    for mu in partitions(size):
-        perm = perm_of(mu)
-        values[mu] = sign * sum(
-            (-1) ** cx.total_degree(i)
-            * cx.trace(i, perm) for i in degrees)
-    return ClassFunction(size, values)
+# characters of homology
 
 
 def homology_character(cx, size, perm_of):
-    """Character of the homology of ``cx``, which must be concentrated in
-    one total degree (verified, with d^2 = 0; failure would signal an
-    upstream bug and make the identification invalid).
+    """Character of the homology of ``cx`` under S_size, whose cycle type
+    mu acts as ``perm_of(mu)``.  The homology must be concentrated in one
+    total degree (verified, with d^2 = 0; failure would signal an upstream
+    bug and make the identification invalid).
 
-    Computed as the alternating sum of action traces over the chain
-    degrees, normalized so that the value at the identity equals the
-    Betti number of the concentration degree.
+    The one trace routine: in the complex's one pass (``cx.degrees()``),
+    each degree adds (-1)^(total degree) times its trace at every mu, and
+    the sum is normalized so that the value at the identity equals the
+    Betti number of the concentration degree.  ``cx.trace`` reads only the
+    action terms that fix their source, so no action matrix is built.
     """
+    perms = {mu: perm_of(mu) for mu in partitions(size)}
+    values = dict.fromkeys(perms, 0)
+    for i in cx.degrees():
+        sign = (-1) ** cx.total_degree(i)
+        for mu, perm in perms.items():
+            values[mu] += sign * cx.trace(i, perm)
     result = cx.homology()
     support = result.betti.support()
     if not result.d2_ok or len(support) != 1:
         raise RuntimeError(f"homology is not concentrated in one degree: "
                            f"{result.betti.as_dict()} ({result.certificate})")
-    return trace_character(cx, size, perm_of, range(cx.max_edges + 1),
-                           (-1) ** support[0])
+    sign = (-1) ** support[0]
+    return ClassFunction(size, {mu: sign * v for mu, v in values.items()})
 
 
 def equivariant_euler_character(cx):

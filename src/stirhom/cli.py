@@ -26,7 +26,7 @@ from .linalg import composes_to_zero
 
 SCHEMA = 1
 # the largest n a Stirling command accepts: (7, 2) already has 283,668
-# generators and peaks near 280 MiB, and n = 8 is many times larger
+# generators and peaks near 180 MiB, and n = 8 is many times larger
 MAX_N = 7
 # the largest table --max-n: the table's cost grows steeply, 0.15 s at
 # n = 100, 1.6 s at 200 and 8.5 s at 300
@@ -257,6 +257,10 @@ def cmd_graph(args):
     cx = gc.GraphComplex(m, orientation_kill=kill)
     if args.format == "dot":
         return True, {"dot": cx.generator_dot()}
+    # the traces ride on the graph's one pass, which computes its homology
+    characters_ok = None
+    if args.characters:
+        characters_ok = gc.verify_decomposition(cx, include_characters=True)
     result = cx.homology()
     betti = result.betti.as_dict()
     expected = math.factorial(m - 1) // 2
@@ -264,12 +268,9 @@ def cmd_graph(args):
                        for k in range(2, m, 2))
     support = result.betti.support()
     ok = (kill and result.d2_ok and len(support) == 1
-          and betti[support[0]] == expected == stirling_sum)
-    characters_ok = None
-    if args.characters:
-        characters_ok = gc.verify_decomposition(cx, include_characters=True)
-        ok = ok and characters_ok
-    dims = cx.dims()
+          and betti[support[0]] == expected == stirling_sum
+          and characters_ok is not False)
+    dims = result.dims
     payload = {
         "schema": SCHEMA, "command": "graph", "m": m, "seed": args.seed,
         "orientation_kill": kill,

@@ -33,7 +33,10 @@ leaves only ranks over Q and the certificate ``"exact-rational"``.
 lazily enumerated degrees 0..max_edges of sorted generator keys, the
 position of each key, the shared assembler that turns signed contraction
 and action terms into the differential, an action matrix or a trace, and
-the homology, computed once.
+the one pass over the degrees, ``degrees()``: it releases degree i-2,
+builds dim C_i and d_i and yields i, so callers do their per-degree work
+(the reach check, traces) while only degrees i-1 and i are held, and at
+the end computes the homology from the kept matrices alone.
 A trace is the signed count of the generators a relabeling fixes, and
 each relabeling stops at the first piece of the image that moves.
 """
@@ -343,10 +346,11 @@ def composes_to_zero(diffs):
 
 @dataclass
 class Homology:
-    """Outcome of ``compute_homology``: the rank of every d_i, the Betti
-    numbers by total degree, and a certificate (that of ``morse_reduce``,
-    or ``"unverified"`` when d^2 = 0 failed)."""
+    """Outcome of ``compute_homology``: dim C_i and the rank of every d_i,
+    the Betti numbers by total degree, and a certificate (that of
+    ``morse_reduce``, or ``"unverified"`` when d^2 = 0 failed)."""
 
+    dims: dict
     ranks: dict
     betti: BettiVector
     certificate: str
@@ -371,7 +375,7 @@ def compute_homology(dims, diffs, degree_of):
         certificate = "unverified"
     betti = betti_from_dims_and_ranks(dims, ranks, degree_of,
                                       strict=certificate != "unverified")
-    return Homology(ranks, betti, certificate)
+    return Homology(dims, ranks, betti, certificate)
 
 
 class ChainComplex:
@@ -396,6 +400,8 @@ class ChainComplex:
         self._signs = {}
         self._diffs = {}
         self._homology = None
+        # every per-degree cache, emptied by ``release``; subclasses add theirs
+        self._caches = [self._gens, self._rows, self._signs, self._diffs]
 
     def total_degree(self, i):
         return i
@@ -473,11 +479,33 @@ class ChainComplex:
         """Alternating sum of chain dimensions in the edge grading."""
         return sum((-1) ** i * d for i, d in self.dims().items())
 
+    def degrees(self):
+        """The one pass over the degrees: release degree i-2, which nothing
+        reads once degree i is reached, build dim C_i and d_i, and yield i,
+        so the caller does its work on degree i (and i-1) in the loop body.
+        The last two degrees are released too, and the homology is computed
+        from the kept matrices.  Each pass builds every degree anew."""
+        dims, diffs = {}, {}
+        for i in range(self.max_edges + 3):
+            self.release(i - 2)
+            if i <= self.max_edges:
+                dims[i] = self.dim(i)
+                if i:
+                    diffs[i] = self.differential(i)
+                yield i
+        self._homology = compute_homology(dims, diffs, self.total_degree)
+
+    def release(self, i):
+        """Drop the generators of degree i and what is cached on them."""
+        for cache in self._caches:
+            cache.pop(i, None)
+
     def homology(self):
-        """``compute_homology`` of this complex, computed once."""
+        """``compute_homology`` of this complex, from one pass of
+        ``degrees`` unless one has run."""
         if self._homology is None:
-            self._homology = compute_homology(
-                self.dims(), self.differentials(), self.total_degree)
+            for _ in self.degrees():
+                pass
         return self._homology
 
     def betti(self):

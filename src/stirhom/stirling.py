@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ChainComplex, compute_homology
+from .linalg import ChainComplex
 from .trees import RootedShapes, sort_sign, vertices
 
 
@@ -114,6 +114,7 @@ class StirlingComplex(ChainComplex):
         self._shapes = RootedShapes()
         self._trees = {}
         self._reach = {}
+        self._caches += [self._trees, self._reach]
 
     @property
     def max_edges(self):
@@ -279,15 +280,6 @@ class StirlingComplex(ChainComplex):
         return all(source[c] is None or target[r] is not None and target[r] <= source[c]
                    for r, c, _ in self.differential(i).triplets())
 
-    def release(self, i):
-        """Drop cached data at degree i (memory relief for large runs)."""
-        self._gens.pop(i, None)
-        self._trees.pop(i, None)
-        self._rows.pop(i, None)
-        self._signs.pop(i, None)
-        self._diffs.pop(i, None)
-        self._reach.pop(i, None)
-
     def to_json_dict(self):
         degrees = [{"i": i, "dim": self.dim(i),
                     "generators": [self.code(key) for key in self.generators(i)]}
@@ -377,28 +369,22 @@ def compose(sigma, tau):
 
 
 def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True):
-    """One streaming pass over a complex: dimensions, ranks, Betti numbers,
-    the d^2 and reach checks, and the certificate of ``compute_homology``
-    (``"unverified"`` when d^2 = 0 failed).  The generators of degree i-2
-    are released once degree i is assembled; only the matrices are kept.
+    """Type (n, k) in one pass of ``ChainComplex.degrees``: dimensions,
+    ranks, Betti numbers, the d^2 and reach checks, and the certificate of
+    ``compute_homology`` (``"unverified"`` when d^2 = 0 failed).  The reach
+    check of degree i runs in the pass, while degree i-1 is still held.
 
     ``rank_seed`` is accepted and ignored: every rank is exact and takes no
     seed, and callers that still pass one (``perfbench/workloads.py``) keep
     working.
     """
     cx = StirlingComplex(n, k, orient_seed)
-    dims = {}
-    diffs = {}
     reach_ok = True
-    for i in range(cx.max_edges + 1):
-        dims[i] = cx.dim(i)
+    for i in cx.degrees():
         if reach_check and reach_ok:
             reach_ok = cx.reach_filtration_holds(i)
-        if i >= 1:
-            diffs[i] = cx.differential(i)
-            cx.release(i - 2)
-    result = compute_homology(dims, diffs, cx.total_degree)
-    return {"n": n, "k": k, "dims": dims, "ranks": result.ranks,
+    result = cx.homology()
+    return {"n": n, "k": k, "dims": result.dims, "ranks": result.ranks,
             "betti": result.betti, "d2_ok": result.d2_ok,
             "reach_ok": reach_ok, "certificate": result.certificate,
-            "euler": sum((-1) ** i * d for i, d in dims.items())}
+            "euler": sum((-1) ** i * d for i, d in result.dims.items())}

@@ -5,9 +5,10 @@
 ``make_generator`` validates a decorated tree and returns its key, and
 ``reference_orders`` spells out the documented reference orders of a
 generator, seeded shuffle included, which the oracles align their own
-orders with through ``relative_sign``.  The three characters are fixed
-points the character tests check ``stirhom.characters.trace_character``
-against.
+orders with through ``relative_sign``.  ``trace_character`` takes the
+traces of chosen degrees of a complex outside its one pass, for the chain
+characters; those and the sign character are fixed points the character
+tests check against, and ``cycle_type`` reads a permutation's cycle type.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import random
 
 from stirhom.characters import (ClassFunction, partitions,
-                                representative_permutation, stirling_unsigned,
-                                trace_character)
+                                representative_permutation, stirling_unsigned)
 from stirhom.graphcomplex import _cycle_names
 from stirhom.linalg import SparseIntMatrix
 from stirhom.stirling import DomainError, _mask_set, _members, _Tree
@@ -117,6 +117,38 @@ def relative_sign(seq_a, seq_b):
 
 # ---------------------------------------------------------------------------
 # characters
+
+
+def cycle_type(perm):
+    """Cycle type of a permutation given as an image sequence on 0..m-1."""
+    m = len(perm)
+    seen = [False] * m
+    parts = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        parts.append(length)
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def trace_character(cx, size, perm_of, degrees, sign):
+    """The class function of S_size whose value at a cycle type mu is
+    ``sign`` times the sum, over ``degrees``, of (-1)^(total degree) times
+    the trace of ``perm_of(mu)`` on that degree of ``cx``."""
+    values = {}
+    for mu in partitions(size):
+        perm = perm_of(mu)
+        values[mu] = sign * sum(
+            (-1) ** cx.total_degree(i)
+            * cx.trace(i, perm) for i in degrees)
+    return ClassFunction(size, values)
 
 
 def class_sign(mu):

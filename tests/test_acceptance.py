@@ -1,10 +1,11 @@
 """Acceptance suite: every headline quantity at its stated tolerance.
 
 Each criterion prints one PASS/FAIL line.  All comparisons are exact.
-The large types (7, 2) and (7, 3) run in a streaming mode that releases
-generators as it goes; their results are cached and shared between the
-rank, composition and filtration criteria, which are bundled into the
-same pass by construction.
+Every type runs through ``survey``, the complex's one pass over its
+degrees, which holds at most two degrees of generators and runs the reach
+check as it goes.  The results are cached and shared between the rank,
+composition and filtration criteria, which that one pass computes
+together.
 """
 
 from __future__ import annotations

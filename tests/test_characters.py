@@ -22,8 +22,9 @@ from stirhom import characters as C
 from stirhom.graphcomplex import GraphComplex
 from stirhom.stirling import StirlingComplex
 
-from helpers import (chain_character, class_sign, even_cycle_count_sum,
-                     restricted_chain_character, sign_character)
+from helpers import (chain_character, class_sign, cycle_type,
+                     even_cycle_count_sum, restricted_chain_character,
+                     sign_character, trace_character)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +87,10 @@ def test_partitions_basic():
 
 def test_representative_permutation():
     perm = C.representative_permutation((3, 2))
-    assert C.cycle_type(perm) == (3, 2)
+    assert cycle_type(perm) == (3, 2)
     assert perm[0] in (1, 2)  # 0 sits in the first (long) cycle
     for mu in C.partitions(6):
-        assert C.cycle_type(C.representative_permutation(mu)) == mu
+        assert cycle_type(C.representative_permutation(mu)) == mu
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,28 @@ def test_equivariant_euler_at_identity_is_top_betti():
         decomposition = C.decompose(cf)
         assert sum(mult * C.hook_length_dimension(lam)
                    for lam, mult in decomposition) == C.stirling_unsigned(n, k)
+
+
+def graph_permutation(mu):
+    return [p + 1 for p in C.representative_permutation(mu)]
+
+
+@pytest.mark.parametrize("make,size,perm_of", [
+    *[(functools.partial(StirlingComplex, n, k), n + 1,
+       C.representative_permutation)
+      for n, k in [(3, 2), (4, 2), (5, 3), (5, 5)]],
+    *[(functools.partial(GraphComplex, m), m, graph_permutation)
+      for m in (4, 5)]])
+def test_streamed_traces_match_traces_of_the_whole_complex(make, size, perm_of):
+    # homology_character takes its traces inside the complex's one pass;
+    # the same alternating sum over a complex that keeps every degree
+    cx = make()
+    streamed = C.homology_character(cx, size, perm_of)
+    top = cx.homology().betti.support()
+    fresh = make()
+    assert streamed == trace_character(fresh, size, perm_of,
+                                       range(fresh.max_edges + 1),
+                                       (-1) ** top[0])
 
 
 def test_full_alternating_complexes_give_sign():

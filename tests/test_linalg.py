@@ -16,7 +16,7 @@ from stirhom.graphcomplex import GraphComplex
 from stirhom.linalg import (SparseIntMatrix, _eliminate_rank,
                             betti_from_dims_and_ranks, compute_homology,
                             morse_reduce, rank_exact)
-from stirhom.stirling import StirlingComplex
+from stirhom.stirling import StirlingComplex, survey
 
 from helpers import from_triplets
 
@@ -265,3 +265,66 @@ def test_reduction_matches_rank_on_simplicial_complexes(facets):
     reduction = morse_reduce(dims, diffs)
     assert reduction.ranks == {i: dense_rank(d) for i, d in diffs.items()}
     assert sum(reduction.critical.values()) <= sum(dims.values())
+
+
+# ---------------------------------------------------------------------------
+# the one pass over the degrees
+
+
+@pytest.mark.parametrize("make", [lambda: StirlingComplex(6, 3),
+                                  lambda: GraphComplex(5)],
+                         ids=["stirling-6-3", "graph-5"])
+def test_the_pass_holds_two_degrees(make):
+    cx = make()
+    seen = []
+    for i in cx.degrees():
+        if isinstance(cx, StirlingComplex):
+            # the reach check reads degree i-1 too
+            assert cx.reach_filtration_holds(i)
+        assert set(cx._gens) <= {i - 1, i} and i in cx._gens
+        assert all(set(cache) <= {i - 1, i} for cache in cx._caches)
+        seen.append(i)
+    assert seen == list(range(cx.max_edges + 1))
+    # only the matrices outlive the pass, and only inside the homology
+    assert not any(cx._caches)
+
+
+def fresh_homology(cx):
+    return compute_homology(cx.dims(), cx.differentials(), cx.total_degree)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6)
+                                 for k in range(2, n + 1)])
+def test_the_pass_matches_the_whole_complex_stirling(n, k):
+    streamed = StirlingComplex(n, k).homology()
+    assert streamed == fresh_homology(StirlingComplex(n, k))
+    assert streamed.dims == StirlingComplex(n, k).dims()
+    assert streamed.certificate == "morse-integral"
+
+
+@pytest.mark.parametrize("m,kill", [(m, kill) for m in (3, 4, 5)
+                                    for kill in (True, False)])
+def test_the_pass_matches_the_whole_complex_graph(m, kill):
+    streamed = GraphComplex(m, orientation_kill=kill).homology()
+    assert streamed == fresh_homology(GraphComplex(m, orientation_kill=kill))
+    assert streamed.dims == GraphComplex(m, orientation_kill=kill).dims()
+    if kill:
+        assert streamed.certificate == "morse-integral"
+    elif m > 3:
+        # the negative control: d^2 = 0 fails and the rank formula's
+        # negative Betti numbers are kept
+        assert streamed.certificate == "unverified"
+        assert min(streamed.betti.values.values()) < 0
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6)
+                                 for k in range(2, n + 1)])
+def test_survey_is_the_pass(n, k):
+    result = survey(n, k)
+    homology = StirlingComplex(n, k).homology()
+    assert result["dims"] == homology.dims
+    assert result["ranks"] == homology.ranks
+    assert result["betti"] == homology.betti
+    assert result["certificate"] == homology.certificate
+    assert result["d2_ok"] and result["reach_ok"]
+    assert result["euler"] == StirlingComplex(n, k).euler_characteristic()
