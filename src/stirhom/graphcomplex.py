@@ -52,8 +52,7 @@ import math
 
 from .linalg import ChainComplex
 from .stirling import StirlingComplex, _bit_images, _mask_set, _members, _spell
-from .trees import (RootedShapes, _compositions, _partitions_into_blocks, sort_sign,
-                    vertices)
+from .trees import RootedShapes, _compositions, _partitions_into_blocks, sort_sign
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
@@ -99,15 +98,20 @@ def _keys(m, i, shapes):
     labels = tuple(range(1, m + 1))
     walked = {}
 
+    def below(shape):
+        # the leaf set of every vertex below the root, as a mask-set
+        found = 0
+        for child in shape[2]:
+            found |= 1 << child[0] | below(child)
+        return found
+
     def hung(block, e):
         # the clusters of each shape hung from a vertex: every vertex below
         # its root, even a single child with the root's leaf set; a pool
         # serves many cycle arrangements and edge allocations, so it is
         # walked once per call
         if (block, e) not in walked:
-            walked[block, e] = [
-                _mask_set(c for c, _ in itertools.islice(vertices(s), 1, None))
-                for s in shapes(block, e, min_inputs=1)]
+            walked[block, e] = [below(s) for s in shapes(block, e, min_inputs=1)]
         return walked[block, e]
 
     for clusters in hung(labels, i):
@@ -216,9 +220,10 @@ class GraphComplex(ChainComplex):
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 1..m, as a function
-        from a generator to its one term, signed by the parity of sorting
-        the relabeled edge names; with ``fixed`` only when the generator is
-        fixed, tested on the cycle, then on each cluster.
+        from a generator to the list of its one term, signed by the parity
+        of sorting the relabeled edge names; with ``fixed`` only when the
+        generator is fixed, tested on the cycle (each relabeled once, kept
+        in a dict local to the function), then on each moved cluster.
 
         ``perm`` is a dict or a sequence with ``perm[j - 1]`` the image of
         j; it is checked, and its image table built, once.  Relabeling
@@ -234,25 +239,28 @@ class GraphComplex(ChainComplex):
             raise GraphError(f"expected a bijection of 1..{self.m}")
         # bit 0, which no leg owns, stays put
         image = _bit_images([0] + [perm[j] for j in legs])
+        moved = _mask_set(m for m, to in enumerate(image) if to != m)
+        blocks = {}
 
         def terms(key, fixed=False):
             cycle, clusters = key
-            blocks = _normal_cycle(tuple(map(image.__getitem__, cycle)))
+            if cycle not in blocks:
+                blocks[cycle] = _normal_cycle(tuple(map(image.__getitem__, cycle)))
             if not fixed:
-                target = (blocks, _mask_set(image[c] for c in _members(clusters)))
-            elif blocks != cycle:
-                return
+                target = blocks[cycle], _mask_set(image[c] for c in _members(clusters))
+            elif blocks[cycle] != cycle:
+                return ()
             else:
-                # the image of each cluster must be a cluster again; then
-                # the set of clusters is kept
-                rest = clusters
+                # the image of each moved cluster must be a cluster again;
+                # then the set of clusters is kept
+                rest = clusters & moved
                 while rest:
                     low = rest & -rest
                     if not clusters >> image[low.bit_length() - 1] & 1:
-                        return
+                        return ()
                     rest ^= low
                 target = key
-            yield target, sort_sign([image[name] for name in _names(key)])
+            return [(target, sort_sign([image[name] for name in _names(key)]))]
 
         return terms
 

@@ -37,8 +37,9 @@ the one pass over the degrees, ``degrees()``: it releases degree i-2,
 builds dim C_i and d_i and yields i, so callers do their per-degree work
 (the reach check, traces) while only degrees i-1 and i are held, and at
 the end computes the homology from the kept matrices alone.
-A trace is the signed count of the generators a relabeling fixes, and
-each relabeling stops at the first piece of the image that moves.
+A trace is the signed count of the generators a relabeling fixes; each
+relabeling stops at the first piece of the image that moves, and
+relabels a piece many keys share (a cycle, a tree) once.
 """
 
 from __future__ import annotations
@@ -385,10 +386,10 @@ class ChainComplex:
     degree i), ``code(key)``, ``orders(key)`` (new lists of the edge names
     and alternating far sides, each sorted: the reference orders),
     ``contraction_terms(key)`` and ``action_terms(perm)``, whose function
-    takes ``(key, fixed=False)`` and with ``fixed`` yields only the terms
-    landing on ``key``.  A term ``(target_key, sign)`` carries its whole
-    sign, read off the sorted positions.  A nonzero ``orient_seed`` shuffles
-    each generator's orders, edges first, with
+    takes ``(key, fixed=False)`` and returns a list of terms, with ``fixed``
+    only those landing on ``key``.  A term ``(target_key, sign)`` carries
+    its whole sign, read off the sorted positions.  A nonzero
+    ``orient_seed`` shuffles each generator's orders, edges first, with
     ``random.Random(f"{orient_seed}|{code}")``, which flips its basis vector
     by the parity of the shuffle: every matrix becomes S D S'.
     """
@@ -465,9 +466,11 @@ class ChainComplex:
 
     def trace(self, i, perm):
         """Trace of a leg relabeling on degree i, with no matrix built: the
-        signed count of the generators it fixes, each relabeling stopped at
-        the first piece of the image that misses the generator's key.  The
-        seeded orientations conjugate by S, which keeps the diagonal."""
+        signed count of the generators it fixes.  One relabeling function
+        serves the degree: it relabels a piece many keys share (a cycle, a
+        tree) once, tests only the graph clusters it moves, and stops at
+        the first piece that misses the generator's key.  The seeded
+        orientations conjugate by S, which keeps the diagonal."""
         terms = self.action_terms(perm)
         return sum(sign for key in self.generators(i)
                    for _target, sign in terms(key, fixed=True))

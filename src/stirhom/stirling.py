@@ -179,11 +179,13 @@ class StirlingComplex(ChainComplex):
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 0..n, as a function
-        from a generator to its terms: one term, or the signed trade terms
-        when the relabeled alternating set captures the new output flag,
-        signed by the parity of sorting the renamed edges and far sides.
-        With ``fixed`` only terms landing on the generator are yielded: the
-        vertex, then each edge, and last the alternating sets are tested.
+        from a generator to the list of its terms: one term, or the signed
+        trade terms when the relabeled alternating set captures the new
+        output flag, signed by the parity of sorting the renamed edges and
+        far sides.  With ``fixed`` only terms landing on the generator are
+        returned: the edges (each tree relabeled once, kept in a dict local
+        to the function), then the vertex, and last the alternating sets
+        are tested.
 
         ``perm`` is a bijection of {0..n} given as a sequence (perm[j] is
         the image of j) or a dict; the classical permutation group on n+1
@@ -194,20 +196,22 @@ class StirlingComplex(ChainComplex):
         everything = len(image) - 1
         # an edge keeps the side of its image without leg 0
         side = [everything ^ m if m & 1 else m for m in image]
+        images = {}
 
         def terms(key, fixed=False):
             clusters, dv, alt = key
+            if clusters not in images:
+                images[clusters] = _mask_set(side[c] for c in _members(clusters))
+            if fixed and images[clusters] != clusters:
+                return ()
             tree = self.tree(clusters)
             sides = tree.inputs[dv] + (everything ^ dv,)
             out = next(s for s in sides if image[s] & 1)
             new_dv = everything ^ image[out]
             # every term shares the distinguished vertex and the clusters
-            if fixed and (new_dv != dv or any(not clusters >> side[c] & 1
-                                              for c in tree.edges)):
-                return
+            if fixed and new_dv != dv:
+                return ()
             edges = [side[c] for c in tree.edges]
-            if not fixed:
-                clusters = _mask_set(edges)
             edge_sign = sort_sign(edges)
             alt_images = [image[a] for a in _members(alt)]
             if not alt >> out & 1:
@@ -216,10 +220,9 @@ class StirlingComplex(ChainComplex):
                 # trade the captured output flag for each remaining flag there
                 candidates = [([image[b] if a & 1 else a for a in alt_images], -edge_sign)
                               for b in sides if not alt >> b & 1]
-            for names, sign in candidates:
-                new_alt = _mask_set(names)
-                if not fixed or new_alt == alt:
-                    yield (clusters, new_dv, new_alt), sign * sort_sign(names)
+            found = [((images[clusters], new_dv, _mask_set(names)), sign * sort_sign(names))
+                     for names, sign in candidates]
+            return [term for term in found if term[0] == key] if fixed else found
 
         return terms
 

@@ -5,9 +5,9 @@ leaf labels, written ``(leaves, legs, children)``: its leaf-set bitmask
 (bit j for leg j), the bits ``1 << j`` of the legs at the root ascending,
 and the memoised, shared shapes hanging below it, sorted.  ``vertices``
 walks a shape root first, giving each vertex's leaf set and the far sides
-of its inputs; ``stirling`` builds its trees and ``graphcomplex`` its
-clusters from that walk.  Every reference order is sorted, so a sign is
-the parity of sorting the names a term leaves.
+of its inputs; ``stirling`` builds its trees from that walk, while
+``graphcomplex`` reads only the leaf sets.  Every reference order is
+sorted, so a sign is the parity of sorting the names a term leaves.
 """
 
 from __future__ import annotations

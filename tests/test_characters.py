@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from stirhom import characters as C
-from stirhom.graphcomplex import GraphComplex
-from stirhom.stirling import StirlingComplex
+from stirhom.graphcomplex import GraphComplex, _normal_cycle
+from stirhom.stirling import StirlingComplex, _mask_set
 
 from helpers import (chain_character, class_sign, cycle_type,
                      even_cycle_count_sum, restricted_chain_character,
@@ -273,12 +273,14 @@ def _diagonal_sum(matrix):
 def test_trace_is_the_action_diagonal():
     # the trace reads only the action terms that land on their source; the
     # whole action matrix is its oracle, at the representative of every
-    # cycle type and in every degree
+    # cycle type and in every degree; GC(6) and (5, 2), (5, 4) are the
+    # complexes `stirhom graph --m 6 --characters` traces
     cases = [(StirlingComplex(n, k, orient_seed=seed), n + 1, C.representative_permutation)
              for n in range(2, 6) for k in range(2, n + 1) for seed in (0, 12345)]
-    cases += [(GraphComplex(m, orientation_kill=kill), m,
-               lambda mu: [p + 1 for p in C.representative_permutation(mu)])
+    cases += [(GraphComplex(m, orientation_kill=kill), m, graph_permutation)
               for m in range(3, 6) for kill in (True, False)]
+    cases += [(GraphComplex(6, orient_seed=seed), 6, graph_permutation)
+              for seed in (0, 12345)]
     for cx, size, perm_of in cases:
         for mu in C.partitions(size):
             perm = perm_of(mu)
@@ -346,3 +348,54 @@ def test_trace_is_a_class_function_of_any_permutation(case):
         value = cx.trace(i, as_sequence)
         assert cx.trace(i, sigma) == value
         assert cx.trace(i, conjugate) == value
+
+
+LOOP6, PAIRS6 = (0b1111110,), (0b110, 0b11000, 0b1100000)
+
+
+@pytest.mark.parametrize("perm,image", [
+    # (1 3 5)(2 4 6) rotates the blocks {1, 2}, {3, 4}, {5, 6} of a 3-cycle
+    ([3, 4, 5, 6, 1, 2], PAIRS6[1:] + PAIRS6[:1]),
+    # (3 5)(4 6) reflects them, so two cycle edges trade names
+    ([1, 2, 5, 6, 3, 4], PAIRS6[:1] + PAIRS6[:0:-1])], ids=["rotation", "reflection"])
+def test_trace_is_the_diagonal_when_blocks_move(perm, image):
+    # a relabeling relabels each cycle once and keeps the image: here the
+    # cycle is kept, though its blocks move
+    assert tuple(sum(1 << perm[j - 1] for j in range(1, 7) if b >> j & 1)
+                 for b in PAIRS6) == image
+    assert _normal_cycle(image) == PAIRS6
+    for kill in (True, False):
+        _assert_trace_is_the_diagonal(_complex("graph", 6, kill, 0), perm)
+
+
+def test_trace_is_the_diagonal_when_a_kept_cycle_moves_a_cluster():
+    # the trace tests only the clusters a relabeling moves: (1 3)(2 4)
+    # keeps the loop and swaps the clusters {1, 2} and {3, 4}, so the key
+    # with both is fixed and the key with {1, 2} alone is not
+    perm = [3, 4, 1, 2, 5, 6]
+    cx = _complex("graph", 6, True, 0)
+    both, one = (LOOP6, _mask_set([0b110, 0b11000])), (LOOP6, _mask_set([0b110]))
+    assert both in cx.rows(3) and one in cx.rows(2)
+    terms = cx.action_terms(perm)
+    assert [target for target, _sign in terms(both, True)] == [both]
+    assert not terms(one, True)
+    for kill in (True, False):
+        _assert_trace_is_the_diagonal(_complex("graph", 6, kill, 0), perm)
+
+
+def test_relabelings_alive_at_once_keep_their_own_verdicts():
+    # each relabeling keeps the images of the cycles or trees it has met in
+    # its own function; two of one complex called turn about must not
+    # share them
+    cases = [(_complex("graph", 5, True, 0), [1, 2, 3, 4, 5], [2, 1, 4, 5, 3]),
+             (_complex("stirling", 5, 2, 0), [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4])]
+    for cx, identity, other in cases:
+        for i in range(cx.max_edges + 1):
+            for first, second in ((identity, other), (other, identity)):
+                a, b = cx.action_terms(first), cx.action_terms(second)
+                sums = [0, 0]
+                for key in cx.generators(i):
+                    sums[0] += sum(sign for _t, sign in a(key, True))
+                    sums[1] += sum(sign for _t, sign in b(key, True))
+                assert sums == [_diagonal_sum(cx.action_matrix(i, first)),
+                                _diagonal_sum(cx.action_matrix(i, second))]

@@ -27,6 +27,15 @@ def test_graph_dims_match_counts(m, kill):
     assert GraphComplex(m, orientation_kill=kill).dims() == graph_dims(m, kill)
 
 
+def test_graph_dims_match_counts_at_seven_legs():
+    # degree by degree, each released once counted, so at most one degree
+    # of GC(7)'s 214,844 keys is held
+    cx, counted = GraphComplex(7), graph_dims(7)
+    for i in range(cx.max_edges + 1):
+        assert cx.dim(i) == counted[i]
+        cx.release(i)
+
+
 def test_counted_totals():
     assert sum(stirling_dims(7, 3).values()) == 54_936
     assert sum(graph_dims(7).values()) == 214_844
