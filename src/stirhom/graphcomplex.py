@@ -39,10 +39,9 @@ The reference edge order is the edge names sorted ascending, so each term
 reads its sign off positions.  Contracting the edge at place p of e gives
 (-1)^(e-1-p); dropping a hanging edge or the loop leaves the other names
 sorted, and a cycle contraction, which renames, or a relabeling takes the
-parity of sorting the renamed names.  A nonzero ``orient_seed`` only flips
-the sign of each basis vector (``ChainComplex``).  The tests check every
-matrix against the flag-graph construction up to the signed generator
-bijection.
+parity of sorting the renamed names.  The tests check every matrix
+against the flag-graph construction up to the signed generator bijection,
+and check that the homology does not change when the basis is reoriented.
 """
 
 from __future__ import annotations
@@ -156,10 +155,10 @@ class GraphComplex(ChainComplex):
     ``"unverified"``.
     """
 
-    def __init__(self, m, orientation_kill=True, orient_seed=0):
+    def __init__(self, m, orientation_kill=True):
         if m < 3:
             raise GraphError("the genus-one graph complex requires m >= 3")
-        super().__init__(orient_seed)
+        super().__init__()
         self.m = m
         self.orientation_kill = orientation_kill
         self._shapes = RootedShapes()
@@ -178,10 +177,6 @@ class GraphComplex(ChainComplex):
         """The key spelled out: cycle blocks and clusters, as decimal masks."""
         cycle, clusters = key
         return f"G{self.m}:{_spell(cycle)}|{_spell(_members(clusters))}"
-
-    def orders(self, key):
-        # a graph has no alternating flags
-        return (_names(key),)
 
     def contraction_terms(self, key):
         """The differential's terms of one generator, one per edge; a cycle

@@ -46,11 +46,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
-
-from .trees import sort_sign
 
 
 @dataclass
@@ -383,26 +380,26 @@ class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
     Subclasses provide ``max_edges``, ``generators(i)`` (the sorted keys of
-    degree i), ``code(key)``, ``orders(key)`` (new lists of the edge names
-    and alternating far sides, each sorted: the reference orders),
-    ``contraction_terms(key)`` and ``action_terms(perm)``, whose function
-    takes ``(key, fixed=False)`` and returns a list of terms, with ``fixed``
-    only those landing on ``key``.  A term ``(target_key, sign)`` carries
-    its whole sign, read off the sorted positions.  A nonzero
-    ``orient_seed`` shuffles each generator's orders, edges first, with
-    ``random.Random(f"{orient_seed}|{code}")``, which flips its basis vector
-    by the parity of the shuffle: every matrix becomes S D S'.
+    degree i), ``code(key)``, ``contraction_terms(key)`` and
+    ``action_terms(perm)``, whose function takes ``(key, fixed=False)`` and
+    returns a list of terms, with ``fixed`` only those landing on ``key``.
+    A term ``(target_key, sign)`` carries its whole sign, read off the
+    positions in the sorted reference orders.  Any other orientation of the
+    generators conjugates every matrix by a diagonal +-1 matrix; the tests
+    check the homology and the oracles that way.
     """
 
-    def __init__(self, orient_seed=0):
-        self.orient_seed = orient_seed
+    # one orientation per generator; kept only because the size records of
+    # perfbench/layers.py key on it
+    orient_seed = 0
+
+    def __init__(self):
         self._gens = {}
         self._rows = {}
-        self._signs = {}
         self._diffs = {}
         self._homology = None
         # every per-degree cache, emptied by ``release``; subclasses add theirs
-        self._caches = [self._gens, self._rows, self._signs, self._diffs]
+        self._caches = [self._gens, self._rows, self._diffs]
 
     def total_degree(self, i):
         return i
@@ -419,22 +416,10 @@ class ChainComplex:
     def dims(self):
         return {i: self.dim(i) for i in range(self.max_edges + 1)}
 
-    def _orientations(self, i):
-        """The sign of each degree-i basis vector under ``orient_seed``."""
-        if i not in self._signs:
-            self._signs[i] = []
-            for key in self.generators(i):
-                rng = random.Random(f"{self.orient_seed}|{self.code(key)}")
-                orders = self.orders(key)
-                for names in orders:
-                    rng.shuffle(names)
-                self._signs[i].append(math.prod(map(sort_sign, orders)))
-        return self._signs[i]
-
     def _assemble(self, i, j, terms):
         """The matrix from degree i to degree j (columns are sources) whose
-        column of each degree-i generator sums ``terms(key)``, then S_j D S_i.
-        Two terms share a target only for the parallel edges of a 2-cycle."""
+        column of each degree-i generator sums ``terms(key)``.  Two terms
+        share a target only for the parallel edges of a 2-cycle."""
         rows = self.rows(j)
         cols = []
         for key in self.generators(i):
@@ -447,11 +432,6 @@ class ChainComplex:
                 else:
                     del col[row]
             cols.append(col)
-        if self.orient_seed:
-            row_signs = self._orientations(j)
-            for col, sign in zip(cols, self._orientations(i)):
-                for row in col:
-                    col[row] *= sign * row_signs[row]
         return SparseIntMatrix(len(rows), cols)
 
     def differential(self, i):
@@ -469,8 +449,7 @@ class ChainComplex:
         signed count of the generators it fixes.  One relabeling function
         serves the degree: it relabels a piece many keys share (a cycle, a
         tree) once, tests only the graph clusters it moves, and stops at
-        the first piece that misses the generator's key.  The seeded
-        orientations conjugate by S, which keeps the diagonal."""
+        the first piece that misses the generator's key."""
         terms = self.action_terms(perm)
         return sum(sign for key in self.generators(i)
                    for _target, sign in terms(key, fixed=True))

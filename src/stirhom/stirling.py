@@ -41,9 +41,9 @@ the edge at place p of e moves it to the last wedge slot, (-1)^(e-1-p), and
 leaves the other clusters sorted.  Trading an alternating far side a for b
 passes the other alternating far sides strictly between a and b, one sign
 each.  A relabeling, or a trade term of one, takes the parity of sorting
-the renamed edges and far sides.  A nonzero ``orient_seed`` only flips the
-sign of each basis vector (``ChainComplex``).  The tests check every matrix
-against the flag-tree construction up to the signed generator bijection.
+the renamed edges and far sides.  The tests check every matrix against
+the flag-tree construction up to the signed generator bijection, and check
+that the homology does not change when the basis is reoriented.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class StirlingComplex(ChainComplex):
     concentrated in internal degrees 0..n-k.
     """
 
-    def __init__(self, n, k, orient_seed=0):
+    def __init__(self, n, k):
         _check_type(n, k)
-        super().__init__(orient_seed)
+        super().__init__()
         self.n = n
         self.k = k
         self._shapes = RootedShapes()
@@ -149,10 +149,6 @@ class StirlingComplex(ChainComplex):
         alternating far sides, as decimal masks."""
         clusters, dv, alt = key
         return f"T{self.n}:{_spell(_members(clusters))}|{dv}|{_spell(_members(alt))}"
-
-    def orders(self, key):
-        clusters, _dv, alt = key
-        return _members(clusters), _members(alt)
 
     # -- terms ---------------------------------------------------------------
 
@@ -371,7 +367,7 @@ def compose(sigma, tau):
     return tuple(sigma[t] for t in tau)
 
 
-def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True):
+def survey(n, k, rank_seed=0, reach_check=True):
     """Type (n, k) in one pass of ``ChainComplex.degrees``: dimensions,
     ranks, Betti numbers, the d^2 and reach checks, and the certificate of
     ``compute_homology`` (``"unverified"`` when d^2 = 0 failed).  The reach
@@ -381,7 +377,7 @@ def survey(n, k, rank_seed=0, orient_seed=0, reach_check=True):
     seed, and callers that still pass one (``perfbench/workloads.py``) keep
     working.
     """
-    cx = StirlingComplex(n, k, orient_seed)
+    cx = StirlingComplex(n, k)
     reach_ok = True
     for i in cx.degrees():
         if reach_check and reach_ok:

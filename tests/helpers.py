@@ -2,10 +2,15 @@
 
 ``from_triplets`` builds a column-stored matrix from ``(r, c, v)`` entries
 (the package assembles its matrices column by column and never needs it),
-``make_generator`` validates a decorated tree and returns its key, and
+``make_generator`` validates a decorated tree and returns its key,
 ``reference_orders`` spells out the documented reference orders of a
-generator, seeded shuffle included, which the oracles align their own
-orders with through ``relative_sign``.  ``trace_character`` takes the
+generator, which the oracles align their own orders with through
+``relative_sign``, and ``transport`` moves a matrix along signed generator
+bijections.  The package has one orientation per generator; another one,
+the reference orders shuffled by a seed as the oracles shuffle theirs, is
+the diagonal change of basis ``orientation_signs``, so the tests check
+orientation independence by conjugating: ``reoriented_homology`` is the
+homology of every S D S'.  ``trace_character`` takes the
 traces of chosen degrees of a complex outside its one pass, for the chain
 characters; those and the sign character are fixed points the character
 tests check against, and ``cycle_type`` reads a permutation's cycle type.
@@ -18,7 +23,7 @@ import random
 from stirhom.characters import (ClassFunction, partitions,
                                 representative_permutation, stirling_unsigned)
 from stirhom.graphcomplex import _cycle_names
-from stirhom.linalg import SparseIntMatrix
+from stirhom.linalg import SparseIntMatrix, compute_homology
 from stirhom.stirling import DomainError, _mask_set, _members, _Tree
 from stirhom.trees import RootedShapes
 
@@ -60,23 +65,55 @@ def make_generator(n, clusters, dv, alt):
     return wanted, dv, _mask_set(alt)
 
 
-def reference_orders(cx, key):
+def reference_orders(cx, key, seed=0):
     """The edge order and alternating order of a generator of ``cx`` by the
     documented recipe: the edge names (clusters, and for a graph the cycle
     edge names too) and the alternating far sides, each sorted ascending;
-    a nonzero ``cx.orient_seed`` shuffles the edges and then the far sides
-    with ``random.Random(f"{orient_seed}|{code}")``."""
+    a nonzero ``seed`` shuffles the edges and then the far sides with
+    ``random.Random(f"{seed}|{code}")``, as the oracles' ``orient_seed``
+    shuffles theirs."""
     if len(key) == 3:
         clusters, _dv, alt = key
         edges, alts = _members(clusters), _members(alt)
     else:
         cycle, clusters = key
         edges, alts = sorted(_cycle_names(cycle) + tuple(_members(clusters))), []
-    if cx.orient_seed:
-        rng = random.Random(f"{cx.orient_seed}|{cx.code(key)}")
+    if seed:
+        rng = random.Random(f"{seed}|{cx.code(key)}")
         rng.shuffle(edges)
         rng.shuffle(alts)
     return tuple(edges), tuple(alts)
+
+
+def orientation_signs(cx, i, seed):
+    """S_i as a signed bijection: each degree-i generator keeps its row and
+    takes the sign between its reference orders and those ``seed`` shuffles,
+    so ``transport(d, S_(i-1), S_i)`` is d_i in the reoriented basis."""
+    signs = []
+    for pos, key in enumerate(cx.generators(i)):
+        (edges, alts), (new_edges, new_alts) = (
+            reference_orders(cx, key), reference_orders(cx, key, seed))
+        signs.append((pos, relative_sign(edges, new_edges)
+                      * relative_sign(alts, new_alts)))
+    return signs
+
+
+def reoriented_homology(cx, seed):
+    """``compute_homology`` of every differential of ``cx`` conjugated by
+    the orientation ``seed`` gives its generators."""
+    signs = {i: orientation_signs(cx, i, seed) for i in range(cx.max_edges + 1)}
+    diffs = {i: transport(d, signs[i - 1], signs[i])
+             for i, d in cx.differentials().items()}
+    return compute_homology(cx.dims(), diffs, cx.total_degree)
+
+
+def transport(matrix, p_rows, p_cols):
+    """P_rows M P_cols^-1, the signed bijections given as ``(row, sign)``
+    lists; a signed permutation matrix is inverted by its transpose."""
+    return from_triplets(
+        len(p_rows), len(p_cols),
+        [(p_rows[r][0], p_cols[c][0], p_rows[r][1] * v * p_cols[c][1])
+         for r, c, v in matrix.triplets()])
 
 
 def perm_parity(images):

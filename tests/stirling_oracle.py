@@ -142,15 +142,6 @@ def signed_bijection(cx, oracle, i):
     return p
 
 
-def transport(matrix, p_rows, p_cols):
-    """P_rows M P_cols^-1, the signed bijections given as ``(row, sign)``
-    lists; a signed permutation matrix is inverted by its transpose."""
-    return from_triplets(
-        len(p_rows), len(p_cols),
-        [(p_rows[r][0], p_cols[c][0], p_rows[r][1] * v * p_cols[c][1])
-         for r, c, v in matrix.triplets()])
-
-
 class StirlingComplex(ChainComplex):
     """The chain complex of type (n, k), graded by edge count i."""
 

@@ -36,6 +36,16 @@ def test_graph_dims_match_counts_at_seven_legs():
         cx.release(i)
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_stirling_dims_match_counts_at_seven_legs(k):
+    # degree by degree, each released once counted, so at most one degree
+    # of (7, 2)'s 283,668 keys is held
+    cx, counted = StirlingComplex(7, k), stirling_dims(7, k)
+    for i in range(cx.max_edges + 1):
+        assert cx.dim(i) == counted[i]
+        cx.release(i)
+
+
 def test_counted_totals():
     assert sum(stirling_dims(7, 3).values()) == 54_936
     assert sum(graph_dims(7).values()) == 214_844

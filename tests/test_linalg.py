@@ -18,7 +18,7 @@ from stirhom.linalg import (SparseIntMatrix, _eliminate_rank,
                             morse_reduce, rank_exact)
 from stirhom.stirling import StirlingComplex, survey
 
-from helpers import from_triplets
+from helpers import from_triplets, orientation_signs, reoriented_homology
 
 
 def dense_rank(matrix):
@@ -315,6 +315,25 @@ def test_the_pass_matches_the_whole_complex_graph(m, kill):
         # negative Betti numbers are kept
         assert streamed.certificate == "unverified"
         assert min(streamed.betti.values.values()) < 0
+
+
+@pytest.mark.parametrize("make,certificate", [
+    (lambda: StirlingComplex(4, 2), "morse-integral"),
+    (lambda: GraphComplex(4), "morse-integral"),
+    (lambda: GraphComplex(4, orientation_kill=False), "unverified"),
+    (lambda: GraphComplex(5, orientation_kill=False), "unverified")],
+    ids=["stirling-4-2", "graph-4", "graph-4-kill-off", "graph-5-kill-off"])
+def test_homology_survives_a_change_of_orientation(make, certificate):
+    # another orientation of the generators conjugates every differential,
+    # S D S'; the coreduction and the negative control's per-degree ranks
+    # must both give the same ranks, Betti numbers and certificate
+    cx = make()
+    assert any(sign < 0 for i in range(cx.max_edges + 1)
+               for _pos, sign in orientation_signs(cx, i, 12345))
+    homology, reoriented = make().homology(), reoriented_homology(cx, 12345)
+    assert reoriented.certificate == homology.certificate == certificate
+    assert reoriented.ranks == homology.ranks
+    assert reoriented.betti == homology.betti
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6)
