@@ -1,45 +1,42 @@
 """Homology of sparse integer chain complexes: one pipeline from the
 differentials to ranks, Betti numbers and a certificate.
 
-``compute_homology`` is the pipeline every caller uses, and
-``composes_to_zero`` the only place where d^2 = 0 is tested.  When it
-holds, the ranks come from ``morse_reduce``, an algebraic discrete-Morse
-coreduction (Mrozek and Batko 2009; Skoldberg 2006), whose output means
-nothing on matrices that do not compose to zero; when it fails, every
-differential is ranked on its own by ``rank_exact``, the certificate reads
-``"unverified"`` and negative Betti numbers are reported rather than
-raised.
+The pipeline is the step reducer ``Coreduction``, fed one degree at a time
+by ``ChainComplex.degrees()`` as the pass builds each differential, or by
+``morse_reduce`` and ``compute_homology`` from a dict.  Step i tests
+d_{i-1} d_i = 0 with ``composes_to_zero``, the only place d^2 = 0 is
+tested.  While it holds, the step pairs each degree-i cell c that has
+exactly one live face r, when <dc, r> = +-1: the face side of the
+coreduction of Mrozek and Batko (2009; Skoldberg 2006), over d_i alone.
+A pair divides out the acyclic subcomplex spanned by c and dc; the
+quotient's differential is the original one restricted to the remaining
+cells, so no entry changes (no fill) and the homology is kept over Z.
 
-The coreduction repeatedly removes a pair of cells (s, t) with <ds, t> =
-+-1 where t has no other live coface or s has no other live face.  Each
-removal divides out the acyclic subcomplex spanned by s and ds; because of
-the freeness condition and d^2 = 0, the quotient's differential is the
-original one restricted to the remaining cells, so no entry ever changes
-(no fill) and the homology is kept over the integers.  The work queue is
-deterministic: every cell in order of degree, then index, followed by the
-cells that become removable, first in first out.
-
-When the restricted differential is zero, the remaining (critical) cells
-are a basis of a free homology group.  Otherwise each residual degree goes
-through the one elimination routine, ``_eliminate_rank``: fraction-free
-over the integers, +-1 pivots first, then Markowitz order.  When every
-pivot it takes is +-1, each residual differential is equivalent over Z to
-an identity block plus zero, so the homology is still free and the
+No later step touches degree i-1, so after step i its live (critical) cells
+are final: the residual of d_{i-1} on them is ranked and d_{i-1} dropped.
+With d^2 = 0 through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions
+and the homology below, which the quotients keep, so it is the pairs of
+step i-1 plus the residual's rank.  A residual goes through the one
+elimination routine, ``_eliminate_rank``: fraction-free over Z, +-1 pivots
+first, then Markowitz order.  When every pivot is +-1 the residual is an
+identity block plus zero over Z, so the homology is free and the
 certificate is ``"morse-integral"``; a larger pivot (Z/2 in RP^2, say)
-leaves only ranks over Q and the certificate ``"exact-rational"``.
-``rank_exact`` is the same routine with only the rank kept.
+leaves ranks over Q and ``"exact-rational"``.  ``rank_exact`` is the same
+routine with only the rank kept.  When the check of step i fails, d_{i-1}
+and every later differential are ranked whole by ``rank_exact``, the
+certificate reads ``"unverified"``, and negative Betti numbers are
+reported rather than raised.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges of sorted generator keys, the
 position of each key, the shared assembler that turns signed contraction
 and action terms into the differential, an action matrix or a trace, and
 the one pass over the degrees, ``degrees()``: it releases degree i-2,
-builds dim C_i and d_i and yields i, so callers do their per-degree work
-(the reach check, traces) while only degrees i-1 and i are held, and at
-the end computes the homology from the kept matrices alone.
-A trace is the signed count of the generators a relabeling fixes; each
-relabeling stops at the first piece of the image that moves, and
-relabels a piece many keys share (a cycle, a tree) once.
+builds dim C_i and d_i, takes the reduction step and yields i, so callers
+do their per-degree work (the reach check, traces) while only degrees i-1
+and i are held.  A trace is the signed count of the generators a
+relabeling fixes; each relabeling stops at the first piece of the image
+that moves, and relabels a piece many keys share (a cycle, a tree) once.
 """
 
 from __future__ import annotations
@@ -74,17 +71,20 @@ class SparseIntMatrix:
     def is_zero(self):
         return not any(self.cols)
 
+    def _times_column(self, col):
+        """This matrix times the sparse column ``col``, zero sums kept."""
+        acc = {}
+        for r2, v2 in col.items():
+            for r1, v1 in self.cols[r2].items():
+                acc[r1] = acc.get(r1, 0) + v1 * v2
+        return acc
+
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        product = []
-        for col in other.cols:
-            acc = {}
-            for r2, v2 in col.items():
-                for r1, v1 in self.cols[r2].items():
-                    acc[r1] = acc.get(r1, 0) + v1 * v2
-            product.append({r: v for r, v in acc.items() if v})
-        return SparseIntMatrix(self.nrows, product)
+        return SparseIntMatrix(self.nrows, [
+            {r: v for r, v in self._times_column(col).items() if v}
+            for col in other.cols])
 
     def to_matrix_market(self):
         lines = ["%%MatrixMarket matrix coordinate integer general",
@@ -200,101 +200,13 @@ def rank_exact(matrix):
     return _eliminate_rank(matrix)[0]
 
 
-@dataclass
-class MorseReduction:
-    """Outcome of ``morse_reduce``.
-
-    ``ranks[i]`` is the rank of d_i over the rationals, ``critical[i]`` the
-    number of cells left in degree i, and ``certificate`` is
-    ``"morse-integral"`` when the homology is free and read off over the
-    integers, else ``"exact-rational"``.
-    """
-
-    ranks: dict
-    critical: dict
-    certificate: str
-
-
-def morse_reduce(dims, diffs):
-    """Ranks of every differential of a complex by coreduction.
-
-    ``dims`` maps each degree i to dim C_i and ``diffs`` maps i to the
-    matrix of d_i: C_i -> C_{i-1} (columns are sources).  The caller must
-    have verified that consecutive differentials compose to zero.  A
-    residual differential left by the coreduction is eliminated by
-    ``_eliminate_rank``; the certificate stays ``"morse-integral"`` when
-    every residual pivot was +-1.
-
-    Cell c of degree i has as faces the rows of column c of d_i, and as
-    cofaces the columns of row c of d_{i+1}, appended in column order and so
-    ascending.  A removed cell retires its faces in sorted order, so the
-    queue ignores the order within a column.
-    """
-    cofaces = {i: [[] for _ in range(dim)] for i, dim in dims.items()}
-    nfaces = {i: [0] * dim for i, dim in dims.items()}
-    for i, d in diffs.items():
-        row_cofaces = cofaces[i - 1]
-        for c, col in enumerate(d.cols):
-            nfaces[i][c] = len(col)
-            for r in col:
-                row_cofaces[r].append(c)
-    ncofaces = {i: [len(f) for f in cells] for i, cells in cofaces.items()}
-    live = {i: bytearray(b"\x01") * dim for i, dim in dims.items()}
-    pairs = {i: 0 for i in diffs}
-    queue = deque((i, c) for i in sorted(dims) for c in range(dims[i]))
-
-    def unique_live(neighbours, degree):
-        flags = live[degree]
-        return next(x for x in neighbours if flags[x])
-
-    def retire(i, c):
-        for r in (sorted(diffs[i].cols[c]) if i in diffs else ()):
-            if live[i - 1][r]:
-                ncofaces[i - 1][r] -= 1
-                if ncofaces[i - 1][r] == 1:
-                    queue.append((i - 1, r))
-        for s in cofaces[i][c]:
-            if live[i + 1][s]:
-                nfaces[i + 1][s] -= 1
-                if nfaces[i + 1][s] == 1:
-                    queue.append((i + 1, s))
-
-    while queue:
-        i, c = queue.popleft()
-        if not live[i][c]:
-            continue
-        pair = None
-        if nfaces[i][c] == 1:
-            r = unique_live(diffs[i].cols[c], i - 1)
-            if abs(diffs[i].cols[c][r]) == 1:
-                pair = (i, c), (i - 1, r)
-        if pair is None and ncofaces[i][c] == 1:
-            s = unique_live(cofaces[i][c], i + 1)
-            if abs(diffs[i + 1].cols[s][c]) == 1:
-                pair = (i + 1, s), (i, c)
-        if pair is None:
-            continue
-        for degree, cell in pair:
-            live[degree][cell] = 0
-        pairs[pair[0][0]] += 1
-        for degree, cell in pair:
-            retire(degree, cell)
-
-    positions = {i: {c: pos for pos, c in enumerate(
-        c for c, flag in enumerate(flags) if flag)} for i, flags in live.items()}
-    critical = {i: len(pos) for i, pos in positions.items()}
-    ranks = dict(pairs)
-    certificate = "morse-integral"
-    for i, d in diffs.items():
-        rows, cols = positions[i - 1], positions[i]
-        residual = SparseIntMatrix(len(rows), [
-            {rows[r]: v for r, v in d.cols[c].items() if r in rows} for c in cols])
-        if not residual.is_zero():
-            rank, unit = _eliminate_rank(residual)
-            ranks[i] += rank
-            if not unit:
-                certificate = "exact-rational"
-    return MorseReduction(ranks, critical, certificate)
+def composes_to_zero(lower, upper):
+    """True when ``lower @ upper`` = 0, tested one column of ``upper`` at a
+    time: the product is never built, and the test stops at the first
+    column it does not kill."""
+    if lower.ncols != upper.nrows:
+        raise ValueError("matrix dimensions do not match")
+    return not any(any(lower._times_column(col).values()) for col in upper.cols)
 
 
 @dataclass
@@ -322,8 +234,8 @@ def betti_from_dims_and_ranks(dims, ranks, degree_of, strict=True):
     ``dims`` maps the internal grading i to dim C_i, ``ranks`` maps i to
     rank(d_i: C_i -> C_{i-1}), and ``degree_of`` converts the internal
     grading to the reported total degree.  A negative value is impossible
-    for an actual complex and raises when ``strict``; ``compute_homology``
-    turns strictness off exactly when d^2 = 0 failed.
+    for an actual complex and raises when ``strict``; the reduction turns
+    strictness off exactly when d^2 = 0 failed.
     """
     values = {}
     for i, dim in dims.items():
@@ -336,17 +248,10 @@ def betti_from_dims_and_ranks(dims, ranks, degree_of, strict=True):
     return BettiVector(values)
 
 
-def composes_to_zero(diffs):
-    """True when d_{i-1} d_i = 0 for every consecutive pair in ``diffs``."""
-    return all((diffs[i - 1] @ diffs[i]).is_zero()
-               for i in sorted(diffs) if i - 1 in diffs)
-
-
 @dataclass
 class Homology:
-    """Outcome of ``compute_homology``: dim C_i and the rank of every d_i,
-    the Betti numbers by total degree, and a certificate (that of
-    ``morse_reduce``, or ``"unverified"`` when d^2 = 0 failed)."""
+    """Outcome of a ``Coreduction``: dim C_i and the rank of every d_i, the
+    Betti numbers by total degree, and the certificate."""
 
     dims: dict
     ranks: dict
@@ -358,22 +263,113 @@ class Homology:
         return self.certificate != "unverified"
 
 
-def compute_homology(dims, diffs, degree_of):
-    """Homology of the sequence ``diffs`` (i -> matrix of d_i) over ``dims``,
-    with Betti numbers reported at total degree ``degree_of(i)``.
+class Coreduction:
+    """The step reducer, fed the degrees in order by ``step``.
 
-    d^2 = 0 is checked once; the coreduction runs only when it holds, and
-    otherwise every differential is ranked whole by ``rank_exact``.
+    ``ranks[i]`` is the rank of d_i over Q, ``critical[i]`` the number of
+    degree-i cells no pair removed (in the degrees reduced under a verified
+    d^2), and ``certificate`` is ``"morse-integral"``, ``"exact-rational"``
+    or ``"unverified"``.  Between steps it holds the last differential and
+    the live flags of its target and source degrees.
     """
-    if composes_to_zero(diffs):
-        reduction = morse_reduce(dims, diffs)
-        ranks, certificate = reduction.ranks, reduction.certificate
-    else:
-        ranks = {i: rank_exact(d) for i, d in diffs.items()}
-        certificate = "unverified"
-    betti = betti_from_dims_and_ranks(dims, ranks, degree_of,
-                                      strict=certificate != "unverified")
-    return Homology(dims, ranks, betti, certificate)
+
+    def __init__(self):
+        self.ranks, self.critical = {}, {}
+        self.certificate = "morse-integral"
+        self._d = self._faces = self._live = None
+
+    def step(self, i, dim, d=None):
+        """Reduce degree i, of dimension ``dim``, with d_i = ``d`` (``None``
+        at degree 0): check d_{i-1} d_i = 0, pair on d_i, settle degree i-1."""
+        if self.certificate == "unverified":
+            self.ranks[i] = rank_exact(d)
+            return
+        live = bytearray(b"\x01") * dim
+        if d is not None:
+            if self._d is not None and not composes_to_zero(self._d, d):
+                self.certificate = "unverified"
+                self.ranks[i - 1], self.ranks[i] = rank_exact(self._d), rank_exact(d)
+                self._d = self._faces = self._live = None
+                return
+            self.ranks[i] = self._pair(d, self._live, live)
+            self._settle(i - 1)
+        self._d, self._faces, self._live = d, self._live, live
+
+    def _pair(self, d, faces, live):
+        """Take the pairs of d_i, given the live flags of degrees i-1 and i,
+        and return how many.  The queue holds the cells with one live face
+        in index order, then those whose live faces drop to one; the
+        cofaces of a face are its columns in d_i, ascending, so the order
+        within a column does not matter."""
+        cofaces = [[] for _ in range(d.nrows)]
+        nfaces = [0] * d.ncols
+        for c, col in enumerate(d.cols):
+            for r in col:
+                if faces[r]:
+                    cofaces[r].append(c)
+                    nfaces[c] += 1
+        queue = deque(c for c, count in enumerate(nfaces) if count == 1)
+        pairs = 0
+        while queue:
+            c = queue.popleft()
+            if nfaces[c] != 1:
+                continue
+            col = d.cols[c]
+            r = next(r for r in col if faces[r])
+            if abs(col[r]) != 1:
+                continue
+            live[c] = faces[r] = 0
+            pairs += 1
+            for s in cofaces[r]:
+                if live[s]:
+                    nfaces[s] -= 1
+                    if nfaces[s] == 1:
+                        queue.append(s)
+        return pairs
+
+    def _settle(self, i):
+        """Degree i is final: count its critical cells and rank the residual
+        of d_i, the last differential held, on the live cells."""
+        self.critical[i] = self._live.count(1)
+        if self._d is None:
+            return
+        rows = {r: pos for pos, r in enumerate(
+            r for r, flag in enumerate(self._faces) if flag)}
+        residual = SparseIntMatrix(len(rows), [
+            {rows[r]: v for r, v in self._d.cols[c].items() if r in rows}
+            for c, flag in enumerate(self._live) if flag])
+        rank, unit = _eliminate_rank(residual)
+        self.ranks[i] += rank
+        if not unit:
+            self.certificate = "exact-rational"
+
+    def finish(self):
+        """Settle the top degree, the one above those settled, and drop the
+        last differential."""
+        if self._live is not None:
+            self._settle(len(self.critical))
+        self._d = self._faces = self._live = None
+        return self
+
+    def homology(self, dims, degree_of):
+        betti = betti_from_dims_and_ranks(
+            dims, self.ranks, degree_of, strict=self.certificate != "unverified")
+        return Homology(dims, self.ranks, betti, self.certificate)
+
+
+def morse_reduce(dims, diffs):
+    """The finished ``Coreduction`` of ``diffs`` (i -> matrix of d_i:
+    C_i -> C_{i-1}, columns are sources) over ``dims`` (i -> dim C_i)."""
+    reduction = Coreduction()
+    for i in sorted(dims):
+        reduction.step(i, dims[i], diffs.get(i))
+    return reduction.finish()
+
+
+def compute_homology(dims, diffs, degree_of):
+    """``Homology`` of ``morse_reduce``, with Betti numbers reported at
+    total degree ``degree_of(i)``."""
+    return morse_reduce(dims, diffs).homology(dims, degree_of)
 
 
 class ChainComplex:
@@ -463,19 +459,19 @@ class ChainComplex:
 
     def degrees(self):
         """The one pass over the degrees: release degree i-2, which nothing
-        reads once degree i is reached, build dim C_i and d_i, and yield i,
-        so the caller does its work on degree i (and i-1) in the loop body.
-        The last two degrees are released too, and the homology is computed
-        from the kept matrices.  Each pass builds every degree anew."""
-        dims, diffs = {}, {}
+        reads once degree i is reached, build dim C_i and d_i, take the
+        reduction step of degree i, which drops d_{i-1}, and yield i, so the
+        caller does its work on degree i (and i-1) in the loop body.  No
+        differential outlives the pass, and each pass builds every degree
+        anew."""
+        reduction, dims = Coreduction(), {}
         for i in range(self.max_edges + 3):
             self.release(i - 2)
             if i <= self.max_edges:
                 dims[i] = self.dim(i)
-                if i:
-                    diffs[i] = self.differential(i)
+                reduction.step(i, dims[i], self.differential(i) if i else None)
                 yield i
-        self._homology = compute_homology(dims, diffs, self.total_degree)
+        self._homology = reduction.finish().homology(dims, self.total_degree)
 
     def release(self, i):
         """Drop the generators of degree i and what is cached on them."""
@@ -483,8 +479,8 @@ class ChainComplex:
             cache.pop(i, None)
 
     def homology(self):
-        """``compute_homology`` of this complex, from one pass of
-        ``degrees`` unless one has run."""
+        """The ``Homology`` the steps of one pass of ``degrees`` leave, from
+        a pass unless one has run."""
         if self._homology is None:
             for _ in self.degrees():
                 pass

@@ -370,7 +370,7 @@ def compose(sigma, tau):
 def survey(n, k, rank_seed=0, reach_check=True):
     """Type (n, k) in one pass of ``ChainComplex.degrees``: dimensions,
     ranks, Betti numbers, the d^2 and reach checks, and the certificate of
-    ``compute_homology`` (``"unverified"`` when d^2 = 0 failed).  The reach
+    the pass's reduction (``"unverified"`` when d^2 = 0 failed).  The reach
     check of degree i runs in the pass, while degree i-1 is still held.
 
     ``rank_seed`` is accepted and ignored: every rank is exact and takes no

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from stirhom import linalg
 from stirhom.cli import main
 from stirhom.linalg import composes_to_zero, rank_exact
 from stirhom.stirling import (DomainError, StirlingComplex, compose, survey,
@@ -191,7 +192,8 @@ def test_all_entries_unit():
 
 def test_d_squared():
     for n, k in [(5, 2), (4, 4), (5, 3)]:
-        assert composes_to_zero(StirlingComplex(n, k).differentials())
+        d = StirlingComplex(n, k).differentials()
+        assert all(composes_to_zero(d[i - 1], d[i]) for i in range(2, len(d) + 1))
 
 
 def test_euler_characteristic_identity():
@@ -447,18 +449,51 @@ def corrupt(monkeypatch, degree):
     monkeypatch.setattr(StirlingComplex, "differential", corrupted)
 
 
-def forbid_coreduction(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("coreduction ran on an unverified complex")
+def record_steps(monkeypatch):
+    """The events of every reduction step, by degree: ``("d2", ok)`` for
+    its d^2 check and ``("pairs", count)`` for its pairing, in order."""
+    steps = {}
+    step, pair = linalg.Coreduction.step, linalg.Coreduction._pair
+    check = linalg.composes_to_zero
 
-    monkeypatch.setattr("stirhom.linalg.morse_reduce", forbidden)
+    def logged_step(self, i, dim, d=None):
+        steps[i] = []
+        return step(self, i, dim, d)
+
+    def logged_pair(self, d, faces, live):
+        count = pair(self, d, faces, live)
+        steps[max(steps)].append(("pairs", count))
+        return count
+
+    def logged_check(lower, upper):
+        ok = check(lower, upper)
+        steps[max(steps)].append(("d2", ok))
+        return ok
+
+    monkeypatch.setattr(linalg.Coreduction, "step", logged_step)
+    monkeypatch.setattr(linalg.Coreduction, "_pair", logged_pair)
+    monkeypatch.setattr(linalg, "composes_to_zero", logged_check)
+    return steps
+
+
+def test_survey_takes_no_pair_before_its_d_squared_check(monkeypatch):
+    # every step above the bottom one pairs only once d_{i-1} d_i = 0 holds
+    steps = record_steps(monkeypatch)
+    assert survey(5, 2, reach_check=False)["certificate"] == "morse-integral"
+    assert {i: [kind for kind, _value in events] for i, events in steps.items()} == {
+        0: [], 1: ["pairs"], 2: ["d2", "pairs"], 3: ["d2", "pairs"]}
+    assert all(ok for events in steps.values() for kind, ok in events if kind == "d2")
 
 
 def test_survey_skips_the_reduction_when_d_squared_fails(monkeypatch):
+    # the check of step 2 fails and nothing pairs from there on; step 1 has
+    # no d_0 to check, and its pairs count in no rank, as every
+    # differential is then ranked whole
     corrupt(monkeypatch, 1)
-    forbid_coreduction(monkeypatch)
+    steps = record_steps(monkeypatch)
     cx = StirlingComplex(4, 2)
     result = survey(4, 2, reach_check=False)
+    assert steps == {0: [], 1: [("pairs", steps[1][0][1])], 2: [("d2", False)]}
     assert not result["d2_ok"]
     assert result["certificate"] == "unverified"
     assert result["ranks"] == {i: rank_exact(cx.differential(i)) for i in (1, 2)}
@@ -468,8 +503,9 @@ def test_survey_reports_a_broken_d2_instead_of_raising(monkeypatch, capsys):
     # with d_2 corrupted the rank formula gives a negative Betti number,
     # which must be reported, not raised, since d^2 = 0 failed
     corrupt(monkeypatch, 2)
-    forbid_coreduction(monkeypatch)
+    steps = record_steps(monkeypatch)
     result = survey(4, 2)
+    assert [kind for kind, _value in steps[2]] == ["d2"]
     assert not result["d2_ok"]
     assert result["certificate"] == "unverified"
     assert min(result["betti"].values.values()) < 0
