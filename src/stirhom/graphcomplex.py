@@ -7,16 +7,20 @@ The differential is the signed sum of edge contractions; it and the
 action of leg relabelings are given as terms that ``ChainComplex`` assembles.
 
 Two kinds.  A stable genus-one graph is either a genus-one vertex with
-trees hanging from it, or one cycle of c >= 1 genus-zero vertices (c = 1
-is a loop, c = 2 a pair of parallel edges), each vertex holding a non-empty
-block of legs, directly or in the trees hanging from it.  With leaf sets as
-int bitmasks, bit j for leg j as in ``stirling``, a class is its key
-``(cycle, clusters)``.  ``cycle`` is ``()`` for the genus-one vertex,
+trees hanging from it, or a cycle of c >= 1 edges (c = 1 is a loop, c = 2
+a pair of parallel edges), each vertex on it of genus zero and holding a
+non-empty block of legs, directly or in the trees hanging from it.  With
+leaf sets as int bitmasks, bit j for leg j as in ``stirling``, a class is
+its key ``(cycle, clusters)``.  ``cycle`` is ``()`` for the genus-one vertex,
 ``(full,)`` for a loop, and otherwise the blocks in cyclic order, rotated so
 that the block of leg 1 comes first and read in the direction whose second
 block has the smaller lowest leg.  ``clusters`` is the set of the leaf
-sets below the hanging edges.  The key is canonical by construction,
-so every differential and action term finds its row by key.
+sets below the hanging edges: a laminar family of leaf sets of two or
+more legs, each inside one block, a block itself allowed, where the
+genus-one vertex has the one block {1..m}; every such family is a class,
+and the families are enumerated over the blocks of each cycle.  The key
+is canonical by construction, so every differential and action term
+finds its row by key.
 
 Edges are named by their cluster (a hanging edge), by the union of the two
 blocks they join (an edge of a cycle with c >= 3), or ``LOOP``.  The two
@@ -51,7 +55,7 @@ import math
 
 from .linalg import ChainComplex
 from .stirling import StirlingComplex, _bit_images, _mask_set, _members, _spell
-from .trees import RootedShapes, _compositions, _partitions_into_blocks, sort_sign
+from .trees import _partitions_into_blocks, laminar_families, sort_sign
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
@@ -91,58 +95,51 @@ def _normal_cycle(blocks):
     return blocks
 
 
-def _keys(m, i, shapes):
-    """The key of every class with m legs and i edges, each once, with the
-    rooted shapes taken from ``shapes``."""
+def _hung_clusters(blocks):
+    """The clusters a tree hung from a vertex of one of ``blocks`` may have:
+    every leaf set of two or more legs inside one block, the block itself
+    included."""
+    found = []
+    for b in blocks:
+        sub = b
+        while sub:
+            if sub.bit_count() > 1:
+                found.append(sub)
+            sub = sub - 1 & b
+    return found
+
+
+def _keys(m, i):
+    """The key of every class with m legs and i edges, each once."""
     labels = tuple(range(1, m + 1))
-    walked = {}
-
-    def below(shape):
-        # the leaf set of every vertex below the root, as a mask-set
-        found = 0
-        for child in shape[2]:
-            found |= 1 << child[0] | below(child)
-        return found
-
-    def hung(block, e):
-        # the clusters of each shape hung from a vertex: every vertex below
-        # its root, even a single child with the root's leaf set; a pool
-        # serves many cycle arrangements and edge allocations, so it is
-        # walked once per call
-        if (block, e) not in walked:
-            walked[block, e] = [below(s) for s in shapes(block, e, min_inputs=1)]
-        return walked[block, e]
-
-    for clusters in hung(labels, i):
+    for clusters in laminar_families(_hung_clusters([(1 << m + 1) - 2]), i):
         yield (), clusters
     for c in range(1, min(i, m) + 1):
         for blocks in _partitions_into_blocks(labels, c, 1):
+            masks = {b: sum(1 << j for j in b) for b in blocks}
+            # clusters in different blocks are disjoint, so the families of
+            # i - c clusters serve every cycle order of the blocks
+            families = list(laminar_families(_hung_clusters(masks.values()), i - c))
             # the block of leg 1 comes first and blocks come ordered by
             # their lowest leg, so each cycle is read in one direction
             first, rest = blocks[0], blocks[1:]
             for arrangement in itertools.permutations(rest):
                 if arrangement and min(arrangement[0]) > min(arrangement[-1]):
                     continue
-                ordered = (first,) + arrangement
-                cycle = tuple(sum(1 << j for j in b) for b in ordered)
-                caps = [len(b) - 1 for b in ordered]
-                for alloc in _compositions(i - c, caps):
-                    pools = [hung(b, e) for b, e in zip(ordered, alloc)]
-                    # clusters in different blocks differ, so the sets add
-                    for combo in itertools.product(*pools):
-                        yield cycle, sum(combo)
+                cycle = tuple(masks[b] for b in (first,) + arrangement)
+                for clusters in families:
+                    yield cycle, clusters
 
 
-def enumerate_graph_generators(m, i, orientation_kill=True, shapes=None):
-    """The keys of the degree-i generators, one per class, sorted.
+def enumerate_graph_generators(m, i, orientation_kill=True):
+    """The keys of the degree-i generators, one per class, sorted; none for
+    i < 0.
 
     With the orientation kill the classes with a 2-cycle are left out;
     without it (the negative control) they stay and the numbers are
-    deliberately wrong.  ``shapes`` is the calling complex's rooted-shape
-    memo; a fresh one is used when it is not given.
+    deliberately wrong.
     """
-    shapes = RootedShapes() if shapes is None else shapes
-    return sorted(key for key in _keys(m, i, shapes)
+    return sorted(key for key in _keys(m, i)
                   if not (orientation_kill and len(key[0]) == 2))
 
 
@@ -161,7 +158,6 @@ class GraphComplex(ChainComplex):
         super().__init__()
         self.m = m
         self.orientation_kill = orientation_kill
-        self._shapes = RootedShapes()
 
     @property
     def max_edges(self):
@@ -170,7 +166,7 @@ class GraphComplex(ChainComplex):
     def generators(self, i):
         if i not in self._gens:
             self._gens[i] = enumerate_graph_generators(
-                self.m, i, self.orientation_kill, self._shapes)
+                self.m, i, self.orientation_kill)
         return self._gens[i]
 
     def code(self, key):
@@ -260,7 +256,7 @@ class GraphComplex(ChainComplex):
         return terms
 
     def generator_dot(self):
-        """DOT drawings of every generator, genus labels on the vertices."""
+        """DOT drawings of every generator, each vertex labeled by its genus."""
         return "\n".join(_graph_dot(self.m, key, f"gc_{self.m}_{i}_{pos}")
                          for i in range(self.max_edges + 1)
                          for pos, key in enumerate(self.generators(i)))
@@ -268,7 +264,7 @@ class GraphComplex(ChainComplex):
 
 def _graph_dot(m, key, name):
     """GraphViz source of one class, drawn from its key: the genus-one
-    vertex or the cycle vertices in block order come first, then the vertex
+    vertex or each cycle vertex in block order comes first, then the vertex
     below each cluster in ascending order."""
     cycle, clusters = key
     members = _members(clusters)

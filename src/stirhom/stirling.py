@@ -12,11 +12,13 @@ and Steel, *Phylogenetics*, 2003).  A leaf set is an int bitmask, bit j for
 leg j; an edge is named by its cluster, a vertex by the cluster of the edge
 above it and the root by the full mask.  Every flag at a vertex has a far
 side, the legs beyond it: ``1 << j`` for leg j, the child's cluster for an
-edge below, and the complement within {0..n} for the flag above.  Each
-tree is built once from its enumerated rooted shape, whose walk gives every
-vertex's cluster and input far sides, so nothing is re-derived or
-validated; the trees of a degree are shared by its generators, which find
-theirs by their clusters.  A generator is its key, the triple
+edge below, and the complement within {0..n} for the flag above.  The
+trees of degree i are the laminar families of i clusters C with
+2 <= |C| <= n-1, and no tree is stored: ascending masks extend inclusion,
+so the vertex above an edge is the first later cluster that holds it, or
+the root, and a view of every vertex's input far sides is derived from the
+clusters whenever a walk over the keys, which are sorted by clusters,
+reaches a new tree.  A generator is its key, the triple
 ``(clusters, dv, alt)``: its edge clusters, the cluster of the
 distinguished vertex, and the far sides of the alternating flags, with the
 two sets stored as ints that have bit m set for each member mask m.  The
@@ -51,7 +53,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import ChainComplex
-from .trees import RootedShapes, sort_sign, vertices
+from .trees import laminar_families, sort_sign
 
 
 class DomainError(ValueError):
@@ -67,31 +69,51 @@ def _mask_set(masks):
 
 
 class _Tree:
-    """One stable tree, built from its rooted shape and shared by the
-    generators on it, which find it by their clusters.
+    """The view of one stable tree, derived from its clusters.
 
-    ``inputs[D]`` lists the far sides of the input flags of vertex D
-    ascending, read off the shape's walk, and ``edges`` lists every vertex
-    but the root ascending, the reference edge order.
+    ``edges`` lists the clusters ascending, the reference edge order;
+    ``up[c]`` is the vertex above the edge with cluster c; ``inputs[D]``
+    lists the far sides of the input flags of vertex D ascending, its
+    children and its own legs.  Ascending masks extend inclusion, so the
+    clusters met so far that have no parent yet are disjoint, the next
+    cluster that holds one of them is its parent, and the legs of a vertex
+    are those no earlier cluster holds.
     """
 
-    __slots__ = ("n", "full", "clusters", "edges", "inputs")
+    __slots__ = ("n", "full", "edges", "up", "inputs")
 
-    def __init__(self, n, shape):
+    def __init__(self, n, clusters):
         self.n = n
-        self.full = shape[0]
-        self.inputs = dict(vertices(shape))
-        # the root holds every leaf, so it sorts last
-        self.edges = tuple(sorted(self.inputs))[:-1]
-        self.clusters = _mask_set(self.edges)
-
-    def parent(self, c):
-        """The vertex above the edge with cluster c."""
-        return next(d for d, sides in self.inputs.items() if c in sides)
+        self.full = full = (1 << n + 1) - 2
+        self.edges = edges = tuple(_members(clusters))
+        self.up = up = {}
+        self.inputs = inputs = {}
+        top, covered = [], 0
+        for d in edges + (full,):
+            sides, rest = [], [d]
+            for c in top:
+                if c & d == c:
+                    up[c] = d
+                    sides.append(c)
+                else:
+                    rest.append(c)
+            top = rest
+            legs = d & ~covered
+            covered |= d
+            while legs:
+                low = legs & -legs
+                sides.append(low)
+                legs ^= low
+            sides.sort()
+            inputs[d] = tuple(sides)
 
     def depth(self, d):
         """The number of edges between vertex d and the root."""
-        return sum(1 for c in self.inputs if c & d == d and c != self.full)
+        count = 0
+        while d != self.full:
+            d = self.up[d]
+            count += 1
+        return count
 
 
 def _check_type(n, k):
@@ -111,10 +133,11 @@ class StirlingComplex(ChainComplex):
         super().__init__()
         self.n = n
         self.k = k
-        self._shapes = RootedShapes()
-        self._trees = {}
+        # the clusters a tree of type (n, k) may have
+        self._clusters = [c for c in range(2, 1 << n + 1, 2) if 2 <= c.bit_count() < n]
+        self._view = {}
         self._reach = {}
-        self._caches += [self._trees, self._reach]
+        self._caches += [self._view, self._reach]
 
     @property
     def max_edges(self):
@@ -124,25 +147,26 @@ class StirlingComplex(ChainComplex):
         return i + self.k
 
     def generators(self, i):
-        """The keys of degree i, sorted; the trees they are on are kept by
-        their clusters."""
+        """The keys of degree i, sorted, read off each laminar family of i
+        clusters once; none for i < 0."""
         if i not in self._gens:
-            trees = self._trees[i] = {}
-            for shape in self._shapes(range(1, self.n + 1), i):
-                tree = _Tree(self.n, shape)
-                trees[tree.clusters] = tree
             self._gens[i] = sorted(
-                (tree.clusters, dv, _mask_set(alt)) for tree in trees.values()
-                for dv, inputs in tree.inputs.items()
+                (clusters, dv, _mask_set(alt))
+                for clusters in laminar_families(self._clusters, i)
+                for dv, inputs in _Tree(self.n, clusters).inputs.items()
                 for alt in itertools.combinations(inputs, self.k))
         return self._gens[i]
 
     def tree(self, clusters):
-        """The tree whose edges are ``clusters``, its degree built first."""
+        """The view of the tree whose edges are ``clusters``.  The last one
+        of each degree is kept until ``release`` drops the degree, since
+        every walk over the keys, which are sorted by clusters, meets the
+        keys of one tree in a row."""
         i = clusters.bit_count()
-        if i not in self._trees:
-            self.generators(i)
-        return self._trees[i][clusters]
+        held = self._view.get(i)
+        if held is None or held[0] != clusters:
+            held = self._view[i] = clusters, _Tree(self.n, clusters)
+        return held[1]
 
     def code(self, key):
         """The key spelled out: edge clusters, distinguished vertex and
@@ -162,7 +186,7 @@ class StirlingComplex(ChainComplex):
         for pos, c in enumerate(tree.edges):
             sign = -1 if (last - pos) % 2 else 1
             rest = clusters ^ 1 << c
-            new_dv = tree.parent(c) if c == dv else dv
+            new_dv = tree.up[c] if c == dv else dv
             if not alt >> c & 1:
                 yield (rest, new_dv, alt), sign
             else:

@@ -1,13 +1,14 @@
-"""Rooted-shape enumeration and the sign of sorting, shared by both complexes.
+"""Laminar-family enumeration and the sign of sorting, shared by both complexes.
 
-A rooted shape is an isomorphism class of rooted trees over a fixed set of
-leaf labels, written ``(leaves, legs, children)``: its leaf-set bitmask
-(bit j for leg j), the bits ``1 << j`` of the legs at the root ascending,
-and the memoised, shared shapes hanging below it, sorted.  ``vertices``
-walks a shape root first, giving each vertex's leaf set and the far sides
-of its inputs; ``stirling`` builds its trees from that walk, while
-``graphcomplex`` reads only the leaf sets.  Every reference order is
-sorted, so a sign is the parity of sorting the names a term leaves.
+A stable tree on labelled legs is exactly its laminar family of clusters,
+the leaf sets below its edges (Buneman; Semple and Steel, *Phylogenetics*,
+2003).  Leaf sets are int bitmasks, bit j for leg j.  Two clusters are
+compatible when they are nested or disjoint, and a family of pairwise
+compatible clusters is written as a mask-set, an int with bit m set for
+each member mask m: the ``clusters`` of a key.  Each complex says which
+clusters it allows and reads everything else off the family.  Every
+reference order is sorted, so a sign is the parity of sorting the names a
+term leaves.
 """
 
 from __future__ import annotations
@@ -30,18 +31,7 @@ def sort_sign(names):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of rooted shapes
-
-
-def _compositions(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    first_cap = min(caps[0], total)
-    for head in range(first_cap + 1):
-        for tail in _compositions(total - head, caps[1:]):
-            yield (head,) + tail
+# enumeration
 
 
 def _partitions_into_blocks(items, r, min_block):
@@ -62,54 +52,26 @@ def _partitions_into_blocks(items, r, min_block):
                 yield (block,) + tail
 
 
-class RootedShapes:
-    """The rooted shapes over a leaf-label set, memoised per instance.
+def laminar_families(masks, size):
+    """Every family of ``size`` pairwise compatible members of ``masks``
+    (distinct leaf-set bitmasks), each once, as a mask-set; none when
+    ``size`` is negative.
 
-    Each complex owns one instance, so the memo, which the recursion fills
-    with the shapes of every sub-label-set, is freed with the complex.
+    A depth-first search adds members in ascending order and keeps, as a
+    mask-set, the later members compatible with every one added so far.
     """
+    if size < 0:
+        return
+    compatible = {a: sum(1 << b for b in masks if a & b in (0, a, b)) for a in masks}
 
-    __slots__ = ("_memo",)
+    def extend(family, allowed, left):
+        if not left:
+            yield family
+            return
+        while allowed.bit_count() >= left:
+            low = allowed & -allowed
+            allowed ^= low
+            yield from extend(family | low, allowed & compatible[low.bit_length() - 1],
+                              left - 1)
 
-    def __init__(self):
-        self._memo = {}
-
-    def __call__(self, labels, num_edges, min_inputs=2):
-        """The shapes over ``labels`` with ``num_edges`` edges.
-
-        Every non-root vertex has at least two inputs; the root has at
-        least ``min_inputs``.
-        """
-        labels_t = tuple(sorted(labels))
-        memo_key = (labels_t, num_edges, min_inputs)
-        if memo_key not in self._memo:
-            self._memo[memo_key] = self._shapes(labels_t, num_edges, min_inputs)
-        return self._memo[memo_key]
-
-    def _shapes(self, labels_t, num_edges, min_inputs):
-        leaves = sum(1 << x for x in labels_t)
-        out = []
-        for r in range(0, min(num_edges, len(labels_t) // 2) + 1):
-            inner = num_edges - r
-            for support_size in range(2 * r, len(labels_t) + 1):
-                if len(labels_t) - support_size + r < min_inputs:
-                    continue
-                for support in itertools.combinations(labels_t, support_size):
-                    legs = tuple(1 << x for x in labels_t if x not in support)
-                    for blocks in _partitions_into_blocks(support, r, 2):
-                        caps = [len(b) - 2 for b in blocks]
-                        for alloc in _compositions(inner, caps):
-                            pools = [self(b, e) for b, e in zip(blocks, alloc)]
-                            for combo in itertools.product(*pools):
-                                out.append((leaves, legs, tuple(sorted(combo))))
-        return tuple(out)
-
-
-def vertices(shape):
-    """Each vertex of a shape, root first, as ``(leaves, inputs)``: its leaf
-    set and the far sides of its input flags, ascending."""
-    stack = [shape]
-    while stack:
-        leaves, legs, children = stack.pop()
-        yield leaves, tuple(sorted(legs + tuple([c[0] for c in children])))
-        stack += children
+    yield from extend(0, sum(1 << a for a in masks), size)

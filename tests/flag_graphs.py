@@ -22,9 +22,9 @@ import random
 
 from stirhom.graphcomplex import GraphError, _cycle_names
 from stirhom.stirling import _members
-from stirhom.trees import RootedShapes, vertices
 
 from helpers import from_triplets, relative_sign
+from shape_oracle import RootedShapes, vertices
 
 
 # ---------------------------------------------------------------------------

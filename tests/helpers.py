@@ -24,8 +24,9 @@ from stirhom.characters import (ClassFunction, partitions,
                                 representative_permutation, stirling_unsigned)
 from stirhom.graphcomplex import _cycle_names
 from stirhom.linalg import SparseIntMatrix, compute_homology
-from stirhom.stirling import DomainError, _mask_set, _members, _Tree
-from stirhom.trees import RootedShapes
+from stirhom.stirling import DomainError, _mask_set, _members
+
+from shape_oracle import stable_tree_inputs
 
 
 def from_triplets(nrows, ncols, triplets):
@@ -50,16 +51,16 @@ def make_generator(n, clusters, dv, alt):
     enumerated one whose edges are those clusters; there is none when they
     are not the clusters of a stable tree on legs 1..n."""
     wanted = _mask_set(clusters)
-    trees = (_Tree(n, shape)
-             for shape in RootedShapes()(range(1, n + 1), wanted.bit_count()))
-    tree = next((t for t in trees if t.clusters == wanted), None)
-    if tree is None:
+    full = (1 << n + 1) - 2
+    inputs = next((t for t in stable_tree_inputs(n, wanted.bit_count())
+                   if _mask_set(d for d in t if d != full) == wanted), None)
+    if inputs is None:
         raise DomainError("the clusters are not the edges of a stable tree "
                           f"on legs 1..{n}")
     alt = set(alt)
     if len(alt) < 2:
         raise DomainError("at least two alternating flags are required")
-    if dv not in tree.inputs or not alt <= set(tree.inputs[dv]):
+    if dv not in inputs or not alt <= set(inputs[dv]):
         raise DomainError("alternating flags must be input flags of the "
                           "distinguished vertex")
     return wanted, dv, _mask_set(alt)

@@ -22,11 +22,10 @@ from collections import Counter
 
 import pytest
 
-from stirhom.graphcomplex import (GraphComplex, _keys,
+from stirhom.graphcomplex import (GraphComplex,
                                   enumerate_graph_generators,
                                   verify_decomposition)
 from stirhom.linalg import composes_to_zero
-from stirhom.trees import RootedShapes
 
 from flag_graphs import FlagGraphComplex, representative
 from helpers import (from_triplets, orientation_signs, perm_parity,
@@ -278,23 +277,6 @@ def test_differential_matches_oracle(m, i):
         assert oracle_differential(cx, i, seed) == transport(
             cx.differential(i), orientation_signs(cx, i - 1, seed),
             orientation_signs(cx, i, seed))
-
-
-@pytest.mark.parametrize("i", range(6))
-def test_keys_walk_each_hung_pool_once(i):
-    # a pool of hung shapes serves many cycle arrangements and edge
-    # allocations; one key enumeration asks the shape memo for it once
-    shapes = RootedShapes()
-    requests = []
-
-    def recording(labels, num_edges, min_inputs=2):
-        if min_inputs == 1:
-            requests.append((tuple(sorted(labels)), num_edges))
-        return shapes(labels, num_edges, min_inputs)
-
-    keys = list(_keys(5, i, recording))
-    assert keys and requests
-    assert len(requests) == len(set(requests))
 
 
 def test_canonical_form_once_per_class(monkeypatch):

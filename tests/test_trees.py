@@ -7,7 +7,9 @@ search and ``networkx`` path counts; tree contraction lives in the
 flag-tree oracle ``stirling_oracle``.  The genus-one classes are contracted
 through ``GraphComplex.contraction_terms``, drawn as flag graphs from their
 keys, and their orientation kill is checked against a raw automorphism
-search.
+search.  The keys of every degree of both complexes are checked against
+the rooted-shape enumeration of ``shape_oracle``, and a complex is checked
+to hold no tree once its pass is over.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from hypothesis import strategies as st_
 
 import flag_graphs as T
 from stirhom.graphcomplex import GraphComplex
+from stirhom.stirling import StirlingComplex, _Tree
 from helpers import perm_parity
+from shape_oracle import oracle_keys
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
 
 
@@ -413,7 +417,24 @@ def test_dot_export_mentions_decorations():
 
 
 # ---------------------------------------------------------------------------
-# the rooted-shape memo lives and dies with its complex
+# the laminar families against the rooted shapes
+
+
+CASES = ([("stirling", n, k) for n in range(2, 7) for k in range(2, n + 1)]
+         + [("graph", m, kill) for m in range(3, 7) for kill in (True, False)])
+
+
+@pytest.mark.parametrize("kind,size,other", CASES)
+def test_generators_equal_the_shape_oracle(kind, size, other):
+    # every degree, and none below degree 0, which the reach check reads
+    cx = StirlingComplex(size, other) if kind == "stirling" else GraphComplex(size, other)
+    for i in range(cx.max_edges + 1):
+        assert cx.generators(i) == oracle_keys(cx, i)
+    assert cx.generators(-1) == []
+
+
+# ---------------------------------------------------------------------------
+# no tree outlives the pass
 
 
 def reachable_from(*roots):
@@ -434,25 +455,13 @@ def reachable_from(*roots):
         stack.extend(x for x in gc.get_referents(obj) if id(x) not in seen)
 
 
-def test_shape_memo_is_freed_with_its_complex():
-    import gc
-    from stirhom import trees
-    from stirhom.stirling import StirlingComplex
-
-    def mask(*labels):
-        return sum(1 << j for j in labels)
-
-    leaves = mask(1, 2, 3, 4, 5)
-    corolla = (leaves, (mask(1), mask(2), mask(3), mask(4), mask(5)), ())
-    cherry = (leaves, (mask(1), mask(2), mask(3)), ((mask(4, 5), (mask(4), mask(5)), ()),))
-
-    def probes(objects):
-        return [obj for obj in objects
-                if type(obj) is tuple and (obj == corolla or obj == cherry)]
-
-    cx = StirlingComplex(5, 2)
-    cx.differentials()
-    assert sorted(probes(reachable_from(cx))) == [cherry, corolla]
-    del cx
-    gc.collect()
-    assert probes(reachable_from(*vars(trees).values())) == []
+@pytest.mark.parametrize("make", [lambda: StirlingComplex(6, 2), lambda: GraphComplex(6)],
+                         ids=["stirling-6-2", "graph-6"])
+def test_no_tree_outlives_the_pass(make):
+    # after the pass every per-degree cache is empty, and what the complex
+    # holds besides its homology has no tree view, shape or key in it
+    cx = make()
+    cx.homology()
+    assert cx._caches and not any(cx._caches)
+    state = [value for name, value in vars(cx).items() if name != "_homology"]
+    assert not [obj for obj in reachable_from(*state) if isinstance(obj, (_Tree, tuple))]
