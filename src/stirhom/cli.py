@@ -26,8 +26,8 @@ from .linalg import composes_to_zero
 
 SCHEMA = 1
 # the largest n a Stirling command accepts: (7, 2) already has 283,668
-# generators and `betti --n 7 --k 2` peaks near 115 MiB, and n = 8 is many
-# times larger
+# generators and `betti --n 7 --k 2` peaks near 105 MiB (ru_maxrss, Python
+# 3.11 on Linux), and n = 8 is many times larger
 MAX_N = 7
 # the largest table --max-n: the table's cost grows steeply, 0.15 s at
 # n = 100, 1.6 s at 200 and 8.5 s at 300

@@ -163,11 +163,10 @@ class GraphComplex(ChainComplex):
     def max_edges(self):
         return self.m
 
-    def generators(self, i):
-        if i not in self._gens:
-            self._gens[i] = enumerate_graph_generators(
-                self.m, i, self.orientation_kill)
-        return self._gens[i]
+    def walk(self, i):
+        """The keys of degree i, sorted: the cycle leads each key, so they
+        are sorted whole, not family by family."""
+        return enumerate_graph_generators(self.m, i, self.orientation_kill)
 
     def code(self, key):
         """The key spelled out: cycle blocks and clusters, as decimal masks."""

@@ -14,6 +14,8 @@ cells, so no entry changes (no fill) and the homology is kept over Z.
 
 No later step touches degree i-1, so after step i its live (critical) cells
 are final: the residual of d_{i-1} on them is ranked and d_{i-1} dropped.
+Once its check passes, step i restricts d_{i-1} in place to the live cells
+of degree i-2, the only rows the residual reads, one column at a time.
 With d^2 = 0 through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions
 and the homology below, which the quotients keep, so it is the pairs of
 step i-1 plus the residual's rank.  A residual goes through the one
@@ -28,15 +30,17 @@ certificate reads ``"unverified"``, and negative Betti numbers are
 reported rather than raised.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
-lazily enumerated degrees 0..max_edges of sorted generator keys, the
-position of each key, the shared assembler that turns signed contraction
-and action terms into the differential, an action matrix or a trace, and
-the one pass over the degrees, ``degrees()``: it releases degree i-2,
-builds dim C_i and d_i, takes the reduction step and yields i, so callers
-do their per-degree work (the reach check, traces) while only degrees i-1
-and i are held.  A trace is the signed count of the generators a
-relabeling fixes; each relabeling stops at the first piece of the image
-that moves, and relabels a piece many keys share (a cycle, a tree) once.
+lazily enumerated degrees 0..max_edges of sorted generator keys, each
+degree read off its subclass's walk, the position of each key, the shared
+assembler that turns signed contraction and action terms into the
+differential, an action matrix or a trace, and the one pass over the
+degrees, ``degrees()``: it releases degree i-2, builds d_i on the walk of
+degree i, whose keys it keeps, then dim C_i, drops the row table of degree
+i-1, takes the reduction step and yields i, so callers do their per-degree
+work (the reach check, traces) while only degrees i-1 and i are held.  A
+trace is the signed count of the generators a relabeling fixes; each
+relabeling stops at the first piece of the image that moves, and relabels
+a piece many keys share (a cycle, a tree) once.
 """
 
 from __future__ import annotations
@@ -270,7 +274,9 @@ class Coreduction:
     degree-i cells no pair removed (in the degrees reduced under a verified
     d^2), and ``certificate`` is ``"morse-integral"``, ``"exact-rational"``
     or ``"unverified"``.  Between steps it holds the last differential and
-    the live flags of its target and source degrees.
+    the live flags of its target and source degrees.  A step owns the
+    differential it is fed: once the check of the next step passes, that
+    step restricts it in place to the live rows.
     """
 
     def __init__(self):
@@ -286,11 +292,17 @@ class Coreduction:
             return
         live = bytearray(b"\x01") * dim
         if d is not None:
-            if self._d is not None and not composes_to_zero(self._d, d):
-                self.certificate = "unverified"
-                self.ranks[i - 1], self.ranks[i] = rank_exact(self._d), rank_exact(d)
-                self._d = self._faces = self._live = None
-                return
+            if self._d is not None:
+                if not composes_to_zero(self._d, d):
+                    self.certificate = "unverified"
+                    self.ranks[i - 1], self.ranks[i] = rank_exact(self._d), rank_exact(d)
+                    self._d = self._faces = self._live = None
+                    return
+                # from here d_{i-1} only feeds the residual, on the live
+                # rows; a new dict per column frees the old one at once
+                cols, faces = self._d.cols, self._faces
+                for c, col in enumerate(cols):
+                    cols[c] = {r: v for r, v in col.items() if faces[r]}
             self.ranks[i] = self._pair(d, self._live, live)
             self._settle(i - 1)
         self._d, self._faces, self._live = d, self._live, live
@@ -359,10 +371,13 @@ class Coreduction:
 
 def morse_reduce(dims, diffs):
     """The finished ``Coreduction`` of ``diffs`` (i -> matrix of d_i:
-    C_i -> C_{i-1}, columns are sources) over ``dims`` (i -> dim C_i)."""
+    C_i -> C_{i-1}, columns are sources) over ``dims`` (i -> dim C_i).
+    A step restricts the matrices it is fed in place, so each step is fed a
+    new list of the same columns and ``diffs`` is left as it was."""
     reduction = Coreduction()
     for i in sorted(dims):
-        reduction.step(i, dims[i], diffs.get(i))
+        d = diffs.get(i)
+        reduction.step(i, dims[i], None if d is None else SparseIntMatrix(d.nrows, list(d.cols)))
     return reduction.finish()
 
 
@@ -375,8 +390,11 @@ def compute_homology(dims, diffs, degree_of):
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
-    Subclasses provide ``max_edges``, ``generators(i)`` (the sorted keys of
-    degree i), ``code(key)``, ``contraction_terms(key)`` and
+    Subclasses provide ``max_edges``, ``walk(i)`` (the keys of degree i in
+    sorted order, an iterable that may do per-degree work as it goes: the
+    assembler of d_i consumes it when degree i is not held, and
+    ``generators(i)`` consumes it alone otherwise), ``code(key)``,
+    ``contraction_terms(key)`` and
     ``action_terms(perm)``, whose function takes ``(key, fixed=False)`` and
     returns a list of terms, with ``fixed`` only those landing on ``key``.
     A term ``(target_key, sign)`` carries its whole sign, read off the
@@ -400,6 +418,13 @@ class ChainComplex:
     def total_degree(self, i):
         return i
 
+    def generators(self, i):
+        """The keys of degree i, sorted: its walk consumed alone, kept until
+        ``release(i)``."""
+        if i not in self._gens:
+            self._gens[i] = list(self.walk(i))
+        return self._gens[i]
+
     def rows(self, i):
         """Position of each degree-i generator, by key."""
         if i not in self._rows:
@@ -415,10 +440,14 @@ class ChainComplex:
     def _assemble(self, i, j, terms):
         """The matrix from degree i to degree j (columns are sources) whose
         column of each degree-i generator sums ``terms(key)``.  Two terms
-        share a target only for the parallel edges of a 2-cycle."""
+        share a target only for the parallel edges of a 2-cycle.  When
+        degree i is not held, the columns are built on its walk, and the
+        keys met are kept as ``generators(i)``."""
         rows = self.rows(j)
+        walked = i not in self._gens
+        keys = [] if walked else self._gens[i]
         cols = []
-        for key in self.generators(i):
+        for key in self.walk(i) if walked else keys:
             col = {}
             for target, sign in terms(key):
                 row = rows[target]
@@ -428,6 +457,9 @@ class ChainComplex:
                 else:
                     del col[row]
             cols.append(col)
+            if walked:
+                keys.append(key)
+        self._gens[i] = keys
         return SparseIntMatrix(len(rows), cols)
 
     def differential(self, i):
@@ -459,17 +491,24 @@ class ChainComplex:
 
     def degrees(self):
         """The one pass over the degrees: release degree i-2, which nothing
-        reads once degree i is reached, build dim C_i and d_i, take the
-        reduction step of degree i, which drops d_{i-1}, and yield i, so the
-        caller does its work on degree i (and i-1) in the loop body.  No
-        differential outlives the pass, and each pass builds every degree
+        reads once degree i is reached, build d_i on the walk of degree i,
+        then dim C_i, hand d_{i-1} over to the reduction step of degree i
+        and drop the row table of degree i-1, which only the assembler
+        reads, and yield i, so the caller does its work on degree i (and
+        i-1) in the loop body.  The step restricts d_{i-1} and drops it, so
+        no differential outlives the pass, and each pass builds every degree
         anew."""
+        for cache in self._caches:
+            cache.clear()
         reduction, dims = Coreduction(), {}
         for i in range(self.max_edges + 3):
             self.release(i - 2)
             if i <= self.max_edges:
+                d = self.differential(i) if i else None
                 dims[i] = self.dim(i)
-                reduction.step(i, dims[i], self.differential(i) if i else None)
+                self._diffs.pop(i - 1, None)
+                self._rows.pop(i - 1, None)
+                reduction.step(i, dims[i], d)
                 yield i
         self._homology = reduction.finish().homology(dims, self.total_degree)
 

@@ -16,14 +16,19 @@ edge below, and the complement within {0..n} for the flag above.  The
 trees of degree i are the laminar families of i clusters C with
 2 <= |C| <= n-1, and no tree is stored: ascending masks extend inclusion,
 so the vertex above an edge is the first later cluster that holds it, or
-the root, and a view of every vertex's input far sides is derived from the
-clusters whenever a walk over the keys, which are sorted by clusters,
-reaches a new tree.  A generator is its key, the triple
-``(clusters, dv, alt)``: its edge clusters, the cluster of the
-distinguished vertex, and the far sides of the alternating flags, with the
-two sets stored as ints that have bit m set for each member mask m.  The
-triple is canonical by construction, so every differential and action term
-finds its row by it.
+the root.  A generator is its key, the triple ``(clusters, dv, alt)``: its
+edge clusters, the cluster of the distinguished vertex, and the far sides
+of the alternating flags, with the two sets stored as ints that have bit m
+set for each member mask m.  The triple is canonical by construction, so
+every differential and action term finds its row by it.
+
+One walk per degree.  The families of a degree come in ascending order,
+and the walk over them derives each tree's view, the input far sides of
+every vertex, once per pass.  While the view is at hand the walk yields
+the tree's keys, sorted by ``(dv, alt)``, so the keys of the degree come
+out sorted, and scores the reach of each vertex once.  The differential of
+the degree is assembled on the same walk, and its terms find the view
+where the walk left it.
 
 The differential contracts edges.  Contracting the edge above cluster C
 drops C, and the distinguished vertex moves to C's parent when it was C.
@@ -146,21 +151,34 @@ class StirlingComplex(ChainComplex):
     def total_degree(self, i):
         return i + self.k
 
-    def generators(self, i):
-        """The keys of degree i, sorted, read off each laminar family of i
-        clusters once; none for i < 0."""
-        if i not in self._gens:
-            self._gens[i] = sorted(
-                (clusters, dv, _mask_set(alt))
-                for clusters in laminar_families(self._clusters, i)
-                for dv, inputs in _Tree(self.n, clusters).inputs.items()
-                for alt in itertools.combinations(inputs, self.k))
-        return self._gens[i]
+    # defined on this class, not only inherited, because the size records
+    # of perfbench/layers.py wrap this class's own ``generators``
+    generators = ChainComplex.generators
+
+    def walk(self, i):
+        """The one walk over degree i: each laminar family of i clusters,
+        ascending, gets its view once, left in the memo of ``tree`` while
+        its keys are met, and yields its keys sorted by ``(dv, alt)``,
+        which keeps the whole walk sorted by key.  Each vertex with at
+        least k inputs is scored once by ``vertex_reach``, and the score of
+        every key goes to ``_reach[i]``, which the walk fills whole."""
+        reach = self._reach[i] = []
+        for clusters in laminar_families(self._clusters, i):
+            tree = _Tree(self.n, clusters)
+            self._view[i] = clusters, tree
+            for dv, inputs in tree.inputs.items():
+                if len(inputs) < self.k:
+                    continue
+                alts = sorted(map(_mask_set, itertools.combinations(inputs, self.k)))
+                reach += [self.vertex_reach(tree, dv)] * len(alts)
+                for alt in alts:
+                    yield clusters, dv, alt
 
     def tree(self, clusters):
         """The view of the tree whose edges are ``clusters``.  The last one
         of each degree is kept until ``release`` drops the degree, since
-        every walk over the keys, which are sorted by clusters, meets the
+        the walk leaves each view there while its keys are met and every
+        other walk over the keys, which are sorted by clusters, meets the
         keys of one tree in a row."""
         i = clusters.bit_count()
         held = self._view.get(i)
@@ -266,25 +284,31 @@ class StirlingComplex(ChainComplex):
 
     # -- reach filtration ----------------------------------------------------
 
+    def vertex_reach(self, tree, dv):
+        """The reach every generator at vertex dv of ``tree`` shares, 2e
+        minus the depth of dv minus one when dv has exactly k inputs; None
+        outside the acyclic subcomplex, where dv is the root vertex with
+        exactly k inputs."""
+        exact = len(tree.inputs[dv]) == self.k
+        if exact and dv == tree.full:
+            return None
+        return 2 * len(tree.edges) - tree.depth(dv) - exact
+
     def in_acyclic_part(self, key):
         """Membership in the acyclic subcomplex: the distinguished vertex
         has valence above k+1, or it is not the root vertex."""
-        tree, dv = self.tree(key[0]), key[1]
-        return len(tree.inputs[dv]) > self.k or dv != tree.full
+        return self.vertex_reach(self.tree(key[0]), key[1]) is not None
 
     def reach(self, key):
-        if not self.in_acyclic_part(key):
+        score = self.vertex_reach(self.tree(key[0]), key[1])
+        if score is None:
             raise DomainError("generator lies outside the acyclic subcomplex")
-        tree, dv = self.tree(key[0]), key[1]
-        nu = 1 if len(tree.inputs[dv]) == self.k else 0
-        return 2 * len(tree.edges) - tree.depth(dv) - nu
+        return score
 
     def _reaches(self, i):
         """The reach of each degree-i generator, None outside the acyclic
-        part; kept until ``release(i)``, so each is scored once."""
-        if i not in self._reach:
-            self._reach[i] = [self.reach(key) if self.in_acyclic_part(key) else None
-                              for key in self.generators(i)]
+        part, as the walk of degree i scored it."""
+        self.generators(i)
         return self._reach[i]
 
     def reach_filtration_holds(self, i):
@@ -292,16 +316,18 @@ class StirlingComplex(ChainComplex):
         differential never leaves that subcomplex and never increases the
         reach, and the reach stays within its bounds.
 
-        The targets are read off the entries of ``differential(i)``: no two
+        The targets are read off the columns of ``differential(i)``: no two
         contraction terms of one generator share a target, so none cancels.
         """
         upper = 2 * (self.n - self.k) - 2
+        d = self.differential(i)
         source, target = self._reaches(i), self._reaches(i - 1)
         if self.n > self.k and any(r is not None and not 0 <= r <= upper
                                    for r in source):
             return False
-        return all(source[c] is None or target[r] is not None and target[r] <= source[c]
-                   for r, c, _ in self.differential(i).triplets())
+        return all(target[r] is not None and target[r] <= score
+                   for score, col in zip(source, d.cols) if score is not None
+                   for r in col)
 
     def to_json_dict(self):
         degrees = [{"i": i, "dim": self.dim(i),

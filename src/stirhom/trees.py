@@ -54,11 +54,13 @@ def _partitions_into_blocks(items, r, min_block):
 
 def laminar_families(masks, size):
     """Every family of ``size`` pairwise compatible members of ``masks``
-    (distinct leaf-set bitmasks), each once, as a mask-set; none when
-    ``size`` is negative.
+    (distinct leaf-set bitmasks), each once, as a mask-set, in ascending
+    order of the mask-sets; none when ``size`` is negative.
 
-    A depth-first search adds members in ascending order and keeps, as a
-    mask-set, the later members compatible with every one added so far.
+    Mask-sets compare by their largest member first (colex order), so a
+    depth-first search chooses the largest member first, trying candidates
+    in ascending order, then the rest of the family among the members below
+    it that are compatible with every one chosen so far, kept as a mask-set.
     """
     if size < 0:
         return
@@ -68,10 +70,12 @@ def laminar_families(masks, size):
         if not left:
             yield family
             return
-        while allowed.bit_count() >= left:
-            low = allowed & -allowed
-            allowed ^= low
-            yield from extend(family | low, allowed & compatible[low.bit_length() - 1],
-                              left - 1)
+        rest = allowed
+        while rest:
+            top = rest & -rest
+            rest ^= top
+            below = allowed & top - 1 & compatible[top.bit_length() - 1]
+            if below.bit_count() >= left - 1:
+                yield from extend(family | top, below, left - 1)
 
     yield from extend(0, sum(1 << a for a in masks), size)

@@ -337,6 +337,16 @@ def test_the_pass_drops_each_differential_after_the_next_step(make):
     assert not [j for j, ref in refs if ref() is not None]
 
 
+def test_the_pass_leaves_a_held_differential_alone():
+    # a step restricts the differential it is handed in place, so a pass
+    # must build its own rather than take one a caller already holds
+    cx = StirlingComplex(5, 2)
+    held = {i: cx.differential(i) for i in range(1, cx.max_edges + 1)}
+    before = {i: [dict(col) for col in d.cols] for i, d in held.items()}
+    cx.homology()
+    assert {i: d.cols for i, d in held.items()} == before
+
+
 def whole_ranks(cx):
     """The oracle the pass does not run: every differential ranked whole."""
     return {i: rank_exact(d) for i, d in cx.differentials().items()}

@@ -324,14 +324,37 @@ def test_reach_filtration():
 
 def test_survey_scores_each_reach_once(monkeypatch):
     scored = []
-    reach = StirlingComplex.reach
-    monkeypatch.setattr(StirlingComplex, "reach",
-                        lambda cx, gen: scored.append(gen) or reach(cx, gen))
+    score = StirlingComplex.vertex_reach
+
+    def recorded(cx, tree, dv):
+        value = score(cx, tree, dv)
+        scored.append((tree.edges, dv, value))
+        return value
+
+    monkeypatch.setattr(StirlingComplex, "vertex_reach", recorded)
     assert survey(5, 3)["reach_ok"]
+    calls = list(scored)
+    # the acyclic part by its definition, the vertices its keys sit at
     cx = StirlingComplex(5, 3)
-    acyclic = [g for i in range(cx.max_edges + 1) for g in cx.generators(i)
-               if cx.in_acyclic_part(g)]
-    assert len(scored) == len(acyclic) == 140
+    acyclic = [(clusters, dv) for i in range(cx.max_edges + 1)
+               for clusters, dv, _alt in cx.generators(i)
+               if dv != cx.tree(clusters).full or len(cx.tree(clusters).inputs[dv]) > cx.k]
+    assert len(acyclic) == 140
+    vertices = {(cx.tree(clusters).edges, dv) for clusters, dv in acyclic}
+    assert len({(edges, dv) for edges, dv, _value in calls}) == len(calls)
+    assert {(edges, dv) for edges, dv, value in calls if value is not None} == vertices
+
+
+def test_the_walk_scores_every_key():
+    # the reach the walk stores per key is the one reach and
+    # in_acyclic_part give key by key
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            cx = StirlingComplex(n, k)
+            for i in range(-1, cx.max_edges + 1):
+                keys = cx.generators(i)
+                assert cx._reach[i] == [cx.reach(key) if cx.in_acyclic_part(key) else None
+                                        for key in keys]
 
 
 def test_contraction_terms_never_cancel():
@@ -353,12 +376,12 @@ def test_contraction_terms_never_cancel():
 def test_reach_check_can_fail(monkeypatch):
     # with the edgeless generators left out of the acyclic part, a
     # one-edge generator's contraction leaves it
-    original = StirlingComplex.in_acyclic_part
+    original = StirlingComplex.vertex_reach
 
-    def without_corollas(self, key):
-        return bool(key[0]) and original(self, key)
+    def without_corollas(self, tree, dv):
+        return original(self, tree, dv) if tree.edges else None
 
-    monkeypatch.setattr(StirlingComplex, "in_acyclic_part", without_corollas)
+    monkeypatch.setattr(StirlingComplex, "vertex_reach", without_corollas)
     cx = StirlingComplex(4, 2)
     assert [cx.reach_filtration_holds(i) for i in range(3)] == [True, False, True]
     assert survey(4, 2)["reach_ok"] is False

@@ -21,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import flag_graphs as T
-from stirhom.graphcomplex import GraphComplex
-from stirhom.stirling import StirlingComplex, _Tree
+from stirhom import stirling
+from stirhom.graphcomplex import GraphComplex, _hung_clusters
+from stirhom.stirling import StirlingComplex, _Tree, survey
+from stirhom.trees import laminar_families
 from helpers import perm_parity
 from shape_oracle import oracle_keys
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
@@ -431,6 +433,39 @@ def test_generators_equal_the_shape_oracle(kind, size, other):
     for i in range(cx.max_edges + 1):
         assert cx.generators(i) == oracle_keys(cx, i)
     assert cx.generators(-1) == []
+
+
+def test_laminar_families_come_out_ascending():
+    # strictly ascending mask-sets: the Stirling walk relies on it to emit
+    # its keys sorted without sorting a degree
+    pools = [StirlingComplex(n, 2)._clusters for n in range(2, 7)]
+    pools += [_hung_clusters([0b1110, 0b110000]), _hung_clusters([(1 << 7) - 2])]
+    for masks in pools:
+        for size in range(len(masks) + 1):
+            families = list(laminar_families(masks, size))
+            assert all(a < b for a, b in zip(families, families[1:]))
+            if not families:
+                break
+
+
+def test_survey_views_each_tree_once(monkeypatch):
+    # one survey derives one view per laminar family: the walk of each
+    # degree leaves it where the differential and the reach check find it
+    built = []
+
+    class Counted(_Tree):
+        __slots__ = ()
+
+        def __init__(self, n, clusters):
+            built.append(clusters)
+            super().__init__(n, clusters)
+
+    monkeypatch.setattr(stirling, "_Tree", Counted)
+    assert survey(6, 3)["reach_ok"]
+    cx = StirlingComplex(6, 3)
+    families = [f for i in range(cx.max_edges + 1)
+                for f in laminar_families(cx._clusters, i)]
+    assert sorted(built) == sorted(families)
 
 
 # ---------------------------------------------------------------------------
