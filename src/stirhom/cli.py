@@ -101,20 +101,20 @@ def cmd_table(args):
 
 
 def _betti_report(n, k):
-    result = st.survey(n, k, reach_check=False)
+    result = st.StirlingComplex(n, k).homology()
     expected = chars.stirling_unsigned(n, k)
-    betti = result["betti"]
+    betti = result.betti
     ok = betti[n] == expected and all(b == 0 for d, b in betti.values.items()
                                       if d != n)
     return {
         "n": n, "k": k,
-        "dims": {str(i): d for i, d in result["dims"].items()},
-        "ranks": {str(i): r for i, r in result["ranks"].items()},
+        "dims": {str(i): d for i, d in result.dims.items()},
+        "ranks": {str(i): r for i, r in result.ranks.items()},
         "betti": {str(d): b for d, b in betti.as_dict().items()},
-        "euler": result["euler"],
+        "euler": sum((-1) ** i * d for i, d in result.dims.items()),
         "expected_top": expected,
-        "d2_ok": result["d2_ok"],
-        "status": _status(ok and result["d2_ok"]),
+        "d2_ok": result.d2_ok,
+        "status": _status(ok and result.d2_ok),
     }
 
 

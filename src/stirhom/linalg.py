@@ -3,11 +3,11 @@ differentials to ranks, Betti numbers and a certificate.
 
 The pipeline is the step reducer ``Coreduction``, fed one degree at a time
 by ``ChainComplex.degrees()`` as the pass builds each differential, or by
-``morse_reduce`` and ``compute_homology`` from a dict.  Step i tests
-d_{i-1} d_i = 0 with ``composes_to_zero``, the only place d^2 = 0 is
-tested.  While it holds, the step pairs each degree-i cell c that has
-exactly one live face r, when <dc, r> = +-1: the face side of the
-coreduction of Mrozek and Batko (2009; Skoldberg 2006), over d_i alone.
+``morse_reduce`` from a dict.  Step i tests d_{i-1} d_i = 0 with
+``composes_to_zero``, the only place d^2 = 0 is tested.  While it holds,
+the step pairs each degree-i cell c that has exactly one live face r, when
+<dc, r> = +-1: the face side of the coreduction of Mrozek and Batko
+(2009; Skoldberg 2006), over d_i alone.
 A pair divides out the acyclic subcomplex spanned by c and dc; the
 quotient's differential is the original one restricted to the remaining
 cells, so no entry changes (no fill) and the homology is kept over Z.
@@ -19,15 +19,17 @@ of degree i-2, the only rows the residual reads, one column at a time.
 With d^2 = 0 through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions
 and the homology below, which the quotients keep, so it is the pairs of
 step i-1 plus the residual's rank.  A residual goes through the one
-elimination routine, ``_eliminate_rank``: fraction-free over Z, +-1 pivots
-first, then Markowitz order.  When every pivot is +-1 the residual is an
-identity block plus zero over Z, so the homology is free and the
-certificate is ``"morse-integral"``; a larger pivot (Z/2 in RP^2, say)
-leaves ranks over Q and ``"exact-rational"``.  ``rank_exact`` is the same
-routine with only the rank kept.  When the check of step i fails, d_{i-1}
-and every later differential are ranked whole by ``rank_exact``, the
-certificate reads ``"unverified"``, and negative Betti numbers are
-reported rather than raised.
+elimination routine, ``_eliminate_rank``: fraction-free over Z, each pivot
+from one row heap (rows holding a +-1 entry first, then shorter rows; in
+the row, a +-1 entry if there is one, in the column with the fewest
+entries).  When every pivot is +-1 the residual is an identity block plus
+zero over Z, so the homology is free and the certificate is
+``"morse-integral"``; a larger pivot (Z/2 in RP^2, say) leaves ranks over
+Q and ``"exact-rational"``.  ``rank_exact`` is the same routine with only
+the rank kept.  When the check of step i fails, d_{i-1} and every later
+differential are ranked whole by ``rank_exact``, the certificate reads
+``"unverified"``, and negative Betti numbers are reported rather than
+raised.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges of sorted generator keys, each
@@ -104,11 +106,10 @@ def _eliminate_rank(matrix):
     Returns the rank and whether every pivot was +-1.  A pivot a_rc clears
     its column by row_j <- (a_rc/g) row_j - (a_jc/g) row_r with
     g = gcd(a_rc, a_jc), an elementary operation over Z when a_rc = +-1.
-    The pivot is a +-1 entry while any is left (rows holding one come first
-    in the row heap), and among the entries of the smallest row and column
-    it minimizes the Markowitz fill estimate (nnz(row)-1)*(nnz(col)-1),
-    which makes singleton rows and columns free and keeps fill low on the
-    very sparse differentials this package produces.
+    Each pivot comes from one lazily updated row heap, rows holding a +-1
+    entry first, then shorter rows; in its row it is a +-1 entry if there
+    is one, in the column with the fewest entries, so a singleton row or
+    column costs no fill.
     """
     rows = {}
     cols = {}
@@ -119,47 +120,25 @@ def _eliminate_rank(matrix):
     def row_key(row):
         return all(abs(v) != 1 for v in row.values()), len(row)
 
-    row_heap = [(row_key(row), r) for r, row in rows.items()]
-    col_heap = [(len(rs), c) for c, rs in cols.items()]
-    heapq.heapify(row_heap)
-    heapq.heapify(col_heap)
+    # every change to a row pushes its new key, so an entry whose key is
+    # not the row's current one is stale
+    heap = [(row_key(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
     rank = 0
     unit = True
-
-    def pop_live(heap, table, key):
-        while heap:
-            stored, idx = heap[0]
-            current = table.get(idx)
-            if current is None:
-                heapq.heappop(heap)
-                continue
-            if key(current) != stored:
-                heapq.heappop(heap)
-                heapq.heappush(heap, (key(current), idx))
-                continue
-            return stored, idx
-        return None
-
-    while True:
-        # rows and cols hold the same entries, so both run out together
-        row_cand = pop_live(row_heap, rows, row_key)
-        if row_cand is None:
-            break
-        (no_unit, nr), r = row_cand
-        c = min(rows[r], key=lambda cc: (abs(rows[r][cc]) != 1, len(cols[cc])))
-        pivot = (no_unit, (nr - 1) * (len(cols[c]) - 1)), r, c
-        nc, c2 = pop_live(col_heap, cols, len)
-        r2 = min(cols[c2], key=lambda rr: (abs(rows[rr][c2]) != 1, len(rows[rr])))
-        score = (abs(rows[r2][c2]) != 1, (len(rows[r2]) - 1) * (nc - 1))
-        if score < pivot[0]:
-            pivot = score, r2, c2
-        _, r, c = pivot
-
+    while heap:
+        key, r = heapq.heappop(heap)
+        if r not in rows or row_key(rows[r]) != key:
+            continue
         prow = rows[r]
+        c = min(prow, key=lambda cc: (abs(prow[cc]) != 1, len(cols[cc])))
         pval = prow[c]
         unit = unit and abs(pval) == 1
-        targets = [j for j in cols[c] if j != r]
-        for j in targets:
+        # retire the pivot row; no row holds column c once it is cleared
+        for cc in prow:
+            cols[cc].discard(r)
+        del rows[r]
+        for j in cols[c]:
             row_j = rows[j]
             a = row_j.pop(c)
             g = math.gcd(pval, a)
@@ -181,20 +160,9 @@ def _eliminate_rank(matrix):
                     del row_j[cc]
                     cols[cc].discard(j)
             if row_j:
-                heapq.heappush(row_heap, (row_key(row_j), j))
+                heapq.heappush(heap, (row_key(row_j), j))
             else:
                 del rows[j]
-        # retire the pivot row and column
-        for cc in prow:
-            if cc != c:
-                col = cols[cc]
-                col.discard(r)
-                if col:
-                    heapq.heappush(col_heap, (len(col), cc))
-                else:
-                    del cols[cc]
-        del rows[r]
-        del cols[c]
         rank += 1
     return rank, unit
 
@@ -379,12 +347,6 @@ def morse_reduce(dims, diffs):
         d = diffs.get(i)
         reduction.step(i, dims[i], None if d is None else SparseIntMatrix(d.nrows, list(d.cols)))
     return reduction.finish()
-
-
-def compute_homology(dims, diffs, degree_of):
-    """``Homology`` of ``morse_reduce``, with Betti numbers reported at
-    total degree ``degree_of(i)``."""
-    return morse_reduce(dims, diffs).homology(dims, degree_of)
 
 
 class ChainComplex:

@@ -417,7 +417,7 @@ def compose(sigma, tau):
     return tuple(sigma[t] for t in tau)
 
 
-def survey(n, k, rank_seed=0, reach_check=True):
+def survey(n, k, rank_seed=0):
     """Type (n, k) in one pass of ``ChainComplex.degrees``: dimensions,
     ranks, Betti numbers, the d^2 and reach checks, and the certificate of
     the pass's reduction (``"unverified"`` when d^2 = 0 failed).  The reach
@@ -430,7 +430,7 @@ def survey(n, k, rank_seed=0, reach_check=True):
     cx = StirlingComplex(n, k)
     reach_ok = True
     for i in cx.degrees():
-        if reach_check and reach_ok:
+        if reach_ok:
             reach_ok = cx.reach_filtration_holds(i)
     result = cx.homology()
     return {"n": n, "k": k, "dims": result.dims, "ranks": result.ranks,

@@ -23,7 +23,7 @@ import random
 from stirhom.characters import (ClassFunction, partitions,
                                 representative_permutation, stirling_unsigned)
 from stirhom.graphcomplex import _cycle_names
-from stirhom.linalg import SparseIntMatrix, compute_homology
+from stirhom.linalg import SparseIntMatrix, morse_reduce
 from stirhom.stirling import DomainError, _mask_set, _members
 
 from shape_oracle import stable_tree_inputs
@@ -100,12 +100,13 @@ def orientation_signs(cx, i, seed):
 
 
 def reoriented_homology(cx, seed):
-    """``compute_homology`` of every differential of ``cx`` conjugated by
+    """The homology of every differential of ``cx`` conjugated by
     the orientation ``seed`` gives its generators."""
     signs = {i: orientation_signs(cx, i, seed) for i in range(cx.max_edges + 1)}
     diffs = {i: transport(d, signs[i - 1], signs[i])
              for i, d in cx.differentials().items()}
-    return compute_homology(cx.dims(), diffs, cx.total_degree)
+    dims = cx.dims()
+    return morse_reduce(dims, diffs).homology(dims, cx.total_degree)
 
 
 def transport(matrix, p_rows, p_cols):

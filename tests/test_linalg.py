@@ -15,7 +15,7 @@ from stirhom.characters import stirling_unsigned
 from stirhom.graphcomplex import GraphComplex
 from stirhom.linalg import (SparseIntMatrix, _eliminate_rank,
                             betti_from_dims_and_ranks, composes_to_zero,
-                            compute_homology, morse_reduce, rank_exact)
+                            morse_reduce, rank_exact)
 from stirhom.stirling import StirlingComplex, survey
 
 from helpers import from_triplets, orientation_signs, reoriented_homology
@@ -151,7 +151,8 @@ def test_homology_reports_a_failed_d_squared():
     # d_1 d_2 = 1: not a complex, so both are ranked whole, with no
     # strictness, and a negative Betti number is reported rather than raised
     one = from_triplets(1, 1, [(0, 0, 1)])
-    result = compute_homology({0: 1, 1: 1, 2: 1}, {1: one, 2: one}, lambda i: i)
+    dims = {0: 1, 1: 1, 2: 1}
+    result = morse_reduce(dims, {1: one, 2: one}).homology(dims, lambda i: i)
     assert result.certificate == "unverified" and not result.d2_ok
     assert result.ranks == {1: 1, 2: 1}
     assert result.betti.as_dict() == {0: 0, 1: -1, 2: 0}
@@ -159,10 +160,12 @@ def test_homology_reports_a_failed_d_squared():
     # fails its rank can only come from ranking it whole
     d1 = from_triplets(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)])
     eye = from_triplets(2, 2, [(0, 0, 1), (1, 1, 1)])
-    result = compute_homology({0: 2, 1: 2, 2: 2}, {1: d1, 2: eye}, lambda i: i)
+    dims = {0: 2, 1: 2, 2: 2}
+    result = morse_reduce(dims, {1: d1, 2: eye}).homology(dims, lambda i: i)
     assert result.certificate == "unverified"
     assert result.ranks == {1: 2, 2: 2}
-    verified = compute_homology({0: 1, 1: 1}, {1: one}, lambda i: i + 2)
+    dims = {0: 1, 1: 1}
+    verified = morse_reduce(dims, {1: one}).homology(dims, lambda i: i + 2)
     assert verified.certificate == "morse-integral" and verified.d2_ok
     assert verified.betti.as_dict() == {2: 0, 3: 0}
 

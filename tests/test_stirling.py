@@ -451,7 +451,7 @@ def test_contraction_terms_drop_an_edge(pick):
 
 def test_survey_certificate():
     for n, k in [(3, 3), (4, 2), (5, 3)]:
-        result = survey(n, k, reach_check=False)
+        result = survey(n, k)
         assert result["certificate"] == "morse-integral"
         assert result["ranks"] == {
             i: rank_exact(d) for i, d in StirlingComplex(n, k).differentials().items()}
@@ -502,7 +502,7 @@ def record_steps(monkeypatch):
 def test_survey_takes_no_pair_before_its_d_squared_check(monkeypatch):
     # every step above the bottom one pairs only once d_{i-1} d_i = 0 holds
     steps = record_steps(monkeypatch)
-    assert survey(5, 2, reach_check=False)["certificate"] == "morse-integral"
+    assert survey(5, 2)["certificate"] == "morse-integral"
     assert {i: [kind for kind, _value in events] for i, events in steps.items()} == {
         0: [], 1: ["pairs"], 2: ["d2", "pairs"], 3: ["d2", "pairs"]}
     assert all(ok for events in steps.values() for kind, ok in events if kind == "d2")
@@ -515,7 +515,7 @@ def test_survey_skips_the_reduction_when_d_squared_fails(monkeypatch):
     corrupt(monkeypatch, 1)
     steps = record_steps(monkeypatch)
     cx = StirlingComplex(4, 2)
-    result = survey(4, 2, reach_check=False)
+    result = survey(4, 2)
     assert steps == {0: [], 1: [("pairs", steps[1][0][1])], 2: [("d2", False)]}
     assert not result["d2_ok"]
     assert result["certificate"] == "unverified"
