@@ -260,8 +260,10 @@ def homology_character(cx, size, perm_of):
     The one trace routine: in the complex's one pass (``cx.degrees()``),
     each degree adds (-1)^(total degree) times its trace at every mu, and
     the sum is normalized so that the value at the identity equals the
-    Betti number of the concentration degree.  ``cx.trace`` reads only the
-    action terms that fix their source, so no action matrix is built.
+    Betti number of the concentration degree.  ``cx.trace`` applies the
+    action terms only to the keys the relabeling can fix, which the complex
+    enumerates, and reads the identity's trace off dim C_i, so no action
+    matrix is built and no degree is scanned.
     """
     perms = {mu: perm_of(mu) for mu in partitions(size)}
     values = dict.fromkeys(perms, 0)

@@ -29,7 +29,9 @@ parallel edges of a 2-cycle, which only the negative control keeps, are
 2-cycle names them in the order of the source's cycle edges.  Contracting a
 hanging edge drops its cluster, a cycle edge merges its two blocks, and the
 loop leaves the genus-one vertex with the same clusters.  A permutation of
-the legs acts on every mask bit by bit.
+the legs acts on every mask bit by bit, and fixes a key exactly when it
+maps its cycle and its family of clusters onto themselves; a trace
+enumerates those keys from the block partitions it maps onto themselves.
 
 The orientation kill.  The legs are labeled, so the hanging trees and the
 blocks are rigid: a leg-fixing automorphism can only flip a loop, which
@@ -109,24 +111,28 @@ def _hung_clusters(blocks):
     return found
 
 
+def _block_cycles(m, c):
+    """Each partition of legs 1..m into c blocks, as its block masks, with
+    every cycle of those blocks in normal form: the block of leg 1 comes
+    first and blocks come ordered by their lowest leg, so each cycle is
+    read in one direction."""
+    for blocks in _partitions_into_blocks(tuple(range(1, m + 1)), c, 1):
+        first, *rest = (sum(1 << j for j in b) for b in blocks)
+        cycles = [(first,) + order for order in itertools.permutations(rest)
+                  if not order or order[0] & -order[0] <= order[-1] & -order[-1]]
+        yield (first, *rest), cycles
+
+
 def _keys(m, i):
     """The key of every class with m legs and i edges, each once."""
-    labels = tuple(range(1, m + 1))
     for clusters in laminar_families(_hung_clusters([(1 << m + 1) - 2]), i):
         yield (), clusters
     for c in range(1, min(i, m) + 1):
-        for blocks in _partitions_into_blocks(labels, c, 1):
-            masks = {b: sum(1 << j for j in b) for b in blocks}
+        for blocks, cycles in _block_cycles(m, c):
             # clusters in different blocks are disjoint, so the families of
-            # i - c clusters serve every cycle order of the blocks
-            families = list(laminar_families(_hung_clusters(masks.values()), i - c))
-            # the block of leg 1 comes first and blocks come ordered by
-            # their lowest leg, so each cycle is read in one direction
-            first, rest = blocks[0], blocks[1:]
-            for arrangement in itertools.permutations(rest):
-                if arrangement and min(arrangement[0]) > min(arrangement[-1]):
-                    continue
-                cycle = tuple(masks[b] for b in (first,) + arrangement)
+            # i - c clusters serve every cycle of the blocks
+            families = list(laminar_families(_hung_clusters(blocks), i - c))
+            for cycle in cycles:
                 for clusters in families:
                     yield cycle, clusters
 
@@ -158,6 +164,10 @@ class GraphComplex(ChainComplex):
         super().__init__()
         self.m = m
         self.orientation_kill = orientation_kill
+        # the block partitions the traces of a pass read, by their blocks:
+        # the clusters hung in them and their cycles; no degree keys it
+        self._cycles = {}
+        self._caches.append(self._cycles)
 
     @property
     def max_edges(self):
@@ -208,18 +218,10 @@ class GraphComplex(ChainComplex):
                 sign *= sort_sign([rename.get(n, n) for n in names if n != name])
             yield target, sign
 
-    def action_terms(self, perm):
-        """The terms of a permutation of the leg labels 1..m, as a function
-        from a generator to the list of its one term, signed by the parity
-        of sorting the relabeled edge names; with ``fixed`` only when the
-        generator is fixed, tested on the cycle (each relabeled once, kept
-        in a dict local to the function), then on each moved cluster.
-
-        ``perm`` is a dict or a sequence with ``perm[j - 1]`` the image of
-        j; it is checked, and its image table built, once.  Relabeling
-        preserves the cycle length, so it maps surviving classes to
-        surviving classes.
-        """
+    def _leg_images(self, perm):
+        """The image table of a permutation of the legs, checked: ``perm``
+        is a dict or a sequence with ``perm[j - 1]`` the image of j, and
+        bit 0, which no leg owns, stays put."""
         if isinstance(perm, dict):
             perm = {int(a): int(b) for a, b in perm.items()}
         else:
@@ -227,32 +229,62 @@ class GraphComplex(ChainComplex):
         legs = list(range(1, self.m + 1))
         if sorted(perm) != legs or sorted(perm.values()) != legs:
             raise GraphError(f"expected a bijection of 1..{self.m}")
-        # bit 0, which no leg owns, stays put
-        image = _bit_images([0] + [perm[j] for j in legs])
-        moved = _mask_set(m for m, to in enumerate(image) if to != m)
+        return _bit_images([0] + [perm[j] for j in legs])
+
+    def action_terms(self, perm):
+        """The terms of a permutation of the leg labels 1..m, as a function
+        from a generator to the list of its one term, signed by the parity
+        of sorting the relabeled edge names.  Each cycle is relabeled once,
+        kept in a dict local to the function.  Relabeling preserves the
+        cycle length, so it maps surviving classes to surviving classes.
+        """
+        image = self._leg_images(perm)
         blocks = {}
 
-        def terms(key, fixed=False):
+        def terms(key):
             cycle, clusters = key
             if cycle not in blocks:
                 blocks[cycle] = _normal_cycle(tuple(map(image.__getitem__, cycle)))
-            if not fixed:
-                target = blocks[cycle], _mask_set(image[c] for c in _members(clusters))
-            elif blocks[cycle] != cycle:
-                return ()
-            else:
-                # the image of each moved cluster must be a cluster again;
-                # then the set of clusters is kept
-                rest = clusters & moved
-                while rest:
-                    low = rest & -rest
-                    if not clusters >> image[low.bit_length() - 1] & 1:
-                        return ()
-                    rest ^= low
-                target = key
+            target = blocks[cycle], _mask_set(image[c] for c in _members(clusters))
             return [(target, sort_sign([image[name] for name in _names(key)]))]
 
         return terms
+
+    def fixable_keys(self, i, perm):
+        """The keys of degree i a permutation of the legs fixes, or None
+        when it moves no leg.  A key is fixed when its cycle and its family
+        of clusters are: the cycles come from the block partitions the
+        permutation maps onto themselves, the families from
+        ``laminar_families`` by the orbits of the clusters hung in those
+        blocks.  The partitions, their cycles and their clusters are listed
+        once per pass, in ``_cycles``; the genus-one vertex, the empty
+        cycle, shares the one block of the loop."""
+        image = self._leg_images(perm)
+        if all(image[1 << j] == 1 << j for j in range(1, self.m + 1)):
+            return None
+        if not self._cycles:
+            for c in range(1, self.m + 1):
+                if not (self.orientation_kill and c == 2):
+                    for blocks, cycles in _block_cycles(self.m, c):
+                        self._cycles[blocks] = _hung_clusters(blocks), cycles
+            self._cycles[((1 << self.m + 1) - 2,)][1].insert(0, ())
+        return self._fixed_keys(i, image)
+
+    def _fixed_keys(self, i, image):
+        for blocks, (pool, cycles) in self._cycles.items():
+            # a cycle has an edge per block, the empty one none
+            if len(blocks) > max(i, 1) or any(image[b] not in blocks for b in blocks):
+                continue
+            kept = [cycle for cycle in cycles
+                    if _normal_cycle(tuple(map(image.__getitem__, cycle))) == cycle]
+            move = {c: image[c] for c in pool} if kept else None
+            families = {}
+            for cycle in kept:
+                size = i - len(cycle)
+                if size not in families:
+                    families[size] = list(laminar_families(pool, size, move))
+                for clusters in families[size]:
+                    yield cycle, clusters
 
     def generator_dot(self):
         """DOT drawings of every generator, each vertex labeled by its genus."""

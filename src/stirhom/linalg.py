@@ -40,9 +40,10 @@ degrees, ``degrees()``: it releases degree i-2, builds d_i on the walk of
 degree i, whose keys it keeps, then dim C_i, drops the row table of degree
 i-1, takes the reduction step and yields i, so callers do their per-degree
 work (the reach check, traces) while only degrees i-1 and i are held.  A
-trace is the signed count of the generators a relabeling fixes; each
-relabeling stops at the first piece of the image that moves, and relabels
-a piece many keys share (a cycle, a tree) once.
+trace is the signed sum of the action terms that land on their source,
+taken only over the keys a relabeling can fix, which each complex
+enumerates from the pieces the relabeling maps onto themselves (a cycle,
+a laminar family of clusters) instead of scanning the degree.
 """
 
 from __future__ import annotations
@@ -356,9 +357,10 @@ class ChainComplex:
     sorted order, an iterable that may do per-degree work as it goes: the
     assembler of d_i consumes it when degree i is not held, and
     ``generators(i)`` consumes it alone otherwise), ``code(key)``,
-    ``contraction_terms(key)`` and
-    ``action_terms(perm)``, whose function takes ``(key, fixed=False)`` and
-    returns a list of terms, with ``fixed`` only those landing on ``key``.
+    ``contraction_terms(key)``, ``action_terms(perm)``, whose function
+    takes a key and returns the list of its terms, and
+    ``fixable_keys(i, perm)``: the keys of degree i the relabeling may fix,
+    each once and every fixed one among them, or None when it moves no leg.
     A term ``(target_key, sign)`` carries its whole sign, read off the
     positions in the sorted reference orders.  Any other orientation of the
     generators conjugates every matrix by a diagonal +-1 matrix; the tests
@@ -436,13 +438,15 @@ class ChainComplex:
 
     def trace(self, i, perm):
         """Trace of a leg relabeling on degree i, with no matrix built: the
-        signed count of the generators it fixes.  One relabeling function
-        serves the degree: it relabels a piece many keys share (a cycle, a
-        tree) once, tests only the graph clusters it moves, and stops at
-        the first piece that misses the generator's key."""
+        signed sum, over the keys ``fixable_keys`` offers, of the action
+        terms that land on their source.  A relabeling that moves no leg
+        maps each generator to itself with sign +1, so its trace is
+        ``dim(i)``; no other trace reads degree i's generators."""
+        keys = self.fixable_keys(i, perm)
+        if keys is None:
+            return self.dim(i)
         terms = self.action_terms(perm)
-        return sum(sign for key in self.generators(i)
-                   for _target, sign in terms(key, fixed=True))
+        return sum(sign for key in keys for target, sign in terms(key) if target == key)
 
     def differentials(self):
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}
@@ -458,20 +462,21 @@ class ChainComplex:
         and drop the row table of degree i-1, which only the assembler
         reads, and yield i, so the caller does its work on degree i (and
         i-1) in the loop body.  The step restricts d_{i-1} and drops it, so
-        no differential outlives the pass, and each pass builds every degree
-        anew."""
+        no differential outlives the pass; the pass starts and ends with
+        every cache empty, so each pass builds every degree anew."""
         for cache in self._caches:
             cache.clear()
         reduction, dims = Coreduction(), {}
-        for i in range(self.max_edges + 3):
+        for i in range(self.max_edges + 1):
             self.release(i - 2)
-            if i <= self.max_edges:
-                d = self.differential(i) if i else None
-                dims[i] = self.dim(i)
-                self._diffs.pop(i - 1, None)
-                self._rows.pop(i - 1, None)
-                reduction.step(i, dims[i], d)
-                yield i
+            d = self.differential(i) if i else None
+            dims[i] = self.dim(i)
+            self._diffs.pop(i - 1, None)
+            self._rows.pop(i - 1, None)
+            reduction.step(i, dims[i], d)
+            yield i
+        for cache in self._caches:
+            cache.clear()
         self._homology = reduction.finish().homology(dims, self.total_degree)
 
     def release(self, i):

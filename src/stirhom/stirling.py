@@ -38,7 +38,9 @@ where the image of a cluster contains leg 0 the tree is re-rooted, and the
 cluster becomes the complement of that image.  When the alternating set
 captures the new output flag of the distinguished vertex, the image is the
 signed sum over trading it for each other flag there.  The differential and
-the action are given as terms that ``ChainComplex`` assembles and traces.
+the action are given as terms that ``ChainComplex`` assembles and traces; a
+trace reads the action terms of the keys on the trees whose clusters the
+permutation maps onto themselves, and of no other key.
 
 Signs by position.  The generators of a degree are sorted by key, and
 ``code`` spells the key out.  The reference order of the edges is their
@@ -58,19 +60,11 @@ from __future__ import annotations
 import itertools
 
 from .linalg import ChainComplex
-from .trees import laminar_families, sort_sign
+from .trees import _mask_set, laminar_families, sort_sign
 
 
 class DomainError(ValueError):
     """Parameters outside the domain where the complex is defined."""
-
-
-def _mask_set(masks):
-    """A set of masks as one int, bit m set for each member m."""
-    total = 0
-    for m in masks:
-        total |= 1 << m
-    return total
 
 
 class _Tree:
@@ -166,13 +160,32 @@ class StirlingComplex(ChainComplex):
         for clusters in laminar_families(self._clusters, i):
             tree = _Tree(self.n, clusters)
             self._view[i] = clusters, tree
-            for dv, inputs in tree.inputs.items():
-                if len(inputs) < self.k:
-                    continue
-                alts = sorted(map(_mask_set, itertools.combinations(inputs, self.k)))
+            for dv, alts in self._alternating_sets(tree):
                 reach += [self.vertex_reach(tree, dv)] * len(alts)
                 for alt in alts:
                     yield clusters, dv, alt
+
+    def _alternating_sets(self, tree):
+        """The generators on one tree, vertex by vertex ascending: each
+        vertex dv with at least k inputs and its alternating sets sorted,
+        so the keys ``(clusters, dv, alt)`` come out sorted."""
+        return [(dv, sorted(map(_mask_set, itertools.combinations(inputs, self.k))))
+                for dv, inputs in tree.inputs.items() if len(inputs) >= self.k]
+
+    def fixable_keys(self, i, perm):
+        """The keys of degree i a permutation of the leg labels can fix, or
+        None when it moves no leg: the keys on the trees whose clusters it
+        maps onto themselves, re-rooting included, which
+        ``laminar_families`` enumerates by the orbits of the clusters."""
+        image = _bit_images(_as_permutation(perm, self.n))
+        if all(image[1 << j] == 1 << j for j in range(self.n + 1)):
+            return None
+        everything = len(image) - 1
+        side = {c: everything ^ image[c] if image[c] & 1 else image[c]
+                for c in self._clusters}
+        return ((clusters, dv, alt) for clusters in laminar_families(self._clusters, i, side)
+                for dv, alts in self._alternating_sets(self.tree(clusters))
+                for alt in alts)
 
     def tree(self, clusters):
         """The view of the tree whose edges are ``clusters``.  The last one
@@ -220,10 +233,8 @@ class StirlingComplex(ChainComplex):
         from a generator to the list of its terms: one term, or the signed
         trade terms when the relabeled alternating set captures the new
         output flag, signed by the parity of sorting the renamed edges and
-        far sides.  With ``fixed`` only terms landing on the generator are
-        returned: the edges (each tree relabeled once, kept in a dict local
-        to the function), then the vertex, and last the alternating sets
-        are tested.
+        far sides.  Each tree's relabeled clusters are kept in a dict local
+        to the function, so the keys of one tree relabel it once.
 
         ``perm`` is a bijection of {0..n} given as a sequence (perm[j] is
         the image of j) or a dict; the classical permutation group on n+1
@@ -236,21 +247,16 @@ class StirlingComplex(ChainComplex):
         side = [everything ^ m if m & 1 else m for m in image]
         images = {}
 
-        def terms(key, fixed=False):
+        def terms(key):
             clusters, dv, alt = key
             if clusters not in images:
                 images[clusters] = _mask_set(side[c] for c in _members(clusters))
-            if fixed and images[clusters] != clusters:
-                return ()
             tree = self.tree(clusters)
             sides = tree.inputs[dv] + (everything ^ dv,)
             out = next(s for s in sides if image[s] & 1)
-            new_dv = everything ^ image[out]
             # every term shares the distinguished vertex and the clusters
-            if fixed and new_dv != dv:
-                return ()
-            edges = [side[c] for c in tree.edges]
-            edge_sign = sort_sign(edges)
+            new_dv = everything ^ image[out]
+            edge_sign = sort_sign([side[c] for c in tree.edges])
             alt_images = [image[a] for a in _members(alt)]
             if not alt >> out & 1:
                 candidates = [(alt_images, edge_sign)]
@@ -258,9 +264,8 @@ class StirlingComplex(ChainComplex):
                 # trade the captured output flag for each remaining flag there
                 candidates = [([image[b] if a & 1 else a for a in alt_images], -edge_sign)
                               for b in sides if not alt >> b & 1]
-            found = [((images[clusters], new_dv, _mask_set(names)), sign * sort_sign(names))
-                     for names, sign in candidates]
-            return [term for term in found if term[0] == key] if fixed else found
+            return [((images[clusters], new_dv, _mask_set(names)), sign * sort_sign(names))
+                    for names, sign in candidates]
 
         return terms
 

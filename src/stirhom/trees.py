@@ -6,7 +6,10 @@ the leaf sets below its edges (Buneman; Semple and Steel, *Phylogenetics*,
 compatible when they are nested or disjoint, and a family of pairwise
 compatible clusters is written as a mask-set, an int with bit m set for
 each member mask m: the ``clusters`` of a key.  Each complex says which
-clusters it allows and reads everything else off the family.  Every
+clusters it allows and reads everything else off the family.  A leg
+relabeling moves clusters to clusters and keeps compatibility, so the
+families it maps onto themselves are the unions of its orbits on the
+clusters; the traces enumerate those alone, orbit by orbit.  Every
 reference order is sorted, so a sign is the parity of sorting the names a
 term leaves.
 """
@@ -34,6 +37,14 @@ def sort_sign(names):
 # enumeration
 
 
+def _mask_set(masks):
+    """A set of masks as one int, bit m set for each member m."""
+    total = 0
+    for m in masks:
+        total |= 1 << m
+    return total
+
+
 def _partitions_into_blocks(items, r, min_block):
     """Partitions of ``items`` into exactly r blocks of size >= min_block."""
     if r == 0:
@@ -52,30 +63,68 @@ def _partitions_into_blocks(items, r, min_block):
                 yield (block,) + tail
 
 
-def laminar_families(masks, size):
+def laminar_families(masks, size, move=None):
     """Every family of ``size`` pairwise compatible members of ``masks``
-    (distinct leaf-set bitmasks), each once, as a mask-set, in ascending
-    order of the mask-sets; none when ``size`` is negative.
+    (distinct leaf-set bitmasks), each once, as a mask-set; none when
+    ``size`` is negative.  Without ``move`` the families come in ascending
+    order of the mask-sets.
 
-    Mask-sets compare by their largest member first (colex order), so a
-    depth-first search chooses the largest member first, trying candidates
-    in ascending order, then the rest of the family among the members below
-    it that are compatible with every one chosen so far, kept as a mask-set.
+    ``move`` is a bijection of ``masks`` (a dict) that preserves
+    compatibility: the image of the clusters under a relabeling.  Given it,
+    only the families it maps onto themselves come out, and these are the
+    unions of its orbits whose members are pairwise compatible.
+
+    The depth-first search runs over whole orbits; without ``move`` each
+    orbit is one mask.  Mask-sets compare by their largest member first
+    (colex order), so the search chooses the orbit with the largest least
+    member first, trying candidates in ascending order, then the rest of
+    the family among the orbits with a smaller least member that are
+    compatible with every member chosen so far, kept as a mask-set.  Per
+    orbit it keeps its members, their number, and the members of the
+    orbits below it compatible with all of them: a move that preserves
+    compatibility maps the clusters compatible with an orbit onto
+    themselves, so they are whole orbits.
     """
-    if size < 0:
+    if not 0 < size <= len(masks):
+        if size == 0:
+            yield 0
         return
-    compatible = {a: sum(1 << b for b in masks if a & b in (0, a, b)) for a in masks}
+    # the orbits whose members are pairwise compatible, ascending by least
+    # member, and the compatible members of each one's members among them
+    orbits, seen = [], 0
+    for a in sorted(masks):
+        if not seen >> a & 1:
+            orbit, b = [a], a if move is None else move[a]
+            while b != a:
+                orbit.append(b)
+                b = move[b]
+            seen |= _mask_set(orbit)
+            if all(x & y in (0, x, y) for x, y in itertools.combinations(orbit, 2)):
+                orbits.append(orbit)
+    kept = [a for orbit in orbits for a in orbit]
+    compatible = {a: _mask_set(b for b in kept if a & b in (0, a, b)) for a in kept}
+    # per orbit, by least member: its members, their number, and the
+    # members of the orbits below it compatible with all of them
+    below, leaders, lower = {}, 0, 0
+    for orbit in orbits:
+        members, common = _mask_set(orbit), lower
+        for a in orbit:
+            common &= compatible[a]
+        below[orbit[0]] = members, len(orbit), common
+        leaders |= 1 << orbit[0]
+        lower |= members
 
     def extend(family, allowed, left):
         if not left:
             yield family
             return
-        rest = allowed
+        rest = allowed & leaders
         while rest:
             top = rest & -rest
             rest ^= top
-            below = allowed & top - 1 & compatible[top.bit_length() - 1]
-            if below.bit_count() >= left - 1:
-                yield from extend(family | top, below, left - 1)
+            members, count, common = below[top.bit_length() - 1]
+            common &= allowed
+            if count <= left and common.bit_count() >= left - count:
+                yield from extend(family | members, common, left - count)
 
-    yield from extend(0, sum(1 << a for a in masks), size)
+    yield from extend(0, lower, size)

@@ -22,6 +22,7 @@ from stirhom import characters as C
 from stirhom.graphcomplex import GraphComplex, _normal_cycle
 from stirhom.stirling import StirlingComplex, _mask_set
 
+from closed_forms import dihedral_character, stirling_character
 from helpers import (chain_character, class_sign, cycle_type,
                      even_cycle_count_sum, restricted_chain_character,
                      sign_character, trace_character)
@@ -279,12 +280,49 @@ def test_trace_is_the_action_diagonal():
              for n in range(2, 6) for k in range(2, n + 1)]
     cases += [(GraphComplex(m, orientation_kill=kill), m, graph_permutation)
               for m in range(3, 6) for kill in (True, False)]
-    cases += [(GraphComplex(6), 6, graph_permutation)]
+    # with the kill off, GC(6)'s 2-cycles are the one place where a swap of
+    # blocks fixes a cycle, so the trace must enumerate them
+    cases += [(GraphComplex(6, orientation_kill=kill), 6, graph_permutation)
+              for kill in (True, False)]
     for cx, size, perm_of in cases:
         for mu in C.partitions(size):
             perm = perm_of(mu)
             for i in range(cx.max_edges + 1):
                 assert cx.trace(i, perm) == _diagonal_sum(cx.action_matrix(i, perm))
+
+
+def test_traces_apply_the_action_terms_to_the_fixed_keys_alone():
+    # on GC(6) the ten non-identity cycle types apply their action terms to
+    # 3,984 keys over all degrees, exactly the keys they fix (a scan of
+    # every degree visits 143,080); the identity reads dim(i) and applies
+    # them to none; after the pass every per-degree cache is empty
+    cx = GraphComplex(6)
+    perms = {mu: tuple(graph_permutation(mu)) for mu in C.partitions(6)}
+    applied = dict.fromkeys(perms.values(), 0)
+    fixed = dict.fromkeys(perms.values(), 0)
+    action_terms = cx.action_terms
+
+    def counted(perm):
+        terms = action_terms(perm)
+
+        def count(key):
+            applied[tuple(perm)] += 1
+            return terms(key)
+
+        return count
+
+    cx.action_terms = counted
+    for i in cx.degrees():
+        for perm in perms.values():
+            cx.trace(i, perm)
+            terms = action_terms(perm)
+            fixed[perm] += sum(target == key for key in cx.generators(i)
+                               for target, _sign in terms(key))
+    identity = perms[(1,) * 6]
+    assert applied.pop(identity) == 0
+    fixed.pop(identity)
+    assert applied == fixed and sum(applied.values()) == 3984
+    assert not any(cx._caches)
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,16 +404,18 @@ def test_trace_is_the_diagonal_when_blocks_move(perm, image):
 
 
 def test_trace_is_the_diagonal_when_a_kept_cycle_moves_a_cluster():
-    # the trace tests only the clusters a relabeling moves: (1 3)(2 4)
-    # keeps the loop and swaps the clusters {1, 2} and {3, 4}, so the key
-    # with both is fixed and the key with {1, 2} alone is not
+    # (1 3)(2 4) keeps the loop and swaps the clusters {1, 2} and {3, 4},
+    # so the key with both is fixed and the key with {1, 2} alone is not:
+    # the trace must enumerate the one and may skip the other
     perm = [3, 4, 1, 2, 5, 6]
     cx = _complex("graph", 6, True)
     both, one = (LOOP6, _mask_set([0b110, 0b11000])), (LOOP6, _mask_set([0b110]))
     assert both in cx.rows(3) and one in cx.rows(2)
     terms = cx.action_terms(perm)
-    assert [target for target, _sign in terms(both, True)] == [both]
-    assert not terms(one, True)
+    assert [target for target, _sign in terms(both)] == [both]
+    assert [target for target, _sign in terms(one)] != [one]
+    assert both in set(cx.fixable_keys(3, perm))
+    assert one not in set(cx.fixable_keys(2, perm))
     for kill in (True, False):
         _assert_trace_is_the_diagonal(_complex("graph", 6, kill), perm)
 
@@ -383,7 +423,7 @@ def test_trace_is_the_diagonal_when_a_kept_cycle_moves_a_cluster():
 def test_relabelings_alive_at_once_keep_their_own_verdicts():
     # each relabeling keeps the images of the cycles or trees it has met in
     # its own function; two of one complex called turn about must not
-    # share them
+    # share them, and neither may the traces they give
     cases = [(_complex("graph", 5, True), [1, 2, 3, 4, 5], [2, 1, 4, 5, 3]),
              (_complex("stirling", 5, 2), [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4])]
     for cx, identity, other in cases:
@@ -392,7 +432,27 @@ def test_relabelings_alive_at_once_keep_their_own_verdicts():
                 a, b = cx.action_terms(first), cx.action_terms(second)
                 sums = [0, 0]
                 for key in cx.generators(i):
-                    sums[0] += sum(sign for _t, sign in a(key, True))
-                    sums[1] += sum(sign for _t, sign in b(key, True))
-                assert sums == [_diagonal_sum(cx.action_matrix(i, first)),
-                                _diagonal_sum(cx.action_matrix(i, second))]
+                    sums[0] += sum(sign for target, sign in a(key) if target == key)
+                    sums[1] += sum(sign for target, sign in b(key) if target == key)
+                diagonals = [_diagonal_sum(cx.action_matrix(i, first)),
+                             _diagonal_sum(cx.action_matrix(i, second))]
+                assert sums == diagonals
+                assert [cx.trace(i, first), cx.trace(i, second)] == diagonals
+
+
+# ---------------------------------------------------------------------------
+# the Stirling closed form, which counts no generator and takes no trace
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(2, n + 1)])
+def test_stirling_character_is_the_eulerian_closed_form(n, k):
+    # a trace bug that hits the graph and the Stirling sides alike fails here
+    assert C.equivariant_euler_character(StirlingComplex(n, k)) == stirling_character(n, k)
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_even_stirling_closed_forms_sum_to_the_dihedral_form(m):
+    # the two closed forms agree on the decomposition of GC(m), m <= 10,
+    # with no complex built
+    pieces = [stirling_character(m - 1, k) for k in range(2, m, 2)]
+    assert sum(pieces[1:], pieces[0]) == dihedral_character(m)

@@ -22,9 +22,10 @@ from hypothesis import strategies as st_
 
 import flag_graphs as T
 from stirhom import stirling
+from stirhom.characters import partitions, representative_permutation
 from stirhom.graphcomplex import GraphComplex, _hung_clusters
-from stirhom.stirling import StirlingComplex, _Tree, survey
-from stirhom.trees import laminar_families
+from stirhom.stirling import StirlingComplex, _Tree, _bit_images, _members, survey
+from stirhom.trees import _mask_set, _partitions_into_blocks, laminar_families
 from helpers import perm_parity
 from shape_oracle import oracle_keys
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
@@ -437,15 +438,67 @@ def test_generators_equal_the_shape_oracle(kind, size, other):
 
 def test_laminar_families_come_out_ascending():
     # strictly ascending mask-sets: the Stirling walk relies on it to emit
-    # its keys sorted without sorting a degree
+    # its keys sorted without sorting a degree; on the smaller pools they
+    # are every pairwise compatible combination, sorted
     pools = [StirlingComplex(n, 2)._clusters for n in range(2, 7)]
     pools += [_hung_clusters([0b1110, 0b110000]), _hung_clusters([(1 << 7) - 2])]
     for masks in pools:
         for size in range(len(masks) + 1):
             families = list(laminar_families(masks, size))
             assert all(a < b for a, b in zip(families, families[1:]))
+            if len(masks) <= 26:
+                assert families == sorted(
+                    _mask_set(combo) for combo in itertools.combinations(masks, size)
+                    if all(a & b in (0, a, b) for a, b in itertools.combinations(combo, 2)))
             if not families:
                 break
+
+
+def _assert_stable_families(masks, move):
+    """The families ``move`` maps onto themselves, as the enumeration by its
+    orbits gives them, against a filter of every family, size by size."""
+    for size in itertools.count():
+        every = list(laminar_families(masks, size))
+        stable = list(laminar_families(masks, size, move))
+        assert sorted(stable) == [family for family in every
+                                  if _mask_set(move[c] for c in _members(family)) == family]
+        assert len(set(stable)) == len(stable)
+        if not every:
+            break
+
+
+def _rerooting(n, perm):
+    """The move of a permutation of 0..n on the clusters of a Stirling tree:
+    the side of each image without leg 0."""
+    image = _bit_images(perm)
+    everything = len(image) - 1
+    return {c: everything ^ image[c] if image[c] & 1 else image[c]
+            for c in StirlingComplex(n, 2)._clusters}
+
+
+def test_stable_families_of_the_stirling_pools():
+    # every permutation of 0..n for n <= 4, re-rooting included, and each
+    # cycle type's representative for n = 5
+    for n in range(2, 5):
+        for perm in itertools.permutations(range(n + 1)):
+            _assert_stable_families(StirlingComplex(n, 2)._clusters, _rerooting(n, perm))
+    for mu in partitions(6):
+        _assert_stable_families(StirlingComplex(5, 2)._clusters,
+                                _rerooting(5, representative_permutation(mu)))
+
+
+def test_stable_families_of_the_graph_pools():
+    # the clusters hung in every block partition of m <= 5 legs, under
+    # every permutation of the legs that maps its blocks onto themselves
+    for m in range(3, 6):
+        for c in range(1, m + 1):
+            for blocks in _partitions_into_blocks(tuple(range(1, m + 1)), c, 1):
+                blocks = [sum(1 << j for j in b) for b in blocks]
+                masks = _hung_clusters(blocks)
+                for perm in itertools.permutations(range(1, m + 1)):
+                    image = _bit_images((0,) + perm)
+                    if all(image[b] in blocks for b in blocks):
+                        _assert_stable_families(masks, {a: image[a] for a in masks})
 
 
 def test_survey_views_each_tree_once(monkeypatch):
