@@ -30,8 +30,11 @@ parallel edges of a 2-cycle, which only the negative control keeps, are
 hanging edge drops its cluster, a cycle edge merges its two blocks, and the
 loop leaves the genus-one vertex with the same clusters.  A permutation of
 the legs acts on every mask bit by bit, and fixes a key exactly when it
-maps its cycle and its family of clusters onto themselves; a trace
-enumerates those keys from the block partitions it maps onto themselves.
+maps its cycle and its family of clusters onto themselves.  A pass lists
+the block partitions, their cycles and the clusters hung in them once
+(``_CycleTable``): the walk of a degree reads the cycles ascending, each
+with its families, so the keys come out sorted, and a trace enumerates
+the keys it fixes from the partitions it maps onto themselves.
 
 The orientation kill.  The legs are labeled, so the hanging trees and the
 blocks are rigid: a leg-fixing automorphism can only flip a loop, which
@@ -42,12 +45,21 @@ Names and signs.  A generator is its key: ``clusters`` is stored as an int
 with bit C set for each cluster C, so keys are totally ordered, the
 generators of a degree are sorted by key, and ``code`` spells the key out.
 The reference edge order is the edge names sorted ascending, so each term
-reads its sign off positions.  Contracting the edge at place p of e gives
-(-1)^(e-1-p); dropping a hanging edge or the loop leaves the other names
-sorted, and a cycle contraction, which renames, or a relabeling takes the
-parity of sorting the renamed names.  The tests check every matrix
-against the flag-graph construction up to the signed generator bijection,
-and check that the homology does not change when the basis is reoriented.
+reads its sign off positions.  A pass derives one view per cycle: its edge
+names as a mask-set, and for each cycle edge the normal target cycle of
+its contraction (none where the kill removes it), the sign of sorting the
+renamed names of the other cycle edges among themselves, and a flip mask,
+the XOR over the renamed names n -> n' of the mask-set bits strictly
+between n and n'.  A key's edges are then the bits of ``names | clusters``
+in ascending order, and contracting the edge at place p of e gives
+(-1)^(e-1-p): dropping a hanging edge or the loop leaves the other names
+sorted, and a cycle contraction, which renames, also takes the view's sign
+and one more -1 per cluster a renamed name passes, the parity of
+``clusters & flip``.  A relabeling takes the parity of sorting the
+relabeled names.  The tests check every term against the rule that sorts
+the renamed names of each key, every matrix against the flag-graph
+construction up to the signed generator bijection, and that the homology
+does not change when the basis is reoriented.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ import math
 
 from .linalg import ChainComplex
 from .stirling import StirlingComplex, _bit_images, _mask_set, _members, _spell
-from .trees import _partitions_into_blocks, laminar_families, sort_sign
+from .trees import laminar_families, sort_sign
 from .characters import (equivariant_euler_character, homology_character,
                          representative_permutation, stirling_unsigned)
 
@@ -79,12 +91,6 @@ def _cycle_names(cycle):
     return tuple(names)
 
 
-def _names(key):
-    """The names of a class's edges, sorted: its reference order."""
-    cycle, clusters = key
-    return sorted(_cycle_names(cycle) + tuple(_members(clusters)))
-
-
 def _normal_cycle(blocks):
     """The cycle read from the block of leg 1, in the direction whose second
     block has the smaller lowest leg."""
@@ -95,6 +101,61 @@ def _normal_cycle(blocks):
     if len(blocks) > 2 and blocks[1] & -blocks[1] > blocks[-1] & -blocks[-1]:
         blocks = blocks[:1] + blocks[:0:-1]
     return blocks
+
+
+class _Cycle:
+    """The view of one cycle, derived once per pass.
+
+    ``names`` is the mask-set of its edge names.  ``terms`` has an entry per
+    cycle edge, in ascending order of the names: None when the kill removes
+    the edge's contraction, and otherwise the normal target cycle, the sign
+    of sorting the renamed names of the other cycle edges among themselves,
+    and the flip mask, the XOR over the renamed names n -> n' of the
+    mask-set bits strictly between n and n'.  A cluster lies strictly
+    between a renamed name and its new name exactly when the rename moves
+    the name past it, so a key's contraction of the edge takes one more -1
+    per set bit of ``clusters & flip``.  Each target is the tuple that
+    ``listed`` (the pass's table of cycles) holds for it, so the views of a
+    pass share their targets.
+    """
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, cycle, orientation_kill, listed):
+        names = _cycle_names(cycle)
+        self.names = _mask_set(names)
+        c = len(cycle)
+        if c == 1:
+            self.terms = (((), 1, 0),)  # the loop leaves the genus-one vertex
+            return
+        if orientation_kill and c == 3:
+            self.terms = (None,) * 3  # a 3-cycle leaves a 2-cycle
+            return
+        ordered = sorted(names)
+        terms = {}
+        for j, name in enumerate(names):
+            if c == 2:
+                # the other parallel edge becomes the loop
+                target = (cycle[0] | cycle[1],)
+                rename = {name ^ 1: LOOP}
+            else:
+                rotated = cycle[j:] + cycle[:j]
+                target = _normal_cycle((name,) + rotated[2:])
+                before, after = names[j - 1], names[(j + 1) % c]
+                if c == 3:
+                    # the two left become parallel, named in source order
+                    rename = dict(zip(sorted((before, after), key=names.index),
+                                      _cycle_names(target)))
+                else:
+                    # the neighbours of the edge take in its blocks
+                    rename = {before: before | name, after: after | name}
+            flip = 0
+            for n, new in rename.items():
+                low, high = min(n, new), max(n, new)
+                flip ^= (1 << high) - (1 << low + 1)
+            sign = sort_sign([rename.get(n, n) for n in ordered if n != name])
+            terms[name] = listed[target], sign, flip
+        self.terms = tuple(terms[name] for name in ordered)
 
 
 def _hung_clusters(blocks):
@@ -111,6 +172,24 @@ def _hung_clusters(blocks):
     return found
 
 
+def _partitions_into_blocks(items, r, min_block):
+    """Partitions of ``items`` into exactly r blocks of size >= min_block."""
+    if r == 0:
+        if not items:
+            yield ()
+        return
+    if len(items) < r * min_block:
+        return
+    first, rest = items[0], items[1:]
+    # the block containing the first element, then recurse
+    for extra in range(min_block - 1, len(rest) - (r - 1) * min_block + 1):
+        for members in itertools.combinations(rest, extra):
+            block = frozenset((first,) + members)
+            remaining = tuple(x for x in rest if x not in block)
+            for tail in _partitions_into_blocks(remaining, r - 1, min_block):
+                yield (block,) + tail
+
+
 def _block_cycles(m, c):
     """Each partition of legs 1..m into c blocks, as its block masks, with
     every cycle of those blocks in normal form: the block of leg 1 comes
@@ -123,30 +202,55 @@ def _block_cycles(m, c):
         yield (first, *rest), cycles
 
 
-def _keys(m, i):
-    """The key of every class with m legs and i edges, each once."""
-    for clusters in laminar_families(_hung_clusters([(1 << m + 1) - 2]), i):
-        yield (), clusters
-    for c in range(1, min(i, m) + 1):
-        for blocks, cycles in _block_cycles(m, c):
-            # clusters in different blocks are disjoint, so the families of
-            # i - c clusters serve every cycle of the blocks
-            families = list(laminar_families(_hung_clusters(blocks), i - c))
-            for cycle in cycles:
-                for clusters in families:
-                    yield cycle, clusters
+class _CycleTable:
+    """The cycles of the classes with m legs, listed once per pass.
+
+    ``partitions`` maps the blocks of each partition of the legs to the
+    clusters hung in them and the cycles on them; the genus-one vertex, the
+    empty cycle, shares the one block {1..m} with the loop.  ``ascending``
+    lists every cycle ascending, with its blocks and their clusters, and
+    ``listed`` maps each cycle to the tuple listed for it.  With the
+    orientation kill the 2-cycles are left out.
+    """
+
+    __slots__ = ("partitions", "ascending", "listed")
+
+    def __init__(self, m, orientation_kill):
+        self.partitions = {}
+        for c in range(1, m + 1):
+            if not (orientation_kill and c == 2):
+                for blocks, cycles in _block_cycles(m, c):
+                    self.partitions[blocks] = _hung_clusters(blocks), cycles
+        self.partitions[((1 << m + 1) - 2,)][1].insert(0, ())
+        self.ascending = sorted(((cycle, blocks, pool)
+                                 for blocks, (pool, cycles) in self.partitions.items()
+                                 for cycle in cycles), key=lambda entry: entry[0])
+        self.listed = {cycle: cycle for cycle, _blocks, _pool in self.ascending}
 
 
-def enumerate_graph_generators(m, i, orientation_kill=True):
+def enumerate_graph_generators(m, i, orientation_kill=True, cycles=None):
     """The keys of the degree-i generators, one per class, sorted; none for
     i < 0.
 
     With the orientation kill the classes with a 2-cycle are left out;
     without it (the negative control) they stay and the numbers are
-    deliberately wrong.
+    deliberately wrong.  ``cycles`` is the ``_CycleTable`` of the pass (a
+    new one by default).  The keys are built in order, cycle by cycle: the
+    cycles come ascending, each with its families of clusters, which
+    ``laminar_families`` gives ascending; the families of one block
+    partition serve every cycle on it with the same number of edges, since
+    clusters in different blocks are disjoint.
     """
-    return sorted(key for key in _keys(m, i)
-                  if not (orientation_kill and len(key[0]) == 2))
+    if cycles is None:
+        cycles = _CycleTable(m, orientation_kill)
+    keys, families = [], {}
+    for cycle, blocks, pool in cycles.ascending:
+        size = i - len(cycle)
+        if size >= 0:
+            if (blocks, size) not in families:
+                families[blocks, size] = list(laminar_families(pool, size))
+            keys += [(cycle, clusters) for clusters in families[blocks, size]]
+    return keys
 
 
 class GraphComplex(ChainComplex):
@@ -164,64 +268,71 @@ class GraphComplex(ChainComplex):
         super().__init__()
         self.m = m
         self.orientation_kill = orientation_kill
-        # the block partitions the traces of a pass read, by their blocks:
-        # the clusters hung in them and their cycles; no degree keys it
-        self._cycles = {}
-        self._caches.append(self._cycles)
+        # what a pass lists once and every degree reads: its table of
+        # cycles, under the leg count and kill that fix it, a view per
+        # cycle, and an image table per relabeling
+        self._cycles, self._views, self._images = {}, {}, {}
+        self._tables += [self._cycles, self._views, self._images]
 
     @property
     def max_edges(self):
         return self.m
 
+    def _cycle_table(self):
+        """The ``_CycleTable`` of the pass, listed on first use."""
+        key = self.m, self.orientation_kill
+        if key not in self._cycles:
+            self._cycles[key] = _CycleTable(*key)
+        return self._cycles[key]
+
     def walk(self, i):
-        """The keys of degree i, sorted: the cycle leads each key, so they
-        are sorted whole, not family by family."""
-        return enumerate_graph_generators(self.m, i, self.orientation_kill)
+        """The keys of degree i, sorted, built cycle by cycle from the
+        pass's table of cycles."""
+        return enumerate_graph_generators(self.m, i, self.orientation_kill,
+                                          self._cycle_table())
 
     def code(self, key):
         """The key spelled out: cycle blocks and clusters, as decimal masks."""
         cycle, clusters = key
         return f"G{self.m}:{_spell(cycle)}|{_spell(_members(clusters))}"
 
-    def contraction_terms(self, key):
-        """The differential's terms of one generator, one per edge; a cycle
-        edge renames its neighbours.  With the orientation kill, targets
-        with a 2-cycle are killed and not yielded."""
-        cycle, clusters = key
-        names = _names(key)
-        cycle_names = _cycle_names(cycle)
-        last = len(names) - 1
-        for pos, name in enumerate(names):
-            sign = -1 if (last - pos) % 2 else 1
-            rename = {}
-            if clusters >> name & 1:
-                target = (cycle, clusters ^ 1 << name)
-            elif len(cycle) == 1:
-                target = ((), clusters)
-            elif len(cycle) == 2:
-                # the other parallel edge becomes the loop
-                target = ((cycle[0] | cycle[1],), clusters)
-                rename = {name ^ 1: LOOP}
-            else:
-                j = cycle_names.index(name)
-                rotated = cycle[j:] + cycle[:j]
-                target = (_normal_cycle((name,) + rotated[2:]), clusters)
-                others = [n for n in cycle_names if n != name]
-                if len(cycle) == 3:
-                    # the two left become parallel, named in source order
-                    rename = dict(zip(others, _cycle_names(target[0])))
-                else:
-                    rename = {n: n | name for n in others if n & name}
-            if self.orientation_kill and len(target[0]) == 2:
-                continue
-            if rename:
-                sign *= sort_sign([rename.get(n, n) for n in names if n != name])
-            yield target, sign
+    def view(self, cycle):
+        """The ``_Cycle`` view of a cycle, derived on first use in a pass."""
+        view = self._views.get(cycle)
+        if view is None:
+            view = self._views[cycle] = _Cycle(cycle, self.orientation_kill,
+                                               self._cycle_table().listed)
+        return view
 
-    def _leg_images(self, perm):
-        """The image table of a permutation of the legs, checked: ``perm``
-        is a dict or a sequence with ``perm[j - 1]`` the image of j, and
-        bit 0, which no leg owns, stays put."""
+    def contraction_terms(self, key):
+        """The differential's terms of one generator, one per edge, in the
+        order of its edges: the bits of ``names | clusters`` ascending,
+        signed by place, and a cycle edge also by its view.  With the
+        orientation kill, targets with a 2-cycle are killed and left out."""
+        cycle, clusters = key
+        view = self._views.get(cycle) or self.view(cycle)
+        cycle_terms = iter(view.terms)
+        terms = []
+        rest = view.names | clusters
+        sign = 1 if rest.bit_count() % 2 else -1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if clusters & low:
+                terms.append(((cycle, clusters ^ low), sign))
+            else:
+                term = next(cycle_terms)
+                if term is not None:
+                    target, base, flip = term
+                    odd = (clusters & flip).bit_count() & 1
+                    terms.append(((target, clusters), -base * sign if odd else base * sign))
+            sign = -sign
+        return terms
+
+    def _image(self, perm):
+        """The image table of a permutation of the legs, checked, built once
+        per pass: ``perm`` is a dict or a sequence with ``perm[j - 1]`` the
+        image of j, and bit 0, which no leg owns, stays put."""
         if isinstance(perm, dict):
             perm = {int(a): int(b) for a, b in perm.items()}
         else:
@@ -229,16 +340,20 @@ class GraphComplex(ChainComplex):
         legs = list(range(1, self.m + 1))
         if sorted(perm) != legs or sorted(perm.values()) != legs:
             raise GraphError(f"expected a bijection of 1..{self.m}")
-        return _bit_images([0] + [perm[j] for j in legs])
+        perm = (0, *(perm[j] for j in legs))
+        if perm not in self._images:
+            self._images[perm] = _bit_images(perm)
+        return self._images[perm]
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 1..m, as a function
         from a generator to the list of its one term, signed by the parity
-        of sorting the relabeled edge names.  Each cycle is relabeled once,
-        kept in a dict local to the function.  Relabeling preserves the
-        cycle length, so it maps surviving classes to surviving classes.
+        of sorting the relabeled edge names, which it reads off the view of
+        the key's cycle.  Each cycle is relabeled once, kept in a dict local
+        to the function.  Relabeling preserves the cycle length, so it maps
+        surviving classes to surviving classes.
         """
-        image = self._leg_images(perm)
+        image = self._image(perm)
         blocks = {}
 
         def terms(key):
@@ -246,7 +361,8 @@ class GraphComplex(ChainComplex):
             if cycle not in blocks:
                 blocks[cycle] = _normal_cycle(tuple(map(image.__getitem__, cycle)))
             target = blocks[cycle], _mask_set(image[c] for c in _members(clusters))
-            return [(target, sort_sign([image[name] for name in _names(key)]))]
+            names = _members(self.view(cycle).names | clusters)
+            return [(target, sort_sign([image[name] for name in names]))]
 
         return terms
 
@@ -256,22 +372,15 @@ class GraphComplex(ChainComplex):
         of clusters are: the cycles come from the block partitions the
         permutation maps onto themselves, the families from
         ``laminar_families`` by the orbits of the clusters hung in those
-        blocks.  The partitions, their cycles and their clusters are listed
-        once per pass, in ``_cycles``; the genus-one vertex, the empty
-        cycle, shares the one block of the loop."""
-        image = self._leg_images(perm)
+        blocks, both off the pass's table of cycles, which the walk reads
+        too."""
+        image = self._image(perm)
         if all(image[1 << j] == 1 << j for j in range(1, self.m + 1)):
             return None
-        if not self._cycles:
-            for c in range(1, self.m + 1):
-                if not (self.orientation_kill and c == 2):
-                    for blocks, cycles in _block_cycles(self.m, c):
-                        self._cycles[blocks] = _hung_clusters(blocks), cycles
-            self._cycles[((1 << self.m + 1) - 2,)][1].insert(0, ())
         return self._fixed_keys(i, image)
 
     def _fixed_keys(self, i, image):
-        for blocks, (pool, cycles) in self._cycles.items():
+        for blocks, (pool, cycles) in self._cycle_table().partitions.items():
             # a cycle has an edge per block, the empty one none
             if len(blocks) > max(i, 1) or any(image[b] not in blocks for b in blocks):
                 continue

@@ -350,6 +350,20 @@ def morse_reduce(dims, diffs):
     return reduction.finish()
 
 
+def _summed_column(rows, terms):
+    """The column of ``terms`` summed term by term, in the order the rows
+    are first met, a zero sum dropped."""
+    col = {}
+    for target, sign in terms:
+        row = rows[target]
+        total = col.get(row, 0) + sign
+        if total:
+            col[row] = total
+        else:
+            del col[row]
+    return col
+
+
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
@@ -357,8 +371,9 @@ class ChainComplex:
     sorted order, an iterable that may do per-degree work as it goes: the
     assembler of d_i consumes it when degree i is not held, and
     ``generators(i)`` consumes it alone otherwise), ``code(key)``,
-    ``contraction_terms(key)``, ``action_terms(perm)``, whose function
-    takes a key and returns the list of its terms, and
+    ``contraction_terms(key)``, the list of a key's terms,
+    ``action_terms(perm)``, whose function takes a key and returns the list
+    of its terms, and
     ``fixable_keys(i, perm)``: the keys of degree i the relabeling may fix,
     each once and every fixed one among them, or None when it moves no leg.
     A term ``(target_key, sign)`` carries its whole sign, read off the
@@ -378,6 +393,10 @@ class ChainComplex:
         self._homology = None
         # every per-degree cache, emptied by ``release``; subclasses add theirs
         self._caches = [self._gens, self._rows, self._diffs]
+        # what a pass builds once and every degree reads (a table per cycle
+        # or per relabeling, keyed by it, not by a degree); subclasses add
+        # theirs, and each pass empties them when it starts and ends
+        self._tables = []
 
     def total_degree(self, i):
         return i
@@ -403,8 +422,10 @@ class ChainComplex:
 
     def _assemble(self, i, j, terms):
         """The matrix from degree i to degree j (columns are sources) whose
-        column of each degree-i generator sums ``terms(key)``.  Two terms
-        share a target only for the parallel edges of a 2-cycle.  When
+        column of each degree-i generator sums the list ``terms(key)``.
+        Each column is one dict comprehension over the terms; only when two
+        terms share a row, which happens for the parallel edges of a 2-cycle
+        alone, is the column summed term by term, zero sums dropped.  When
         degree i is not held, the columns are built on its walk, and the
         keys met are kept as ``generators(i)``."""
         rows = self.rows(j)
@@ -412,14 +433,10 @@ class ChainComplex:
         keys = [] if walked else self._gens[i]
         cols = []
         for key in self.walk(i) if walked else keys:
-            col = {}
-            for target, sign in terms(key):
-                row = rows[target]
-                total = col.get(row, 0) + sign
-                if total:
-                    col[row] = total
-                else:
-                    del col[row]
+            found = terms(key)
+            col = {rows[target]: sign for target, sign in found}
+            if len(col) < len(found):
+                col = _summed_column(rows, found)
             cols.append(col)
             if walked:
                 keys.append(key)
@@ -463,8 +480,9 @@ class ChainComplex:
         reads, and yield i, so the caller does its work on degree i (and
         i-1) in the loop body.  The step restricts d_{i-1} and drops it, so
         no differential outlives the pass; the pass starts and ends with
-        every cache empty, so each pass builds every degree anew."""
-        for cache in self._caches:
+        every cache and table empty, so each pass builds every degree, and
+        every table its degrees share, anew."""
+        for cache in self._caches + self._tables:
             cache.clear()
         reduction, dims = Coreduction(), {}
         for i in range(self.max_edges + 1):
@@ -475,7 +493,7 @@ class ChainComplex:
             self._rows.pop(i - 1, None)
             reduction.step(i, dims[i], d)
             yield i
-        for cache in self._caches:
+        for cache in self._caches + self._tables:
             cache.clear()
         self._homology = reduction.finish().homology(dims, self.total_degree)
 

@@ -137,6 +137,9 @@ class StirlingComplex(ChainComplex):
         self._view = {}
         self._reach = {}
         self._caches += [self._view, self._reach]
+        # the image table of each relabeling a pass's traces apply
+        self._images = {}
+        self._tables.append(self._images)
 
     @property
     def max_edges(self):
@@ -177,7 +180,7 @@ class StirlingComplex(ChainComplex):
         None when it moves no leg: the keys on the trees whose clusters it
         maps onto themselves, re-rooting included, which
         ``laminar_families`` enumerates by the orbits of the clusters."""
-        image = _bit_images(_as_permutation(perm, self.n))
+        image = self._image(perm)
         if all(image[1 << j] == 1 << j for j in range(self.n + 1)):
             return None
         everything = len(image) - 1
@@ -186,6 +189,15 @@ class StirlingComplex(ChainComplex):
         return ((clusters, dv, alt) for clusters in laminar_families(self._clusters, i, side)
                 for dv, alts in self._alternating_sets(self.tree(clusters))
                 for alt in alts)
+
+    def _image(self, perm):
+        """The image table of a permutation of the leg labels, checked, and
+        built once per pass: traces ask for each relabeling in every
+        degree, and both ``fixable_keys`` and ``action_terms`` read it."""
+        perm = _as_permutation(perm, self.n)
+        if perm not in self._images:
+            self._images[perm] = _bit_images(perm)
+        return self._images[perm]
 
     def tree(self, clusters):
         """The view of the tree whose edges are ``clusters``.  The last one
@@ -208,25 +220,29 @@ class StirlingComplex(ChainComplex):
     # -- terms ---------------------------------------------------------------
 
     def contraction_terms(self, key):
-        """The differential's terms of one generator, one per contraction
-        and, for an alternating edge, one per replacing input b, which lies
-        inside the contracted cluster c and so sorts below it."""
+        """The list of the differential's terms of one generator, one per
+        contraction and, for an alternating edge, one per replacing input
+        b, which lies inside the contracted cluster c and so sorts below
+        it."""
         clusters, dv, alt = key
         tree = self.tree(clusters)
         last = len(tree.edges) - 1
+        terms = []
         for pos, c in enumerate(tree.edges):
             sign = -1 if (last - pos) % 2 else 1
             rest = clusters ^ 1 << c
             new_dv = tree.up[c] if c == dv else dv
             if not alt >> c & 1:
-                yield (rest, new_dv, alt), sign
+                terms.append(((rest, new_dv, alt), sign))
             else:
                 # the edge hangs below the distinguished vertex; its child's
                 # inputs replace the lost alternating flag one at a time
                 others = alt ^ 1 << c
                 for b in tree.inputs[c]:
                     passed = (others & (1 << c) - (1 << b + 1)).bit_count()
-                    yield (rest, new_dv, others | 1 << b), -sign if passed % 2 else sign
+                    terms.append(((rest, new_dv, others | 1 << b),
+                                  -sign if passed % 2 else sign))
+        return terms
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 0..n, as a function
@@ -239,9 +255,9 @@ class StirlingComplex(ChainComplex):
         ``perm`` is a bijection of {0..n} given as a sequence (perm[j] is
         the image of j) or a dict; the classical permutation group on n+1
         letters is identified with these by exchanging the letters 0 and
-        n+1.  It is checked, and its image table built, once.
+        n+1.  It is checked, and its image table built once per pass.
         """
-        image = _bit_images(_as_permutation(perm, self.n))
+        image = self._image(perm)
         everything = len(image) - 1
         # an edge keeps the side of its image without leg 0
         side = [everything ^ m if m & 1 else m for m in image]
@@ -298,17 +314,6 @@ class StirlingComplex(ChainComplex):
         if exact and dv == tree.full:
             return None
         return 2 * len(tree.edges) - tree.depth(dv) - exact
-
-    def in_acyclic_part(self, key):
-        """Membership in the acyclic subcomplex: the distinguished vertex
-        has valence above k+1, or it is not the root vertex."""
-        return self.vertex_reach(self.tree(key[0]), key[1]) is not None
-
-    def reach(self, key):
-        score = self.vertex_reach(self.tree(key[0]), key[1])
-        if score is None:
-            raise DomainError("generator lies outside the acyclic subcomplex")
-        return score
 
     def _reaches(self, i):
         """The reach of each degree-i generator, None outside the acyclic

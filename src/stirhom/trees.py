@@ -45,24 +45,6 @@ def _mask_set(masks):
     return total
 
 
-def _partitions_into_blocks(items, r, min_block):
-    """Partitions of ``items`` into exactly r blocks of size >= min_block."""
-    if r == 0:
-        if not items:
-            yield ()
-        return
-    if len(items) < r * min_block:
-        return
-    first, rest = items[0], items[1:]
-    # the block containing the first element, then recurse
-    for extra in range(min_block - 1, len(rest) - (r - 1) * min_block + 1):
-        for members in itertools.combinations(rest, extra):
-            block = frozenset((first,) + members)
-            remaining = tuple(x for x in rest if x not in block)
-            for tail in _partitions_into_blocks(remaining, r - 1, min_block):
-                yield (block,) + tail
-
-
 def laminar_families(masks, size, move=None):
     """Every family of ``size`` pairwise compatible members of ``masks``
     (distinct leaf-set bitmasks), each once, as a mask-set; none when
@@ -83,7 +65,11 @@ def laminar_families(masks, size, move=None):
     orbit it keeps its members, their number, and the members of the
     orbits below it compatible with all of them: a move that preserves
     compatibility maps the clusters compatible with an orbit onto
-    themselves, so they are whole orbits.
+    themselves, so they are whole orbits.  The search keeps its partial
+    families on an explicit stack of frames, not in nested generators, so
+    a family comes out of one loop instead of up a chain of suspended
+    calls, and an orbit that completes the family is yielded without a
+    frame of its own.
     """
     if not 0 < size <= len(masks):
         if size == 0:
@@ -114,17 +100,24 @@ def laminar_families(masks, size, move=None):
         leaders |= 1 << orbit[0]
         lower |= members
 
-    def extend(family, allowed, left):
-        if not left:
-            yield family
-            return
-        rest = allowed & leaders
+    # a frame is a partial family, the members still allowed, the number
+    # left to choose and the candidate orbits not yet tried; descending
+    # pushes the parent's frame and goes on with the child's
+    stack = []
+    family, allowed, left, rest = 0, lower, size, lower & leaders
+    while True:
         while rest:
             top = rest & -rest
             rest ^= top
             members, count, common = below[top.bit_length() - 1]
-            common &= allowed
-            if count <= left and common.bit_count() >= left - count:
-                yield from extend(family | members, common, left - count)
-
-    yield from extend(0, lower, size)
+            if count == left:
+                yield family | members
+            elif count < left:
+                common &= allowed
+                if common.bit_count() >= left - count:
+                    stack.append((family, allowed, left, rest))
+                    family, allowed, left = family | members, common, left - count
+                    rest = common & leaders
+        if not stack:
+            return
+        family, allowed, left, rest = stack.pop()

@@ -3,6 +3,8 @@
 ``from_triplets`` builds a column-stored matrix from ``(r, c, v)`` entries
 (the package assembles its matrices column by column and never needs it),
 ``make_generator`` validates a decorated tree and returns its key,
+``in_acyclic_part`` and ``reach`` read a Stirling key's reach verdict one
+key at a time (the package scores whole vertices on its walk),
 ``reference_orders`` spells out the documented reference orders of a
 generator, which the oracles align their own orders with through
 ``relative_sign``, and ``transport`` moves a matrix along signed generator
@@ -64,6 +66,21 @@ def make_generator(n, clusters, dv, alt):
         raise DomainError("alternating flags must be input flags of the "
                           "distinguished vertex")
     return wanted, dv, _mask_set(alt)
+
+
+def in_acyclic_part(cx, key):
+    """Membership of a Stirling key in the acyclic subcomplex: the
+    distinguished vertex has valence above k+1, or it is not the root
+    vertex."""
+    return cx.vertex_reach(cx.tree(key[0]), key[1]) is not None
+
+
+def reach(cx, key):
+    """The reach of a Stirling key in the acyclic subcomplex."""
+    score = cx.vertex_reach(cx.tree(key[0]), key[1])
+    if score is None:
+        raise DomainError("generator lies outside the acyclic subcomplex")
+    return score
 
 
 def reference_orders(cx, key, seed=0):

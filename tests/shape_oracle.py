@@ -21,9 +21,8 @@ from __future__ import annotations
 import itertools
 import sys
 
-from stirhom.graphcomplex import GraphComplex
+from stirhom.graphcomplex import GraphComplex, _partitions_into_blocks
 from stirhom.stirling import StirlingComplex, _mask_set
-from stirhom.trees import _partitions_into_blocks
 
 
 def _compositions(total, caps):

@@ -22,6 +22,9 @@ from collections import Counter
 
 import pytest
 
+import graph_terms_oracle
+from stirhom import graphcomplex
+from stirhom.characters import partitions, representative_permutation
 from stirhom.graphcomplex import (GraphComplex,
                                   enumerate_graph_generators,
                                   graph_homology_character,
@@ -279,6 +282,60 @@ def test_differential_matches_oracle(m, i):
         assert oracle_differential(cx, i, seed) == transport(
             cx.differential(i), orientation_signs(cx, i - 1, seed),
             orientation_signs(cx, i, seed))
+
+
+# ---------------------------------------------------------------------------
+# the terms read off one view per cycle, against the rule that sorts the
+# renamed names of each key
+
+
+@pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
+                                    for kill in (True, False)])
+def test_contraction_terms_equal_the_sorting_rule(m, kill):
+    # every term of every key, its target and its sign, in the same order
+    cx = GraphComplex(m, kill)
+    for i in range(m + 1):
+        for key in cx.generators(i):
+            assert cx.contraction_terms(key) == graph_terms_oracle.contraction_terms(
+                key, kill), cx.code(key)
+
+
+@pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
+                                    for kill in (True, False)])
+def test_action_terms_equal_the_sorting_rule(m, kill):
+    # one permutation per cycle type, every key of every degree
+    cx = GraphComplex(m, kill)
+    for mu in partitions(m):
+        perm = [p + 1 for p in representative_permutation(mu)]
+        terms, oracle = cx.action_terms(perm), graph_terms_oracle.action_terms(perm)
+        for i in range(m + 1):
+            for key in cx.generators(i):
+                assert terms(key) == oracle(key), (mu, cx.code(key))
+
+
+@pytest.mark.parametrize("kill,views", [(True, 527), (False, 558)])
+def test_one_view_per_cycle_in_a_pass(monkeypatch, kill, views):
+    # one pass of GC(6) with a trace of every cycle type in every degree
+    # derives one view per cycle it meets: the 526 cycles without a 2-cycle
+    # (31 more with one) and the genus-one vertex; afterwards every cache
+    # and every table of the pass is empty
+    built = []
+
+    class Counted(graphcomplex._Cycle):
+        __slots__ = ()
+
+        def __init__(self, cycle, *args):
+            built.append(cycle)
+            super().__init__(cycle, *args)
+
+    monkeypatch.setattr(graphcomplex, "_Cycle", Counted)
+    cx = GraphComplex(6, kill)
+    perms = [[p + 1 for p in representative_permutation(mu)] for mu in partitions(6)]
+    for i in cx.degrees():
+        for perm in perms:
+            cx.trace(i, perm)
+    assert len(built) == len(set(built)) == views
+    assert not any(cx._caches) and not any(cx._tables)
 
 
 def test_canonical_form_once_per_class(monkeypatch):

@@ -28,8 +28,9 @@ from stirhom.stirling import (DomainError, StirlingComplex, compose, survey,
 
 import stirling_oracle
 from flag_graphs import _tree_from_shape, canonical_tree_data
-from helpers import (from_triplets, make_generator, reference_orders,
-                     relative_sign, reoriented_homology, transport)
+from helpers import (from_triplets, in_acyclic_part, make_generator, reach,
+                     reference_orders, relative_sign, reoriented_homology,
+                     transport)
 
 
 def tree_from_nested(shape, n):
@@ -294,7 +295,7 @@ def test_reach_values_from_marked_trees():
     assert len(reference_orders(cx, gen_a)[0]) == 4
     assert tree_a.depth(dv_a) == 2
     assert len(tree_a.inputs[dv_a]) + 1 == 3
-    assert cx.reach(gen_a) == 5
+    assert reach(cx, gen_a) == 5
     # three edges, distinguished vertex adjacent to the root with two
     # alternating legs among four inputs: reach 6 - 1 - 0 = 5
     dv_b = mask(2, 3, 4, 5, 6, 7)
@@ -304,16 +305,16 @@ def test_reach_values_from_marked_trees():
     assert len(reference_orders(cx, gen_b)[0]) == 3
     assert tree_b.depth(dv_b) == 1
     assert len(tree_b.inputs[dv_b]) + 1 == 5
-    assert cx.reach(gen_b) == 5
+    assert reach(cx, gen_b) == 5
 
 
 def test_reach_corolla_and_domain():
     cx = StirlingComplex(5, 2)
     root = mask(1, 2, 3, 4, 5)
-    assert cx.reach(make_generator(5, [], root, [mask(1), mask(2)])) == 0
+    assert reach(cx, make_generator(5, [], root, [mask(1), mask(2)])) == 0
     full = StirlingComplex(5, 5)
     with pytest.raises(DomainError):
-        full.reach(make_generator(5, [], root, [mask(j) for j in range(1, 6)]))
+        reach(full, make_generator(5, [], root, [mask(j) for j in range(1, 6)]))
 
 
 def test_reach_filtration():
@@ -346,14 +347,14 @@ def test_survey_scores_each_reach_once(monkeypatch):
 
 
 def test_the_walk_scores_every_key():
-    # the reach the walk stores per key is the one reach and
+    # the reach the walk stores per key is the one the helpers reach and
     # in_acyclic_part give key by key
     for n in range(2, 7):
         for k in range(2, n + 1):
             cx = StirlingComplex(n, k)
             for i in range(-1, cx.max_edges + 1):
                 keys = cx.generators(i)
-                assert cx._reach[i] == [cx.reach(key) if cx.in_acyclic_part(key) else None
+                assert cx._reach[i] == [reach(cx, key) if in_acyclic_part(cx, key) else None
                                         for key in keys]
 
 

@@ -23,9 +23,9 @@ from hypothesis import strategies as st_
 import flag_graphs as T
 from stirhom import stirling
 from stirhom.characters import partitions, representative_permutation
-from stirhom.graphcomplex import GraphComplex, _hung_clusters
+from stirhom.graphcomplex import GraphComplex, _hung_clusters, _partitions_into_blocks
 from stirhom.stirling import StirlingComplex, _Tree, _bit_images, _members, survey
-from stirhom.trees import _mask_set, _partitions_into_blocks, laminar_families
+from stirhom.trees import _mask_set, laminar_families
 from helpers import perm_parity
 from shape_oracle import oracle_keys
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
@@ -452,6 +452,86 @@ def test_laminar_families_come_out_ascending():
                     if all(a & b in (0, a, b) for a, b in itertools.combinations(combo, 2)))
             if not families:
                 break
+
+
+def recursive_laminar_families(masks, size, move=None):
+    """The depth-first search of ``laminar_families`` as nested generators,
+    one per chosen orbit: the reference its stack of frames must follow,
+    family for family and in the same order."""
+    if not 0 < size <= len(masks):
+        if size == 0:
+            yield 0
+        return
+    orbits, seen = [], 0
+    for a in sorted(masks):
+        if not seen >> a & 1:
+            orbit, b = [a], a if move is None else move[a]
+            while b != a:
+                orbit.append(b)
+                b = move[b]
+            seen |= _mask_set(orbit)
+            if all(x & y in (0, x, y) for x, y in itertools.combinations(orbit, 2)):
+                orbits.append(orbit)
+    kept = [a for orbit in orbits for a in orbit]
+    compatible = {a: _mask_set(b for b in kept if a & b in (0, a, b)) for a in kept}
+    below, leaders, lower = {}, 0, 0
+    for orbit in orbits:
+        members, common = _mask_set(orbit), lower
+        for a in orbit:
+            common &= compatible[a]
+        below[orbit[0]] = members, len(orbit), common
+        leaders |= 1 << orbit[0]
+        lower |= members
+
+    def extend(family, allowed, left):
+        if not left:
+            yield family
+            return
+        rest = allowed & leaders
+        while rest:
+            top = rest & -rest
+            rest ^= top
+            members, count, common = below[top.bit_length() - 1]
+            common &= allowed
+            if count <= left and common.bit_count() >= left - count:
+                yield from extend(family | members, common, left - count)
+
+    yield from extend(0, lower, size)
+
+
+def _assert_as_recursive(masks, move=None):
+    """The stack search gives the recursive reference's families in its
+    order, size by size, until both run out."""
+    for size in itertools.count(-1):
+        families = list(laminar_families(masks, size, move))
+        assert families == list(recursive_laminar_families(masks, size, move))
+        if size > 0 and not families:
+            break
+
+
+def test_stack_search_follows_the_recursive_search():
+    # the pools of the two tests above, without a move and with every move
+    # they check: Stirling pools n <= 4 under every permutation, n = 5 per
+    # cycle type, and the hung pools of every block partition of m <= 5
+    pools = [StirlingComplex(n, 2)._clusters for n in range(2, 7)]
+    pools += [_hung_clusters([0b1110, 0b110000]), _hung_clusters([(1 << 7) - 2])]
+    for masks in pools:
+        _assert_as_recursive(masks)
+    for n in range(2, 5):
+        for perm in itertools.permutations(range(n + 1)):
+            _assert_as_recursive(StirlingComplex(n, 2)._clusters, _rerooting(n, perm))
+    for mu in partitions(6):
+        _assert_as_recursive(StirlingComplex(5, 2)._clusters,
+                             _rerooting(5, representative_permutation(mu)))
+    for m in range(3, 6):
+        for c in range(1, m + 1):
+            for blocks in _partitions_into_blocks(tuple(range(1, m + 1)), c, 1):
+                blocks = [sum(1 << j for j in b) for b in blocks]
+                masks = _hung_clusters(blocks)
+                for perm in itertools.permutations(range(1, m + 1)):
+                    image = _bit_images((0,) + perm)
+                    if all(image[b] in blocks for b in blocks):
+                        _assert_as_recursive(masks, {a: image[a] for a in masks})
 
 
 def _assert_stable_families(masks, move):
