@@ -50,16 +50,17 @@ names as a mask-set, and for each cycle edge the normal target cycle of
 its contraction (none where the kill removes it), the sign of sorting the
 renamed names of the other cycle edges among themselves, and a flip mask,
 the XOR over the renamed names n -> n' of the mask-set bits strictly
-between n and n'.  A key's edges are then the bits of ``names | clusters``
-in ascending order, and contracting the edge at place p of e gives
-(-1)^(e-1-p): dropping a hanging edge or the loop leaves the other names
-sorted, and a cycle contraction, which renames, also takes the view's sign
-and one more -1 per cluster a renamed name passes, the parity of
-``clusters & flip``.  A relabeling takes the parity of sorting the
-relabeled names.  The tests check every term against the rule that sorts
-the renamed names of each key, every matrix against the flag-graph
-construction up to the signed generator bijection, and that the homology
-does not change when the basis is reoriented.
+between n and n', which keeps that sign in bit 1, a bit no cluster has.
+A key's edges are then the bits of ``names | clusters`` in ascending
+order, and contracting the edge at place p of e gives (-1)^(e-1-p):
+dropping a hanging edge or the loop leaves the other names sorted, and a
+cycle contraction, which renames, also takes the view's sign and one more
+-1 per cluster a renamed name passes, the parity of ``(clusters | 2) &
+flip``.  A relabeling takes the parity of sorting the relabeled names.
+The tests check every term against the rule that sorts the renamed names
+of each key, every matrix against the flag-graph construction up to the
+signed generator bijection, and that the homology does not change when the
+basis is reoriented.
 """
 
 from __future__ import annotations
@@ -106,30 +107,33 @@ def _normal_cycle(blocks):
 class _Cycle:
     """The view of one cycle, derived once per pass.
 
-    ``names`` is the mask-set of its edge names.  ``terms`` has an entry per
-    cycle edge, in ascending order of the names: None when the kill removes
-    the edge's contraction, and otherwise the normal target cycle, the sign
-    of sorting the renamed names of the other cycle edges among themselves,
-    and the flip mask, the XOR over the renamed names n -> n' of the
-    mask-set bits strictly between n and n'.  A cluster lies strictly
-    between a renamed name and its new name exactly when the rename moves
-    the name past it, so a key's contraction of the edge takes one more -1
-    per set bit of ``clusters & flip``.  Each target is the tuple that
-    ``listed`` (the pass's table of cycles) holds for it, so the views of a
-    pass share their targets.
+    ``names`` is the mask-set of its edge names.  ``targets`` and ``flips``
+    have an entry per cycle edge, in ascending order of the names.  The
+    target is the normal cycle the edge's contraction leaves, None where
+    the kill removes it.  The flip mask is the XOR over the renamed names
+    n -> n' of the mask-set bits strictly between n and n', with bit 1 set
+    when sorting the renamed names of the other cycle edges among
+    themselves is odd; bit 1 is no cluster's, since a cluster holds two
+    legs.  A cluster lies strictly between a renamed name and its new name
+    exactly when the rename moves the name past it, so a key's contraction
+    of the edge takes the parity of ``(clusters | 2) & flip``.  Each target
+    is the tuple that ``listed`` (the pass's table of cycles) holds for it,
+    so the views of a pass share their targets.
     """
 
-    __slots__ = ("names", "terms")
+    __slots__ = ("names", "targets", "flips")
 
     def __init__(self, cycle, orientation_kill, listed):
         names = _cycle_names(cycle)
         self.names = _mask_set(names)
         c = len(cycle)
-        if c == 1:
-            self.terms = (((), 1, 0),)  # the loop leaves the genus-one vertex
+        if c <= 1:
+            # the genus-one vertex has no cycle edge; the loop leaves it
+            self.targets, self.flips = ((),) * c, (0,) * c
             return
         if orientation_kill and c == 3:
-            self.terms = (None,) * 3  # a 3-cycle leaves a 2-cycle
+            # a 3-cycle leaves a 2-cycle
+            self.targets, self.flips = (None,) * 3, (0,) * 3
             return
         ordered = sorted(names)
         terms = {}
@@ -153,9 +157,11 @@ class _Cycle:
             for n, new in rename.items():
                 low, high = min(n, new), max(n, new)
                 flip ^= (1 << high) - (1 << low + 1)
-            sign = sort_sign([rename.get(n, n) for n in ordered if n != name])
-            terms[name] = listed[target], sign, flip
-        self.terms = tuple(terms[name] for name in ordered)
+            flip &= ~3  # bits 0 and 1 are no cluster's
+            if sort_sign([rename.get(n, n) for n in ordered if n != name]) < 0:
+                flip |= 2
+            terms[name] = listed[target], flip
+        self.targets, self.flips = zip(*(terms[name] for name in ordered))
 
 
 def _hung_clusters(blocks):
@@ -210,12 +216,15 @@ class _CycleTable:
     empty cycle, shares the one block {1..m} with the loop.  ``ascending``
     lists every cycle ascending, with its blocks and their clusters, and
     ``listed`` maps each cycle to the tuple listed for it.  With the
-    orientation kill the 2-cycles are left out.
+    orientation kill the 2-cycles are left out.  Tables compare by the leg
+    count and kill that fix them, so calls of ``enumerate_graph_generators``
+    with equal arguments compare equal.
     """
 
-    __slots__ = ("partitions", "ascending", "listed")
+    __slots__ = ("fixed_by", "partitions", "ascending", "listed")
 
     def __init__(self, m, orientation_kill):
+        self.fixed_by = m, orientation_kill
         self.partitions = {}
         for c in range(1, m + 1):
             if not (orientation_kill and c == 2):
@@ -226,6 +235,12 @@ class _CycleTable:
                                  for blocks, (pool, cycles) in self.partitions.items()
                                  for cycle in cycles), key=lambda entry: entry[0])
         self.listed = {cycle: cycle for cycle, _blocks, _pool in self.ascending}
+
+    def __eq__(self, other):
+        return isinstance(other, _CycleTable) and self.fixed_by == other.fixed_by
+
+    def __hash__(self):
+        return hash(self.fixed_by)
 
 
 def enumerate_graph_generators(m, i, orientation_kill=True, cycles=None):
@@ -269,9 +284,9 @@ class GraphComplex(ChainComplex):
         self.m = m
         self.orientation_kill = orientation_kill
         # what a pass lists once and every degree reads: its table of
-        # cycles, under the leg count and kill that fix it, a view per
-        # cycle, and an image table per relabeling
-        self._cycles, self._views, self._images = {}, {}, {}
+        # cycles (one slot), a view per cycle and an image table per
+        # relabeling
+        self._cycles, self._views, self._images = [], {}, {}
         self._tables += [self._cycles, self._views, self._images]
 
     @property
@@ -280,10 +295,9 @@ class GraphComplex(ChainComplex):
 
     def _cycle_table(self):
         """The ``_CycleTable`` of the pass, listed on first use."""
-        key = self.m, self.orientation_kill
-        if key not in self._cycles:
-            self._cycles[key] = _CycleTable(*key)
-        return self._cycles[key]
+        if not self._cycles:
+            self._cycles.append(_CycleTable(self.m, self.orientation_kill))
+        return self._cycles[0]
 
     def walk(self, i):
         """The keys of degree i, sorted, built cycle by cycle from the
@@ -310,8 +324,10 @@ class GraphComplex(ChainComplex):
         signed by place, and a cycle edge also by its view.  With the
         orientation kill, targets with a 2-cycle are killed and left out."""
         cycle, clusters = key
-        view = self._views.get(cycle) or self.view(cycle)
-        cycle_terms = iter(view.terms)
+        view = self.view(cycle)
+        targets, flips = view.targets, view.flips
+        place = 0
+        marked = clusters | 2  # bit 1 of a flip mask is the view's sign
         terms = []
         rest = view.names | clusters
         sign = 1 if rest.bit_count() % 2 else -1
@@ -321,11 +337,11 @@ class GraphComplex(ChainComplex):
             if clusters & low:
                 terms.append(((cycle, clusters ^ low), sign))
             else:
-                term = next(cycle_terms)
-                if term is not None:
-                    target, base, flip = term
-                    odd = (clusters & flip).bit_count() & 1
-                    terms.append(((target, clusters), -base * sign if odd else base * sign))
+                target = targets[place]
+                if target is not None:
+                    odd = (marked & flips[place]).bit_count() & 1
+                    terms.append(((target, clusters), -sign if odd else sign))
+                place += 1
             sign = -sign
         return terms
 

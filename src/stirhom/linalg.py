@@ -350,20 +350,6 @@ def morse_reduce(dims, diffs):
     return reduction.finish()
 
 
-def _summed_column(rows, terms):
-    """The column of ``terms`` summed term by term, in the order the rows
-    are first met, a zero sum dropped."""
-    col = {}
-    for target, sign in terms:
-        row = rows[target]
-        total = col.get(row, 0) + sign
-        if total:
-            col[row] = total
-        else:
-            del col[row]
-    return col
-
-
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
@@ -371,9 +357,8 @@ class ChainComplex:
     sorted order, an iterable that may do per-degree work as it goes: the
     assembler of d_i consumes it when degree i is not held, and
     ``generators(i)`` consumes it alone otherwise), ``code(key)``,
-    ``contraction_terms(key)``, the list of a key's terms,
-    ``action_terms(perm)``, whose function takes a key and returns the list
-    of its terms, and
+    ``contraction_terms(key)``, ``action_terms(perm)``, whose function
+    takes a key and returns the list of its terms, and
     ``fixable_keys(i, perm)``: the keys of degree i the relabeling may fix,
     each once and every fixed one among them, or None when it moves no leg.
     A term ``(target_key, sign)`` carries its whole sign, read off the
@@ -395,7 +380,9 @@ class ChainComplex:
         self._caches = [self._gens, self._rows, self._diffs]
         # what a pass builds once and every degree reads (a table per cycle
         # or per relabeling, keyed by it, not by a degree); subclasses add
-        # theirs, and each pass empties them when it starts and ends
+        # theirs.  Each pass empties them when it starts and ends, and
+        # ``release`` leaves them: what ``differential``, ``action_matrix``
+        # or ``trace`` build outside a pass stays until the next pass
         self._tables = []
 
     def total_degree(self, i):
@@ -422,10 +409,8 @@ class ChainComplex:
 
     def _assemble(self, i, j, terms):
         """The matrix from degree i to degree j (columns are sources) whose
-        column of each degree-i generator sums the list ``terms(key)``.
-        Each column is one dict comprehension over the terms; only when two
-        terms share a row, which happens for the parallel edges of a 2-cycle
-        alone, is the column summed term by term, zero sums dropped.  When
+        column of each degree-i generator sums ``terms(key)``.  Two terms
+        share a target only for the parallel edges of a 2-cycle.  When
         degree i is not held, the columns are built on its walk, and the
         keys met are kept as ``generators(i)``."""
         rows = self.rows(j)
@@ -433,10 +418,14 @@ class ChainComplex:
         keys = [] if walked else self._gens[i]
         cols = []
         for key in self.walk(i) if walked else keys:
-            found = terms(key)
-            col = {rows[target]: sign for target, sign in found}
-            if len(col) < len(found):
-                col = _summed_column(rows, found)
+            col = {}
+            for target, sign in terms(key):
+                row = rows[target]
+                total = col.get(row, 0) + sign
+                if total:
+                    col[row] = total
+                else:
+                    del col[row]
             cols.append(col)
             if walked:
                 keys.append(key)

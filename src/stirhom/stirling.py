@@ -220,29 +220,25 @@ class StirlingComplex(ChainComplex):
     # -- terms ---------------------------------------------------------------
 
     def contraction_terms(self, key):
-        """The list of the differential's terms of one generator, one per
-        contraction and, for an alternating edge, one per replacing input
-        b, which lies inside the contracted cluster c and so sorts below
-        it."""
+        """The differential's terms of one generator, one per contraction
+        and, for an alternating edge, one per replacing input b, which lies
+        inside the contracted cluster c and so sorts below it."""
         clusters, dv, alt = key
         tree = self.tree(clusters)
         last = len(tree.edges) - 1
-        terms = []
         for pos, c in enumerate(tree.edges):
             sign = -1 if (last - pos) % 2 else 1
             rest = clusters ^ 1 << c
             new_dv = tree.up[c] if c == dv else dv
             if not alt >> c & 1:
-                terms.append(((rest, new_dv, alt), sign))
+                yield (rest, new_dv, alt), sign
             else:
                 # the edge hangs below the distinguished vertex; its child's
                 # inputs replace the lost alternating flag one at a time
                 others = alt ^ 1 << c
                 for b in tree.inputs[c]:
                     passed = (others & (1 << c) - (1 << b + 1)).bit_count()
-                    terms.append(((rest, new_dv, others | 1 << b),
-                                  -sign if passed % 2 else sign))
-        return terms
+                    yield (rest, new_dv, others | 1 << b), -sign if passed % 2 else sign
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 0..n, as a function

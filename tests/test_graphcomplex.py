@@ -338,6 +338,27 @@ def test_one_view_per_cycle_in_a_pass(monkeypatch, kill, views):
     assert not any(cx._caches) and not any(cx._tables)
 
 
+def test_walks_of_two_passes_call_with_equal_arguments(monkeypatch):
+    # each pass lists its own table of cycles, and tables compare by the
+    # leg count and kill, so the walks of a second pass repeat the first
+    # pass's calls of enumerate_graph_generators argument for argument
+    calls = []
+    enumerate_graph_generators = graphcomplex.enumerate_graph_generators
+
+    def recording(*args):
+        calls.append(args)
+        return enumerate_graph_generators(*args)
+
+    monkeypatch.setattr(graphcomplex, "enumerate_graph_generators", recording)
+    cx = GraphComplex(5)
+    for _ in range(2):
+        for _i in cx.degrees():
+            pass
+    assert len(calls) == 12 and calls[:6] == calls[6:]
+    assert calls[0][3] is not calls[6][3] and len(set(calls)) == 6
+    assert graphcomplex._CycleTable(5, True) != graphcomplex._CycleTable(5, False)
+
+
 def test_canonical_form_once_per_class(monkeypatch):
     # rows are found by key: each class is enumerated once, however many
     # differential or action terms land on it
