@@ -251,11 +251,12 @@ def decompose(cf):
 # characters of homology
 
 
-def homology_character(cx, size, perm_of):
-    """Character of the homology of ``cx`` under S_size, whose cycle type
-    mu acts as ``perm_of(mu)``.  The homology must be concentrated in one
-    total degree (verified, with d^2 = 0; failure would signal an upstream
-    bug and make the identification invalid).
+def homology_character(cx):
+    """Character of the homology of ``cx`` under the symmetric group on its
+    ``legs``, whose cycle type mu acts as ``representative_permutation(mu)``
+    carried onto the legs.  The homology must be concentrated in one total
+    degree (verified, with d^2 = 0; failure would signal an upstream bug
+    and make the identification invalid).
 
     The one trace routine: in the complex's one pass (``cx.degrees()``),
     each degree adds (-1)^(total degree) times its trace at every mu, and
@@ -265,7 +266,9 @@ def homology_character(cx, size, perm_of):
     enumerates, and reads the identity's trace off dim C_i, so no action
     matrix is built and no degree is scanned.
     """
-    perms = {mu: perm_of(mu) for mu in partitions(size)}
+    legs = cx.legs
+    perms = {mu: [legs[p] for p in representative_permutation(mu)]
+             for mu in partitions(len(legs))}
     values = dict.fromkeys(perms, 0)
     for i in cx.degrees():
         sign = (-1) ** cx.total_degree(i)
@@ -277,10 +280,10 @@ def homology_character(cx, size, perm_of):
         raise RuntimeError(f"homology is not concentrated in one degree: "
                            f"{result.betti.as_dict()} ({result.certificate})")
     sign = (-1) ** support[0]
-    return ClassFunction(size, {mu: sign * v for mu, v in values.items()})
+    return ClassFunction(len(legs), {mu: sign * v for mu, v in values.items()})
 
 
 def equivariant_euler_character(cx):
     """Character of the top homology of a Stirling complex under the n+1
     leg-label symmetries."""
-    return homology_character(cx, cx.n + 1, representative_permutation)
+    return homology_character(cx)

@@ -69,10 +69,10 @@ import itertools
 import math
 
 from .linalg import ChainComplex
-from .stirling import StirlingComplex, _bit_images, _mask_set, _members, _spell
-from .trees import laminar_families, sort_sign
+from .stirling import StirlingComplex
+from .trees import _mask_set, _members, _spell, laminar_families, sort_sign
 from .characters import (equivariant_euler_character, homology_character,
-                         representative_permutation, stirling_unsigned)
+                         stirling_unsigned)
 
 LOOP = 0  # the name of the loop's edge; no leaf set is empty
 
@@ -277,17 +277,19 @@ class GraphComplex(ChainComplex):
     ``"unverified"``.
     """
 
+    error = GraphError
+
     def __init__(self, m, orientation_kill=True):
         if m < 3:
             raise GraphError("the genus-one graph complex requires m >= 3")
         super().__init__()
         self.m = m
         self.orientation_kill = orientation_kill
+        self.legs = range(1, m + 1)
         # what a pass lists once and every degree reads: its table of
-        # cycles (one slot), a view per cycle and an image table per
-        # relabeling
-        self._cycles, self._views, self._images = [], {}, {}
-        self._tables += [self._cycles, self._views, self._images]
+        # cycles (one slot) and a view per cycle
+        self._cycles, self._views = [], {}
+        self._tables += [self._cycles, self._views]
 
     @property
     def max_edges(self):
@@ -345,29 +347,15 @@ class GraphComplex(ChainComplex):
             sign = -sign
         return terms
 
-    def _image(self, perm):
-        """The image table of a permutation of the legs, checked, built once
-        per pass: ``perm`` is a dict or a sequence with ``perm[j - 1]`` the
-        image of j, and bit 0, which no leg owns, stays put."""
-        if isinstance(perm, dict):
-            perm = {int(a): int(b) for a, b in perm.items()}
-        else:
-            perm = {j + 1: p for j, p in enumerate(perm)}
-        legs = list(range(1, self.m + 1))
-        if sorted(perm) != legs or sorted(perm.values()) != legs:
-            raise GraphError(f"expected a bijection of 1..{self.m}")
-        perm = (0, *(perm[j] for j in legs))
-        if perm not in self._images:
-            self._images[perm] = _bit_images(perm)
-        return self._images[perm]
-
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 1..m, as a function
         from a generator to the list of its one term, signed by the parity
         of sorting the relabeled edge names, which it reads off the view of
         the key's cycle.  Each cycle is relabeled once, kept in a dict local
         to the function.  Relabeling preserves the cycle length, so it maps
-        surviving classes to surviving classes.
+        surviving classes to surviving classes.  ``perm`` is a dict or a
+        sequence with ``perm[j - 1]`` the image of j; bit 0, which no leg
+        owns, stays put.
         """
         image = self._image(perm)
         blocks = {}
@@ -383,19 +371,13 @@ class GraphComplex(ChainComplex):
         return terms
 
     def fixable_keys(self, i, perm):
-        """The keys of degree i a permutation of the legs fixes, or None
-        when it moves no leg.  A key is fixed when its cycle and its family
-        of clusters are: the cycles come from the block partitions the
-        permutation maps onto themselves, the families from
-        ``laminar_families`` by the orbits of the clusters hung in those
-        blocks, both off the pass's table of cycles, which the walk reads
-        too."""
+        """The keys of degree i a permutation of the legs fixes.  A key is
+        fixed when its cycle and its family of clusters are: the cycles
+        come from the block partitions the permutation maps onto
+        themselves, the families from ``laminar_families`` by the orbits of
+        the clusters hung in those blocks, both off the pass's table of
+        cycles, which the walk reads too."""
         image = self._image(perm)
-        if all(image[1 << j] == 1 << j for j in range(1, self.m + 1)):
-            return None
-        return self._fixed_keys(i, image)
-
-    def _fixed_keys(self, i, image):
         for blocks, (pool, cycles) in self._cycle_table().partitions.items():
             # a cycle has an edge per block, the empty one none
             if len(blocks) > max(i, 1) or any(image[b] not in blocks for b in blocks):
@@ -450,8 +432,7 @@ def _graph_dot(m, key, name):
 def graph_homology_character(cx):
     """Character of the graph homology under leg-label permutations
     (optional equivariant machinery; see ``homology_character``)."""
-    return homology_character(
-        cx, cx.m, lambda mu: [p + 1 for p in representative_permutation(mu)])
+    return homology_character(cx)
 
 
 def verify_decomposition(cx, include_characters=False):

@@ -4,7 +4,9 @@ differentials to ranks, Betti numbers and a certificate.
 The pipeline is the step reducer ``Coreduction``, fed one degree at a time
 by ``ChainComplex.degrees()`` as the pass builds each differential, or by
 ``morse_reduce`` from a dict.  Step i tests d_{i-1} d_i = 0 with
-``composes_to_zero``, the only place d^2 = 0 is tested.  While it holds,
+``composes_to_zero``, the check every homology, survey and character
+relies on; ``stirhom verify`` runs the same test on each pair of whole
+differentials for its ``d2`` line, outside any pass.  While it holds,
 the step pairs each degree-i cell c that has exactly one live face r, when
 <dc, r> = +-1: the face side of the coreduction of Mrozek and Batko
 (2009; Skoldberg 2006), over d_i alone.
@@ -40,10 +42,12 @@ degrees, ``degrees()``: it releases degree i-2, builds d_i on the walk of
 degree i, whose keys it keeps, then dim C_i, drops the row table of degree
 i-1, takes the reduction step and yields i, so callers do their per-degree
 work (the reach check, traces) while only degrees i-1 and i are held.  A
-trace is the signed sum of the action terms that land on their source,
-taken only over the keys a relabeling can fix, which each complex
-enumerates from the pieces the relabeling maps onto themselves (a cycle,
-a laminar family of clusters) instead of scanning the degree.
+relabeling permutes the complex's ``legs``; the base checks it and tables
+the image of every mask once per pass for both complexes.  A trace is the
+signed sum of the action terms that land on their source, taken only over
+the keys a relabeling can fix, which each complex enumerates from the
+pieces the relabeling maps onto themselves (a cycle, a laminar family of
+clusters) instead of scanning the degree.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+
+from .trees import _bit_images
 
 
 @dataclass
@@ -353,18 +359,20 @@ def morse_reduce(dims, diffs):
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
-    Subclasses provide ``max_edges``, ``walk(i)`` (the keys of degree i in
-    sorted order, an iterable that may do per-degree work as it goes: the
-    assembler of d_i consumes it when degree i is not held, and
-    ``generators(i)`` consumes it alone otherwise), ``code(key)``,
-    ``contraction_terms(key)``, ``action_terms(perm)``, whose function
-    takes a key and returns the list of its terms, and
-    ``fixable_keys(i, perm)``: the keys of degree i the relabeling may fix,
-    each once and every fixed one among them, or None when it moves no leg.
-    A term ``(target_key, sign)`` carries its whole sign, read off the
-    positions in the sorted reference orders.  Any other orientation of the
-    generators conjugates every matrix by a diagonal +-1 matrix; the tests
-    check the homology and the oracles that way.
+    Subclasses provide ``legs``, the range of leg labels a relabeling
+    permutes (each leg j is mask bit j), ``error``, the exception a
+    relabeling that is no bijection of ``legs`` raises, ``max_edges``,
+    ``walk(i)`` (the keys of degree i in sorted order, an iterable that may
+    do per-degree work as it goes: the assembler of d_i consumes it when
+    degree i is not held, and ``generators(i)`` consumes it alone
+    otherwise), ``code(key)``, ``contraction_terms(key)``,
+    ``action_terms(perm)``, whose function takes a key and returns the list
+    of its terms, and ``fixable_keys(i, perm)``: the keys of degree i the
+    relabeling may fix, each once and every fixed one among them, the
+    identity's included.  A term ``(target_key, sign)`` carries its whole
+    sign, read off the positions in the sorted reference orders.  Any other
+    orientation of the generators conjugates every matrix by a diagonal +-1
+    matrix; the tests check the homology and the oracles that way.
     """
 
     # one orientation per generator; kept only because the size records of
@@ -378,12 +386,14 @@ class ChainComplex:
         self._homology = None
         # every per-degree cache, emptied by ``release``; subclasses add theirs
         self._caches = [self._gens, self._rows, self._diffs]
+        # the image table of each relabeling a pass applies
+        self._images = {}
         # what a pass builds once and every degree reads (a table per cycle
         # or per relabeling, keyed by it, not by a degree); subclasses add
         # theirs.  Each pass empties them when it starts and ends, and
         # ``release`` leaves them: what ``differential``, ``action_matrix``
         # or ``trace`` build outside a pass stays until the next pass
-        self._tables = []
+        self._tables = [self._images]
 
     def total_degree(self, i):
         return i
@@ -438,6 +448,27 @@ class ChainComplex:
             self._diffs[i] = self._assemble(i, i - 1, self.contraction_terms)
         return self._diffs[i]
 
+    def relabeling(self, perm):
+        """The image of every bit under a relabeling of the legs, checked:
+        ``perm`` is a dict or a sequence of the images of ``legs`` in
+        order.  The bits below the legs stay put."""
+        legs = list(self.legs)
+        if isinstance(perm, dict):
+            perm = [perm[j] for j in legs] if sorted(perm) == legs else ()
+        images = tuple(perm)
+        if sorted(images) != legs:
+            raise self.error(f"expected a bijection of {legs[0]}..{legs[-1]}")
+        return (*range(legs[0]), *images)
+
+    def _image(self, perm):
+        """The image of every mask under a relabeling, checked, and built
+        once per pass: traces ask for each relabeling in every degree, and
+        both ``fixable_keys`` and ``action_terms`` read it."""
+        bits = self.relabeling(perm)
+        if bits not in self._images:
+            self._images[bits] = _bit_images(bits)
+        return self._images[bits]
+
     def action_matrix(self, i, perm):
         """Matrix of a leg relabeling on degree i, from ``action_terms``."""
         return self._assemble(i, i, self.action_terms(perm))
@@ -448,11 +479,12 @@ class ChainComplex:
         terms that land on their source.  A relabeling that moves no leg
         maps each generator to itself with sign +1, so its trace is
         ``dim(i)``; no other trace reads degree i's generators."""
-        keys = self.fixable_keys(i, perm)
-        if keys is None:
+        bits = self.relabeling(perm)
+        if bits == tuple(range(len(bits))):
             return self.dim(i)
         terms = self.action_terms(perm)
-        return sum(sign for key in keys for target, sign in terms(key) if target == key)
+        return sum(sign for key in self.fixable_keys(i, perm)
+                   for target, sign in terms(key) if target == key)
 
     def differentials(self):
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}

@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import ChainComplex
-from .trees import _mask_set, laminar_families, sort_sign
+from .trees import _mask_set, _members, _spell, laminar_families, sort_sign
 
 
 class DomainError(ValueError):
@@ -127,19 +127,19 @@ class StirlingComplex(ChainComplex):
     concentrated in internal degrees 0..n-k.
     """
 
+    error = DomainError
+
     def __init__(self, n, k):
         _check_type(n, k)
         super().__init__()
         self.n = n
         self.k = k
+        self.legs = range(n + 1)
         # the clusters a tree of type (n, k) may have
         self._clusters = [c for c in range(2, 1 << n + 1, 2) if 2 <= c.bit_count() < n]
         self._view = {}
         self._reach = {}
         self._caches += [self._view, self._reach]
-        # the image table of each relabeling a pass's traces apply
-        self._images = {}
-        self._tables.append(self._images)
 
     @property
     def max_edges(self):
@@ -176,28 +176,17 @@ class StirlingComplex(ChainComplex):
                 for dv, inputs in tree.inputs.items() if len(inputs) >= self.k]
 
     def fixable_keys(self, i, perm):
-        """The keys of degree i a permutation of the leg labels can fix, or
-        None when it moves no leg: the keys on the trees whose clusters it
-        maps onto themselves, re-rooting included, which
-        ``laminar_families`` enumerates by the orbits of the clusters."""
+        """The keys of degree i a permutation of the leg labels can fix: the
+        keys on the trees whose clusters it maps onto themselves,
+        re-rooting included, which ``laminar_families`` enumerates by the
+        orbits of the clusters."""
         image = self._image(perm)
-        if all(image[1 << j] == 1 << j for j in range(self.n + 1)):
-            return None
         everything = len(image) - 1
         side = {c: everything ^ image[c] if image[c] & 1 else image[c]
                 for c in self._clusters}
         return ((clusters, dv, alt) for clusters in laminar_families(self._clusters, i, side)
                 for dv, alts in self._alternating_sets(self.tree(clusters))
                 for alt in alts)
-
-    def _image(self, perm):
-        """The image table of a permutation of the leg labels, checked, and
-        built once per pass: traces ask for each relabeling in every
-        degree, and both ``fixable_keys`` and ``action_terms`` read it."""
-        perm = _as_permutation(perm, self.n)
-        if perm not in self._images:
-            self._images[perm] = _bit_images(perm)
-        return self._images[perm]
 
     def tree(self, clusters):
         """The view of the tree whose edges are ``clusters``.  The last one
@@ -251,7 +240,8 @@ class StirlingComplex(ChainComplex):
         ``perm`` is a bijection of {0..n} given as a sequence (perm[j] is
         the image of j) or a dict; the classical permutation group on n+1
         letters is identified with these by exchanging the letters 0 and
-        n+1.  It is checked, and its image table built once per pass.
+        n+1.  ``relabeling`` checks it, and its image table is built once
+        per pass.
         """
         image = self._image(perm)
         everything = len(image) - 1
@@ -290,8 +280,7 @@ class StirlingComplex(ChainComplex):
     def verify_group_law(self, pairs):
         """Check action(sigma) . action(tau) == action(sigma tau) per degree."""
         for sigma, tau in pairs:
-            sigma = _as_permutation(sigma, self.n)
-            tau = _as_permutation(tau, self.n)
+            sigma, tau = self.relabeling(sigma), self.relabeling(tau)
             prod = compose(sigma, tau)
             for i in range(self.max_edges + 1):
                 lhs = self.action_matrix(i, sigma) @ self.action_matrix(i, tau)
@@ -375,41 +364,6 @@ def _tree_dot(tree, key, name):
         lines.append(f"  v{above[c]} -- v{vertex[c]}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _members(mask_set):
-    """The member masks of a mask-set, ascending."""
-    out = []
-    while mask_set:
-        low = mask_set & -mask_set
-        out.append(low.bit_length() - 1)
-        mask_set ^= low
-    return out
-
-
-def _spell(masks):
-    return ",".join(map(str, masks))
-
-
-def _as_permutation(perm, n):
-    labels = list(range(n + 1))
-    if isinstance(perm, dict):
-        perm = tuple(perm[j] for j in labels) if sorted(perm) == labels else ()
-    else:
-        perm = tuple(perm)
-    if sorted(perm) != labels:
-        raise DomainError(f"expected a bijection of 0..{n}")
-    return perm
-
-
-def _bit_images(perm):
-    """The image of every mask over bits 0..len(perm)-1 when bit j goes to
-    bit perm[j]."""
-    image = [0] * (1 << len(perm))
-    for m in range(1, len(image)):
-        low = m & -m
-        image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
-    return image
 
 
 def transposition(n, a, b):

@@ -1,4 +1,4 @@
-"""Laminar-family enumeration and the sign of sorting, shared by both complexes.
+"""Laminar families, mask-sets and sort signs, shared by both complexes.
 
 A stable tree on labelled legs is exactly its laminar family of clusters,
 the leaf sets below its edges (Buneman; Semple and Steel, *Phylogenetics*,
@@ -7,7 +7,8 @@ compatible when they are nested or disjoint, and a family of pairwise
 compatible clusters is written as a mask-set, an int with bit m set for
 each member mask m: the ``clusters`` of a key.  Each complex says which
 clusters it allows and reads everything else off the family.  A leg
-relabeling moves clusters to clusters and keeps compatibility, so the
+relabeling moves every mask bit by bit (``_bit_images`` tables the image of
+each mask), hence clusters to clusters, and keeps compatibility, so the
 families it maps onto themselves are the unions of its orbits on the
 clusters; the traces enumerate those alone, orbit by orbit.  Every
 reference order is sorted, so a sign is the parity of sorting the names a
@@ -34,7 +35,7 @@ def sort_sign(names):
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# mask-sets and enumeration
 
 
 def _mask_set(masks):
@@ -43,6 +44,30 @@ def _mask_set(masks):
     for m in masks:
         total |= 1 << m
     return total
+
+
+def _members(mask_set):
+    """The member masks of a mask-set, ascending."""
+    out = []
+    while mask_set:
+        low = mask_set & -mask_set
+        out.append(low.bit_length() - 1)
+        mask_set ^= low
+    return out
+
+
+def _spell(masks):
+    return ",".join(map(str, masks))
+
+
+def _bit_images(perm):
+    """The image of every mask over bits 0..len(perm)-1 when bit j goes to
+    bit perm[j]."""
+    image = [0] * (1 << len(perm))
+    for m in range(1, len(image)):
+        low = m & -m
+        image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+    return image
 
 
 def laminar_families(masks, size, move=None):

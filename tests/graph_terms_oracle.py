@@ -12,8 +12,8 @@ term of both against each other.
 from __future__ import annotations
 
 from stirhom.graphcomplex import LOOP, _cycle_names, _normal_cycle
-from stirhom.stirling import _bit_images, _mask_set, _members
-from stirhom.trees import sort_sign
+from stirhom.stirling import _mask_set, _members
+from stirhom.trees import _bit_images, sort_sign
 
 
 def edge_names(key):

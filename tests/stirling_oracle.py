@@ -18,11 +18,24 @@ from __future__ import annotations
 import itertools
 
 from stirhom.linalg import ChainComplex
-from stirhom.stirling import DomainError, _as_permutation, _check_type, _mask_set
+from stirhom.stirling import DomainError, _check_type, _mask_set
 
 from helpers import from_triplets, reference_orders, relative_sign
 from flag_graphs import (Graph, GraphError, Tree, canonical_tree_data,
                          enumerate_stable_trees)
+
+
+def as_permutation(perm, n):
+    """The images of the leg labels 0..n as a tuple, from a sequence of them
+    or a dict; anything that is no bijection of 0..n raises."""
+    labels = list(range(n + 1))
+    if isinstance(perm, dict):
+        perm = tuple(perm[j] for j in labels) if sorted(perm) == labels else ()
+    else:
+        perm = tuple(perm)
+    if sorted(perm) != labels:
+        raise DomainError(f"expected a bijection of 0..{n}")
+    return perm
 
 
 def contract_edge_with_maps(tree, edge):
@@ -243,7 +256,7 @@ class StirlingComplex(ChainComplex):
 
     def action_matrix(self, i, perm):
         """Matrix of a permutation of the leg labels 0..n on degree i."""
-        perm = _as_permutation(perm, self.n)
+        perm = as_permutation(perm, self.n)
         gens = self.generators(i)
         index = self.index(i)
         triplets = []

@@ -240,10 +240,11 @@ def graph_permutation(mu):
     *[(functools.partial(GraphComplex, m), m, graph_permutation)
       for m in (4, 5)]])
 def test_streamed_traces_match_traces_of_the_whole_complex(make, size, perm_of):
-    # homology_character takes its traces inside the complex's one pass;
-    # the same alternating sum over a complex that keeps every degree
+    # homology_character takes its traces inside the complex's one pass,
+    # its group read off the complex's legs; the same alternating sum over
+    # a complex that keeps every degree, with the group given here
     cx = make()
-    streamed = C.homology_character(cx, size, perm_of)
+    streamed = C.homology_character(cx)
     top = cx.homology().betti.support()
     fresh = make()
     assert streamed == trace_character(fresh, size, perm_of,

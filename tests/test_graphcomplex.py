@@ -25,7 +25,7 @@ import pytest
 import graph_terms_oracle
 from stirhom import graphcomplex
 from stirhom.characters import partitions, representative_permutation
-from stirhom.graphcomplex import (GraphComplex,
+from stirhom.graphcomplex import (GraphComplex, GraphError,
                                   enumerate_graph_generators,
                                   graph_homology_character,
                                   verify_decomposition)
@@ -485,7 +485,7 @@ def test_graph_action_is_signed_permutation_and_commutes():
     for i in range(1, cx.max_edges + 1):
         d = cx.differential(i)
         assert actions[i - 1] @ d == d @ actions[i]
-    with pytest.raises(Exception):
+    with pytest.raises(GraphError):
         cx.action_matrix(0, {1: 1, 2: 2, 3: 3, 4: 5})
 
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st_
 from stirhom import linalg
 from stirhom.cli import main
 from stirhom.linalg import composes_to_zero, rank_exact
+from stirhom.graphcomplex import GraphComplex, GraphError
 from stirhom.stirling import (DomainError, StirlingComplex, compose, survey,
                               transposition)
 
@@ -270,14 +271,20 @@ def test_equivariance_and_group_law():
     assert compose(sigma, tau) == tuple(sigma[t] for t in tau)
 
 
-def test_action_rejects_non_bijections():
-    cx = StirlingComplex(3, 2)
-    with pytest.raises(DomainError):
-        cx.action_matrix(0, (0, 1, 1, 2))
-    with pytest.raises(DomainError):
-        cx.action_matrix(0, (0, 1, 2))
-    with pytest.raises(DomainError, match="bijection of 0..3"):
-        cx.action_matrix(0, {0: 0})
+@pytest.mark.parametrize("cx,error,repeated,short,partial,message", [
+    (StirlingComplex(3, 2), DomainError, (0, 1, 1, 2), (0, 1, 2), {0: 0},
+     "bijection of 0..3"),
+    (GraphComplex(4), GraphError, (2, 3, 3, 1), (1, 2, 3), {1: 1},
+     "bijection of 1..4")], ids=["stirling", "graph"])
+def test_action_rejects_non_bijections(cx, error, repeated, short, partial, message):
+    # both complexes share ChainComplex.relabeling, each with its own legs
+    # and error type
+    with pytest.raises(error):
+        cx.action_matrix(0, repeated)
+    with pytest.raises(error):
+        cx.action_matrix(0, short)
+    with pytest.raises(error, match=message):
+        cx.action_matrix(0, partial)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import flag_graphs as T
 from stirhom import stirling
 from stirhom.characters import partitions, representative_permutation
 from stirhom.graphcomplex import GraphComplex, _hung_clusters, _partitions_into_blocks
-from stirhom.stirling import StirlingComplex, _Tree, _bit_images, _members, survey
-from stirhom.trees import _mask_set, laminar_families
+from stirhom.stirling import StirlingComplex, _Tree, _members, survey
+from stirhom.trees import _bit_images, _mask_set, laminar_families
 from helpers import perm_parity
 from shape_oracle import oracle_keys
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
