@@ -110,7 +110,8 @@ class _Cycle:
     ``names`` is the mask-set of its edge names.  ``targets`` and ``flips``
     have an entry per cycle edge, in ascending order of the names.  The
     target is the normal cycle the edge's contraction leaves, None where
-    the kill removes it.  The flip mask is the XOR over the renamed names
+    the kill removes it and for the two edges of a 2-cycle, whose terms
+    cancel.  The flip mask is the XOR over the renamed names
     n -> n' of the mask-set bits strictly between n and n', with bit 1 set
     when sorting the renamed names of the other cycle edges among
     themselves is odd; bit 1 is no cluster's, since a cluster holds two
@@ -131,28 +132,28 @@ class _Cycle:
             # the genus-one vertex has no cycle edge; the loop leaves it
             self.targets, self.flips = ((),) * c, (0,) * c
             return
-        if orientation_kill and c == 3:
-            # a 3-cycle leaves a 2-cycle
-            self.targets, self.flips = (None,) * 3, (0,) * 3
+        if c == 2 or orientation_kill and c == 3:
+            # a 3-cycle leaves a 2-cycle, which the kill removes.  Either
+            # edge of a 2-cycle leaves the other as the loop, the same
+            # target, and the two terms cancel: the names ``full`` and
+            # ``full | 1`` are adjacent bits, so their places differ by one,
+            # and renamed to LOOP either passes the same clusters, as no
+            # cluster is ``full``
+            self.targets, self.flips = (None,) * c, (0,) * c
             return
         ordered = sorted(names)
         terms = {}
         for j, name in enumerate(names):
-            if c == 2:
-                # the other parallel edge becomes the loop
-                target = (cycle[0] | cycle[1],)
-                rename = {name ^ 1: LOOP}
+            rotated = cycle[j:] + cycle[:j]
+            target = _normal_cycle((name,) + rotated[2:])
+            before, after = names[j - 1], names[(j + 1) % c]
+            if c == 3:
+                # the two left become parallel, named in source order
+                rename = dict(zip(sorted((before, after), key=names.index),
+                                  _cycle_names(target)))
             else:
-                rotated = cycle[j:] + cycle[:j]
-                target = _normal_cycle((name,) + rotated[2:])
-                before, after = names[j - 1], names[(j + 1) % c]
-                if c == 3:
-                    # the two left become parallel, named in source order
-                    rename = dict(zip(sorted((before, after), key=names.index),
-                                      _cycle_names(target)))
-                else:
-                    # the neighbours of the edge take in its blocks
-                    rename = {before: before | name, after: after | name}
+                # the neighbours of the edge take in its blocks
+                rename = {before: before | name, after: after | name}
             flip = 0
             for n, new in rename.items():
                 low, high = min(n, new), max(n, new)

@@ -3,10 +3,13 @@ differentials to ranks, Betti numbers and a certificate.
 
 The pipeline is the step reducer ``Coreduction``, fed one degree at a time
 by ``ChainComplex.degrees()`` as the pass builds each differential, or by
-``morse_reduce`` from a dict.  Step i tests d_{i-1} d_i = 0 with
-``composes_to_zero``, the check every homology, survey and character
-relies on; ``stirhom verify`` runs the same test on each pair of whole
-differentials for its ``d2`` line, outside any pass.  While it holds,
+``morse_reduce`` from a dict.  A matrix stores each column as two tuples
+of rows, those of its positive and of its negative entries
+(``SparseIntMatrix``).  Step i tests d_{i-1} d_i = 0 with
+``composes_to_zero``, which sorts and compares the rows a column's
+positive and negative terms reach; every homology, survey and character
+relies on it, and ``stirhom verify`` runs the same test on each pair of
+whole differentials for its ``d2`` line, outside any pass.  While it holds,
 the step pairs each degree-i cell c that has exactly one live face r, when
 <dc, r> = +-1: the face side of the coreduction of Mrozek and Batko
 (2009; Skoldberg 2006), over d_i alone.
@@ -16,11 +19,11 @@ cells, so no entry changes (no fill) and the homology is kept over Z.
 
 No later step touches degree i-1, so after step i its live (critical) cells
 are final: the residual of d_{i-1} on them is ranked and d_{i-1} dropped.
-Once its check passes, step i restricts d_{i-1} in place to the live cells
-of degree i-2, the only rows the residual reads, one column at a time.
-With d^2 = 0 through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions
-and the homology below, which the quotients keep, so it is the pairs of
-step i-1 plus the residual's rank.  A residual goes through the one
+No step changes a differential: the pairing counts the live entries of
+each column, and the residual is built on the live rows alone.  With
+d^2 = 0 through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions and
+the homology below, which the quotients keep, so it is the pairs of step
+i-1 plus the residual's rank.  A residual goes through the one
 elimination routine, ``_eliminate_rank``: fraction-free over Z, each pivot
 from one row heap (rows holding a +-1 entry first, then shorter rows; in
 the row, a +-1 entry if there is one, in the column with the fewest
@@ -60,17 +63,48 @@ from dataclasses import dataclass
 from .trees import _bit_images
 
 
-@dataclass
 class SparseIntMatrix:
-    """Integer matrix stored by column (Davis 2006): ``cols[c]`` maps the
-    row of each nonzero entry of column c to its value; no zero is stored."""
+    """Integer matrix stored by column (Davis 2006) as two tuples of rows:
+    ``plus[c]`` holds the row of each positive entry of column c and
+    ``minus[c]`` the row of each negative one, a row repeated |v| times for
+    the value v and never in both tuples, so no zero is stored.  ``signed``
+    takes those tuples as they are.  For the tests, ``verify`` and the
+    exports, the constructor takes one row -> value dict per column and
+    ``cols`` gives them back, ``triplets``, ``nnz`` and
+    ``to_matrix_market`` read the entries, ``==`` compares the tuples
+    sorted, and ``@`` cancels the rows a column of the product reaches
+    from both signs."""
 
-    nrows: int
-    cols: list
+    __slots__ = ("nrows", "plus", "minus", "__weakref__")
+
+    def __init__(self, nrows, cols):
+        self.nrows, self.plus, self.minus = nrows, [], []
+        for col in cols:
+            self.plus.append(tuple(r for r, v in col.items() if v > 0 for _ in range(v)))
+            self.minus.append(tuple(r for r, v in col.items() if v < 0 for _ in range(-v)))
+
+    @classmethod
+    def signed(cls, nrows, plus, minus):
+        matrix = cls.__new__(cls)
+        matrix.nrows, matrix.plus, matrix.minus = nrows, plus, minus
+        return matrix
 
     @property
     def ncols(self):
-        return len(self.cols)
+        return len(self.plus)
+
+    @property
+    def cols(self):
+        """One row -> value dict per column, the positive entries first."""
+        cols = []
+        for plus, minus in zip(self.plus, self.minus):
+            col = {}
+            for r in plus:
+                col[r] = col.get(r, 0) + 1
+            for r in minus:
+                col[r] = col.get(r, 0) - 1
+            cols.append(col)
+        return cols
 
     def triplets(self):
         """Every entry as ``(r, c, v)``, column by column."""
@@ -79,25 +113,51 @@ class SparseIntMatrix:
                 yield r, c, v
 
     def nnz(self):
-        return sum(map(len, self.cols))
+        return sum(len(set(plus)) + len(set(minus))
+                   for plus, minus in zip(self.plus, self.minus))
 
     def is_zero(self):
-        return not any(self.cols)
+        return not any(self.plus) and not any(self.minus)
 
-    def _times_column(self, col):
-        """This matrix times the sparse column ``col``, zero sums kept."""
-        acc = {}
-        for r2, v2 in col.items():
-            for r1, v1 in self.cols[r2].items():
-                acc[r1] = acc.get(r1, 0) + v1 * v2
-        return acc
+    def __eq__(self, other):
+        if not isinstance(other, SparseIntMatrix):
+            return NotImplemented
+        return (self.nrows == other.nrows
+                and list(map(sorted, self.plus)) == list(map(sorted, other.plus))
+                and list(map(sorted, self.minus)) == list(map(sorted, other.minus)))
 
-    def __matmul__(self, other):
+    def __repr__(self):
+        return f"SparseIntMatrix(nrows={self.nrows}, cols={self.cols})"
+
+    def _reached(self, other):
+        """For each column of ``other``, the rows the positive and the
+        negative terms of this matrix times it reach, uncancelled: the
+        ``plus`` and ``minus`` tuples concatenated over the column's rows."""
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        return SparseIntMatrix(self.nrows, [
-            {r: v for r, v in self._times_column(col).items() if v}
-            for col in other.cols])
+        above, below = self.plus, self.minus
+        for plus, minus in zip(other.plus, other.minus):
+            up, down = [], []
+            for r in plus:
+                up += above[r]
+                down += below[r]
+            for r in minus:
+                up += below[r]
+                down += above[r]
+            yield up, down
+
+    def __matmul__(self, other):
+        """The product: each column's reached rows, a row reached from both
+        sides cancelled as often as the rarer side reaches it."""
+        plus, minus = [], []
+        for up, down in self._reached(other):
+            for r in set(up).intersection(down):
+                for _ in range(min(up.count(r), down.count(r))):
+                    up.remove(r)
+                    down.remove(r)
+            plus.append(tuple(up))
+            minus.append(tuple(down))
+        return SparseIntMatrix.signed(self.nrows, plus, minus)
 
     def to_matrix_market(self):
         lines = ["%%MatrixMarket matrix coordinate integer general",
@@ -181,11 +241,17 @@ def rank_exact(matrix):
 
 def composes_to_zero(lower, upper):
     """True when ``lower @ upper`` = 0, tested one column of ``upper`` at a
-    time: the product is never built, and the test stops at the first
-    column it does not kill."""
-    if lower.ncols != upper.nrows:
-        raise ValueError("matrix dimensions do not match")
-    return not any(any(lower._times_column(col).values()) for col in upper.cols)
+    time with no product built.  A column is zero when the rows its
+    positive terms reach, sorted, equal those its negative terms reach: the
+    ``plus`` and ``minus`` tuples of ``lower`` concatenated over the
+    column's rows, exact over Z.  The test stops at the first column it
+    does not kill."""
+    for up, down in lower._reached(upper):
+        up.sort()
+        down.sort()
+        if up != down:
+            return False
+    return True
 
 
 @dataclass
@@ -249,9 +315,9 @@ class Coreduction:
     degree-i cells no pair removed (in the degrees reduced under a verified
     d^2), and ``certificate`` is ``"morse-integral"``, ``"exact-rational"``
     or ``"unverified"``.  Between steps it holds the last differential and
-    the live flags of its target and source degrees.  A step owns the
-    differential it is fed: once the check of the next step passes, that
-    step restricts it in place to the live rows.
+    the live flags of its target and source degrees.  No step changes a
+    differential it is fed: the pairs and the residual read its live
+    entries off the flags.
     """
 
     def __init__(self):
@@ -273,38 +339,34 @@ class Coreduction:
                     self.ranks[i - 1], self.ranks[i] = rank_exact(self._d), rank_exact(d)
                     self._d = self._faces = self._live = None
                     return
-                # from here d_{i-1} only feeds the residual, on the live
-                # rows; a new dict per column frees the old one at once
-                cols, faces = self._d.cols, self._faces
-                for c, col in enumerate(cols):
-                    cols[c] = {r: v for r, v in col.items() if faces[r]}
             self.ranks[i] = self._pair(d, self._live, live)
             self._settle(i - 1)
         self._d, self._faces, self._live = d, self._live, live
 
     def _pair(self, d, faces, live):
         """Take the pairs of d_i, given the live flags of degrees i-1 and i,
-        and return how many.  The queue holds the cells with one live face
-        in index order, then those whose live faces drop to one; the
-        cofaces of a face are its columns in d_i, ascending, so the order
-        within a column does not matter."""
+        and return how many.  ``nfaces[c]`` counts the live entries of
+        column c, a row once per unit of its value, so a column with exactly
+        one has a +-1 face.  The queue holds those columns in index order,
+        then those whose count drops to one; the cofaces of a face are its
+        columns in d_i, ascending, so the order within a column does not
+        matter."""
         cofaces = [[] for _ in range(d.nrows)]
         nfaces = [0] * d.ncols
-        for c, col in enumerate(d.cols):
-            for r in col:
+        for c, (plus, minus) in enumerate(zip(d.plus, d.minus)):
+            count = 0
+            for r in plus + minus:
                 if faces[r]:
                     cofaces[r].append(c)
-                    nfaces[c] += 1
+                    count += 1
+            nfaces[c] = count
         queue = deque(c for c, count in enumerate(nfaces) if count == 1)
         pairs = 0
         while queue:
             c = queue.popleft()
             if nfaces[c] != 1:
                 continue
-            col = d.cols[c]
-            r = next(r for r in col if faces[r])
-            if abs(col[r]) != 1:
-                continue
+            r = next(r for r in d.plus[c] + d.minus[c] if faces[r])
             live[c] = faces[r] = 0
             pairs += 1
             for s in cofaces[r]:
@@ -320,11 +382,13 @@ class Coreduction:
         self.critical[i] = self._live.count(1)
         if self._d is None:
             return
+        faces = self._faces
         rows = {r: pos for pos, r in enumerate(
-            r for r, flag in enumerate(self._faces) if flag)}
-        residual = SparseIntMatrix(len(rows), [
-            {rows[r]: v for r, v in self._d.cols[c].items() if r in rows}
-            for c, flag in enumerate(self._live) if flag])
+            r for r, flag in enumerate(faces) if flag)}
+        kept = [c for c, flag in enumerate(self._live) if flag]
+        residual = SparseIntMatrix.signed(len(rows), *(
+            [tuple(rows[r] for r in side[c] if faces[r]) for c in kept]
+            for side in (self._d.plus, self._d.minus)))
         rank, unit = _eliminate_rank(residual)
         self.ranks[i] += rank
         if not unit:
@@ -346,13 +410,10 @@ class Coreduction:
 
 def morse_reduce(dims, diffs):
     """The finished ``Coreduction`` of ``diffs`` (i -> matrix of d_i:
-    C_i -> C_{i-1}, columns are sources) over ``dims`` (i -> dim C_i).
-    A step restricts the matrices it is fed in place, so each step is fed a
-    new list of the same columns and ``diffs`` is left as it was."""
+    C_i -> C_{i-1}, columns are sources) over ``dims`` (i -> dim C_i)."""
     reduction = Coreduction()
     for i in sorted(dims):
-        d = diffs.get(i)
-        reduction.step(i, dims[i], None if d is None else SparseIntMatrix(d.nrows, list(d.cols)))
+        reduction.step(i, dims[i], diffs.get(i))
     return reduction.finish()
 
 
@@ -370,9 +431,13 @@ class ChainComplex:
     of its terms, and ``fixable_keys(i, perm)``: the keys of degree i the
     relabeling may fix, each once and every fixed one among them, the
     identity's included.  A term ``(target_key, sign)`` carries its whole
-    sign, read off the positions in the sorted reference orders.  Any other
-    orientation of the generators conjugates every matrix by a diagonal +-1
-    matrix; the tests check the homology and the oracles that way.
+    sign, +-1, read off the positions in the sorted reference orders, and
+    the terms of one key have distinct targets, so the assembler puts each
+    in its column's ``plus`` or ``minus`` rows with no sum (the graph
+    complex sums the two terms of a 2-cycle's parallel edges itself).  Any
+    other orientation of the generators conjugates every matrix by a
+    diagonal +-1 matrix; the tests check the homology and the oracles that
+    way.
     """
 
     # one orientation per generator; kept only because the size records of
@@ -419,28 +484,27 @@ class ChainComplex:
 
     def _assemble(self, i, j, terms):
         """The matrix from degree i to degree j (columns are sources) whose
-        column of each degree-i generator sums ``terms(key)``.  Two terms
-        share a target only for the parallel edges of a 2-cycle.  When
-        degree i is not held, the columns are built on its walk, and the
-        keys met are kept as ``generators(i)``."""
+        column of each degree-i generator sums ``terms(key)``: the terms of
+        one key have distinct targets, so each goes to ``plus`` or
+        ``minus`` by its sign.  When degree i is not held, the columns are
+        built on its walk, and the keys met are kept as ``generators(i)``."""
         rows = self.rows(j)
         walked = i not in self._gens
         keys = [] if walked else self._gens[i]
-        cols = []
+        plus, minus = [], []
         for key in self.walk(i) if walked else keys:
-            col = {}
+            up, down = [], []
             for target, sign in terms(key):
-                row = rows[target]
-                total = col.get(row, 0) + sign
-                if total:
-                    col[row] = total
+                if sign > 0:
+                    up.append(rows[target])
                 else:
-                    del col[row]
-            cols.append(col)
+                    down.append(rows[target])
+            plus.append(tuple(up))
+            minus.append(tuple(down))
             if walked:
                 keys.append(key)
         self._gens[i] = keys
-        return SparseIntMatrix(len(rows), cols)
+        return SparseIntMatrix.signed(len(rows), plus, minus)
 
     def differential(self, i):
         """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""
@@ -499,7 +563,7 @@ class ChainComplex:
         then dim C_i, hand d_{i-1} over to the reduction step of degree i
         and drop the row table of degree i-1, which only the assembler
         reads, and yield i, so the caller does its work on degree i (and
-        i-1) in the loop body.  The step restricts d_{i-1} and drops it, so
+        i-1) in the loop body.  The step reads d_{i-1} and drops it, so
         no differential outlives the pass; the pass starts and ends with
         every cache and table empty, so each pass builds every degree, and
         every table its degrees share, anew."""

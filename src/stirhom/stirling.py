@@ -311,7 +311,7 @@ class StirlingComplex(ChainComplex):
         differential never leaves that subcomplex and never increases the
         reach, and the reach stays within its bounds.
 
-        The targets are read off the columns of ``differential(i)``: no two
+        The targets are read off the rows of ``differential(i)``: no two
         contraction terms of one generator share a target, so none cancels.
         """
         upper = 2 * (self.n - self.k) - 2
@@ -321,8 +321,9 @@ class StirlingComplex(ChainComplex):
                                    for r in source):
             return False
         return all(target[r] is not None and target[r] <= score
-                   for score, col in zip(source, d.cols) if score is not None
-                   for r in col)
+                   for side in (d.plus, d.minus)
+                   for score, rows in zip(source, side) if score is not None
+                   for r in rows)
 
     def to_json_dict(self):
         degrees = [{"i": i, "dim": self.dim(i),

@@ -4,9 +4,11 @@ For every key this rebuilds the sorted edge names, finds each contraction's
 target and the names it renames, and signs the term by its place and by
 the parity of sorting the renamed names of the edges left, with
 ``sort_sign``; a relabeling takes the parity of sorting the relabeled
-names.  The package reads the same signs off one view per cycle and a
-flip mask per cycle edge (``graphcomplex._Cycle``); the tests check every
-term of both against each other.
+names.  With the kill off, both parallel edges of a 2-cycle contract to
+the same loop; ``summed`` adds up the terms of a shared target, as the
+package's terms do.  The package reads the same signs off one view per
+cycle and a flip mask per cycle edge (``graphcomplex._Cycle``); the tests
+check every term of both against each other.
 """
 
 from __future__ import annotations
@@ -58,6 +60,15 @@ def contraction_terms(key, orientation_kill=True):
             sign *= sort_sign([rename.get(n, n) for n in names if n != name])
         terms.append((target, sign))
     return terms
+
+
+def summed(terms):
+    """The terms with the signs of a shared target added up, each target
+    where it first occurs, a zero sum left out."""
+    totals = {}
+    for target, sign in terms:
+        totals[target] = totals.get(target, 0) + sign
+    return [(target, sign) for target, sign in totals.items() if sign]
 
 
 def action_terms(perm):

@@ -2,6 +2,8 @@
 
 ``from_triplets`` builds a column-stored matrix from ``(r, c, v)`` entries
 (the package assembles its matrices column by column and never needs it),
+``d_squared_oracle`` tests d^2 = 0 on the dict columns, summing each
+column of the product entry by entry in a dict,
 ``make_generator`` validates a decorated tree and returns its key,
 ``in_acyclic_part`` and ``reach`` read a Stirling key's reach verdict one
 key at a time (the package scores whole vertices on its walk),
@@ -40,6 +42,22 @@ def from_triplets(nrows, ncols, triplets):
             raise ValueError(f"entry ({r}, {c}) outside a {nrows}x{ncols} matrix")
         cols[c][r] = cols[c].get(r, 0) + v
     return SparseIntMatrix(nrows, [{r: v for r, v in col.items() if v} for col in cols])
+
+
+def d_squared_oracle(lower, upper):
+    """True when ``lower @ upper`` = 0: each column of the product summed
+    in a dict over the dict columns, then read for a nonzero sum."""
+    if lower.ncols != upper.nrows:
+        raise ValueError("matrix dimensions do not match")
+    lower_cols = lower.cols
+    for col in upper.cols:
+        acc = {}
+        for r2, v2 in col.items():
+            for r1, v1 in lower_cols[r2].items():
+                acc[r1] = acc.get(r1, 0) + v1 * v2
+        if any(acc.values()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -292,12 +292,34 @@ def test_differential_matches_oracle(m, i):
 @pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
                                     for kill in (True, False)])
 def test_contraction_terms_equal_the_sorting_rule(m, kill):
-    # every term of every key, its target and its sign, in the same order
+    # every term of every key, its target and its sign, in the same order;
+    # the terms of a shared target summed, as the assembler needs distinct
+    # targets
     cx = GraphComplex(m, kill)
     for i in range(m + 1):
         for key in cx.generators(i):
-            assert cx.contraction_terms(key) == graph_terms_oracle.contraction_terms(
-                key, kill), cx.code(key)
+            assert cx.contraction_terms(key) == graph_terms_oracle.summed(
+                graph_terms_oracle.contraction_terms(key, kill)), cx.code(key)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_kill_off_columns_sum_the_parallel_edges(m):
+    # with the kill off, both parallel edges of a 2-cycle contract to the
+    # same loop with opposite signs: every column equals the terms of the
+    # sorting rule summed entry by entry in a dict, shared targets included
+    cx = GraphComplex(m, orientation_kill=False)
+    shared = 0
+    for i in range(1, cx.max_edges + 1):
+        rows, expected = cx.rows(i - 1), []
+        for key in cx.generators(i):
+            terms = graph_terms_oracle.contraction_terms(key, False)
+            shared += len(terms) - len({target for target, _sign in terms})
+            col = {}
+            for target, sign in terms:
+                col[rows[target]] = col.get(rows[target], 0) + sign
+            expected.append({r: v for r, v in col.items() if v})
+        assert cx.differential(i).cols == expected
+    assert shared == {3: 6, 4: 44, 5: 420, 6: 5032}[m]
 
 
 @pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)

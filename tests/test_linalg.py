@@ -18,7 +18,8 @@ from stirhom.linalg import (SparseIntMatrix, _eliminate_rank,
                             morse_reduce, rank_exact)
 from stirhom.stirling import StirlingComplex, survey
 
-from helpers import from_triplets, orientation_signs, reoriented_homology
+from helpers import (d_squared_oracle, from_triplets, orientation_signs,
+                     reoriented_homology)
 
 
 def dense_rank(matrix):
@@ -109,17 +110,29 @@ def test_d_squared_is_checked_column_by_column(monkeypatch):
     def no_product(*args):
         raise AssertionError("the product was built")
 
-    class Unread(dict):
-        def items(self):
+    class Unread(tuple):
+        def __iter__(self):
             raise AssertionError("a column past the first nonzero one was read")
 
     monkeypatch.setattr(SparseIntMatrix, "__matmul__", no_product)
     lower = from_triplets(1, 2, [(0, 0, 1), (0, 1, 1)])
     assert composes_to_zero(lower, from_triplets(2, 2, [(0, 0, 1), (1, 0, -1)]))
-    assert not composes_to_zero(
-        lower, SparseIntMatrix(2, [{0: 1, 1: -1}, {0: 1}, Unread({1: 1})]))
+    assert not composes_to_zero(lower, SparseIntMatrix.signed(
+        2, [(0,), (0,), Unread((1,))], [(1,), (), Unread()]))
     with pytest.raises(ValueError):
         composes_to_zero(lower, lower)
+
+
+def test_signed_rows_and_the_dict_columns():
+    # a row is repeated once per unit of its value, in one tuple only, and
+    # the dict columns read the same matrix back
+    m = SparseIntMatrix(3, [{0: 2, 2: -1}, {}, {1: -3, 0: 1}])
+    assert m.plus == [(0, 0), (), (0,)]
+    assert m.minus == [(2,), (), (1, 1, 1)]
+    assert m.cols == [{0: 2, 2: -1}, {}, {0: 1, 1: -3}]
+    assert m.nnz() == 4 and m.ncols == 3 and not m.is_zero()
+    assert m == from_triplets(3, 3, [(1, 2, -3), (0, 0, 2), (2, 0, -1), (0, 2, 1)])
+    assert SparseIntMatrix.signed(3, m.plus, m.minus) == m
 
 
 def test_from_triplets_accumulates_and_drops_zeros():
@@ -168,6 +181,82 @@ def test_homology_reports_a_failed_d_squared():
     verified = morse_reduce(dims, {1: one}).homology(dims, lambda i: i + 2)
     assert verified.certificate == "morse-integral" and verified.d2_ok
     assert verified.betti.as_dict() == {2: 0, 3: 0}
+
+
+# ---------------------------------------------------------------------------
+# signed columns: the term contract, and the d^2 check against its oracle
+
+COMPLEXES = (
+    [pytest.param(lambda n=n, k=k: StirlingComplex(n, k), id=f"stirling-{n}-{k}")
+     for n in range(2, 7) for k in range(2, n + 1)]
+    + [pytest.param(lambda m=m, kill=kill: GraphComplex(m, kill),
+                    id=f"graph-{m}" + ("" if kill else "-kill-off"))
+       for m in range(3, 7) for kill in (True, False)])
+
+
+@pytest.mark.parametrize("make", COMPLEXES)
+def test_the_terms_of_a_key_have_distinct_targets(make):
+    # the assembler puts each term in plus or minus by its sign, so the
+    # contraction terms of a key, and its action terms under a transposition
+    # and under the cycle of all the legs, are +-1 on distinct targets
+    cx = make()
+    legs = list(cx.legs)
+    functions = [cx.contraction_terms,
+                 cx.action_terms([legs[1], legs[0], *legs[2:]]),
+                 cx.action_terms(legs[1:] + legs[:1])]
+    for i in range(cx.max_edges + 1):
+        for key in cx.generators(i):
+            for terms in functions:
+                col = list(terms(key))
+                assert len({target for target, _sign in col}) == len(col), cx.code(key)
+                assert all(sign in (-1, 1) for _target, sign in col), cx.code(key)
+
+
+@pytest.mark.parametrize("make", COMPLEXES)
+def test_d_squared_matches_the_oracle(make):
+    # every adjacent pair of whole differentials; then the pair with the
+    # sign of one entry of d_i flipped, in a row d_{i-1} does not kill, so
+    # the product is nonzero and both checks read False
+    d = make().differentials()
+    flips = 0
+    for i in range(2, len(d) + 1):
+        lower, upper = d[i - 1], d[i]
+        assert composes_to_zero(lower, upper) == d_squared_oracle(lower, upper)
+        lower_cols = lower.cols
+        entry = next((t for t in sorted(upper.triplets()) if lower_cols[t[0]]), None)
+        if entry is None:
+            continue
+        flipped = from_triplets(upper.nrows, upper.ncols, [
+            (r, c, -v if (r, c, v) == entry else v) for r, c, v in upper.triplets()])
+        assert not composes_to_zero(lower, flipped)
+        assert not d_squared_oracle(lower, flipped)
+        flips += 1
+    assert flips or len(d) < 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(st_.integers(-3, 3)), sparse_matrices(st_.integers(-3, 3)))
+def test_d_squared_matches_the_oracle_on_small_matrices(lower, upper):
+    # entries up to 3 repeat rows in plus and minus; [L | L] times [U; -U]
+    # is zero with every term cancelled, and stays so only until one entry
+    # of it changes sign; the product itself is the sum of every pair of
+    # entries that meet
+    b = lower.ncols
+    upper = from_triplets(b, upper.ncols,
+                          [(r % b, c, v) for r, c, v in upper.triplets()])
+    assert composes_to_zero(lower, upper) == d_squared_oracle(lower, upper)
+    assert lower @ upper == from_triplets(lower.nrows, upper.ncols, [
+        (r, c, v * w) for r, k, v in lower.triplets()
+        for j, c, w in upper.triplets() if k == j])
+    doubled = from_triplets(lower.nrows, 2 * b, [
+        *lower.triplets(), *((r, c + b, v) for r, c, v in lower.triplets())])
+    stacked = [*upper.triplets(), *((r + b, c, -v) for r, c, v in upper.triplets())]
+    zero = from_triplets(2 * b, upper.ncols, stacked)
+    assert composes_to_zero(doubled, zero) and d_squared_oracle(doubled, zero)
+    if stacked:
+        (r, c, v), *rest = stacked
+        flipped = from_triplets(2 * b, upper.ncols, [(r, c, -v), *rest])
+        assert composes_to_zero(doubled, flipped) == d_squared_oracle(doubled, flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +430,8 @@ def test_the_pass_drops_each_differential_after_the_next_step(make):
 
 
 def test_the_pass_leaves_a_held_differential_alone():
-    # a step restricts the differential it is handed in place, so a pass
-    # must build its own rather than take one a caller already holds
+    # a pass builds its own differentials and a step never changes the one
+    # it is handed, so one a caller already holds is the same afterwards
     cx = StirlingComplex(5, 2)
     held = {i: cx.differential(i) for i in range(1, cx.max_edges + 1)}
     before = {i: [dict(col) for col in d.cols] for i, d in held.items()}
