@@ -22,7 +22,7 @@ import sys
 from . import characters as chars
 from . import graphcomplex as gc
 from . import stirling as st
-from .linalg import composes_to_zero
+from .linalg import alternating_sum, composes_to_zero
 
 SCHEMA = 1
 # the largest n a Stirling command accepts: (7, 2) already has 283,668
@@ -111,7 +111,7 @@ def _betti_report(n, k):
         "dims": {str(i): d for i, d in result.dims.items()},
         "ranks": {str(i): r for i, r in result.ranks.items()},
         "betti": {str(d): b for d, b in betti.as_dict().items()},
-        "euler": sum((-1) ** i * d for i, d in result.dims.items()),
+        "euler": alternating_sum(result.dims),
         "expected_top": expected,
         "d2_ok": result.d2_ok,
         "status": _status(ok and result.d2_ok),

@@ -2,17 +2,18 @@
 differentials to ranks, Betti numbers and a certificate.
 
 The pipeline is the step reducer ``Coreduction``, fed one degree at a time
-by ``ChainComplex.degrees()`` as the pass builds each differential, or by
-``morse_reduce`` from a dict.  A matrix stores each column as two tuples
-of rows, those of its positive and of its negative entries
-(``SparseIntMatrix``).  Step i tests d_{i-1} d_i = 0 with
-``composes_to_zero``, which sorts and compares the rows a column's
-positive and negative terms reach; every homology, survey and character
-relies on it, and ``stirhom verify`` runs the same test on each pair of
-whole differentials for its ``d2`` line, outside any pass.  While it holds,
-the step pairs each degree-i cell c that has exactly one live face r, when
-<dc, r> = +-1: the face side of the coreduction of Mrozek and Batko
-(2009; Skoldberg 2006), over d_i alone.
+by ``ChainComplex.degrees()`` as the pass builds each differential.  A
+matrix stores each column as two tuples of rows, those of its positive and
+of its negative entries (``SparseIntMatrix``).  Two products are compared
+by one routine, ``products_agree``, which sorts and compares the rows a
+column's positive and negative terms reach, and builds no product.  Step i
+tests d_{i-1} d_i = 0 with it (``composes_to_zero``, a zero right side);
+every homology, survey and character relies on that test, and ``stirhom
+verify`` runs it on each pair of whole differentials for its ``d2`` line,
+outside any pass, and on the action for its ``equivariance`` line.  While
+the test holds, the step pairs each degree-i cell c that has exactly one
+live face r, when <dc, r> = +-1: the face side of the coreduction of
+Mrozek and Batko (2009; Skoldberg 2006), over d_i alone.
 A pair divides out the acyclic subcomplex spanned by c and dc; the
 quotient's differential is the original one restricted to the remaining
 cells, so no entry changes (no fill) and the homology is kept over Z.
@@ -59,6 +60,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 
 from .trees import _bit_images
 
@@ -67,67 +69,29 @@ class SparseIntMatrix:
     """Integer matrix stored by column (Davis 2006) as two tuples of rows:
     ``plus[c]`` holds the row of each positive entry of column c and
     ``minus[c]`` the row of each negative one, a row repeated |v| times for
-    the value v and never in both tuples, so no zero is stored.  ``signed``
-    takes those tuples as they are.  For the tests, ``verify`` and the
-    exports, the constructor takes one row -> value dict per column and
-    ``cols`` gives them back, ``triplets``, ``nnz`` and
-    ``to_matrix_market`` read the entries, ``==`` compares the tuples
-    sorted, and ``@`` cancels the rows a column of the product reaches
-    from both signs."""
+    the value v and never in both tuples, so no zero is stored.
+    ``triplets``, ``nnz`` and ``to_matrix_market`` read the entries for the
+    exports."""
 
     __slots__ = ("nrows", "plus", "minus", "__weakref__")
 
-    def __init__(self, nrows, cols):
-        self.nrows, self.plus, self.minus = nrows, [], []
-        for col in cols:
-            self.plus.append(tuple(r for r, v in col.items() if v > 0 for _ in range(v)))
-            self.minus.append(tuple(r for r, v in col.items() if v < 0 for _ in range(-v)))
-
-    @classmethod
-    def signed(cls, nrows, plus, minus):
-        matrix = cls.__new__(cls)
-        matrix.nrows, matrix.plus, matrix.minus = nrows, plus, minus
-        return matrix
+    def __init__(self, nrows, plus, minus):
+        self.nrows, self.plus, self.minus = nrows, plus, minus
 
     @property
     def ncols(self):
         return len(self.plus)
 
-    @property
-    def cols(self):
-        """One row -> value dict per column, the positive entries first."""
-        cols = []
-        for plus, minus in zip(self.plus, self.minus):
-            col = {}
-            for r in plus:
-                col[r] = col.get(r, 0) + 1
-            for r in minus:
-                col[r] = col.get(r, 0) - 1
-            cols.append(col)
-        return cols
-
     def triplets(self):
-        """Every entry as ``(r, c, v)``, column by column."""
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                yield r, c, v
+        """Every entry as ``(r, c, v)``, column by column, the positive
+        entries first, each sign by row."""
+        for c, (plus, minus) in enumerate(zip(self.plus, self.minus)):
+            for side, unit in ((plus, 1), (minus, -1)):
+                for r, run in groupby(sorted(side)):
+                    yield r, c, unit * len(list(run))
 
     def nnz(self):
-        return sum(len(set(plus)) + len(set(minus))
-                   for plus, minus in zip(self.plus, self.minus))
-
-    def is_zero(self):
-        return not any(self.plus) and not any(self.minus)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        return (self.nrows == other.nrows
-                and list(map(sorted, self.plus)) == list(map(sorted, other.plus))
-                and list(map(sorted, self.minus)) == list(map(sorted, other.minus)))
-
-    def __repr__(self):
-        return f"SparseIntMatrix(nrows={self.nrows}, cols={self.cols})"
+        return sum(1 for _ in self.triplets())
 
     def _reached(self, other):
         """For each column of ``other``, the rows the positive and the
@@ -145,19 +109,6 @@ class SparseIntMatrix:
                 up += below[r]
                 down += above[r]
             yield up, down
-
-    def __matmul__(self, other):
-        """The product: each column's reached rows, a row reached from both
-        sides cancelled as often as the rarer side reaches it."""
-        plus, minus = [], []
-        for up, down in self._reached(other):
-            for r in set(up).intersection(down):
-                for _ in range(min(up.count(r), down.count(r))):
-                    up.remove(r)
-                    down.remove(r)
-            plus.append(tuple(up))
-            minus.append(tuple(down))
-        return SparseIntMatrix.signed(self.nrows, plus, minus)
 
     def to_matrix_market(self):
         lines = ["%%MatrixMarket matrix coordinate integer general",
@@ -180,9 +131,12 @@ def _eliminate_rank(matrix):
     """
     rows = {}
     cols = {}
-    for r, c, v in matrix.triplets():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+    for c, (plus, minus) in enumerate(zip(matrix.plus, matrix.minus)):
+        for side, unit in ((plus, 1), (minus, -1)):
+            for r in side:
+                row = rows.setdefault(r, {})
+                row[c] = row.get(c, 0) + unit
+                cols.setdefault(c, set()).add(r)
 
     def row_key(row):
         return all(abs(v) != 1 for v in row.values()), len(row)
@@ -239,19 +193,37 @@ def rank_exact(matrix):
     return _eliminate_rank(matrix)[0]
 
 
-def composes_to_zero(lower, upper):
-    """True when ``lower @ upper`` = 0, tested one column of ``upper`` at a
-    time with no product built.  A column is zero when the rows its
-    positive terms reach, sorted, equal those its negative terms reach: the
-    ``plus`` and ``minus`` tuples of ``lower`` concatenated over the
-    column's rows, exact over Z.  The test stops at the first column it
-    does not kill."""
-    for up, down in lower._reached(upper):
+def products_agree(a, b, c=None, d=None):
+    """True when ``a b`` = ``c d``, or ``a b`` = 0 when ``c`` and ``d`` are
+    not given, tested one column at a time with no product built.  The
+    products agree on a column when the rows that the positive terms of
+    ``a b`` and the negative terms of ``c d`` reach, sorted, equal those
+    that the other terms reach: each side's ``_reached`` rows, exact over
+    Z.  The test stops at the first column where they differ."""
+    columns = a._reached(b)
+    if c is not None:
+        if (a.nrows, b.ncols) != (c.nrows, d.ncols):
+            raise ValueError("the products differ in shape")
+        columns = ((up + right_down, down + right_up) for (up, down), (right_up, right_down)
+                   in zip(columns, c._reached(d)))
+    for up, down in columns:
         up.sort()
         down.sort()
         if up != down:
             return False
     return True
+
+
+def composes_to_zero(lower, upper):
+    """True when ``lower upper`` = 0: the d^2 check, ``products_agree``
+    with a zero right side."""
+    return products_agree(lower, upper)
+
+
+def alternating_sum(values):
+    """The sum of (-1)^i ``values[i]``: the Euler characteristic of a
+    grading's dimensions or Betti numbers."""
+    return sum((-1) ** i * v for i, v in values.items())
 
 
 @dataclass
@@ -267,7 +239,7 @@ class BettiVector:
         return sorted(d for d, b in self.values.items() if b)
 
     def euler_characteristic(self):
-        return sum((-1) ** d * b for d, b in self.values.items())
+        return alternating_sum(self.values)
 
     def as_dict(self):
         return dict(sorted(self.values.items()))
@@ -386,7 +358,7 @@ class Coreduction:
         rows = {r: pos for pos, r in enumerate(
             r for r, flag in enumerate(faces) if flag)}
         kept = [c for c, flag in enumerate(self._live) if flag]
-        residual = SparseIntMatrix.signed(len(rows), *(
+        residual = SparseIntMatrix(len(rows), *(
             [tuple(rows[r] for r in side[c] if faces[r]) for c in kept]
             for side in (self._d.plus, self._d.minus)))
         rank, unit = _eliminate_rank(residual)
@@ -406,15 +378,6 @@ class Coreduction:
         betti = betti_from_dims_and_ranks(
             dims, self.ranks, degree_of, strict=self.certificate != "unverified")
         return Homology(dims, self.ranks, betti, self.certificate)
-
-
-def morse_reduce(dims, diffs):
-    """The finished ``Coreduction`` of ``diffs`` (i -> matrix of d_i:
-    C_i -> C_{i-1}, columns are sources) over ``dims`` (i -> dim C_i)."""
-    reduction = Coreduction()
-    for i in sorted(dims):
-        reduction.step(i, dims[i], diffs.get(i))
-    return reduction.finish()
 
 
 class ChainComplex:
@@ -504,7 +467,7 @@ class ChainComplex:
             if walked:
                 keys.append(key)
         self._gens[i] = keys
-        return SparseIntMatrix.signed(len(rows), plus, minus)
+        return SparseIntMatrix(len(rows), plus, minus)
 
     def differential(self, i):
         """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""
@@ -555,7 +518,7 @@ class ChainComplex:
 
     def euler_characteristic(self):
         """Alternating sum of chain dimensions in the edge grading."""
-        return sum((-1) ** i * d for i, d in self.dims().items())
+        return alternating_sum(self.dims())
 
     def degrees(self):
         """The one pass over the degrees: release degree i-2, which nothing

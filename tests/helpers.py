@@ -1,9 +1,13 @@
 """Constructors, signs and characters only the tests use.
 
-``from_triplets`` builds a column-stored matrix from ``(r, c, v)`` entries
-(the package assembles its matrices column by column and never needs it),
-``d_squared_oracle`` tests d^2 = 0 on the dict columns, summing each
-column of the product entry by entry in a dict,
+The package keeps one matrix form, signed row tuples, and compares
+products column by column with no product built.  The dict forms are the
+oracles for it: ``from_cols`` builds a matrix from one row -> value dict
+per column and ``cols`` reads them back, ``from_triplets`` builds one from
+``(r, c, v)`` entries, ``product`` sums each column of a product entry by
+entry in a dict, ``same`` compares two matrices entry by entry, and
+``d_squared_oracle`` reads d^2 = 0 off ``product``; ``morse_reduce`` feeds
+a dict of whole differentials to the package's step reducer.
 ``make_generator`` validates a decorated tree and returns its key,
 ``in_acyclic_part`` and ``reach`` read a Stirling key's reach verdict one
 key at a time (the package scores whole vertices on its walk),
@@ -27,37 +31,83 @@ import random
 from stirhom.characters import (ClassFunction, partitions,
                                 representative_permutation, stirling_unsigned)
 from stirhom.graphcomplex import _cycle_names
-from stirhom.linalg import SparseIntMatrix, morse_reduce
+from stirhom.linalg import Coreduction, SparseIntMatrix
 from stirhom.stirling import DomainError, _mask_set, _members
 
 from shape_oracle import stable_tree_inputs
 
 
+def from_cols(nrows, columns):
+    """The matrix with one row -> value dict per column; a zero value is
+    stored as no entry."""
+    return SparseIntMatrix(
+        nrows,
+        [tuple(r for r, v in col.items() if v > 0 for _ in range(v)) for col in columns],
+        [tuple(r for r, v in col.items() if v < 0 for _ in range(-v)) for col in columns])
+
+
+def cols(matrix):
+    """One row -> value dict per column, the positive entries first."""
+    result = []
+    for plus, minus in zip(matrix.plus, matrix.minus):
+        col = {}
+        for r in plus:
+            col[r] = col.get(r, 0) + 1
+        for r in minus:
+            col[r] = col.get(r, 0) - 1
+        result.append(col)
+    return result
+
+
 def from_triplets(nrows, ncols, triplets):
     """The matrix summing the entries ``(r, c, v)``; a zero sum is dropped
     and an entry outside the shape raises ``ValueError``."""
-    cols = [{} for _ in range(ncols)]
+    summed = [{} for _ in range(ncols)]
     for r, c, v in triplets:
         if not (0 <= r < nrows and 0 <= c < ncols):
             raise ValueError(f"entry ({r}, {c}) outside a {nrows}x{ncols} matrix")
-        cols[c][r] = cols[c].get(r, 0) + v
-    return SparseIntMatrix(nrows, [{r: v for r, v in col.items() if v} for col in cols])
+        summed[c][r] = summed[c].get(r, 0) + v
+    return from_cols(nrows, summed)
+
+
+def product(a, b):
+    """``a b``, each column summed entry by entry in a dict over the dict
+    columns."""
+    if a.ncols != b.nrows:
+        raise ValueError("matrix dimensions do not match")
+    a_cols = cols(a)
+    result = []
+    for col in cols(b):
+        acc = {}
+        for k, w in col.items():
+            for r, v in a_cols[k].items():
+                acc[r] = acc.get(r, 0) + v * w
+        result.append(acc)
+    return from_cols(a.nrows, result)
+
+
+def same(a, b):
+    """True when two matrices have the same shape and entries."""
+    return ((a.nrows, a.ncols) == (b.nrows, b.ncols)
+            and sorted(a.triplets()) == sorted(b.triplets()))
+
+
+def is_zero(matrix):
+    return not any(matrix.plus) and not any(matrix.minus)
 
 
 def d_squared_oracle(lower, upper):
-    """True when ``lower @ upper`` = 0: each column of the product summed
-    in a dict over the dict columns, then read for a nonzero sum."""
-    if lower.ncols != upper.nrows:
-        raise ValueError("matrix dimensions do not match")
-    lower_cols = lower.cols
-    for col in upper.cols:
-        acc = {}
-        for r2, v2 in col.items():
-            for r1, v1 in lower_cols[r2].items():
-                acc[r1] = acc.get(r1, 0) + v1 * v2
-        if any(acc.values()):
-            return False
-    return True
+    """True when ``lower upper`` = 0, read off the dict-summed ``product``."""
+    return is_zero(product(lower, upper))
+
+
+def morse_reduce(dims, diffs):
+    """The finished ``Coreduction`` of ``diffs`` (i -> matrix of d_i:
+    C_i -> C_{i-1}, columns are sources) over ``dims`` (i -> dim C_i)."""
+    reduction = Coreduction()
+    for i in sorted(dims):
+        reduction.step(i, dims[i], diffs.get(i))
+    return reduction.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,166 @@
+"""A standing mutation guard: each mutant below must fail the tests named
+for it.
+
+Run from anywhere with ``python tests/mutants.py``; pytest does not collect
+this file.  A mutant is a source file, an exact old text that must occur in
+it once, the new text, and the pytest arguments (files or node ids) of the
+tests that must fail.  The runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory and runs every selection there
+on the unmutated code, which must pass.  It then applies one mutant at a
+time and runs its selection with ``-x``.  It exits nonzero when an old text
+does not occur exactly once, when a selection fails unmutated, or when a
+mutant survives (its selection passes).  A refactor that moves a mutant's
+code moves the mutant with it.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = [
+    Mutant("Stirling contraction: trade terms keep the edge's sign",
+           "src/stirhom/stirling.py",
+           "others | 1 << b), -sign if passed % 2 else sign",
+           "others | 1 << b), sign",
+           ("tests/test_stirling.py::test_first_differential_matches_oracle",)),
+    Mutant("Stirling action: trade terms keep the relabeling's sign",
+           "src/stirhom/stirling.py",
+           "for a in alt_images], -edge_sign)",
+           "for a in alt_images], edge_sign)",
+           ("tests/test_stirling.py::test_equivariance_and_group_law",)),
+    Mutant("graph contraction: the flip mask reads the clusters without the view's sign bit",
+           "src/stirhom/graphcomplex.py",
+           "odd = (marked & flips[place])",
+           "odd = (clusters & flips[place])",
+           ("tests/test_graphcomplex.py::test_contraction_terms_equal_the_sorting_rule",)),
+    Mutant("orientation kill: 2-cycles kept",
+           "src/stirhom/graphcomplex.py",
+           "if not (orientation_kill and c == 2):",
+           "if True:",
+           ("tests/test_graphcomplex.py::test_kill_rule_is_two_cycle",
+            "tests/test_graphcomplex.py::test_parallel_edges_killed",
+            "tests/test_counts.py::test_graph_dims_match_counts")),
+    Mutant("product comparison: equal lengths only",
+           "src/stirhom/linalg.py",
+           "        if up != down:",
+           "        if len(up) != len(down):",
+           ("tests/test_linalg.py::test_d_squared_matches_the_oracle",
+            "tests/test_linalg.py::test_products_agree_on_the_action")),
+    Mutant("product comparison: the right side's terms keep their sign",
+           "src/stirhom/linalg.py",
+           "(up + right_down, down + right_up)",
+           "(up + right_up, down + right_down)",
+           ("tests/test_linalg.py::test_products_agree_on_the_action",)),
+    Mutant("pairing: a cell with two live faces is paired",
+           "src/stirhom/linalg.py",
+           "if count == 1)\n        pairs = 0\n        while queue:\n"
+           "            c = queue.popleft()\n            if nfaces[c] != 1:",
+           "if count in (1, 2))\n        pairs = 0\n        while queue:\n"
+           "            c = queue.popleft()\n            if nfaces[c] not in (1, 2):",
+           ("tests/test_linalg.py::test_stirling_reduction_matches_rank_oracle",)),
+    Mutant("elimination: the negative entries are not read",
+           "src/stirhom/linalg.py",
+           "        for side, unit in ((plus, 1), (minus, -1)):\n            for r in side:",
+           "        for side, unit in ((plus, 1),):\n            for r in side:",
+           ("tests/test_linalg.py::test_projective_plane_needs_the_residual",)),
+    Mutant("reach: the bound on the source's reach lowered by one",
+           "src/stirhom/stirling.py",
+           "upper = 2 * (self.n - self.k) - 2",
+           "upper = 2 * (self.n - self.k) - 3",
+           ("tests/test_stirling.py::test_reach_filtration",)),
+    Mutant("relabeling: any sequence of the right length is taken",
+           "src/stirhom/linalg.py",
+           "if sorted(images) != legs:",
+           "if len(images) != len(legs):",
+           ("tests/test_stirling.py::test_action_rejects_non_bijections",)),
+    Mutant("trace: the identity shortcut taken when the first two bits stay",
+           "src/stirhom/linalg.py",
+           "if bits == tuple(range(len(bits))):",
+           "if bits[:2] == (0, 1):",
+           ("tests/test_characters.py::test_trace_is_the_diagonal_for_all_of_s4",)),
+]
+
+
+def pytest(cwd, args, first_failure=False):
+    """Run pytest on ``args`` in the copy at ``cwd``, importing its
+    ``src/``; no bytecode is written, so a restored file is read again."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    if first_failure:
+        command.append("-x")
+    return subprocess.run(command + list(args), cwd=cwd, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+
+
+def main():
+    problems = []
+    for mutant in MUTANTS:
+        count = (ROOT / mutant.path).read_text().count(mutant.old)
+        if count != 1:
+            problems.append(f"{mutant.name}: the old text occurs {count} times "
+                            f"in {mutant.path}")
+    if problems:
+        print("\n".join(problems))
+        return 1
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        found = subprocess.run(
+            [sys.executable, "-c", "import stirhom; print(stirhom.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            stdout=subprocess.PIPE, text=True).stdout.strip()
+        if not found.startswith(str(copy)):
+            print(f"the copy's package is not the one imported: {found}")
+            return 1
+        selections = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        run = pytest(copy, selections)
+        print(f"unmutated: {len(selections)} selections, exit {run.returncode}, "
+              f"{time.perf_counter() - start:.1f} s")
+        if run.returncode != 0:
+            print(run.stdout)
+            return 1
+        for mutant in MUTANTS:
+            target = copy / mutant.path
+            source = target.read_text()
+            target.write_text(source.replace(mutant.old, mutant.new))
+            begun = time.perf_counter()
+            try:
+                run = pytest(copy, mutant.tests, first_failure=True)
+            finally:
+                target.write_text(source)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(run.returncode,
+                                                        f"ERROR (exit {run.returncode})")
+            print(f"{verdict}: {mutant.name} ({time.perf_counter() - begun:.1f} s)")
+            if run.returncode != 1:
+                problems.append(mutant.name)
+                print(run.stdout[-3000:])
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed, "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ import pytest
 
 from stirhom import stirling as st
 from stirhom.cli import main
+from stirhom.trees import _members
 
 
 def run(capsys, *argv):
@@ -135,6 +136,29 @@ def test_verify_refuses_an_empty_check_list(capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--n", "4", "--k", "2", "--checks", checks])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("factor,code", [(1, 0), (-1, 1)])
+def test_verify_fails_when_the_trade_terms_flip_sign(monkeypatch, capsys, factor, code):
+    # the action's trade terms times factor: a relabeling trades exactly the
+    # keys whose alternating far sides hold the leg it sends to 0; with
+    # their sign flipped the action no longer commutes with d
+    original = st.StirlingComplex.action_terms
+
+    def action_terms(self, perm):
+        terms, source = original(self, perm), 1 << list(perm).index(0)
+
+        def scaled(key):
+            traded = any(a & source for a in _members(key[2]))
+            return [(target, factor * sign if traded else sign)
+                    for target, sign in terms(key)]
+        return scaled
+
+    monkeypatch.setattr(st.StirlingComplex, "action_terms", action_terms)
+    returned, out = run(capsys, "verify", "--n", "5", "--k", "2",
+                        "--checks", "equivariance", "--format", "json")
+    assert returned == code
+    assert json.loads(out)["results"] == {"equivariance": not code}
 
 
 def test_characters(capsys):

@@ -21,7 +21,7 @@ from stirhom.stirling import StirlingComplex
 
 import stirling_oracle
 from flag_graphs import FlagGraphComplex, dot_code, parse_dot
-from helpers import from_triplets, transport
+from helpers import from_triplets, same, transport
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -93,8 +93,8 @@ def test_export_golden_matches_flag_export(n, k):
         shape = (len(p[i - 1]), len(p[i]))
         old_matrix = from_triplets(*shape, old_d["triplets"])
         new_matrix = from_triplets(*shape, new_d["triplets"])
-        assert new_matrix == transport(old_matrix, p[i - 1], p[i])
+        assert same(new_matrix, transport(old_matrix, p[i - 1], p[i]))
         mtx = [read_mtx((DATA / folder / "export" / f"{stem}_d{i}.mtx").read_text())
                for folder in ("flag", ".")]
-        assert mtx == [old_matrix, new_matrix]
+        assert all(map(same, mtx, [old_matrix, new_matrix])) and len(mtx) == 2
     assert re.fullmatch(r"T\d+:[\d,]*\|\d+\|[\d,]+", new["degrees"][-1]["generators"][0])

@@ -4,6 +4,7 @@ the coreduction against per-degree rank."""
 from __future__ import annotations
 
 import itertools
+import random
 import weakref
 from fractions import Fraction
 
@@ -15,11 +16,12 @@ from stirhom.characters import stirling_unsigned
 from stirhom.graphcomplex import GraphComplex
 from stirhom.linalg import (SparseIntMatrix, _eliminate_rank,
                             betti_from_dims_and_ranks, composes_to_zero,
-                            morse_reduce, rank_exact)
+                            products_agree, rank_exact)
 from stirhom.stirling import StirlingComplex, survey
 
-from helpers import (d_squared_oracle, from_triplets, orientation_signs,
-                     reoriented_homology)
+from helpers import (cols, d_squared_oracle, from_cols, from_triplets,
+                     is_zero, morse_reduce, orientation_signs, product,
+                     reoriented_homology, same)
 
 
 def dense_rank(matrix):
@@ -98,46 +100,65 @@ def test_unit_entries_are_pivots_first():
 def test_matmul_and_equality():
     a = from_triplets(2, 3, [(0, 0, 1), (0, 2, -2), (1, 1, 3)])
     b = from_triplets(3, 2, [(0, 0, 4), (2, 0, 1), (1, 1, 5)])
-    prod = a @ b
-    assert prod == from_triplets(2, 2, [(0, 0, 2), (1, 1, 15)])
+    prod = product(a, b)
+    assert same(prod, from_triplets(2, 2, [(0, 0, 2), (1, 1, 15)]))
     with pytest.raises(ValueError):
-        a @ a
+        product(a, a)
+
+
+class Unread(tuple):
+    def __iter__(self):
+        raise AssertionError("a column past the first nonzero one was read")
+
+
+def no_matrix(*args):
+    raise AssertionError("a matrix was built")
 
 
 def test_d_squared_is_checked_column_by_column(monkeypatch):
-    # no product is built, and no column past the first one the check does
-    # not kill is read
-    def no_product(*args):
-        raise AssertionError("the product was built")
-
-    class Unread(tuple):
-        def __iter__(self):
-            raise AssertionError("a column past the first nonzero one was read")
-
-    monkeypatch.setattr(SparseIntMatrix, "__matmul__", no_product)
+    # no matrix is built, so no product, and no column past the first one
+    # the check does not kill is read
     lower = from_triplets(1, 2, [(0, 0, 1), (0, 1, 1)])
-    assert composes_to_zero(lower, from_triplets(2, 2, [(0, 0, 1), (1, 0, -1)]))
-    assert not composes_to_zero(lower, SparseIntMatrix.signed(
-        2, [(0,), (0,), Unread((1,))], [(1,), (), Unread()]))
+    zero = from_triplets(2, 2, [(0, 0, 1), (1, 0, -1)])
+    unread = SparseIntMatrix(2, [(0,), (0,), Unread((1,))], [(1,), (), Unread()])
+    monkeypatch.setattr(SparseIntMatrix, "__init__", no_matrix)
+    assert composes_to_zero(lower, zero)
+    assert not composes_to_zero(lower, unread)
     with pytest.raises(ValueError):
         composes_to_zero(lower, lower)
+
+
+def test_equivariance_is_checked_column_by_column(monkeypatch):
+    # a b = c d as the verify command compares the action with the
+    # differential: no matrix is built, and no column of either right factor
+    # past the first one where the products differ is read
+    swap = from_triplets(2, 2, [(0, 1, 1), (1, 0, 1)])
+    eye = from_triplets(2, 2, [(0, 0, 1), (1, 1, 1)])
+    wide = from_triplets(1, 2, [(0, 0, 1)])
+    left = SparseIntMatrix(2, [(0, 1), (), Unread((0,))], [(), (), Unread()])
+    right = SparseIntMatrix(2, [(0, 1), (0,), Unread((1,))], [(), (), Unread()])
+    monkeypatch.setattr(SparseIntMatrix, "__init__", no_matrix)
+    assert products_agree(swap, eye, eye, swap)
+    assert not products_agree(swap, left, eye, right)
+    with pytest.raises(ValueError):
+        products_agree(swap, eye, wide, eye)
 
 
 def test_signed_rows_and_the_dict_columns():
     # a row is repeated once per unit of its value, in one tuple only, and
     # the dict columns read the same matrix back
-    m = SparseIntMatrix(3, [{0: 2, 2: -1}, {}, {1: -3, 0: 1}])
+    m = from_cols(3, [{0: 2, 2: -1}, {}, {1: -3, 0: 1}])
     assert m.plus == [(0, 0), (), (0,)]
     assert m.minus == [(2,), (), (1, 1, 1)]
-    assert m.cols == [{0: 2, 2: -1}, {}, {0: 1, 1: -3}]
-    assert m.nnz() == 4 and m.ncols == 3 and not m.is_zero()
-    assert m == from_triplets(3, 3, [(1, 2, -3), (0, 0, 2), (2, 0, -1), (0, 2, 1)])
-    assert SparseIntMatrix.signed(3, m.plus, m.minus) == m
+    assert cols(m) == [{0: 2, 2: -1}, {}, {0: 1, 1: -3}]
+    assert m.nnz() == 4 and m.ncols == 3 and not is_zero(m)
+    assert same(m, from_triplets(3, 3, [(1, 2, -3), (0, 0, 2), (2, 0, -1), (0, 2, 1)]))
+    assert same(SparseIntMatrix(3, m.plus, m.minus), m)
 
 
 def test_from_triplets_accumulates_and_drops_zeros():
     m = from_triplets(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, 2)])
-    assert m.cols == [{}, {1: 2}]
+    assert cols(m) == [{}, {1: 2}]
     with pytest.raises(ValueError):
         from_triplets(1, 1, [(1, 0, 1)])
 
@@ -222,7 +243,7 @@ def test_d_squared_matches_the_oracle(make):
     for i in range(2, len(d) + 1):
         lower, upper = d[i - 1], d[i]
         assert composes_to_zero(lower, upper) == d_squared_oracle(lower, upper)
-        lower_cols = lower.cols
+        lower_cols = cols(lower)
         entry = next((t for t in sorted(upper.triplets()) if lower_cols[t[0]]), None)
         if entry is None:
             continue
@@ -245,9 +266,9 @@ def test_d_squared_matches_the_oracle_on_small_matrices(lower, upper):
     upper = from_triplets(b, upper.ncols,
                           [(r % b, c, v) for r, c, v in upper.triplets()])
     assert composes_to_zero(lower, upper) == d_squared_oracle(lower, upper)
-    assert lower @ upper == from_triplets(lower.nrows, upper.ncols, [
+    assert same(product(lower, upper), from_triplets(lower.nrows, upper.ncols, [
         (r, c, v * w) for r, k, v in lower.triplets()
-        for j, c, w in upper.triplets() if k == j])
+        for j, c, w in upper.triplets() if k == j]))
     doubled = from_triplets(lower.nrows, 2 * b, [
         *lower.triplets(), *((r, c + b, v) for r, c, v in lower.triplets())])
     stacked = [*upper.triplets(), *((r + b, c, -v) for r, c, v in upper.triplets())]
@@ -257,6 +278,99 @@ def test_d_squared_matches_the_oracle_on_small_matrices(lower, upper):
         (r, c, v), *rest = stacked
         flipped = from_triplets(2 * b, upper.ncols, [(r, c, -v), *rest])
         assert composes_to_zero(doubled, flipped) == d_squared_oracle(doubled, flipped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(st_.integers(-3, 3)), sparse_matrices(st_.integers(-3, 3)),
+       sparse_matrices(st_.integers(-3, 3)), sparse_matrices(st_.integers(-3, 3)))
+def test_products_agree_matches_the_oracle_on_small_matrices(a, b, c, d):
+    # two unrelated products; then [a | a] times b split in two, which is
+    # a b with no term shared, until one entry of the split changes sign in
+    # a row [a | a] does not kill
+    q, r = a.ncols, b.ncols
+    b = from_triplets(q, r, [(i % q, j, v) for i, j, v in b.triplets()])
+    c = from_triplets(a.nrows, c.ncols, [(i % a.nrows, j, v) for i, j, v in c.triplets()])
+    d = from_triplets(c.ncols, r, [(i % c.ncols, j % r, v) for i, j, v in d.triplets()])
+    assert products_agree(a, b, c, d) == same(product(a, b), product(c, d))
+    assert products_agree(a, b, a, b)
+    doubled = from_triplets(a.nrows, 2 * q, [
+        *a.triplets(), *((i, j + q, v) for i, j, v in a.triplets())])
+    entries = sorted(b.triplets())
+    split = from_triplets(2 * q, r, [(i + q * (n % 2), j, v)
+                                     for n, (i, j, v) in enumerate(entries)])
+    assert products_agree(a, b, doubled, split)
+    assert same(product(a, b), product(doubled, split))
+    a_cols = cols(doubled)
+    entry = next((t for t in sorted(split.triplets()) if a_cols[t[0]]), None)
+    if entry is not None:
+        flipped = from_triplets(2 * q, r, [(i, j, -v if (i, j, v) == entry else v)
+                                           for i, j, v in split.triplets()])
+        assert not products_agree(a, b, doubled, flipped)
+        assert not same(product(a, b), product(doubled, flipped))
+
+
+def flip_one(matrix):
+    """The matrix with the sign of its first entry flipped."""
+    entries = sorted(matrix.triplets())
+    (r, c, v), *rest = entries
+    return from_triplets(matrix.nrows, matrix.ncols, [(r, c, -v), *rest])
+
+
+def relabelings(cx, seed=0):
+    """The relabelings the verify command draws: each transposition of the
+    first leg with another, and three seeded pairs (sigma, tau)."""
+    legs = list(cx.legs)
+    rng = random.Random(seed)
+    perms = []
+    for j in legs[1:]:
+        perm = list(legs)
+        perm[0], perm[j - legs[0]] = j, legs[0]
+        perms.append(tuple(perm))
+    pairs = []
+    for _ in range(3):
+        sigma, tau = list(legs), list(legs)
+        rng.shuffle(sigma)
+        rng.shuffle(tau)
+        pairs.append((tuple(sigma), tuple(tau)))
+    return perms + [sigma for sigma, _tau in pairs], pairs
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda n=n, k=k: StirlingComplex(n, k), id=f"stirling-{n}-{k}")
+    for n in range(2, 6) for k in range(2, n + 1)] + [
+    pytest.param(lambda m=m: GraphComplex(m), id=f"graph-{m}") for m in (4, 5)])
+def test_products_agree_on_the_action(make):
+    # equivariance, A_(i-1) d_i = d_i A_i, and the group law,
+    # A(sigma) A(tau) = A(sigma tau) times the identity, against the dict
+    # product; then with one sign flipped in the left side's right factor,
+    # which a signed permutation on its left cannot kill
+    cx = make()
+    perms, pairs = relabelings(cx)
+    d = cx.differentials()
+    flips = 0
+    for perm in perms:
+        actions = [cx.action_matrix(i, perm) for i in range(cx.max_edges + 1)]
+        for i, di in d.items():
+            agree = products_agree(actions[i - 1], di, di, actions[i])
+            assert agree == same(product(actions[i - 1], di), product(di, actions[i]))
+            assert agree
+            if di.nnz():
+                assert not products_agree(actions[i - 1], flip_one(di), di, actions[i])
+                flips += 1
+    legs = list(cx.legs)
+    for sigma, tau in pairs:
+        images = dict(zip(legs, sigma))
+        composed = tuple(images[t] for t in tau)
+        for i in range(cx.max_edges + 1):
+            dim = cx.dim(i)
+            eye = from_triplets(dim, dim, [(j, j, 1) for j in range(dim)])
+            a, b, c = (cx.action_matrix(i, p) for p in (sigma, tau, composed))
+            agree = products_agree(a, b, c, eye)
+            assert agree == same(product(a, b), c)
+            assert agree
+            assert not products_agree(a, flip_one(b), c, eye)
+            flips += 1
+    assert flips >= 3 * (cx.max_edges + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +445,13 @@ def test_reduction_ignores_the_order_within_a_column(make):
     # coreduction must give the same result with every column reversed
     cx = make()
     dims, diffs = cx.dims(), cx.differentials()
-    flipped = {i: SparseIntMatrix(
-        d.nrows, [dict(reversed(col.items())) for col in d.cols])
+    flipped = {i: from_cols(
+        d.nrows, [dict(reversed(col.items())) for col in cols(d)])
         for i, d in diffs.items()}
-    assert flipped == diffs
+    assert flipped.keys() == diffs.keys()
+    assert all(same(flipped[i], d) for i, d in diffs.items())
     assert any(list(a) != list(b) for i, d in diffs.items()
-               for a, b in zip(d.cols, flipped[i].cols))
+               for a, b in zip(cols(d), cols(flipped[i])))
     forward, backward = morse_reduce(dims, diffs), morse_reduce(dims, flipped)
     assert backward.ranks == forward.ranks
     assert backward.critical == forward.critical
@@ -434,9 +549,9 @@ def test_the_pass_leaves_a_held_differential_alone():
     # it is handed, so one a caller already holds is the same afterwards
     cx = StirlingComplex(5, 2)
     held = {i: cx.differential(i) for i in range(1, cx.max_edges + 1)}
-    before = {i: [dict(col) for col in d.cols] for i, d in held.items()}
+    before = {i: cols(d) for i, d in held.items()}
     cx.homology()
-    assert {i: d.cols for i, d in held.items()} == before
+    assert {i: cols(d) for i, d in held.items()} == before
 
 
 def whole_ranks(cx):

@@ -29,9 +29,9 @@ from stirhom.stirling import (DomainError, StirlingComplex, compose, survey,
 
 import stirling_oracle
 from flag_graphs import _tree_from_shape, canonical_tree_data
-from helpers import (from_triplets, in_acyclic_part, make_generator, reach,
-                     reference_orders, relative_sign, reoriented_homology,
-                     transport)
+from helpers import (cols, from_triplets, in_acyclic_part, is_zero,
+                     make_generator, product, reach, reference_orders,
+                     relative_sign, reoriented_homology, same, transport)
 
 
 def tree_from_nested(shape, n):
@@ -159,13 +159,13 @@ def oracle_first_differential(cx):
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (5, 4), (5, 3)])
 def test_first_differential_matches_oracle(n, k):
     cx = StirlingComplex(n, k)
-    assert cx.differential(1) == oracle_first_differential(cx)
+    assert same(cx.differential(1), oracle_first_differential(cx))
 
 
 def test_zero_degree_differential_is_zero():
     for n, k in [(4, 2), (5, 3)]:
         d0 = StirlingComplex(n, k).differential(0)
-        assert d0.is_zero() and d0.nrows == 0
+        assert is_zero(d0) and d0.nrows == 0
 
 
 def test_three_term_column():
@@ -176,7 +176,7 @@ def test_three_term_column():
                          [mask(1), mask(2, 3)])
     cx = StirlingComplex(5, 2)
     col = cx.rows(2)[key]
-    column = cx.differential(2).cols[col]
+    column = cols(cx.differential(2))[col]
     assert len(column) == 3
     assert all(v in (-1, 1) for v in column.values())
     edge_order, alt_order = reference_orders(cx, key)
@@ -215,7 +215,7 @@ def test_identity_action():
     for i in range(cx.max_edges + 1):
         identity = from_triplets(
             cx.dim(i), cx.dim(i), [(j, j, 1) for j in range(cx.dim(i))])
-        assert cx.action_matrix(i, tuple(range(5))) == identity
+        assert same(cx.action_matrix(i, tuple(range(5))), identity)
 
 
 def test_root_fixing_action_is_signed_permutation():
@@ -242,7 +242,7 @@ def test_root_swap_replacement_column():
     cx = StirlingComplex(4, 2)
     col, source_sign = stirling_oracle.position(cx, 1, gen)
     sigma = transposition(4, 0, 1)
-    column = cx.action_matrix(1, sigma).cols[col]
+    column = cols(cx.action_matrix(1, sigma))[col]
 
     relabeled = t.relabeled(sigma)
     z = relabeled.output_flag(child)
@@ -437,9 +437,9 @@ def test_chain_vector_differential_squares_to_zero():
     # boundary, and d again to zero
     cx = StirlingComplex(5, 2)
     vec = from_triplets(cx.dim(2), 1, [(0, 0, 1), (7, 0, -2)])
-    once = cx.differential(2) @ vec
-    assert not once.is_zero()
-    assert (cx.differential(1) @ once).is_zero()
+    once = product(cx.differential(2), vec)
+    assert not is_zero(once)
+    assert is_zero(product(cx.differential(1), once))
 
 
 @settings(max_examples=20, deadline=None)
@@ -577,9 +577,9 @@ def test_matches_flag_tree_oracle(n, k, seed):
          for i in range(cx.max_edges + 1)}
     p[-1] = []
     for i in range(cx.max_edges + 1):
-        assert cx.differential(i) == transport(
-            oracle.differential(i), p[i - 1], p[i])
+        assert same(cx.differential(i), transport(
+            oracle.differential(i), p[i - 1], p[i]))
         assert cx.reach_filtration_holds(i) == oracle.reach_filtration_holds(i)
         for perm in perms:
-            assert cx.action_matrix(i, perm) == transport(
-                oracle.action_matrix(i, perm), p[i], p[i])
+            assert same(cx.action_matrix(i, perm), transport(
+                oracle.action_matrix(i, perm), p[i], p[i]))
