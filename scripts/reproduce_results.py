@@ -36,8 +36,8 @@ def main():
         result = S.survey(n, k)
         expected = C.stirling_unsigned(n, k)
         betti = result["betti"]
-        ok = (betti[n] == expected and betti.support() == [n]
-              and result["d2_ok"] and result["reach_ok"]
+        ok = (result["concentrated_in"] == n and betti[n] == expected
+              and result["reach_ok"]
               and result["euler"] == C.stirling_signed(n, k))
         failures += not ok
         print(f"  ({n},{k}): betti_top={betti[n]} expected={expected} "
@@ -48,10 +48,12 @@ def main():
     for m in range(3, args.max_m + 1):
         t0 = time.time()
         cx = GraphComplex(m)
-        betti = cx.betti()
+        result = cx.homology()
+        betti = result.betti
         expected = math.factorial(m - 1) // 2
-        ok = betti.support() and betti[betti.support()[0]] == expected \
-            and verify_decomposition(cx)
+        top = result.concentrated_in
+        ok = (top is not None and betti[top] == expected
+              and verify_decomposition(cx))
         failures += not ok
         print(f"  m={m}: betti={betti.as_dict()} expected_top={expected} "
               f"[{time.time() - t0:.1f}s] {'ok' if ok else 'MISMATCH'}")

@@ -275,12 +275,11 @@ def homology_character(cx):
         for mu, perm in perms.items():
             values[mu] += sign * cx.trace(i, perm)
     result = cx.homology()
-    support = result.betti.support()
-    if not result.d2_ok or len(support) != 1:
+    top = result.concentrated_in
+    if top is None:
         raise RuntimeError(f"homology is not concentrated in one degree: "
                            f"{result.betti.as_dict()} ({result.certificate})")
-    sign = (-1) ** support[0]
-    return ClassFunction(len(legs), {mu: sign * v for mu, v in values.items()})
+    return ClassFunction(len(legs), {mu: (-1) ** top * v for mu, v in values.items()})
 
 
 def equivariant_euler_character(cx):

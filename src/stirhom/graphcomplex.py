@@ -459,17 +459,14 @@ def verify_decomposition(cx, include_characters=False):
         if graph_character != sum(characters[1:], characters[0]):
             return False
     graph = cx.homology()
-    support = graph.betti.support()
-    if not graph.d2_ok or len(support) != 1:
-        return False
-    value = graph.betti[support[0]]
-    if value != math.factorial(cx.m - 1) // 2:
+    top = graph.concentrated_in
+    if top is None or graph.betti[top] != math.factorial(cx.m - 1) // 2:
         return False
     total = 0
     for piece in pieces:
         result = piece.homology()
-        if (not result.d2_ok or result.betti.support() != [n]
+        if (result.concentrated_in != n
                 or result.betti[n] != stirling_unsigned(n, piece.k)):
             return False
         total += result.betti[n]
-    return value == total
+    return graph.betti[top] == total

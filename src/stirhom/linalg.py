@@ -7,13 +7,12 @@ matrix stores each column as two tuples of rows, those of its positive and
 of its negative entries (``SparseIntMatrix``).  Two products are compared
 by one routine, ``products_agree``, which sorts and compares the rows a
 column's positive and negative terms reach, and builds no product.  Step i
-tests d_{i-1} d_i = 0 with it (``composes_to_zero``, a zero right side);
-every homology, survey and character relies on that test, and ``stirhom
-verify`` runs it on each pair of whole differentials for its ``d2`` line,
-outside any pass, and on the action for its ``equivariance`` line.  While
-the test holds, the step pairs each degree-i cell c that has exactly one
-live face r, when <dc, r> = +-1: the face side of the coreduction of
-Mrozek and Batko (2009; Skoldberg 2006), over d_i alone.
+tests d_{i-1} d_i = 0 with it (``composes_to_zero``, a zero right side),
+the one d^2 check: every homology and character relies on it, and
+``stirhom verify`` reads its ``d2`` line off the pass of ``survey``.
+While the test holds, the step pairs each degree-i cell c that has
+exactly one live face r, when <dc, r> = +-1: the face side of the
+coreduction of Mrozek and Batko (2009; Skoldberg 2006), over d_i alone.
 A pair divides out the acyclic subcomplex spanned by c and dc; the
 quotient's differential is the original one restricted to the remaining
 cells, so no entry changes (no fill) and the homology is kept over Z.
@@ -194,18 +193,20 @@ def rank_exact(matrix):
 
 
 def products_agree(a, b, c=None, d=None):
-    """True when ``a b`` = ``c d``, or ``a b`` = 0 when ``c`` and ``d`` are
-    not given, tested one column at a time with no product built.  The
-    products agree on a column when the rows that the positive terms of
-    ``a b`` and the negative terms of ``c d`` reach, sorted, equal those
-    that the other terms reach: each side's ``_reached`` rows, exact over
-    Z.  The test stops at the first column where they differ."""
+    """True when ``a b`` = ``c d``, ``a b`` = ``c`` when ``d`` is not given,
+    or ``a b`` = 0 when neither is, tested one column at a time with no
+    product built.  The products agree on a column when the rows that the
+    positive terms of ``a b`` and the negative terms of the right side
+    reach, sorted, equal those that the other terms reach: ``_reached``
+    rows, or the rows of ``c`` itself, exact over Z.  The test stops at the
+    first column where they differ."""
     columns = a._reached(b)
     if c is not None:
-        if (a.nrows, b.ncols) != (c.nrows, d.ncols):
+        if (a.nrows, b.ncols) != (c.nrows, (c if d is None else d).ncols):
             raise ValueError("the products differ in shape")
+        right = zip(map(list, c.plus), map(list, c.minus)) if d is None else c._reached(d)
         columns = ((up + right_down, down + right_up) for (up, down), (right_up, right_down)
-                   in zip(columns, c._reached(d)))
+                   in zip(columns, right))
     for up, down in columns:
         up.sort()
         down.sort()
@@ -237,9 +238,6 @@ class BettiVector:
 
     def support(self):
         return sorted(d for d, b in self.values.items() if b)
-
-    def euler_characteristic(self):
-        return alternating_sum(self.values)
 
     def as_dict(self):
         return dict(sorted(self.values.items()))
@@ -278,6 +276,15 @@ class Homology:
     @property
     def d2_ok(self):
         return self.certificate != "unverified"
+
+    @property
+    def concentrated_in(self):
+        """The one total degree holding all the homology; None when d^2 = 0
+        is unverified or the homology is not in exactly one degree."""
+        support = self.betti.support()
+        if not self.d2_ok or len(support) != 1:
+            return None
+        return support[0]
 
 
 class Coreduction:
@@ -515,10 +522,6 @@ class ChainComplex:
 
     def differentials(self):
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}
-
-    def euler_characteristic(self):
-        """Alternating sum of chain dimensions in the edge grading."""
-        return alternating_sum(self.dims())
 
     def degrees(self):
         """The one pass over the degrees: release degree i-2, which nothing

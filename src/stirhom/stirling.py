@@ -23,12 +23,12 @@ set for each member mask m.  The triple is canonical by construction, so
 every differential and action term finds its row by it.
 
 One walk per degree.  The families of a degree come in ascending order,
-and the walk over them derives each tree's view, the input far sides of
-every vertex, once per pass.  While the view is at hand the walk yields
-the tree's keys, sorted by ``(dv, alt)``, so the keys of the degree come
-out sorted, and scores the reach of each vertex once.  The differential of
-the degree is assembled on the same walk, and its terms find the view
-where the walk left it.
+and the walk over them gets each tree's view, the input far sides of
+every vertex, from ``tree`` once per pass.  While the view is at hand the
+walk yields the tree's keys, sorted by ``(dv, alt)``, so the keys of the
+degree come out sorted, and scores the reach of each vertex once.  The
+differential of the degree is assembled on the same walk, and its terms
+find the view where the walk left it.
 
 The differential contracts edges.  Contracting the edge above cluster C
 drops C, and the distinguished vertex moves to C's parent when it was C.
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ChainComplex, SparseIntMatrix, alternating_sum, products_agree
+from .linalg import ChainComplex, alternating_sum, products_agree
 from .trees import _mask_set, _members, _spell, laminar_families, sort_sign
 
 
@@ -154,15 +154,14 @@ class StirlingComplex(ChainComplex):
 
     def walk(self, i):
         """The one walk over degree i: each laminar family of i clusters,
-        ascending, gets its view once, left in the memo of ``tree`` while
+        ascending, gets its view once from ``tree``, which holds it while
         its keys are met, and yields its keys sorted by ``(dv, alt)``,
         which keeps the whole walk sorted by key.  Each vertex with at
         least k inputs is scored once by ``vertex_reach``, and the score of
         every key goes to ``_reach[i]``, which the walk fills whole."""
         reach = self._reach[i] = []
         for clusters in laminar_families(self._clusters, i):
-            tree = _Tree(self.n, clusters)
-            self._view[i] = clusters, tree
+            tree = self.tree(clusters)
             for dv, alts in self._alternating_sets(tree):
                 reach += [self.vertex_reach(tree, dv)] * len(alts)
                 for alt in alts:
@@ -189,11 +188,11 @@ class StirlingComplex(ChainComplex):
                 for alt in alts)
 
     def tree(self, clusters):
-        """The view of the tree whose edges are ``clusters``.  The last one
-        of each degree is kept until ``release`` drops the degree, since
-        the walk leaves each view there while its keys are met and every
-        other walk over the keys, which are sorted by clusters, meets the
-        keys of one tree in a row."""
+        """The view of the tree whose edges are ``clusters``, the one place
+        views are derived.  The last one of each degree is kept until
+        ``release`` drops the degree, since the walk takes each view here
+        while its keys are met and every other walk over the keys, which
+        are sorted by clusters, meets the keys of one tree in a row."""
         i = clusters.bit_count()
         held = self._view.get(i)
         if held is None or held[0] != clusters:
@@ -271,24 +270,27 @@ class StirlingComplex(ChainComplex):
 
         return terms
 
-    def verify_equivariance(self, perm):
-        """True when the action of ``perm`` commutes with the differential:
-        A_{i-1} d_i = d_i A_i in every degree, compared column by column."""
-        actions = [self.action_matrix(i, perm) for i in range(self.max_edges + 1)]
-        return all(products_agree(actions[i - 1], d, d, actions[i])
-                   for i, d in self.differentials().items())
-
-    def verify_group_law(self, pairs):
-        """True when A(sigma) A(tau) = A(sigma tau) in every degree, compared
-        column by column with A(sigma tau) times the identity."""
+    def verify_action(self, perms, pairs=()):
+        """True when each relabeling in ``perms``, and the sigma of each
+        pair, commutes with d (A_{i-1} d_i = d_i A_i) and each pair (sigma,
+        tau) obeys A(sigma) A(tau) = A(sigma tau), column by column.  Each
+        relabeling walks the degrees holding only A_{i-1} and A_i, and a
+        pair's law reuses A_i(sigma)."""
+        laws = {}
         for sigma, tau in pairs:
             sigma, tau = self.relabeling(sigma), self.relabeling(tau)
-            prod = compose(sigma, tau)
+            laws.setdefault(sigma, []).append((tau, compose(sigma, tau)))
+        relabelings = dict.fromkeys(map(self.relabeling, perms)) | dict.fromkeys(laws)
+        d = self.differentials()
+        for perm in relabelings:
             for i in range(self.max_edges + 1):
-                dim = self.dim(i)
-                identity = SparseIntMatrix(dim, [(r,) for r in range(dim)], [()] * dim)
-                if not products_agree(self.action_matrix(i, sigma), self.action_matrix(i, tau),
-                                      self.action_matrix(i, prod), identity):
+                action = self.action_matrix(i, perm)
+                if i and not products_agree(below, d[i], d[i], action):
+                    return False
+                below = action
+                if not all(products_agree(action, self.action_matrix(i, tau),
+                                          self.action_matrix(i, prod))
+                           for tau, prod in laws.get(perm, ())):
                     return False
         return True
 
@@ -384,9 +386,10 @@ def compose(sigma, tau):
 
 def survey(n, k, rank_seed=0):
     """Type (n, k) in one pass of ``ChainComplex.degrees``: dimensions,
-    ranks, Betti numbers, the d^2 and reach checks, and the certificate of
-    the pass's reduction (``"unverified"`` when d^2 = 0 failed).  The reach
-    check of degree i runs in the pass, while degree i-1 is still held.
+    ranks, Betti numbers, the d^2 and reach checks, the concentration
+    degree and the certificate of the pass's reduction (``"unverified"``
+    when d^2 = 0 failed).  The reach check of degree i runs in the pass,
+    while degree i-1 is still held.
 
     ``rank_seed`` is accepted and ignored: every rank is exact and takes no
     seed, and callers that still pass one (``perfbench/workloads.py``) keep
@@ -401,4 +404,5 @@ def survey(n, k, rank_seed=0):
     return {"n": n, "k": k, "dims": result.dims, "ranks": result.ranks,
             "betti": result.betti, "d2_ok": result.d2_ok,
             "reach_ok": reach_ok, "certificate": result.certificate,
+            "concentrated_in": result.concentrated_in,
             "euler": alternating_sum(result.dims)}

@@ -41,12 +41,19 @@ MUTANTS = [
            "src/stirhom/stirling.py",
            "others | 1 << b), -sign if passed % 2 else sign",
            "others | 1 << b), sign",
-           ("tests/test_stirling.py::test_first_differential_matches_oracle",)),
+           ("tests/test_stirling.py::test_first_differential_matches_oracle",
+            "tests/test_cli.py::test_verify_lines_read_fail")),
     Mutant("Stirling action: trade terms keep the relabeling's sign",
            "src/stirhom/stirling.py",
            "for a in alt_images], -edge_sign)",
            "for a in alt_images], edge_sign)",
-           ("tests/test_stirling.py::test_equivariance_and_group_law",)),
+           ("tests/test_stirling.py::test_equivariance_and_group_law",
+            "tests/test_cli.py::test_verify_lines_read_fail")),
+    Mutant("action check: the group law of a pair is not checked",
+           "src/stirhom/stirling.py",
+           "for tau, prod in laws.get(perm, ())):",
+           "for tau, prod in laws.get(perm, ())[:0]):",
+           ("tests/test_stirling.py::test_verify_action_checks_the_group_law",)),
     Mutant("graph contraction: the flip mask reads the clusters without the view's sign bit",
            "src/stirhom/graphcomplex.py",
            "odd = (marked & flips[place])",
@@ -70,6 +77,12 @@ MUTANTS = [
            "(up + right_down, down + right_up)",
            "(up + right_up, down + right_down)",
            ("tests/test_linalg.py::test_products_agree_on_the_action",)),
+    Mutant("product comparison: a right side without a factor read with its signs swapped",
+           "src/stirhom/linalg.py",
+           "zip(map(list, c.plus), map(list, c.minus))",
+           "zip(map(list, c.minus), map(list, c.plus))",
+           ("tests/test_linalg.py::test_products_agree_on_the_action",
+            "tests/test_stirling.py::test_equivariance_and_group_law")),
     Mutant("pairing: a cell with two live faces is paired",
            "src/stirhom/linalg.py",
            "if count == 1)\n        pairs = 0\n        while queue:\n"
@@ -82,6 +95,11 @@ MUTANTS = [
            "        for side, unit in ((plus, 1), (minus, -1)):\n            for r in side:",
            "        for side, unit in ((plus, 1),):\n            for r in side:",
            ("tests/test_linalg.py::test_projective_plane_needs_the_residual",)),
+    Mutant("concentration: the verdict ignores a failed d^2 check",
+           "src/stirhom/linalg.py",
+           "if not self.d2_ok or len(support) != 1:",
+           "if len(support) != 1:",
+           ("tests/test_linalg.py::test_concentration_needs_a_verified_d_squared",)),
     Mutant("reach: the bound on the source's reach lowered by one",
            "src/stirhom/stirling.py",
            "upper = 2 * (self.n - self.k) - 2",

@@ -252,6 +252,15 @@ def test_streamed_traces_match_traces_of_the_whole_complex(make, size, perm_of):
                                        (-1) ** top[0])
 
 
+def test_character_refuses_homology_outside_one_degree():
+    # the negative control fails d^2 = 0 and spreads over two degrees, so
+    # its homology has no single degree to sign the character by
+    with pytest.raises(RuntimeError, match=r"^homology is not concentrated "
+                       r"in one degree: \{0: 0, 1: 0, 2: 0, 3: -2, 4: 1\} "
+                       r"\(unverified\)$"):
+        C.homology_character(GraphComplex(4, orientation_kill=False))
+
+
 def test_full_alternating_complexes_give_sign():
     for n in [2, 3, 4]:
         assert C.equivariant_euler_character(StirlingComplex(n, n)) == sign_character(n + 1)

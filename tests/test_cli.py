@@ -161,6 +161,74 @@ def test_verify_fails_when_the_trade_terms_flip_sign(monkeypatch, capsys, factor
     assert json.loads(out)["results"] == {"equivariance": not code}
 
 
+def flip_contraction_trade_terms(monkeypatch):
+    # every trade term of the contraction, the one that replaces an
+    # alternating edge by an input, with its sign flipped: d^2 = 0 fails
+    original = st.StirlingComplex.contraction_terms
+
+    def contraction_terms(self, key):
+        for target, sign in original(self, key):
+            yield target, -sign if target[2] != key[2] else sign
+
+    monkeypatch.setattr(st.StirlingComplex, "contraction_terms", contraction_terms)
+
+
+def push_reach_past_its_bound(monkeypatch):
+    # every reach in the acyclic part raised past 2 (n - k) - 2
+    original = st.StirlingComplex.vertex_reach
+
+    def vertex_reach(self, tree, dv):
+        score = original(self, tree, dv)
+        return None if score is None else score + 2 * self.n
+
+    monkeypatch.setattr(st.StirlingComplex, "vertex_reach", vertex_reach)
+
+
+@pytest.mark.parametrize("patch,failed", [
+    (None, ()),
+    (flip_contraction_trade_terms, ("d2", "equivariance")),
+    (push_reach_past_its_bound, ("reach",)),
+], ids=["unpatched", "contraction-sign", "reach-bound"])
+def test_verify_lines_read_fail(monkeypatch, capsys, patch, failed):
+    # every line of verify on (5, 2) reads PASS, and each broken check reads
+    # FAIL in both formats with exit code 1
+    if patch is not None:
+        patch(monkeypatch)
+    expected = {check: check not in failed
+                for check in ("d2", "equivariance", "reach", "euler")}
+    code, out = run(capsys, "verify", "--n", "5", "--k", "2", "--format", "json")
+    assert code == (1 if failed else 0)
+    assert json.loads(out)["results"] == expected
+    code, out = run(capsys, "verify", "--n", "5", "--k", "2")
+    assert code == (1 if failed else 0)
+    assert out.splitlines()[1:] == [f"  {check}: {'PASS' if ok else 'FAIL'}"
+                                    for check, ok in expected.items()]
+
+
+def test_verify_reads_one_pass(monkeypatch, capsys):
+    # the d2, reach and euler lines come from one survey, which builds no
+    # action matrix; the equivariance line alone runs no survey
+    surveys = []
+    survey = st.survey
+
+    def counted(n, k):
+        surveys.append((n, k))
+        return survey(n, k)
+
+    def refuse(*args):
+        raise AssertionError("an action matrix was built")
+
+    monkeypatch.setattr(st, "survey", counted)
+    with monkeypatch.context() as patched:
+        patched.setattr(st.StirlingComplex, "action_matrix", refuse)
+        code, _out = run(capsys, "verify", "--n", "4", "--k", "2",
+                         "--checks", "d2,reach,euler")
+    assert code == 0 and surveys == [(4, 2)]
+    code, _out = run(capsys, "verify", "--n", "4", "--k", "2",
+                     "--checks", "equivariance")
+    assert code == 0 and surveys == [(4, 2)]
+
+
 def test_characters(capsys):
     code, out = run(capsys, "characters", "--n", "4", "--k", "4",
                     "--format", "json")

@@ -29,7 +29,7 @@ from stirhom.graphcomplex import (GraphComplex, GraphError,
                                   enumerate_graph_generators,
                                   graph_homology_character,
                                   verify_decomposition)
-from stirhom.linalg import composes_to_zero
+from stirhom.linalg import alternating_sum, composes_to_zero
 
 from closed_forms import dihedral_character
 from flag_graphs import FlagGraphComplex, representative
@@ -462,7 +462,7 @@ def test_decomposition_ranks():
 def test_betti_euler_matches_chain_euler():
     for m in (3, 4):
         cx = GraphComplex(m)
-        assert cx.betti().euler_characteristic() == cx.euler_characteristic()
+        assert alternating_sum(cx.betti().values) == alternating_sum(cx.dims())
 
 
 def test_negative_control_changes_betti():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st_
 
 from stirhom.characters import stirling_unsigned
 from stirhom.graphcomplex import GraphComplex
-from stirhom.linalg import (SparseIntMatrix, _eliminate_rank,
+from stirhom.linalg import (BettiVector, Homology, SparseIntMatrix,
+                            _eliminate_rank, alternating_sum,
                             betti_from_dims_and_ranks, composes_to_zero,
                             products_agree, rank_exact)
 from stirhom.stirling import StirlingComplex, survey
@@ -130,8 +131,9 @@ def test_d_squared_is_checked_column_by_column(monkeypatch):
 
 def test_equivariance_is_checked_column_by_column(monkeypatch):
     # a b = c d as the verify command compares the action with the
-    # differential: no matrix is built, and no column of either right factor
-    # past the first one where the products differ is read
+    # differential, and a b = c as it checks the group law: no matrix is
+    # built, and no column of either right factor, or of c, past the first
+    # one where the products differ is read
     swap = from_triplets(2, 2, [(0, 1, 1), (1, 0, 1)])
     eye = from_triplets(2, 2, [(0, 0, 1), (1, 1, 1)])
     wide = from_triplets(1, 2, [(0, 0, 1)])
@@ -140,8 +142,12 @@ def test_equivariance_is_checked_column_by_column(monkeypatch):
     monkeypatch.setattr(SparseIntMatrix, "__init__", no_matrix)
     assert products_agree(swap, eye, eye, swap)
     assert not products_agree(swap, left, eye, right)
+    assert products_agree(swap, eye, swap)
+    assert not products_agree(swap, left, right)
     with pytest.raises(ValueError):
         products_agree(swap, eye, wide, eye)
+    with pytest.raises(ValueError):
+        products_agree(swap, eye, wide)
 
 
 def test_signed_rows_and_the_dict_columns():
@@ -175,7 +181,7 @@ def test_matrix_market_format():
 def test_betti_assembly():
     betti = betti_from_dims_and_ranks({0: 3, 1: 6}, {1: 3}, lambda i: i + 2)
     assert betti.as_dict() == {2: 0, 3: 3}
-    assert betti.euler_characteristic() == -3
+    assert alternating_sum(betti.values) == -3
     assert betti.support() == [3]
     with pytest.raises(RuntimeError):
         betti_from_dims_and_ranks({0: 1, 1: 4}, {1: 3}, lambda i: i)
@@ -202,6 +208,23 @@ def test_homology_reports_a_failed_d_squared():
     verified = morse_reduce(dims, {1: one}).homology(dims, lambda i: i + 2)
     assert verified.certificate == "morse-integral" and verified.d2_ok
     assert verified.betti.as_dict() == {2: 0, 3: 0}
+
+
+def test_concentration_needs_a_verified_d_squared():
+    # the one concentration verdict: one nonzero degree counts only when
+    # d^2 = 0 was verified, and degree 0 is a degree like any other
+    one = from_triplets(1, 1, [(0, 0, 1)])
+    dims = {0: 1, 1: 1, 2: 1}
+    failed = morse_reduce(dims, {1: one, 2: one}).homology(dims, lambda i: i)
+    assert failed.betti.support() == [1] and failed.concentrated_in is None
+    top = BettiVector({2: 0, 3: 3})
+    for certificate in ("morse-integral", "exact-rational"):
+        assert Homology(dims, {}, top, certificate).concentrated_in == 3
+    assert Homology(dims, {}, top, "unverified").concentrated_in is None
+    for betti, degree in (({2: 1, 3: 3}, None), ({2: 0, 3: 0}, None),
+                          ({0: 2, 1: 0}, 0), ({0: 0, 1: -1}, 1)):
+        homology = Homology(dims, {}, BettiVector(betti), "morse-integral")
+        assert homology.concentrated_in == degree
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +315,9 @@ def test_products_agree_matches_the_oracle_on_small_matrices(a, b, c, d):
     c = from_triplets(a.nrows, c.ncols, [(i % a.nrows, j, v) for i, j, v in c.triplets()])
     d = from_triplets(c.ncols, r, [(i % c.ncols, j % r, v) for i, j, v in d.triplets()])
     assert products_agree(a, b, c, d) == same(product(a, b), product(c, d))
+    assert products_agree(a, b, product(c, d)) == same(product(a, b), product(c, d))
     assert products_agree(a, b, a, b)
+    assert products_agree(a, b, product(a, b))
     doubled = from_triplets(a.nrows, 2 * q, [
         *a.triplets(), *((i, j + q, v) for i, j, v in a.triplets())])
     entries = sorted(b.triplets())
@@ -341,8 +366,8 @@ def relabelings(cx, seed=0):
     pytest.param(lambda m=m: GraphComplex(m), id=f"graph-{m}") for m in (4, 5)])
 def test_products_agree_on_the_action(make):
     # equivariance, A_(i-1) d_i = d_i A_i, and the group law,
-    # A(sigma) A(tau) = A(sigma tau) times the identity, against the dict
-    # product; then with one sign flipped in the left side's right factor,
+    # A(sigma) A(tau) = A(sigma tau), times the identity and alone, against
+    # the dict product; then with one sign flipped in the left side's right factor,
     # which a signed permutation on its left cannot kill
     cx = make()
     perms, pairs = relabelings(cx)
@@ -366,9 +391,10 @@ def test_products_agree_on_the_action(make):
             eye = from_triplets(dim, dim, [(j, j, 1) for j in range(dim)])
             a, b, c = (cx.action_matrix(i, p) for p in (sigma, tau, composed))
             agree = products_agree(a, b, c, eye)
-            assert agree == same(product(a, b), c)
+            assert agree == same(product(a, b), c) == products_agree(a, b, c)
             assert agree
             assert not products_agree(a, flip_one(b), c, eye)
+            assert not products_agree(a, flip_one(b), c)
             flips += 1
     assert flips >= 3 * (cx.max_edges + 1)
 
@@ -612,4 +638,4 @@ def test_survey_is_the_pass(n, k):
     assert result["betti"] == homology.betti
     assert result["certificate"] == homology.certificate
     assert result["d2_ok"] and result["reach_ok"]
-    assert result["euler"] == StirlingComplex(n, k).euler_characteristic()
+    assert result["euler"] == alternating_sum(StirlingComplex(n, k).dims())

@@ -22,7 +22,7 @@ from hypothesis import strategies as st_
 
 from stirhom import linalg
 from stirhom.cli import main
-from stirhom.linalg import composes_to_zero, rank_exact
+from stirhom.linalg import alternating_sum, composes_to_zero, rank_exact
 from stirhom.graphcomplex import GraphComplex, GraphError
 from stirhom.stirling import (DomainError, StirlingComplex, compose, survey,
                               transposition)
@@ -203,7 +203,7 @@ def test_euler_characteristic_identity():
     for n in range(2, 7):
         for k in range(2, n + 1):
             cx = StirlingComplex(n, k)
-            assert cx.euler_characteristic() == stirling_signed(n, k)
+            assert alternating_sum(cx.dims()) == stirling_signed(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +264,31 @@ def test_root_swap_replacement_column():
 
 def test_equivariance_and_group_law():
     cx = StirlingComplex(4, 2)
-    assert cx.verify_equivariance(transposition(4, 0, 1))
-    assert StirlingComplex(4, 3).verify_equivariance((1, 2, 3, 4, 0))
-    assert cx.verify_group_law([((1, 0, 2, 3, 4), (0, 2, 1, 4, 3))])
+    assert cx.verify_action([transposition(4, 0, 1)])
+    assert StirlingComplex(4, 3).verify_action([(1, 2, 3, 4, 0)])
+    assert cx.verify_action([], [((1, 0, 2, 3, 4), (0, 2, 1, 4, 3))])
     sigma, tau = (4, 0, 1, 2, 3), (1, 2, 0, 4, 3)
     assert compose(sigma, tau) == tuple(sigma[t] for t in tau)
+
+
+def test_verify_action_checks_the_group_law(monkeypatch):
+    # -A(tau) commutes with d as A(tau) does, so only the group law
+    # A(sigma) A(tau) = A(sigma tau) tells the negated action apart
+    sigma, tau = (1, 0, 2, 3, 4), (0, 2, 1, 4, 3)
+    original = StirlingComplex.action_terms
+
+    def action_terms(self, perm):
+        terms = original(self, perm)
+        if tuple(perm) != tau:
+            return terms
+        return lambda key: [(target, -sign) for target, sign in terms(key)]
+
+    monkeypatch.setattr(StirlingComplex, "action_terms", action_terms)
+    cx = StirlingComplex(4, 2)
+    assert cx.verify_action([sigma, tau, compose(sigma, tau)])
+    assert cx.verify_action([], [(sigma, sigma)])
+    assert not cx.verify_action([], [(sigma, tau)])
+    assert not cx.verify_action([tau], [(tau, sigma)])
 
 
 @pytest.mark.parametrize("cx,error,repeated,short,partial,message", [
@@ -410,7 +430,7 @@ def test_total_degree_window_and_euler_consistency():
         betti = cx.betti()
         assert sorted(betti.values) == list(range(k, n + 1))
         chain_euler = sum((-1) ** (i + k) * d for i, d in cx.dims().items())
-        assert betti.euler_characteristic() == chain_euler
+        assert alternating_sum(betti.values) == chain_euler
 
 
 def test_orientation_seed_leaves_betti_invariant():
