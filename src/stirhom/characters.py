@@ -205,11 +205,6 @@ class ClassFunction:
             total += class_size(mu) * Fraction(self.values[mu]) * other.values[mu]
         return total / math.factorial(self.m)
 
-    def __eq__(self, other):
-        return (isinstance(other, ClassFunction) and self.m == other.m
-                and all(self.values[mu] == other.values[mu]
-                        for mu in partitions(self.m)))
-
     def __add__(self, other):
         if self.m != other.m:
             raise ValueError("weights differ")

@@ -171,8 +171,9 @@ def cmd_verify(args):
         raise SystemExit(f"unknown checks: {sorted(unknown)}")
     if not checks:
         raise SystemExit(f"no checks given; choose from {sorted(known)}")
-    # the d2, reach and euler lines read the checks of one pass
-    passed = st.survey(n, k) if set(checks) - {"equivariance"} else None
+    # the d2 and reach lines read the checks of one pass, and the euler line
+    # its dimensions, or one walk per degree when neither is asked for
+    passed = st.survey(n, k) if {"d2", "reach"} & set(checks) else None
     results = {}
     if "d2" in checks:
         results["d2"] = passed["d2_ok"]
@@ -189,7 +190,8 @@ def cmd_verify(args):
     if "reach" in checks:
         results["reach"] = passed["reach_ok"]
     if "euler" in checks:
-        results["euler"] = passed["euler"] == chars.stirling_signed(n, k)
+        dims = passed["dims"] if passed else st.StirlingComplex(n, k).dims()
+        results["euler"] = alternating_sum(dims) == chars.stirling_signed(n, k)
     ok = all(results.values())
     payload = {"schema": SCHEMA, "command": "verify", "n": n, "k": k,
                "seed": args.seed, "results": results, "status": _status(ok)}

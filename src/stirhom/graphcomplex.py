@@ -31,10 +31,11 @@ hanging edge drops its cluster, a cycle edge merges its two blocks, and the
 loop leaves the genus-one vertex with the same clusters.  A permutation of
 the legs acts on every mask bit by bit, and fixes a key exactly when it
 maps its cycle and its family of clusters onto themselves.  A pass lists
-the block partitions, their cycles and the clusters hung in them once
-(``_CycleTable``): the walk of a degree reads the cycles ascending, each
-with its families, so the keys come out sorted, and a trace enumerates
-the keys it fixes from the partitions it maps onto themselves.
+the block partitions once, on masks, with their cycles in normal form and
+the clusters hung in them (``_CycleTable``): the walk of a degree reads
+the cycles ascending, each with its families, so the keys come out
+sorted, and a trace enumerates the keys it fixes from the partitions it
+maps onto themselves.
 
 The orientation kill.  The legs are labeled, so the hanging trees and the
 blocks are rigid: a leg-fixing automorphism can only flip a loop, which
@@ -179,47 +180,41 @@ def _hung_clusters(blocks):
     return found
 
 
-def _partitions_into_blocks(items, r, min_block):
-    """Partitions of ``items`` into exactly r blocks of size >= min_block."""
-    if r == 0:
-        if not items:
-            yield ()
-        return
-    if len(items) < r * min_block:
-        return
-    first, rest = items[0], items[1:]
-    # the block containing the first element, then recurse
-    for extra in range(min_block - 1, len(rest) - (r - 1) * min_block + 1):
-        for members in itertools.combinations(rest, extra):
-            block = frozenset((first,) + members)
-            remaining = tuple(x for x in rest if x not in block)
-            for tail in _partitions_into_blocks(remaining, r - 1, min_block):
-                yield (block,) + tail
-
-
 def _block_cycles(m, c):
     """Each partition of legs 1..m into c blocks, as its block masks, with
-    every cycle of those blocks in normal form: the block of leg 1 comes
-    first and blocks come ordered by their lowest leg, so each cycle is
-    read in one direction."""
-    for blocks in _partitions_into_blocks(tuple(range(1, m + 1)), c, 1):
-        first, *rest = (sum(1 << j for j in b) for b in blocks)
-        cycles = [(first,) + order for order in itertools.permutations(rest)
-                  if not order or order[0] & -order[0] <= order[-1] & -order[-1]]
-        yield (first, *rest), cycles
+    every cycle of those blocks: the distinct ``_normal_cycle`` images of
+    the orderings of the blocks after the first.  Each block holds the
+    lowest leg the blocks before it leave, and a submask of the rest."""
+    stack = [((), (1 << m + 1) - 2)]
+    while stack:
+        blocks, left = stack.pop()
+        if len(blocks) == c - 1:
+            blocks += (left,)
+            first, *rest = blocks
+            yield blocks, list(dict.fromkeys(
+                _normal_cycle((first,) + order) for order in itertools.permutations(rest)))
+            continue
+        low = left & -left
+        rest = sub = left ^ low
+        while True:
+            if (rest ^ sub).bit_count() >= c - 1 - len(blocks):
+                stack.append((blocks + (low | sub,), rest ^ sub))
+            if not sub:
+                break
+            sub = sub - 1 & rest
 
 
 class _CycleTable:
     """The cycles of the classes with m legs, listed once per pass.
 
-    ``partitions`` maps the blocks of each partition of the legs to the
-    clusters hung in them and the cycles on them; the genus-one vertex, the
-    empty cycle, shares the one block {1..m} with the loop.  ``ascending``
-    lists every cycle ascending, with its blocks and their clusters, and
-    ``listed`` maps each cycle to the tuple listed for it.  With the
-    orientation kill the 2-cycles are left out.  Tables compare by the leg
-    count and kill that fix them, so calls of ``enumerate_graph_generators``
-    with equal arguments compare equal.
+    ``partitions`` maps the blocks of each partition of the legs, listed on
+    masks by ``_block_cycles``, to the clusters hung in them and the cycles
+    on them; the genus-one vertex, the empty cycle, shares the one block
+    {1..m} with the loop.  ``ascending`` lists every cycle ascending, with
+    its blocks and their clusters, and ``listed`` maps each cycle to the
+    tuple listed for it.  With the orientation kill the 2-cycles are left
+    out.  Tables compare by the leg count and kill that fix them, so calls
+    of ``enumerate_graph_generators`` with equal arguments compare equal.
     """
 
     __slots__ = ("fixed_by", "partitions", "ascending", "listed")

@@ -66,6 +66,18 @@ MUTANTS = [
            ("tests/test_graphcomplex.py::test_kill_rule_is_two_cycle",
             "tests/test_graphcomplex.py::test_parallel_edges_killed",
             "tests/test_counts.py::test_graph_dims_match_counts")),
+    Mutant("block partitions: the lowest leg left is never alone in its block",
+           "src/stirhom/graphcomplex.py",
+           "            if not sub:\n                break\n            sub = sub - 1 & rest",
+           "            sub = sub - 1 & rest\n            if not sub:\n                break",
+           ("tests/test_trees.py::test_cycle_table_equals_the_oracle_cycles",
+            "tests/test_counts.py::test_graph_dims_match_counts")),
+    Mutant("block cycles: listed without the normal form, in both directions",
+           "src/stirhom/graphcomplex.py",
+           "_normal_cycle((first,) + order) for order",
+           "(first,) + order for order",
+           ("tests/test_trees.py::test_cycle_table_equals_the_oracle_cycles",
+            "tests/test_counts.py::test_graph_dims_match_counts")),
     Mutant("product comparison: equal lengths only",
            "src/stirhom/linalg.py",
            "        if up != down:",

@@ -11,6 +11,11 @@ root and the blocks of the subtrees, and allocating the edges among them.
 ``stirling_keys`` and ``graph_keys`` build the keys of a degree from the
 shapes, which the tests compare with ``generators(i)``.
 
+The oracle owns its enumerators: the set partitions into blocks, here on
+frozensets of labels, and the cycles of each partition's blocks with its
+own direction rule.  From ``stirhom`` it takes only ``GraphComplex``,
+``StirlingComplex`` and ``_mask_set``.
+
 ``python tests/shape_oracle.py N`` compares every degree of every type
 (N, k) and of GC(N) with the orientation kill on and off, and exits
 non-zero on the first complex whose keys differ.
@@ -21,8 +26,38 @@ from __future__ import annotations
 import itertools
 import sys
 
-from stirhom.graphcomplex import GraphComplex, _partitions_into_blocks
+from stirhom.graphcomplex import GraphComplex
 from stirhom.stirling import StirlingComplex, _mask_set
+
+
+def _partitions_into_blocks(items, r, min_block):
+    """Partitions of ``items`` into exactly r blocks of size >= min_block."""
+    if r == 0:
+        if not items:
+            yield ()
+        return
+    if len(items) < r * min_block:
+        return
+    first, rest = items[0], items[1:]
+    # the block containing the first element, then recurse
+    for extra in range(min_block - 1, len(rest) - (r - 1) * min_block + 1):
+        for members in itertools.combinations(rest, extra):
+            block = frozenset((first,) + members)
+            remaining = tuple(x for x in rest if x not in block)
+            for tail in _partitions_into_blocks(remaining, r - 1, min_block):
+                yield (block,) + tail
+
+
+def block_cycles(labels, c):
+    """Each partition of ``labels`` into c blocks, with every cycle of its
+    blocks: the first block first, then the others in each order whose
+    first block's least label is not above its last's, so each cycle is
+    read in one direction."""
+    for blocks in _partitions_into_blocks(labels, c, 1):
+        first, rest = blocks[0], blocks[1:]
+        yield blocks, [(first,) + arrangement
+                       for arrangement in itertools.permutations(rest)
+                       if not arrangement or min(arrangement[0]) <= min(arrangement[-1])]
 
 
 def _compositions(total, caps):
@@ -123,12 +158,8 @@ def graph_keys(m, i, orientation_kill=True):
     for c in range(1, min(i, m) + 1):
         if orientation_kill and c == 2:
             continue
-        for blocks in _partitions_into_blocks(labels, c, 1):
-            first, rest = blocks[0], blocks[1:]
-            for arrangement in itertools.permutations(rest):
-                if arrangement and min(arrangement[0]) > min(arrangement[-1]):
-                    continue
-                ordered = (first,) + arrangement
+        for _blocks, cycles in block_cycles(labels, c):
+            for ordered in cycles:
                 cycle = tuple(sum(1 << j for j in b) for b in ordered)
                 caps = [len(b) - 1 for b in ordered]
                 for alloc in _compositions(i - c, caps):

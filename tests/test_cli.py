@@ -10,6 +10,7 @@ import pytest
 
 from stirhom import stirling as st
 from stirhom.cli import main
+from stirhom.linalg import ChainComplex
 from stirhom.trees import _members
 
 
@@ -227,6 +228,17 @@ def test_verify_reads_one_pass(monkeypatch, capsys):
     code, _out = run(capsys, "verify", "--n", "4", "--k", "2",
                      "--checks", "equivariance")
     assert code == 0 and surveys == [(4, 2)]
+
+
+def test_verify_euler_alone_only_walks(monkeypatch, capsys):
+    # without d2 or reach the euler line reads the dimensions of one walk
+    # per degree: no differential is assembled
+    def refuse(*args):
+        raise AssertionError("a differential was assembled")
+
+    monkeypatch.setattr(ChainComplex, "_assemble", refuse)
+    code, out = run(capsys, "verify", "--n", "5", "--k", "2", "--checks", "euler")
+    assert code == 0 and out == "verify (5, 2)\n  euler: PASS\n"
 
 
 def test_characters(capsys):

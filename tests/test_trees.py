@@ -8,8 +8,10 @@ flag-tree oracle ``stirling_oracle``.  The genus-one classes are contracted
 through ``GraphComplex.contraction_terms``, drawn as flag graphs from their
 keys, and their orientation kill is checked against a raw automorphism
 search.  The keys of every degree of both complexes are checked against
-the rooted-shape enumeration of ``shape_oracle``, and a complex is checked
-to hold no tree once its pass is over.
+the rooted-shape enumeration of ``shape_oracle``, the graph complex's
+table of block partitions and cycles against that oracle's own
+enumerator, and a complex is checked to hold no tree once its pass is
+over.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from hypothesis import strategies as st_
 import flag_graphs as T
 from stirhom import stirling
 from stirhom.characters import partitions, representative_permutation
-from stirhom.graphcomplex import GraphComplex, _hung_clusters, _partitions_into_blocks
+from stirhom.graphcomplex import GraphComplex, _CycleTable, _hung_clusters
 from stirhom.stirling import StirlingComplex, _Tree, _members, survey
 from stirhom.trees import _bit_images, _mask_set, laminar_families
 from helpers import perm_parity
-from shape_oracle import oracle_keys
+from shape_oracle import _partitions_into_blocks, block_cycles, oracle_keys
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
 
 
@@ -436,6 +438,33 @@ def test_generators_equal_the_shape_oracle(kind, size, other):
     for i in range(cx.max_edges + 1):
         assert cx.generators(i) == oracle_keys(cx, i)
     assert cx.generators(-1) == []
+
+
+@pytest.mark.parametrize("kill", [True, False])
+def test_cycle_table_equals_the_oracle_cycles(kill):
+    # the partitions and cycles listed on masks against the oracle's
+    # frozenset enumerator and direction rule, for every m <= 8 (the key
+    # comparisons stop at m = 7); a sorted list of cycles also catches one
+    # listed twice
+    def masks(blocks):
+        return tuple(sum(1 << j for j in b) for b in blocks)
+
+    for m in range(1, 9):
+        expected = {}
+        for c in range(1, m + 1):
+            if not (kill and c == 2):
+                for blocks, cycles in block_cycles(tuple(range(1, m + 1)), c):
+                    expected[masks(blocks)] = sorted(map(masks, cycles))
+        full = (1 << m + 1) - 2
+        expected[(full,)].insert(0, ())
+        table = _CycleTable(m, kill)
+        assert {blocks: sorted(cycles)
+                for blocks, (_pool, cycles) in table.partitions.items()} == expected
+        every = sorted(cycle for cycles in expected.values() for cycle in cycles)
+        assert [cycle for cycle, _blocks, _pool in table.ascending] == every
+        assert all(set(cycle or (full,)) == set(blocks) and pool == _hung_clusters(blocks)
+                   for cycle, blocks, pool in table.ascending)
+        assert list(table.listed) == every
 
 
 def test_laminar_families_come_out_ascending():
