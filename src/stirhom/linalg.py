@@ -19,6 +19,9 @@ cells, so no entry changes (no fill) and the homology is kept over Z.
 
 No later step touches degree i-1, so after step i its live (critical) cells
 are final: the residual of d_{i-1} on them is ranked and d_{i-1} dropped.
+Degree i-2 is already final when step i starts, so once its check passes
+the step keeps of d_{i-1} only the columns with an entry on a live face of
+degree i-2, the only ones the residual reads, before it pairs on d_i.
 No step changes a differential: the pairing counts the live entries of
 each column, and the residual is built on the live rows alone.  With
 d^2 = 0 through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions and
@@ -41,10 +44,13 @@ lazily enumerated degrees 0..max_edges of sorted generator keys, each
 degree read off its subclass's walk, the position of each key, the shared
 assembler that turns signed contraction and action terms into the
 differential, an action matrix or a trace, and the one pass over the
-degrees, ``degrees()``: it releases degree i-2, builds d_i on the walk of
-degree i, whose keys it keeps, then dim C_i, drops the row table of degree
-i-1, takes the reduction step and yields i, so callers do their per-degree
-work (the reach check, traces) while only degrees i-1 and i are held.  A
+degrees, ``degrees()``, which holds only what a later step reads: it
+releases degree i-2, builds d_i on the walk of degree i, which counts the
+degree and keeps its keys for d_{i+1} (none on the top degree), drops the
+keys and the row table of degree i-1, takes the reduction step and yields
+i, so callers do their per-degree work (the reach check, traces) while
+only degree i's keys are held.  ``dims()`` counts each walk and keeps no
+key; ``generators(i)`` is the walk that keeps its keys.  A
 relabeling permutes the complex's ``legs``; the base checks it and tables
 the image of every mask once per pass for both complexes.  A trace is the
 signed sum of the action terms that land on their source, taken only over
@@ -287,6 +293,20 @@ class Homology:
         return support[0]
 
 
+def _on_live_faces(d, faces):
+    """``d`` with each column that has an entry on a live face, by the
+    flags ``faces``, and ``()`` for every other column: the columns a
+    residual on those faces can read.  The columns kept are ``d``'s own
+    tuples; with no live face, no column is scanned."""
+    plus, minus = [()] * d.ncols, [()] * d.ncols
+    if 1 in faces:
+        live = faces.__getitem__
+        for c, (up, down) in enumerate(zip(d.plus, d.minus)):
+            if any(map(live, up)) or any(map(live, down)):
+                plus[c], minus[c] = up, down
+    return SparseIntMatrix(d.nrows, plus, minus)
+
+
 class Coreduction:
     """The step reducer, fed the degrees in order by ``step``.
 
@@ -294,9 +314,12 @@ class Coreduction:
     degree-i cells no pair removed (in the degrees reduced under a verified
     d^2), and ``certificate`` is ``"morse-integral"``, ``"exact-rational"``
     or ``"unverified"``.  Between steps it holds the last differential and
-    the live flags of its target and source degrees.  No step changes a
-    differential it is fed: the pairs and the residual read its live
-    entries off the flags.
+    the live flags of its target and source degrees.  Once the d^2 check of
+    step i passes, the target degree i-2 of the held d_{i-1} is final, so
+    the step swaps d_{i-1} for the columns with an entry on a live face
+    (``_on_live_faces``), the only ones its residual reads, before it
+    pairs on d_i.  No step changes a differential it is fed: the pairs and
+    the residual read its live entries off the flags.
     """
 
     def __init__(self):
@@ -306,7 +329,8 @@ class Coreduction:
 
     def step(self, i, dim, d=None):
         """Reduce degree i, of dimension ``dim``, with d_i = ``d`` (``None``
-        at degree 0): check d_{i-1} d_i = 0, pair on d_i, settle degree i-1."""
+        at degree 0): check d_{i-1} d_i = 0, keep d_{i-1} on its live faces
+        only, pair on d_i, settle degree i-1."""
         if self.certificate == "unverified":
             self.ranks[i] = rank_exact(d)
             return
@@ -318,6 +342,7 @@ class Coreduction:
                     self.ranks[i - 1], self.ranks[i] = rank_exact(self._d), rank_exact(d)
                     self._d = self._faces = self._live = None
                     return
+                self._d = _on_live_faces(self._d, self._faces)
             self.ranks[i] = self._pair(d, self._live, live)
             self._settle(i - 1)
         self._d, self._faces, self._live = d, self._live, live
@@ -329,8 +354,8 @@ class Coreduction:
         one has a +-1 face.  The queue holds those columns in index order,
         then those whose count drops to one; the cofaces of a face are its
         columns in d_i, ascending, so the order within a column does not
-        matter."""
-        cofaces = [[] for _ in range(d.nrows)]
+        matter.  Only a live face gets a list of cofaces."""
+        cofaces = [[] if flag else None for flag in faces]
         nfaces = [0] * d.ncols
         for c, (plus, minus) in enumerate(zip(d.plus, d.minus)):
             count = 0
@@ -395,13 +420,14 @@ class ChainComplex:
     relabeling that is no bijection of ``legs`` raises, ``max_edges``,
     ``walk(i)`` (the keys of degree i in sorted order, an iterable that may
     do per-degree work as it goes: the assembler of d_i consumes it when
-    degree i is not held, and ``generators(i)`` consumes it alone
-    otherwise), ``code(key)``, ``contraction_terms(key)``,
-    ``action_terms(perm)``, whose function takes a key and returns the list
-    of its terms, and ``fixable_keys(i, perm)``: the keys of degree i the
-    relabeling may fix, each once and every fixed one among them, the
-    identity's included.  A term ``(target_key, sign)`` carries its whole
-    sign, +-1, read off the positions in the sorted reference orders, and
+    degree i is not held, ``generators(i)`` consumes it alone otherwise,
+    and ``dim(i)`` counts it when no walk has), ``code(key)``,
+    ``contraction_terms(key)``, ``action_terms(perm)``, whose function
+    takes a key and returns the list of its terms, and ``fixable_keys(i,
+    perm)``: the keys of degree i the relabeling may fix, each once and
+    every fixed one among them, the identity's included.  A term
+    ``(target_key, sign)`` carries its whole sign, +-1, read off the
+    positions in the sorted reference orders, and
     the terms of one key have distinct targets, so the assembler puts each
     in its column's ``plus`` or ``minus`` rows with no sum (the graph
     complex sums the two terms of a 2-cycle's parallel edges itself).  Any
@@ -418,9 +444,14 @@ class ChainComplex:
         self._gens = {}
         self._rows = {}
         self._diffs = {}
+        # the number of keys each walk met, which ``dim`` reads
+        self._dims = {}
         self._homology = None
         # every per-degree cache, emptied by ``release``; subclasses add theirs
-        self._caches = [self._gens, self._rows, self._diffs]
+        self._caches = [self._gens, self._rows, self._diffs, self._dims]
+        # the top degree of a running pass, whose walk keeps no key: no
+        # differential reads them as rows
+        self._pass_top = None
         # the image table of each relabeling a pass applies
         self._images = {}
         # what a pass builds once and every degree reads (a table per cycle
@@ -437,7 +468,8 @@ class ChainComplex:
         """The keys of degree i, sorted: its walk consumed alone, kept until
         ``release(i)``."""
         if i not in self._gens:
-            self._gens[i] = list(self.walk(i))
+            keys = self._gens[i] = list(self.walk(i))
+            self._dims[i] = len(keys)
         return self._gens[i]
 
     def rows(self, i):
@@ -447,7 +479,12 @@ class ChainComplex:
         return self._rows[i]
 
     def dim(self, i):
-        return len(self.generators(i))
+        """dim C_i: the number of keys the last walk of degree i met, or,
+        when no walk has counted the degree, of a walk counted now, which
+        keeps no key."""
+        if i not in self._dims:
+            self._dims[i] = sum(1 for _ in self.walk(i))
+        return self._dims[i]
 
     def dims(self):
         return {i: self.dim(i) for i in range(self.max_edges + 1)}
@@ -457,12 +494,14 @@ class ChainComplex:
         column of each degree-i generator sums ``terms(key)``: the terms of
         one key have distinct targets, so each goes to ``plus`` or
         ``minus`` by its sign.  When degree i is not held, the columns are
-        built on its walk, and the keys met are kept as ``generators(i)``."""
+        built on its walk, which counts the degree for ``dim(i)`` and keeps
+        the keys it meets as ``generators(i)``, except on the top degree of
+        a pass, whose keys nothing reads."""
         rows = self.rows(j)
         walked = i not in self._gens
-        keys = [] if walked else self._gens[i]
+        keys = [] if walked and i != self._pass_top else None
         plus, minus = [], []
-        for key in self.walk(i) if walked else keys:
+        for key in self.walk(i) if walked else self._gens[i]:
             up, down = [], []
             for target, sign in terms(key):
                 if sign > 0:
@@ -471,9 +510,12 @@ class ChainComplex:
                     down.append(rows[target])
             plus.append(tuple(up))
             minus.append(tuple(down))
-            if walked:
+            if keys is not None:
                 keys.append(key)
-        self._gens[i] = keys
+        if walked:
+            self._dims[i] = len(plus)
+            if keys is not None:
+                self._gens[i] = keys
         return SparseIntMatrix(len(rows), plus, minus)
 
     def differential(self, i):
@@ -524,28 +566,36 @@ class ChainComplex:
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}
 
     def degrees(self):
-        """The one pass over the degrees: release degree i-2, which nothing
-        reads once degree i is reached, build d_i on the walk of degree i,
-        then dim C_i, hand d_{i-1} over to the reduction step of degree i
-        and drop the row table of degree i-1, which only the assembler
-        reads, and yield i, so the caller does its work on degree i (and
-        i-1) in the loop body.  The step reads d_{i-1} and drops it, so
-        no differential outlives the pass; the pass starts and ends with
-        every cache and table empty, so each pass builds every degree, and
-        every table its degrees share, anew."""
+        """The one pass over the degrees, which holds only what a later
+        step reads: release degree i-2, build d_i on the walk of degree i,
+        which counts the degree and keeps its keys for d_{i+1} (none on the
+        top degree), drop the keys, the row table and the cached d_{i-1}
+        of degree i-1, which only that assembly and the reduction step
+        read, take the reduction step of degree i on dim C_i, read off the
+        walk's count, and yield i, so the caller does its work on degree i
+        in the loop body (the reach check also reads degree i-1's scores,
+        kept until degree i+1).  The step keeps d_{i-1} on its live faces
+        only and then drops it, so no differential outlives the pass; the
+        pass starts and ends with every cache and table empty, so each pass
+        builds every degree, and every table its degrees share, anew."""
         for cache in self._caches + self._tables:
             cache.clear()
+        self._pass_top = self.max_edges
         reduction, dims = Coreduction(), {}
         for i in range(self.max_edges + 1):
             self.release(i - 2)
             d = self.differential(i) if i else None
+            for cache in (self._gens, self._rows, self._diffs):
+                cache.pop(i - 1, None)
+            if i == 0 < self.max_edges:
+                # the rows of d_1; every later walk below the top keeps its keys
+                self.generators(0)
             dims[i] = self.dim(i)
-            self._diffs.pop(i - 1, None)
-            self._rows.pop(i - 1, None)
             reduction.step(i, dims[i], d)
             yield i
         for cache in self._caches + self._tables:
             cache.clear()
+        self._pass_top = None
         self._homology = reduction.finish().homology(dims, self.total_degree)
 
     def release(self, i):

@@ -308,8 +308,9 @@ class StirlingComplex(ChainComplex):
 
     def _reaches(self, i):
         """The reach of each degree-i generator, None outside the acyclic
-        part, as the walk of degree i scored it."""
-        self.generators(i)
+        part, as the walk of degree i scored it: every walk that counts the
+        degree scores it, so ``dim`` walks only when none has."""
+        self.dim(i)
         return self._reach[i]
 
     def reach_filtration_holds(self, i):
@@ -319,20 +320,23 @@ class StirlingComplex(ChainComplex):
 
         The targets are read off the rows of ``differential(i)``: no two
         contraction terms of one generator share a target, so none cancels.
+        Degree 0 has none, so its check builds no d_0.
         """
         upper = 2 * (self.n - self.k) - 2
-        d = self.differential(i)
-        source, target = self._reaches(i), self._reaches(i - 1)
+        source = self._reaches(i)
         if self.n > self.k and any(r is not None and not 0 <= r <= upper
                                    for r in source):
             return False
+        if not i:
+            return True
+        d, target = self.differential(i), self._reaches(i - 1)
         return all(target[r] is not None and target[r] <= score
                    for side in (d.plus, d.minus)
                    for score, rows in zip(source, side) if score is not None
                    for r in rows)
 
     def to_json_dict(self):
-        degrees = [{"i": i, "dim": self.dim(i),
+        degrees = [{"i": i, "dim": len(self.generators(i)),
                     "generators": [self.code(key) for key in self.generators(i)]}
                    for i in range(self.max_edges + 1)]
         diffs = [{"i": i,
@@ -389,7 +393,7 @@ def survey(n, k, rank_seed=0):
     ranks, Betti numbers, the d^2 and reach checks, the concentration
     degree and the certificate of the pass's reduction (``"unverified"``
     when d^2 = 0 failed).  The reach check of degree i runs in the pass,
-    while degree i-1 is still held.
+    while the reach scores of degree i-1's walk are still held.
 
     ``rank_seed`` is accepted and ignored: every rank is exact and takes no
     seed, and callers that still pass one (``perfbench/workloads.py``) keep

@@ -102,6 +102,12 @@ MUTANTS = [
            "if count in (1, 2))\n        pairs = 0\n        while queue:\n"
            "            c = queue.popleft()\n            if nfaces[c] not in (1, 2):",
            ("tests/test_linalg.py::test_stirling_reduction_matches_rank_oracle",)),
+    Mutant("cut of d_{i-1}: no column kept on the live faces",
+           "src/stirhom/linalg.py",
+           "plus[c], minus[c] = up, down",
+           "plus[c] = minus[c] = ()",
+           ("tests/test_linalg.py::test_projective_plane_needs_the_residual",
+            "tests/test_linalg.py::test_unit_pivots_keep_the_residual_integral")),
     Mutant("elimination: the negative entries are not read",
            "src/stirhom/linalg.py",
            "        for side, unit in ((plus, 1), (minus, -1)):\n            for r in side:",

@@ -178,6 +178,9 @@ class StirlingComplex(ChainComplex):
             self._gens[i] = self._enumerate(i)
         return self._gens[i]
 
+    def dim(self, i):
+        return len(self.generators(i))
+
     def index(self, i):
         """Position of each degree-i generator, by code."""
         if i not in self._index:

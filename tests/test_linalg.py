@@ -14,7 +14,7 @@ from hypothesis import strategies as st_
 
 from stirhom.characters import stirling_unsigned
 from stirhom.graphcomplex import GraphComplex
-from stirhom.linalg import (BettiVector, Homology, SparseIntMatrix,
+from stirhom.linalg import (BettiVector, Coreduction, Homology, SparseIntMatrix,
                             _eliminate_rank, alternating_sum,
                             betti_from_dims_and_ranks, composes_to_zero,
                             products_agree, rank_exact)
@@ -530,19 +530,34 @@ def test_reduction_matches_rank_on_simplicial_complexes(facets):
 
 
 @pytest.mark.parametrize("make", [lambda: StirlingComplex(6, 3),
-                                  lambda: GraphComplex(5)],
-                         ids=["stirling-6-3", "graph-5"])
+                                  lambda: GraphComplex(5),
+                                  lambda: GraphComplex(5, orientation_kill=False)],
+                         ids=["stirling-6-3", "graph-5", "graph-5-kill-off"])
 def test_the_pass_holds_two_degrees(make):
+    # at the yield of degree i the pass holds the keys of degree i alone,
+    # and none on the top degree; the reach check reads degree i-1's scores
+    # off its walk, and no degree is walked twice
     cx = make()
+    walked = []
+    walk = cx.walk
+
+    def counted(i):
+        walked.append(i)
+        return walk(i)
+
+    cx.walk = counted
     seen = []
     for i in cx.degrees():
         if isinstance(cx, StirlingComplex):
-            # the reach check reads degree i-1 too
             assert cx.reach_filtration_holds(i)
-        assert set(cx._gens) <= {i - 1, i} and i in cx._gens
+            assert set(cx._reach) <= {i - 1, i}
+        if i < cx.max_edges:
+            assert set(cx._gens) <= {i}
+        else:
+            assert not cx._gens
         assert all(set(cache) <= {i - 1, i} for cache in cx._caches)
         seen.append(i)
-    assert seen == list(range(cx.max_edges + 1))
+    assert seen == walked == list(range(cx.max_edges + 1))
     assert not any(cx._caches)
 
 
@@ -568,6 +583,44 @@ def test_the_pass_drops_each_differential_after_the_next_step(make):
         assert {j for j, ref in refs if ref() is not None} <= {i - 1, i}
     assert [j for j, _ref in refs] == list(range(1, cx.max_edges + 1))
     assert not [j for j, ref in refs if ref() is not None]
+
+
+@pytest.mark.parametrize("make", [lambda: StirlingComplex(6, 3),
+                                  lambda: GraphComplex(5)],
+                         ids=["stirling-6-3", "graph-5"])
+def test_the_pass_pairs_without_the_whole_lower_differential(make, monkeypatch):
+    # once d^2 = 0 holds through d_i, the step keeps d_{i-1} only on its
+    # live faces: the matrix differential(i-1) returned is gone when the
+    # pairs of d_i are taken
+    cx = make()
+    refs = {}
+    build = cx.differential
+
+    def recorded(i):
+        d = build(i)
+        refs[i] = weakref.ref(d)
+        return d
+
+    cx.differential = recorded
+    pair = Coreduction._pair
+    paired = []
+
+    def checked(self, d, faces, live):
+        i = next(j for j, ref in refs.items() if ref() is d)
+        assert i == 1 or refs[i - 1]() is None
+        paired.append(i)
+        return pair(self, d, faces, live)
+
+    monkeypatch.setattr(Coreduction, "_pair", checked)
+    homology = cx.homology()
+    assert paired == list(range(1, cx.max_edges + 1))
+    assert homology.certificate == "morse-integral"
+
+
+def test_dims_keep_no_key():
+    cx = StirlingComplex(5, 2)
+    assert cx.dims() == {i: len(StirlingComplex(5, 2).generators(i)) for i in range(4)}
+    assert not cx._gens
 
 
 def test_the_pass_leaves_a_held_differential_alone():
