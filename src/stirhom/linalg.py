@@ -3,10 +3,14 @@ differentials to ranks, Betti numbers and a certificate.
 
 The pipeline is the step reducer ``Coreduction``, fed one degree at a time
 by ``ChainComplex.degrees()`` as the pass builds each differential.  A
-matrix stores each column as two tuples of rows, those of its positive and
-of its negative entries (``SparseIntMatrix``).  Two products are compared
-by one routine, ``products_agree``, which sorts and compares the rows a
-column's positive and negative terms reach, and builds no product.  Step i
+matrix stores each column as one tuple of rows, those of its positive
+entries and then those of its negative ones, and counts the positive ones
+in one ``array`` per matrix (``SparseIntMatrix``).  The pairing, the cut
+and the reach check read whole columns: the coreduction counts live
+entries and never reads their signs.  Two products are compared by one
+routine, ``products_agree``, which splits the left factor's columns into
+their two sides once, sorts and compares the rows a column's positive and
+negative terms reach, and builds no product.  Step i
 tests d_{i-1} d_i = 0 with it (``composes_to_zero``, a zero right side),
 the one d^2 check: every homology and character relies on it, and
 ``stirhom verify`` reads its ``d2`` line off the pass of ``survey``.
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
@@ -71,27 +76,36 @@ from .trees import _bit_images
 
 
 class SparseIntMatrix:
-    """Integer matrix stored by column (Davis 2006) as two tuples of rows:
-    ``plus[c]`` holds the row of each positive entry of column c and
-    ``minus[c]`` the row of each negative one, a row repeated |v| times for
-    the value v and never in both tuples, so no zero is stored.
-    ``triplets``, ``nnz`` and ``to_matrix_market`` read the entries for the
-    exports."""
+    """Integer matrix stored by column (Davis 2006) as one tuple of rows per
+    column: ``cols[c]`` holds the row of each positive entry of column c,
+    then the row of each negative one, a row repeated |v| times for the
+    value v and never on both sides, so no zero is stored.  ``split[c]``
+    counts the positive entries, in one compact ``array`` per matrix.  The
+    pairing, the cut and the reach check read whole columns, as they need
+    no sign; the d^2 check and the residual cut columns at ``split``,
+    ``sides`` yields each column's two sides, and ``triplets``, ``nnz``
+    and ``to_matrix_market`` read the entries for the exports."""
 
-    __slots__ = ("nrows", "plus", "minus", "__weakref__")
+    __slots__ = ("nrows", "cols", "split", "__weakref__")
 
-    def __init__(self, nrows, plus, minus):
-        self.nrows, self.plus, self.minus = nrows, plus, minus
+    def __init__(self, nrows, cols, split):
+        self.nrows, self.cols, self.split = nrows, cols, split
 
     @property
     def ncols(self):
-        return len(self.plus)
+        return len(self.cols)
+
+    def sides(self):
+        """The rows of each column's positive and of its negative entries,
+        as two tuples, column by column."""
+        for col, cut in zip(self.cols, self.split):
+            yield col[:cut], col[cut:]
 
     def triplets(self):
         """Every entry as ``(r, c, v)``, column by column, the positive
         entries first, each sign by row."""
-        for c, (plus, minus) in enumerate(zip(self.plus, self.minus)):
-            for side, unit in ((plus, 1), (minus, -1)):
+        for c, sides in enumerate(self.sides()):
+            for side, unit in zip(sides, (1, -1)):
                 for r, run in groupby(sorted(side)):
                     yield r, c, unit * len(list(run))
 
@@ -100,17 +114,19 @@ class SparseIntMatrix:
 
     def _reached(self, other):
         """For each column of ``other``, the rows the positive and the
-        negative terms of this matrix times it reach, uncancelled: the
-        ``plus`` and ``minus`` tuples concatenated over the column's rows."""
+        negative terms of this matrix times it reach, uncancelled: this
+        matrix's sides concatenated over the column's rows.  The sides are
+        split once per call, not once per entry read."""
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        above, below = self.plus, self.minus
-        for plus, minus in zip(other.plus, other.minus):
+        above = [col[:cut] for col, cut in zip(self.cols, self.split)]
+        below = [col[cut:] for col, cut in zip(self.cols, self.split)]
+        for col, cut in zip(other.cols, other.split):
             up, down = [], []
-            for r in plus:
+            for r in col[:cut]:
                 up += above[r]
                 down += below[r]
-            for r in minus:
+            for r in col[cut:]:
                 up += below[r]
                 down += above[r]
             yield up, down
@@ -136,8 +152,8 @@ def _eliminate_rank(matrix):
     """
     rows = {}
     cols = {}
-    for c, (plus, minus) in enumerate(zip(matrix.plus, matrix.minus)):
-        for side, unit in ((plus, 1), (minus, -1)):
+    for c, sides in enumerate(matrix.sides()):
+        for side, unit in zip(sides, (1, -1)):
             for r in side:
                 row = rows.setdefault(r, {})
                 row[c] = row.get(c, 0) + unit
@@ -210,9 +226,9 @@ def products_agree(a, b, c=None, d=None):
     if c is not None:
         if (a.nrows, b.ncols) != (c.nrows, (c if d is None else d).ncols):
             raise ValueError("the products differ in shape")
-        right = zip(map(list, c.plus), map(list, c.minus)) if d is None else c._reached(d)
-        columns = ((up + right_down, down + right_up) for (up, down), (right_up, right_down)
-                   in zip(columns, right))
+        right = c.sides() if d is None else c._reached(d)
+        columns = (([*up, *right_down], [*down, *right_up])
+                   for (up, down), (right_up, right_down) in zip(columns, right))
     for up, down in columns:
         up.sort()
         down.sort()
@@ -298,13 +314,13 @@ def _on_live_faces(d, faces):
     flags ``faces``, and ``()`` for every other column: the columns a
     residual on those faces can read.  The columns kept are ``d``'s own
     tuples; with no live face, no column is scanned."""
-    plus, minus = [()] * d.ncols, [()] * d.ncols
+    cols, split = [()] * d.ncols, array("I", [0]) * d.ncols
     if 1 in faces:
         live = faces.__getitem__
-        for c, (up, down) in enumerate(zip(d.plus, d.minus)):
-            if any(map(live, up)) or any(map(live, down)):
-                plus[c], minus[c] = up, down
-    return SparseIntMatrix(d.nrows, plus, minus)
+        for c, col in enumerate(d.cols):
+            if any(map(live, col)):
+                cols[c], split[c] = col, d.split[c]
+    return SparseIntMatrix(d.nrows, cols, split)
 
 
 class Coreduction:
@@ -357,9 +373,9 @@ class Coreduction:
         matter.  Only a live face gets a list of cofaces."""
         cofaces = [[] if flag else None for flag in faces]
         nfaces = [0] * d.ncols
-        for c, (plus, minus) in enumerate(zip(d.plus, d.minus)):
+        for c, col in enumerate(d.cols):
             count = 0
-            for r in plus + minus:
+            for r in col:
                 if faces[r]:
                     cofaces[r].append(c)
                     count += 1
@@ -370,7 +386,7 @@ class Coreduction:
             c = queue.popleft()
             if nfaces[c] != 1:
                 continue
-            r = next(r for r in d.plus[c] + d.minus[c] if faces[r])
+            r = next(r for r in d.cols[c] if faces[r])
             live[c] = faces[r] = 0
             pairs += 1
             for s in cofaces[r]:
@@ -389,11 +405,13 @@ class Coreduction:
         faces = self._faces
         rows = {r: pos for pos, r in enumerate(
             r for r, flag in enumerate(faces) if flag)}
-        kept = [c for c, flag in enumerate(self._live) if flag]
-        residual = SparseIntMatrix(len(rows), *(
-            [tuple(rows[r] for r in side[c] if faces[r]) for c in kept]
-            for side in (self._d.plus, self._d.minus)))
-        rank, unit = _eliminate_rank(residual)
+        d, cols, split = self._d, [], array("I")
+        for col, cut, flag in zip(d.cols, d.split, self._live):
+            if flag:
+                positive = [rows[r] for r in col[:cut] if faces[r]]
+                split.append(len(positive))
+                cols.append((*positive, *(rows[r] for r in col[cut:] if faces[r])))
+        rank, unit = _eliminate_rank(SparseIntMatrix(len(rows), cols, split))
         self.ranks[i] += rank
         if not unit:
             self.certificate = "exact-rational"
@@ -429,7 +447,7 @@ class ChainComplex:
     ``(target_key, sign)`` carries its whole sign, +-1, read off the
     positions in the sorted reference orders, and
     the terms of one key have distinct targets, so the assembler puts each
-    in its column's ``plus`` or ``minus`` rows with no sum (the graph
+    on its column's positive or negative side with no sum (the graph
     complex sums the two terms of a 2-cycle's parallel edges itself).  Any
     other orientation of the generators conjugates every matrix by a
     diagonal +-1 matrix; the tests check the homology and the oracles that
@@ -492,15 +510,16 @@ class ChainComplex:
     def _assemble(self, i, j, terms):
         """The matrix from degree i to degree j (columns are sources) whose
         column of each degree-i generator sums ``terms(key)``: the terms of
-        one key have distinct targets, so each goes to ``plus`` or
-        ``minus`` by its sign.  When degree i is not held, the columns are
+        one key have distinct targets, so each goes to the column's
+        positive or negative side by its sign, and the column is one tuple
+        of the two sides.  When degree i is not held, the columns are
         built on its walk, which counts the degree for ``dim(i)`` and keeps
         the keys it meets as ``generators(i)``, except on the top degree of
         a pass, whose keys nothing reads."""
         rows = self.rows(j)
         walked = i not in self._gens
         keys = [] if walked and i != self._pass_top else None
-        plus, minus = [], []
+        cols, split = [], array("I")
         for key in self.walk(i) if walked else self._gens[i]:
             up, down = [], []
             for target, sign in terms(key):
@@ -508,15 +527,16 @@ class ChainComplex:
                     up.append(rows[target])
                 else:
                     down.append(rows[target])
-            plus.append(tuple(up))
-            minus.append(tuple(down))
+            split.append(len(up))
+            up += down
+            cols.append(tuple(up))
             if keys is not None:
                 keys.append(key)
         if walked:
-            self._dims[i] = len(plus)
+            self._dims[i] = len(cols)
             if keys is not None:
                 self._gens[i] = keys
-        return SparseIntMatrix(len(rows), plus, minus)
+        return SparseIntMatrix(len(rows), cols, split)
 
     def differential(self, i):
         """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""

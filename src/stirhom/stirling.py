@@ -140,6 +140,10 @@ class StirlingComplex(ChainComplex):
         self._view = {}
         self._reach = {}
         self._caches += [self._view, self._reach]
+        # one int per distinct alternating set, which every key holding
+        # that set shares
+        self._alts = {}
+        self._tables.append(self._alts)
 
     @property
     def max_edges(self):
@@ -170,8 +174,11 @@ class StirlingComplex(ChainComplex):
     def _alternating_sets(self, tree):
         """The generators on one tree, vertex by vertex ascending: each
         vertex dv with at least k inputs and its alternating sets sorted,
-        so the keys ``(clusters, dv, alt)`` come out sorted."""
-        return [(dv, sorted(map(_mask_set, itertools.combinations(inputs, self.k))))
+        so the keys ``(clusters, dv, alt)`` come out sorted.  Each set is
+        interned in the pass's table, so equal sets are one int."""
+        intern = self._alts.setdefault
+        return [(dv, sorted(intern(alt, alt) for alt in
+                            map(_mask_set, itertools.combinations(inputs, self.k))))
                 for dv, inputs in tree.inputs.items() if len(inputs) >= self.k]
 
     def fixable_keys(self, i, perm):
@@ -331,9 +338,8 @@ class StirlingComplex(ChainComplex):
             return True
         d, target = self.differential(i), self._reaches(i - 1)
         return all(target[r] is not None and target[r] <= score
-                   for side in (d.plus, d.minus)
-                   for score, rows in zip(source, side) if score is not None
-                   for r in rows)
+                   for score, col in zip(source, d.cols) if score is not None
+                   for r in col)
 
     def to_json_dict(self):
         degrees = [{"i": i, "dim": len(self.generators(i)),

@@ -1,7 +1,8 @@
 """Constructors, signs and characters only the tests use.
 
-The package keeps one matrix form, signed row tuples, and compares
-products column by column with no product built.  The dict forms are the
+The package keeps one matrix form, one row tuple per column with its
+positive entries counted, and compares products column by column with no
+product built.  The dict forms are the
 oracles for it: ``from_cols`` builds a matrix from one row -> value dict
 per column and ``cols`` reads them back, ``from_triplets`` builds one from
 ``(r, c, v)`` entries, ``product`` sums each column of a product entry by
@@ -27,6 +28,7 @@ tests check against, and ``cycle_type`` reads a permutation's cycle type.
 from __future__ import annotations
 
 import random
+from array import array
 
 from stirhom.characters import (ClassFunction, partitions,
                                 representative_permutation, stirling_unsigned)
@@ -39,22 +41,24 @@ from shape_oracle import stable_tree_inputs
 
 def from_cols(nrows, columns):
     """The matrix with one row -> value dict per column; a zero value is
-    stored as no entry."""
+    stored as no entry.  Each column's tuple holds the rows of its positive
+    entries, then those of its negative ones, each repeated |v| times."""
+    split = array("I", [sum(v for v in col.values() if v > 0) for col in columns])
     return SparseIntMatrix(
         nrows,
-        [tuple(r for r, v in col.items() if v > 0 for _ in range(v)) for col in columns],
-        [tuple(r for r, v in col.items() if v < 0 for _ in range(-v)) for col in columns])
+        [tuple(r for sign in (1, -1) for r, v in col.items() if v * sign > 0
+               for _ in range(abs(v))) for col in columns],
+        split)
 
 
 def cols(matrix):
-    """One row -> value dict per column, the positive entries first."""
+    """One row -> value dict per column, the positive entries first: the
+    first ``split[c]`` rows of column c count +1 each, the rest -1."""
     result = []
-    for plus, minus in zip(matrix.plus, matrix.minus):
+    for rows, cut in zip(matrix.cols, matrix.split):
         col = {}
-        for r in plus:
-            col[r] = col.get(r, 0) + 1
-        for r in minus:
-            col[r] = col.get(r, 0) - 1
+        for place, r in enumerate(rows):
+            col[r] = col.get(r, 0) + (1 if place < cut else -1)
         result.append(col)
     return result
 
@@ -93,7 +97,7 @@ def same(a, b):
 
 
 def is_zero(matrix):
-    return not any(matrix.plus) and not any(matrix.minus)
+    return not any(matrix.cols)
 
 
 def d_squared_oracle(lower, upper):

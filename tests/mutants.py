@@ -86,13 +86,13 @@ MUTANTS = [
             "tests/test_linalg.py::test_products_agree_on_the_action")),
     Mutant("product comparison: the right side's terms keep their sign",
            "src/stirhom/linalg.py",
-           "(up + right_down, down + right_up)",
-           "(up + right_up, down + right_down)",
+           "([*up, *right_down], [*down, *right_up])",
+           "([*up, *right_up], [*down, *right_down])",
            ("tests/test_linalg.py::test_products_agree_on_the_action",)),
     Mutant("product comparison: a right side without a factor read with its signs swapped",
            "src/stirhom/linalg.py",
-           "zip(map(list, c.plus), map(list, c.minus))",
-           "zip(map(list, c.minus), map(list, c.plus))",
+           "right = c.sides() if d is None",
+           "right = (sides[::-1] for sides in c.sides()) if d is None",
            ("tests/test_linalg.py::test_products_agree_on_the_action",
             "tests/test_stirling.py::test_equivariance_and_group_law")),
     Mutant("pairing: a cell with two live faces is paired",
@@ -104,14 +104,19 @@ MUTANTS = [
            ("tests/test_linalg.py::test_stirling_reduction_matches_rank_oracle",)),
     Mutant("cut of d_{i-1}: no column kept on the live faces",
            "src/stirhom/linalg.py",
-           "plus[c], minus[c] = up, down",
-           "plus[c] = minus[c] = ()",
+           "cols[c], split[c] = col, d.split[c]",
+           "cols[c], split[c] = (), 0",
            ("tests/test_linalg.py::test_projective_plane_needs_the_residual",
             "tests/test_linalg.py::test_unit_pivots_keep_the_residual_integral")),
+    Mutant("cut of d_{i-1}: a column kept only when all its faces are live",
+           "src/stirhom/linalg.py",
+           "if any(map(live, col)):",
+           "if all(map(live, col)):",
+           ("tests/test_linalg.py::test_the_cut_keeps_a_column_with_a_dead_face",)),
     Mutant("elimination: the negative entries are not read",
            "src/stirhom/linalg.py",
-           "        for side, unit in ((plus, 1), (minus, -1)):\n            for r in side:",
-           "        for side, unit in ((plus, 1),):\n            for r in side:",
+           "        for side, unit in zip(sides, (1, -1)):\n            for r in side:",
+           "        for side, unit in zip(sides, (1,)):\n            for r in side:",
            ("tests/test_linalg.py::test_projective_plane_needs_the_residual",)),
     Mutant("concentration: the verdict ignores a failed d^2 check",
            "src/stirhom/linalg.py",

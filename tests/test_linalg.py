@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 import weakref
 from fractions import Fraction
 
@@ -68,6 +69,18 @@ def sparse_matrices(values):
 
 matrices = sparse_matrices(st_.integers(-4, 4))
 
+# the columns a signed row tuple must hold apart: empty, negative only
+# (split 0), positive only (split = length), and |v| > 1 on either side
+EDGE_COLUMNS = [{}, {0: -2}, {1: 3}, {0: -1, 1: -3}, {1: 2, 0: 1}, {0: 2, 1: -3}]
+
+
+def with_edge_columns(m):
+    """``m`` with ``EDGE_COLUMNS`` appended, their rows taken mod its row
+    count."""
+    extra = [(r % m.nrows, m.ncols + j, v)
+             for j, col in enumerate(EDGE_COLUMNS) for r, v in col.items()]
+    return from_triplets(m.nrows, m.ncols + len(EDGE_COLUMNS), [*m.triplets(), *extra])
+
 
 @settings(max_examples=150, deadline=None)
 @given(matrices)
@@ -111,6 +124,8 @@ class Unread(tuple):
     def __iter__(self):
         raise AssertionError("a column past the first nonzero one was read")
 
+    __getitem__ = __iter__
+
 
 def no_matrix(*args):
     raise AssertionError("a matrix was built")
@@ -121,7 +136,7 @@ def test_d_squared_is_checked_column_by_column(monkeypatch):
     # the check does not kill is read
     lower = from_triplets(1, 2, [(0, 0, 1), (0, 1, 1)])
     zero = from_triplets(2, 2, [(0, 0, 1), (1, 0, -1)])
-    unread = SparseIntMatrix(2, [(0,), (0,), Unread((1,))], [(1,), (), Unread()])
+    unread = SparseIntMatrix(2, [(0, 1), (0,), Unread((1,))], array("I", [1, 1, 1]))
     monkeypatch.setattr(SparseIntMatrix, "__init__", no_matrix)
     assert composes_to_zero(lower, zero)
     assert not composes_to_zero(lower, unread)
@@ -137,8 +152,8 @@ def test_equivariance_is_checked_column_by_column(monkeypatch):
     swap = from_triplets(2, 2, [(0, 1, 1), (1, 0, 1)])
     eye = from_triplets(2, 2, [(0, 0, 1), (1, 1, 1)])
     wide = from_triplets(1, 2, [(0, 0, 1)])
-    left = SparseIntMatrix(2, [(0, 1), (), Unread((0,))], [(), (), Unread()])
-    right = SparseIntMatrix(2, [(0, 1), (0,), Unread((1,))], [(), (), Unread()])
+    left = SparseIntMatrix(2, [(0, 1), (), Unread((0,))], array("I", [2, 0, 1]))
+    right = SparseIntMatrix(2, [(0, 1), (0,), Unread((1,))], array("I", [2, 1, 1]))
     monkeypatch.setattr(SparseIntMatrix, "__init__", no_matrix)
     assert products_agree(swap, eye, eye, swap)
     assert not products_agree(swap, left, eye, right)
@@ -151,15 +166,49 @@ def test_equivariance_is_checked_column_by_column(monkeypatch):
 
 
 def test_signed_rows_and_the_dict_columns():
-    # a row is repeated once per unit of its value, in one tuple only, and
+    # a row is repeated once per unit of its value, on one side of its
+    # column's tuple only, the positive side first and counted in split;
     # the dict columns read the same matrix back
     m = from_cols(3, [{0: 2, 2: -1}, {}, {1: -3, 0: 1}])
-    assert m.plus == [(0, 0), (), (0,)]
-    assert m.minus == [(2,), (), (1, 1, 1)]
+    assert m.cols == [(0, 0, 2), (), (0, 1, 1, 1)]
+    assert m.split == array("I", [2, 0, 1])
+    assert list(m.sides()) == [((0, 0), (2,)), ((), ()), ((0,), (1, 1, 1))]
     assert cols(m) == [{0: 2, 2: -1}, {}, {0: 1, 1: -3}]
     assert m.nnz() == 4 and m.ncols == 3 and not is_zero(m)
     assert same(m, from_triplets(3, 3, [(1, 2, -3), (0, 0, 2), (2, 0, -1), (0, 2, 1)]))
-    assert same(SparseIntMatrix(3, m.plus, m.minus), m)
+    assert same(SparseIntMatrix(3, m.cols, m.split), m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st_.integers(2, 6).flatmap(lambda nrows: st_.tuples(
+    st_.just(nrows),
+    st_.lists(st_.dictionaries(st_.integers(0, nrows - 1),
+                               st_.integers(-4, 4).filter(bool), max_size=4),
+              max_size=6))))
+def test_the_form_round_trips(shape):
+    # each column is one tuple, its positive rows first and counted in
+    # split, a row repeated |v| times; the dict columns, the triplets and
+    # the Matrix Market text all read the same matrix back
+    nrows, columns = shape
+    columns = EDGE_COLUMNS + columns
+    m = from_cols(nrows, columns)
+    assert m.ncols == len(columns)
+    assert list(m.split[:4]) == [0, 0, 3, 0]
+    assert [len(col) for col in m.cols[:4]] == [0, 2, 3, 4]
+    for col, cut, want, (positive, negative) in zip(m.cols, m.split, columns, m.sides()):
+        assert sorted(col[:cut]) == sorted(r for r, v in want.items() if v > 0 for _ in range(v))
+        assert sorted(col[cut:]) == sorted(r for r, v in want.items() if v < 0 for _ in range(-v))
+        assert (positive, negative) == (col[:cut], col[cut:])
+    assert cols(m) == columns
+    entries = sorted((r, c, v) for c, col in enumerate(columns) for r, v in col.items())
+    assert sorted(m.triplets()) == entries and m.nnz() == len(entries)
+    assert same(from_triplets(nrows, len(columns), entries), m)
+    assert same(SparseIntMatrix(nrows, list(m.cols), m.split), m)
+    assert is_zero(m) == (not entries)
+    header, size, *lines = m.to_matrix_market().splitlines()
+    assert size == f"{nrows} {len(columns)} {len(entries)}"
+    assert [tuple(map(int, line.split())) for line in lines] == [
+        (r + 1, c + 1, v) for r, c, v in entries]
 
 
 def test_from_triplets_accumulates_and_drops_zeros():
@@ -281,13 +330,14 @@ def test_d_squared_matches_the_oracle(make):
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices(st_.integers(-3, 3)), sparse_matrices(st_.integers(-3, 3)))
 def test_d_squared_matches_the_oracle_on_small_matrices(lower, upper):
-    # entries up to 3 repeat rows in plus and minus; [L | L] times [U; -U]
-    # is zero with every term cancelled, and stays so only until one entry
-    # of it changes sign; the product itself is the sum of every pair of
-    # entries that meet
+    # entries up to 3 repeat rows on both sides of a column, and both
+    # factors carry the edge columns; [L | L] times [U; -U] is zero with
+    # every term cancelled, and stays so only until one entry of it changes
+    # sign; the product itself is the sum of every pair of entries that meet
+    lower = with_edge_columns(lower)
     b = lower.ncols
-    upper = from_triplets(b, upper.ncols,
-                          [(r % b, c, v) for r, c, v in upper.triplets()])
+    upper = with_edge_columns(from_triplets(
+        b, upper.ncols, [(r % b, c, v) for r, c, v in upper.triplets()]))
     assert composes_to_zero(lower, upper) == d_squared_oracle(lower, upper)
     assert same(product(lower, upper), from_triplets(lower.nrows, upper.ncols, [
         (r, c, v * w) for r, k, v in lower.triplets()
@@ -307,9 +357,10 @@ def test_d_squared_matches_the_oracle_on_small_matrices(lower, upper):
 @given(sparse_matrices(st_.integers(-3, 3)), sparse_matrices(st_.integers(-3, 3)),
        sparse_matrices(st_.integers(-3, 3)), sparse_matrices(st_.integers(-3, 3)))
 def test_products_agree_matches_the_oracle_on_small_matrices(a, b, c, d):
-    # two unrelated products; then [a | a] times b split in two, which is
-    # a b with no term shared, until one entry of the split changes sign in
-    # a row [a | a] does not kill
+    # two unrelated products, each factor carrying the edge columns; then
+    # [a | a] times b split in two, which is a b with no term shared, until
+    # one entry of the split changes sign in a row [a | a] does not kill
+    a, b, c, d = map(with_edge_columns, (a, b, c, d))
     q, r = a.ncols, b.ncols
     b = from_triplets(q, r, [(i % q, j, v) for i, j, v in b.triplets()])
     c = from_triplets(a.nrows, c.ncols, [(i % a.nrows, j, v) for i, j, v in c.triplets()])
@@ -425,6 +476,21 @@ def test_graph_reduction_matches_rank_oracle(m):
     reduction, diffs = reduce_complex(GraphComplex(m))
     assert reduction.ranks == {i: rank_exact(d) for i, d in diffs.items()}
     assert reduction.certificate == "morse-integral"
+
+
+def test_the_cut_keeps_a_column_with_a_dead_face():
+    # C_0 = {r1, r2}, C_1 = {c', c} with d c' = r2 and d c = 2 r1 + r2, and
+    # C_2 = 0.  Step 1 pairs c' with r2, so c keeps a live face r1 beside
+    # the dead r2; step 2's check passes on the 2 x 0 d_2 and its cut must
+    # keep c, whose residual entry 2 is the rest of rank d_1 over Q
+    d1 = from_cols(2, [{1: 1}, {0: 2, 1: 1}])
+    dims = {0: 2, 1: 2, 2: 0}
+    reduction = morse_reduce(dims, {1: d1, 2: from_cols(2, [])})
+    assert reduction.ranks == {1: 2, 2: 0} == {1: dense_rank(d1), 2: 0}
+    assert reduction.critical == {0: 1, 1: 1, 2: 0}
+    homology = reduction.homology(dims, lambda i: i)
+    assert homology.betti.as_dict() == {0: 0, 1: 0, 2: 0}
+    assert homology.certificate == "exact-rational"
 
 
 def test_reduction_without_unit_pairs_takes_residual_path():

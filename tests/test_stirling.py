@@ -112,6 +112,25 @@ def test_generators_sorted_distinct():
     assert len({cx.code(key) for key in keys}) == len(keys)
 
 
+def test_keys_share_one_int_per_alternating_set():
+    # every key holding an alternating set holds the same int, in the keys
+    # of degree 3 of (6, 2) read alone and in those a pass holds; the pass
+    # empties the table when it starts and when it ends
+    keys = StirlingComplex(6, 2).generators(3)
+    alts = [key[2] for key in keys]
+    assert len(alts) == 7560
+    assert len(set(map(id, alts))) == len(set(alts)) == 301
+    cx = StirlingComplex(6, 2)
+    cx.generators(1)
+    assert cx._alts
+    for i in cx.degrees():
+        if i == 3:
+            held = [key[2] for key in cx._gens[3]]
+            assert held == alts
+            assert len(set(map(id, held))) == 301
+    assert not cx._alts
+
+
 # ---------------------------------------------------------------------------
 # differential: independent oracle for every one-edge complex
 
