@@ -12,9 +12,9 @@ concentration is established.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+from .linalg import _Record
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +183,13 @@ class DecompositionError(ValueError):
     """A class function failed to decompose into irreducibles exactly."""
 
 
-@dataclass
-class ClassFunction:
+class ClassFunction(_Record):
     """A rational-valued function on the conjugacy classes of S_m."""
 
-    m: int
-    values: dict
+    _fields = ("m", "values")
 
-    def __post_init__(self):
+    def __init__(self, m, values):
+        self.m, self.values = m, values
         expected = set(partitions(self.m))
         if set(self.values) != expected:
             missing = expected - set(self.values)
@@ -200,6 +199,10 @@ class ClassFunction:
         return self.values[tuple(mu)]
 
     def inner(self, other):
+        # the one use of ``fractions``, imported here so that only a
+        # decomposition loads it (and ``decimal`` with it)
+        from fractions import Fraction
+
         total = Fraction(0)
         for mu in partitions(self.m):
             total += class_size(mu) * Fraction(self.values[mu]) * other.values[mu]

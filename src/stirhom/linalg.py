@@ -69,7 +69,6 @@ import heapq
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from itertools import groupby
 
 from .trees import _bit_images
@@ -249,11 +248,33 @@ def alternating_sum(values):
     return sum((-1) ** i * v for i, v in values.items())
 
 
-@dataclass
-class BettiVector:
+class _Record:
+    """What a dataclass gives its instances, without importing
+    ``dataclasses`` (and with it ``inspect`` and ``ast``) on the import
+    path: ``==`` by the fields named in ``_fields`` on the exact class, the
+    dataclass ``repr`` and no hash, as the values are mutable."""
+
+    _fields = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, name) for name in self._fields]
+                == [getattr(other, name) for name in self._fields])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class BettiVector(_Record):
     """Homology ranks indexed by total degree; absent degrees are zero."""
 
-    values: dict
+    _fields = ("values",)
+
+    def __init__(self, values):
+        self.values = values
 
     def __getitem__(self, degree):
         return self.values.get(degree, 0)
@@ -285,15 +306,15 @@ def betti_from_dims_and_ranks(dims, ranks, degree_of, strict=True):
     return BettiVector(values)
 
 
-@dataclass
-class Homology:
+class Homology(_Record):
     """Outcome of a ``Coreduction``: dim C_i and the rank of every d_i, the
     Betti numbers by total degree, and the certificate."""
 
-    dims: dict
-    ranks: dict
-    betti: BettiVector
-    certificate: str
+    _fields = ("dims", "ranks", "betti", "certificate")
+
+    def __init__(self, dims, ranks, betti, certificate):
+        self.dims, self.ranks, self.betti = dims, ranks, betti
+        self.certificate = certificate
 
     @property
     def d2_ok(self):

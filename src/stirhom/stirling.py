@@ -67,6 +67,15 @@ class DomainError(ValueError):
     """Parameters outside the domain where the complex is defined."""
 
 
+# the byte that stores a key outside the acyclic part, above every reach
+OUTSIDE = 255
+# the byte of each reach score, and of None (outside), that the walk
+# appends: a score that does not fit below ``OUTSIDE`` has none, so the walk
+# raises rather than wraps it
+_BYTE = {score: bytes([score]) for score in range(OUTSIDE)}
+_BYTE[None] = bytes([OUTSIDE])
+
+
 class _Tree:
     """The view of one stable tree, derived from its clusters.
 
@@ -162,12 +171,13 @@ class StirlingComplex(ChainComplex):
         its keys are met, and yields its keys sorted by ``(dv, alt)``,
         which keeps the whole walk sorted by key.  Each vertex with at
         least k inputs is scored once by ``vertex_reach``, and the score of
-        every key goes to ``_reach[i]``, which the walk fills whole."""
-        reach = self._reach[i] = []
+        every key goes to ``_reach[i]``, one byte per key, ``OUTSIDE`` for
+        a key outside the acyclic part, which the walk fills whole."""
+        reach = self._reach[i] = bytearray()
         for clusters in laminar_families(self._clusters, i):
             tree = self.tree(clusters)
             for dv, alts in self._alternating_sets(tree):
-                reach += [self.vertex_reach(tree, dv)] * len(alts)
+                reach += _BYTE[self.vertex_reach(tree, dv)] * len(alts)
                 for alt in alts:
                     yield clusters, dv, alt
 
@@ -314,9 +324,10 @@ class StirlingComplex(ChainComplex):
         return 2 * len(tree.edges) - tree.depth(dv) - exact
 
     def _reaches(self, i):
-        """The reach of each degree-i generator, None outside the acyclic
-        part, as the walk of degree i scored it: every walk that counts the
-        degree scores it, so ``dim`` walks only when none has."""
+        """The reach of each degree-i generator, one byte each and
+        ``OUTSIDE`` outside the acyclic part, as the walk of degree i scored
+        it: every walk that counts the degree scores it, so ``dim`` walks
+        only when none has."""
         self.dim(i)
         return self._reach[i]
 
@@ -327,18 +338,19 @@ class StirlingComplex(ChainComplex):
 
         The targets are read off the rows of ``differential(i)``: no two
         contraction terms of one generator share a target, so none cancels.
-        Degree 0 has none, so its check builds no d_0.
+        Degree 0 has none, so its check builds no d_0.  A score is a byte,
+        so it is never negative, and ``OUTSIDE`` lies above every score, so
+        ``target[r] <= score`` alone rejects a target outside the part.
         """
         upper = 2 * (self.n - self.k) - 2
         source = self._reaches(i)
-        if self.n > self.k and any(r is not None and not 0 <= r <= upper
-                                   for r in source):
+        if self.n > self.k and any(upper < r < OUTSIDE for r in source):
             return False
         if not i:
             return True
         d, target = self.differential(i), self._reaches(i - 1)
-        return all(target[r] is not None and target[r] <= score
-                   for score, col in zip(source, d.cols) if score is not None
+        return all(target[r] <= score
+                   for score, col in zip(source, d.cols) if score != OUTSIDE
                    for r in col)
 
     def to_json_dict(self):

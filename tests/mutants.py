@@ -128,6 +128,11 @@ MUTANTS = [
            "upper = 2 * (self.n - self.k) - 2",
            "upper = 2 * (self.n - self.k) - 3",
            ("tests/test_stirling.py::test_reach_filtration",)),
+    Mutant("reach: a key outside the acyclic part stored as score 0",
+           "src/stirhom/stirling.py",
+           "_BYTE[None] = bytes([OUTSIDE])",
+           "_BYTE[None] = bytes([0])",
+           ("tests/test_stirling.py::test_reach_check_can_fail",)),
     Mutant("relabeling: any sequence of the right length is taken",
            "src/stirhom/linalg.py",
            "if sorted(images) != legs:",

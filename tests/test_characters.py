@@ -9,6 +9,7 @@ combinatorics.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st_
 
 from stirhom import characters as C
 from stirhom.graphcomplex import GraphComplex, _normal_cycle
+from stirhom.linalg import BettiVector, Homology
 from stirhom.stirling import StirlingComplex, _mask_set
 
 from closed_forms import dihedral_character, stirling_character
@@ -207,13 +209,46 @@ def test_decompose_rejects_virtual_and_fractional():
         C.decompose(minus_trivial)
     half = C.ClassFunction(3, {mu: Fraction(1, 2) if mu == (1, 1, 1) else 0
                                for mu in parts})
-    with pytest.raises(C.DecompositionError):
+    # the trivial character's multiplicity is (1/2) / 3! = 1/12
+    with pytest.raises(C.DecompositionError, match="non-integral multiplicity 1/12 at"):
         C.decompose(half)
 
 
 def test_class_function_requires_all_classes():
     with pytest.raises(ValueError):
         C.ClassFunction(3, {(3,): 1})
+    with pytest.raises(ValueError, match=r"missing for cycle types \[\(2, 1\)\]"):
+        C.ClassFunction(m=3, values={(3,): 1, (1, 1, 1): 1})
+
+
+@pytest.mark.parametrize("cls,fields,others", [
+    (BettiVector, {"values": {0: 1, 2: 3}}, [{"values": {0: 1}}]),
+    (Homology, {"dims": {0: 2, 1: 1}, "ranks": {1: 1}, "betti": BettiVector({0: 1}),
+                "certificate": "morse-integral"},
+     [{"dims": {0: 2, 1: 2}, "ranks": {1: 1}, "betti": BettiVector({0: 1, 1: 1}),
+       "certificate": "morse-integral"},
+      {"dims": {0: 2, 1: 1}, "ranks": {1: 1}, "betti": BettiVector({0: 1}),
+       "certificate": "exact-rational"}]),
+    (C.ClassFunction, {"m": 2, "values": {(2,): 1, (1, 1): 1}},
+     [{"m": 2, "values": {(2,): -1, (1, 1): 1}}, {"m": 1, "values": {(1,): 1}}]),
+], ids=["BettiVector", "Homology", "ClassFunction"])
+def test_value_classes_behave_as_dataclasses(cls, fields, others):
+    # the public value classes are plain classes, which keep what the
+    # dataclass of the same fields gives: the constructor, == and != by
+    # field on the exact class, no hash and the repr
+    twin = dataclasses.make_dataclass(cls.__name__, list(fields))
+    value = cls(**fields)
+    assert vars(value) == fields
+    assert value == cls(*fields.values())
+    assert not value != cls(*fields.values())
+    assert repr(value) == repr(twin(**fields))
+    for other in others:
+        assert value != cls(**other)
+        assert not value == cls(**other)
+    assert value != twin(**fields)
+    assert value != type("Sub", (cls,), {})(**fields)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -17,6 +20,18 @@ from stirhom.trees import _members
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def test_the_cli_imports_neither_dataclasses_nor_fractions():
+    # no survey, betti or graph run reads them, and each stays resident from
+    # the start: dataclasses loads inspect and ast, fractions loads decimal.
+    # A fresh interpreter, as this one has loaded them for the tests
+    src = pathlib.Path(st.__file__).resolve().parent.parent
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    code = f"import stirhom.cli, sys; print(*(m for m in {heavy!r} if m in sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                            stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert loaded.stdout.split() == []
 
 
 def test_table_text(capsys):

@@ -24,7 +24,7 @@ from stirhom import linalg
 from stirhom.cli import main
 from stirhom.linalg import alternating_sum, composes_to_zero, rank_exact
 from stirhom.graphcomplex import GraphComplex, GraphError
-from stirhom.stirling import (DomainError, StirlingComplex, compose, survey,
+from stirhom.stirling import (OUTSIDE, DomainError, StirlingComplex, compose, survey,
                               transposition)
 
 import stirling_oracle
@@ -393,15 +393,29 @@ def test_survey_scores_each_reach_once(monkeypatch):
 
 
 def test_the_walk_scores_every_key():
-    # the reach the walk stores per key is the one the helpers reach and
-    # in_acyclic_part give key by key
+    # the reach the walk stores per key, one byte each, is the one the
+    # helpers reach and in_acyclic_part give key by key, with the reserved
+    # byte OUTSIDE, above every score, for a key outside the acyclic part
     for n in range(2, 7):
         for k in range(2, n + 1):
             cx = StirlingComplex(n, k)
             for i in range(-1, cx.max_edges + 1):
                 keys = cx.generators(i)
-                assert cx._reach[i] == [reach(cx, key) if in_acyclic_part(cx, key) else None
-                                        for key in keys]
+                assert isinstance(cx._reach[i], bytearray)
+                assert list(cx._reach[i]) == [reach(cx, key) if in_acyclic_part(cx, key)
+                                              else OUTSIDE for key in keys]
+
+
+@pytest.mark.parametrize("score", [OUTSIDE, 256, -1])
+def test_the_walk_refuses_a_reach_that_is_no_score_byte(monkeypatch, score):
+    # a reach the byte table cannot hold below the reserved byte raises in
+    # the walk instead of wrapping into another score or into OUTSIDE
+    monkeypatch.setattr(StirlingComplex, "vertex_reach", lambda self, tree, dv: score)
+    cx = StirlingComplex(4, 2)
+    with pytest.raises(KeyError):
+        cx.generators(1)
+    with pytest.raises(KeyError):
+        survey(4, 2)
 
 
 def test_contraction_terms_never_cancel():
