@@ -190,10 +190,16 @@ class ClassFunction(_Record):
 
     def __init__(self, m, values):
         self.m, self.values = m, values
-        expected = set(partitions(self.m))
-        if set(self.values) != expected:
-            missing = expected - set(self.values)
-            raise ValueError(f"values missing for cycle types {sorted(missing)}")
+        expected, given = set(partitions(self.m)), set(self.values)
+        problems = []
+        if expected - given:
+            problems.append(f"values missing for cycle types {sorted(expected - given)}")
+        if given - expected:
+            problems.append(f"values given for cycle types "
+                            f"{sorted(given - expected, key=repr)}, "
+                            f"which are not partitions of {self.m}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def __call__(self, mu):
         return self.values[tuple(mu)]

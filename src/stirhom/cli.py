@@ -26,7 +26,7 @@ from .linalg import alternating_sum
 
 SCHEMA = 1
 # the largest n a Stirling command accepts: (7, 2) already has 283,668
-# generators and `betti --n 7 --k 2` peaks near 59 MiB (ru_maxrss, Python
+# generators and `betti --n 7 --k 2` peaks near 50 MiB (ru_maxrss, Python
 # 3.11 on Linux), and n = 8 is many times larger
 MAX_N = 7
 # the largest table --max-n: the table's cost grows steeply, 0.15 s at

@@ -3,14 +3,18 @@ differentials to ranks, Betti numbers and a certificate.
 
 The pipeline is the step reducer ``Coreduction``, fed one degree at a time
 by ``ChainComplex.degrees()`` as the pass builds each differential.  A
-matrix stores each column as one tuple of rows, those of its positive
-entries and then those of its negative ones, and counts the positive ones
-in one ``array`` per matrix (``SparseIntMatrix``).  The pairing, the cut
-and the reach check read whole columns: the coreduction counts live
-entries and never reads their signs.  Two products are compared by one
-routine, ``products_agree``, which splits the left factor's columns into
-their two sides once, sorts and compares the rows a column's positive and
-negative terms reach, and builds no product.  Step i
+matrix is in compressed-column form (``SparseIntMatrix``): one list of
+rows, column by column, each column's positive entries and then its
+negative ones, cut into columns by one ``array`` of offsets, with the
+positive entries of each column counted in another.  Only this module
+reads that layout; the rest of the package reads columns through
+``columns`` and ``sides``, and the assembler appends each column straight
+to the list.  The pairing, the cut and the reach check read whole
+columns: the coreduction counts live entries and never reads their signs.
+Two products are compared by one routine, ``products_agree``, which
+splits the left factor's columns into their two sides once, sorts and
+compares the rows a column's positive and negative terms reach, and
+builds no product.  Step i
 tests d_{i-1} d_i = 0 with it (``composes_to_zero``, a zero right side),
 the one d^2 check: every homology and character relies on it, and
 ``stirhom verify`` reads its ``d2`` line off the pass of ``survey``.
@@ -69,36 +73,50 @@ import heapq
 import math
 from array import array
 from collections import deque
-from itertools import groupby
+from itertools import compress, groupby, islice
 
 from .trees import _bit_images
 
 
 class SparseIntMatrix:
-    """Integer matrix stored by column (Davis 2006) as one tuple of rows per
-    column: ``cols[c]`` holds the row of each positive entry of column c,
-    then the row of each negative one, a row repeated |v| times for the
-    value v and never on both sides, so no zero is stored.  ``split[c]``
-    counts the positive entries, in one compact ``array`` per matrix.  The
-    pairing, the cut and the reach check read whole columns, as they need
-    no sign; the d^2 check and the residual cut columns at ``split``,
-    ``sides`` yields each column's two sides, and ``triplets``, ``nnz``
-    and ``to_matrix_market`` read the entries for the exports."""
+    """Integer matrix in compressed-column form (Davis 2006): ``rows`` is
+    one list of row ints, column by column, and column c is the slice
+    ``rows[offsets[c]:offsets[c + 1]]``, the row of each positive entry
+    and then the row of each negative one, a row repeated |v| times for
+    the value v and never on both sides, so no zero is stored.
+    ``offsets`` holds the ncols + 1 column starts, from 0 to
+    ``len(rows)``, and ``split[c]`` counts column c's positive entries,
+    each in one compact ``array``.  A slice of the list shares its ints,
+    so no read makes an int object, and no column is an object of its
+    own.  The pairing, the cut and the reach check read whole columns, as
+    they need no sign, and ``columns`` yields them; the d^2 check and the
+    residual cut columns at ``split``, ``sides`` yields each column's two
+    sides, and ``triplets``, ``nnz`` and ``to_matrix_market`` read the
+    entries for the exports."""
 
-    __slots__ = ("nrows", "cols", "split", "__weakref__")
+    __slots__ = ("nrows", "rows", "offsets", "split", "__weakref__")
 
-    def __init__(self, nrows, cols, split):
-        self.nrows, self.cols, self.split = nrows, cols, split
+    def __init__(self, nrows, rows, offsets, split):
+        self.nrows, self.rows, self.offsets, self.split = nrows, rows, offsets, split
 
     @property
     def ncols(self):
-        return len(self.cols)
+        return len(self.split)
+
+    def columns(self):
+        """The rows of each column, its positive entries' first, as one
+        slice of ``rows`` each, column by column."""
+        rows, offsets = self.rows, self.offsets
+        for start, end in zip(offsets, islice(offsets, 1, None)):
+            yield rows[start:end]
 
     def sides(self):
         """The rows of each column's positive and of its negative entries,
-        as two tuples, column by column."""
-        for col, cut in zip(self.cols, self.split):
-            yield col[:cut], col[cut:]
+        as two slices of ``rows``, column by column."""
+        rows, offsets = self.rows, self.offsets
+        for start, cut, end in zip(offsets, self.split, islice(offsets, 1, None)):
+            cut += start
+            yield rows[start:cut], rows[cut:end]
 
     def triplets(self):
         """Every entry as ``(r, c, v)``, column by column, the positive
@@ -115,19 +133,28 @@ class SparseIntMatrix:
         """For each column of ``other``, the rows the positive and the
         negative terms of this matrix times it reach, uncancelled: this
         matrix's sides concatenated over the column's rows.  The sides are
-        split once per call, not once per entry read."""
+        split once per call, not once per entry read, each into a tuple,
+        which holds its rows in one block where a list slice takes two and
+        more room, and the columns of ``other`` are sliced one at a time,
+        as they are asked for."""
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        above = [col[:cut] for col, cut in zip(self.cols, self.split)]
-        below = [col[cut:] for col, cut in zip(self.cols, self.split)]
-        for col, cut in zip(other.cols, other.split):
+        left, offsets, above, below = self.rows, self.offsets, [], []
+        for start, cut, end in zip(offsets, self.split, islice(offsets, 1, None)):
+            cut += start
+            above.append(tuple(left[start:cut]))
+            below.append(tuple(left[cut:end]))
+        rows, start = other.rows, 0
+        for cut, end in zip(other.split, islice(other.offsets, 1, None)):
+            cut += start
             up, down = [], []
-            for r in col[:cut]:
+            for r in rows[start:cut]:
                 up += above[r]
                 down += below[r]
-            for r in col[cut:]:
+            for r in rows[cut:end]:
                 up += below[r]
                 down += above[r]
+            start = end
             yield up, down
 
     def to_matrix_market(self):
@@ -332,16 +359,19 @@ class Homology(_Record):
 
 def _on_live_faces(d, faces):
     """``d`` with each column that has an entry on a live face, by the
-    flags ``faces``, and ``()`` for every other column: the columns a
-    residual on those faces can read.  The columns kept are ``d``'s own
-    tuples; with no live face, no column is scanned."""
-    cols, split = [()] * d.ncols, array("I", [0]) * d.ncols
+    flags ``faces``, and an empty column for every other one: the columns
+    a residual on those faces can read, copied into a row list of their
+    own.  With no live face, no column is scanned."""
+    rows, split = [], array("I", [0]) * d.ncols
+    offsets = array("I", [0]) * (d.ncols + 1)
     if 1 in faces:
         live = faces.__getitem__
-        for c, col in enumerate(d.cols):
+        for c, (col, cut) in enumerate(zip(d.columns(), d.split)):
             if any(map(live, col)):
-                cols[c], split[c] = col, d.split[c]
-    return SparseIntMatrix(d.nrows, cols, split)
+                rows += col
+                split[c] = cut
+            offsets[c + 1] = len(rows)
+    return SparseIntMatrix(d.nrows, rows, offsets, split)
 
 
 class Coreduction:
@@ -392,22 +422,25 @@ class Coreduction:
         then those whose count drops to one; the cofaces of a face are its
         columns in d_i, ascending, so the order within a column does not
         matter.  Only a live face gets a list of cofaces."""
+        rows, offsets = d.rows, d.offsets
         cofaces = [[] if flag else None for flag in faces]
         nfaces = [0] * d.ncols
-        for c, col in enumerate(d.cols):
+        start = 0
+        for c, end in enumerate(islice(offsets, 1, None)):
             count = 0
-            for r in col:
+            for r in rows[start:end]:
                 if faces[r]:
                     cofaces[r].append(c)
                     count += 1
             nfaces[c] = count
+            start = end
         queue = deque(c for c, count in enumerate(nfaces) if count == 1)
         pairs = 0
         while queue:
             c = queue.popleft()
             if nfaces[c] != 1:
                 continue
-            r = next(r for r in d.cols[c] if faces[r])
+            r = next(r for r in rows[offsets[c]:offsets[c + 1]] if faces[r])
             live[c] = faces[r] = 0
             pairs += 1
             for s in cofaces[r]:
@@ -426,13 +459,15 @@ class Coreduction:
         faces = self._faces
         rows = {r: pos for pos, r in enumerate(
             r for r, flag in enumerate(faces) if flag)}
-        d, cols, split = self._d, [], array("I")
-        for col, cut, flag in zip(d.cols, d.split, self._live):
-            if flag:
-                positive = [rows[r] for r in col[:cut] if faces[r]]
-                split.append(len(positive))
-                cols.append((*positive, *(rows[r] for r in col[cut:] if faces[r])))
-        rank, unit = _eliminate_rank(SparseIntMatrix(len(rows), cols, split))
+        d, kept, offsets, split = self._d, [], array("I", [0]), array("I")
+        for c in compress(range(d.ncols), self._live):
+            start, end = d.offsets[c], d.offsets[c + 1]
+            cut = start + d.split[c]
+            kept += [rows[r] for r in d.rows[start:cut] if faces[r]]
+            split.append(len(kept) - offsets[-1])
+            kept += [rows[r] for r in d.rows[cut:end] if faces[r]]
+            offsets.append(len(kept))
+        rank, unit = _eliminate_rank(SparseIntMatrix(len(rows), kept, offsets, split))
         self.ranks[i] += rank
         if not unit:
             self.certificate = "exact-rational"
@@ -532,32 +567,37 @@ class ChainComplex:
         """The matrix from degree i to degree j (columns are sources) whose
         column of each degree-i generator sums ``terms(key)``: the terms of
         one key have distinct targets, so each goes to the column's
-        positive or negative side by its sign, and the column is one tuple
-        of the two sides.  When degree i is not held, the columns are
-        built on its walk, which counts the degree for ``dim(i)`` and keeps
-        the keys it meets as ``generators(i)``, except on the top degree of
-        a pass, whose keys nothing reads."""
-        rows = self.rows(j)
+        positive or negative side by its sign.  The positive rows go
+        straight to the matrix's one list of rows and the negative ones to
+        a scratch list, appended after them.  When degree i is not held,
+        the columns are built on its walk, which counts the degree for
+        ``dim(i)`` and keeps the keys it meets as ``generators(i)``, except
+        on the top degree of a pass, whose keys nothing reads."""
+        position = self.rows(j)
         walked = i not in self._gens
         keys = [] if walked and i != self._pass_top else None
-        cols, split = [], array("I")
+        rows, down, offsets, split = [], [], array("I", [0]), array("I")
+        positive, negative = rows.append, down.append
+        start = 0
         for key in self.walk(i) if walked else self._gens[i]:
-            up, down = [], []
             for target, sign in terms(key):
                 if sign > 0:
-                    up.append(rows[target])
+                    positive(position[target])
                 else:
-                    down.append(rows[target])
-            split.append(len(up))
-            up += down
-            cols.append(tuple(up))
+                    negative(position[target])
+            split.append(len(rows) - start)
+            if down:
+                rows += down
+                down.clear()
+            start = len(rows)
+            offsets.append(start)
             if keys is not None:
                 keys.append(key)
         if walked:
-            self._dims[i] = len(cols)
+            self._dims[i] = len(split)
             if keys is not None:
                 self._gens[i] = keys
-        return SparseIntMatrix(len(rows), cols, split)
+        return SparseIntMatrix(len(position), rows, offsets, split)
 
     def differential(self, i):
         """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""

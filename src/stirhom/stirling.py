@@ -350,7 +350,7 @@ class StirlingComplex(ChainComplex):
             return True
         d, target = self.differential(i), self._reaches(i - 1)
         return all(target[r] <= score
-                   for score, col in zip(source, d.cols) if score != OUTSIDE
+                   for score, col in zip(source, d.columns()) if score != OUTSIDE
                    for r in col)
 
     def to_json_dict(self):

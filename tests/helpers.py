@@ -1,8 +1,8 @@
 """Constructors, signs and characters only the tests use.
 
-The package keeps one matrix form, one row tuple per column with its
-positive entries counted, and compares products column by column with no
-product built.  The dict forms are the
+The package keeps one matrix form, one list of rows cut into columns by
+their offsets, with each column's positive entries counted, and compares
+products column by column with no product built.  The dict forms are the
 oracles for it: ``from_cols`` builds a matrix from one row -> value dict
 per column and ``cols`` reads them back, ``from_triplets`` builds one from
 ``(r, c, v)`` entries, ``product`` sums each column of a product entry by
@@ -41,21 +41,24 @@ from shape_oracle import stable_tree_inputs
 
 def from_cols(nrows, columns):
     """The matrix with one row -> value dict per column; a zero value is
-    stored as no entry.  Each column's tuple holds the rows of its positive
-    entries, then those of its negative ones, each repeated |v| times."""
+    stored as no entry.  Each column's run of rows holds the rows of its
+    positive entries, then those of its negative ones, each repeated |v|
+    times."""
+    rows, offsets = [], array("I", [0])
+    for col in columns:
+        rows += [r for sign in (1, -1) for r, v in col.items() if v * sign > 0
+                 for _ in range(abs(v))]
+        offsets.append(len(rows))
     split = array("I", [sum(v for v in col.values() if v > 0) for col in columns])
-    return SparseIntMatrix(
-        nrows,
-        [tuple(r for sign in (1, -1) for r, v in col.items() if v * sign > 0
-               for _ in range(abs(v))) for col in columns],
-        split)
+    return SparseIntMatrix(nrows, rows, offsets, split)
 
 
 def cols(matrix):
-    """One row -> value dict per column, the positive entries first: the
-    first ``split[c]`` rows of column c count +1 each, the rest -1."""
+    """One row -> value dict per column, read through ``columns``, the
+    positive entries first: the first ``split[c]`` rows of column c count
+    +1 each, the rest -1."""
     result = []
-    for rows, cut in zip(matrix.cols, matrix.split):
+    for rows, cut in zip(matrix.columns(), matrix.split):
         col = {}
         for place, r in enumerate(rows):
             col[r] = col.get(r, 0) + (1 if place < cut else -1)
@@ -97,7 +100,7 @@ def same(a, b):
 
 
 def is_zero(matrix):
-    return not any(matrix.cols)
+    return not any(matrix.columns())
 
 
 def d_squared_oracle(lower, upper):

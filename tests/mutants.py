@@ -104,8 +104,8 @@ MUTANTS = [
            ("tests/test_linalg.py::test_stirling_reduction_matches_rank_oracle",)),
     Mutant("cut of d_{i-1}: no column kept on the live faces",
            "src/stirhom/linalg.py",
-           "cols[c], split[c] = col, d.split[c]",
-           "cols[c], split[c] = (), 0",
+           "                rows += col\n                split[c] = cut\n",
+           "                pass\n",
            ("tests/test_linalg.py::test_projective_plane_needs_the_residual",
             "tests/test_linalg.py::test_unit_pivots_keep_the_residual_integral")),
     Mutant("cut of d_{i-1}: a column kept only when all its faces are live",
@@ -113,6 +113,12 @@ MUTANTS = [
            "if any(map(live, col)):",
            "if all(map(live, col)):",
            ("tests/test_linalg.py::test_the_cut_keeps_a_column_with_a_dead_face",)),
+    Mutant("column offsets: each column read one row short",
+           "src/stirhom/linalg.py",
+           "            yield rows[start:end]\n",
+           "            yield rows[start:end - 1]\n",
+           ("tests/test_linalg.py::test_the_form_round_trips",
+            "tests/test_linalg.py::test_d_squared_matches_the_oracle")),
     Mutant("elimination: the negative entries are not read",
            "src/stirhom/linalg.py",
            "        for side, unit in zip(sides, (1, -1)):\n            for r in side:",

@@ -219,6 +219,16 @@ def test_class_function_requires_all_classes():
         C.ClassFunction(3, {(3,): 1})
     with pytest.raises(ValueError, match=r"missing for cycle types \[\(2, 1\)\]"):
         C.ClassFunction(m=3, values={(3,): 1, (1, 1, 1): 1})
+    # a cycle type that is no partition of m is named, and nothing is
+    # called missing when nothing is
+    every = {mu: 1 for mu in C.partitions(3)}
+    with pytest.raises(ValueError, match=r"^values given for cycle types \[\(4,\)\], "
+                                         r"which are not partitions of 3$"):
+        C.ClassFunction(3, {**every, (4,): 1})
+    with pytest.raises(ValueError, match=r"^values missing for cycle types \[\(3,\)\]; "
+                                         r"values given for cycle types \[\(2, 2\)\], "
+                                         r"which are not partitions of 3$"):
+        C.ClassFunction(3, {(2, 1): 1, (1, 1, 1): 1, (2, 2): 1})
 
 
 @pytest.mark.parametrize("cls,fields,others", [

@@ -69,7 +69,7 @@ def sparse_matrices(values):
 
 matrices = sparse_matrices(st_.integers(-4, 4))
 
-# the columns a signed row tuple must hold apart: empty, negative only
+# the columns a run of signed rows must hold apart: empty, negative only
 # (split 0), positive only (split = length), and |v| > 1 on either side
 EDGE_COLUMNS = [{}, {0: -2}, {1: 3}, {0: -1, 1: -3}, {1: 2, 0: 1}, {0: 2, 1: -3}]
 
@@ -120,11 +120,26 @@ def test_matmul_and_equality():
         product(a, a)
 
 
-class Unread(tuple):
+class Unread(list):
+    """A matrix's rows whose entries from ``past`` on belong to a column
+    that must not be read: a slice reaching that far, an index there, or
+    a walk over the whole list raises."""
+
+    def __init__(self, rows, past):
+        super().__init__(rows)
+        self.past = past
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            reached = index.indices(len(self))[1]
+        else:
+            reached = index % len(self) + 1
+        if reached > self.past:
+            raise AssertionError("a column past the first nonzero one was read")
+        return super().__getitem__(index)
+
     def __iter__(self):
         raise AssertionError("a column past the first nonzero one was read")
-
-    __getitem__ = __iter__
 
 
 def no_matrix(*args):
@@ -136,7 +151,11 @@ def test_d_squared_is_checked_column_by_column(monkeypatch):
     # the check does not kill is read
     lower = from_triplets(1, 2, [(0, 0, 1), (0, 1, 1)])
     zero = from_triplets(2, 2, [(0, 0, 1), (1, 0, -1)])
-    unread = SparseIntMatrix(2, [(0, 1), (0,), Unread((1,))], array("I", [1, 1, 1]))
+    # the columns (+0 -1) and (+0), then (+1), guarded from row 3 on
+    unread = SparseIntMatrix(2, Unread([0, 1, 0, 1], past=3),
+                             array("I", [0, 2, 3, 4]), array("I", [1, 1, 1]))
+    with pytest.raises(AssertionError, match="past the first"):
+        list(unread.columns())
     monkeypatch.setattr(SparseIntMatrix, "__init__", no_matrix)
     assert composes_to_zero(lower, zero)
     assert not composes_to_zero(lower, unread)
@@ -152,8 +171,15 @@ def test_equivariance_is_checked_column_by_column(monkeypatch):
     swap = from_triplets(2, 2, [(0, 1, 1), (1, 0, 1)])
     eye = from_triplets(2, 2, [(0, 0, 1), (1, 1, 1)])
     wide = from_triplets(1, 2, [(0, 0, 1)])
-    left = SparseIntMatrix(2, [(0, 1), (), Unread((0,))], array("I", [2, 0, 1]))
-    right = SparseIntMatrix(2, [(0, 1), (0,), Unread((1,))], array("I", [2, 1, 1]))
+    # the columns (+0 +1) and (), then (+0), guarded from row 2 on; and
+    # (+0 +1) and (+0), then (+1), guarded from row 3 on
+    left = SparseIntMatrix(2, Unread([0, 1, 0], past=2),
+                           array("I", [0, 2, 2, 3]), array("I", [2, 0, 1]))
+    right = SparseIntMatrix(2, Unread([0, 1, 0, 1], past=3),
+                            array("I", [0, 2, 3, 4]), array("I", [2, 1, 1]))
+    for guarded in (left, right):
+        with pytest.raises(AssertionError, match="past the first"):
+            list(guarded.sides())
     monkeypatch.setattr(SparseIntMatrix, "__init__", no_matrix)
     assert products_agree(swap, eye, eye, swap)
     assert not products_agree(swap, left, eye, right)
@@ -167,16 +193,18 @@ def test_equivariance_is_checked_column_by_column(monkeypatch):
 
 def test_signed_rows_and_the_dict_columns():
     # a row is repeated once per unit of its value, on one side of its
-    # column's tuple only, the positive side first and counted in split;
-    # the dict columns read the same matrix back
+    # column's run of rows only, the positive side first and counted in
+    # split; the dict columns read the same matrix back
     m = from_cols(3, [{0: 2, 2: -1}, {}, {1: -3, 0: 1}])
-    assert m.cols == [(0, 0, 2), (), (0, 1, 1, 1)]
+    assert m.rows == [0, 0, 2, 0, 1, 1, 1]
+    assert m.offsets == array("I", [0, 3, 3, 7])
+    assert list(m.columns()) == [[0, 0, 2], [], [0, 1, 1, 1]]
     assert m.split == array("I", [2, 0, 1])
-    assert list(m.sides()) == [((0, 0), (2,)), ((), ()), ((0,), (1, 1, 1))]
+    assert list(m.sides()) == [([0, 0], [2]), ([], []), ([0], [1, 1, 1])]
     assert cols(m) == [{0: 2, 2: -1}, {}, {0: 1, 1: -3}]
     assert m.nnz() == 4 and m.ncols == 3 and not is_zero(m)
     assert same(m, from_triplets(3, 3, [(1, 2, -3), (0, 0, 2), (2, 0, -1), (0, 2, 1)]))
-    assert same(SparseIntMatrix(3, m.cols, m.split), m)
+    assert same(SparseIntMatrix(3, m.rows, m.offsets, m.split), m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,16 +214,24 @@ def test_signed_rows_and_the_dict_columns():
                                st_.integers(-4, 4).filter(bool), max_size=4),
               max_size=6))))
 def test_the_form_round_trips(shape):
-    # each column is one tuple, its positive rows first and counted in
-    # split, a row repeated |v| times; the dict columns, the triplets and
-    # the Matrix Market text all read the same matrix back
+    # the rows are one list, cut into columns by ncols + 1 offsets that
+    # start at 0, never decrease and end at its length; each column holds
+    # its positive rows first, counted in split, a row repeated |v| times;
+    # the dict columns, the triplets and the Matrix Market text all read
+    # the same matrix back
     nrows, columns = shape
     columns = EDGE_COLUMNS + columns
     m = from_cols(nrows, columns)
-    assert m.ncols == len(columns)
+    assert m.ncols == len(columns) == len(m.offsets) - 1
+    assert type(m.rows) is list and m.offsets.typecode == m.split.typecode == "I"
+    assert m.offsets[0] == 0 and m.offsets[-1] == len(m.rows)
+    assert all(start <= end for start, end in zip(m.offsets, m.offsets[1:]))
+    assert all(cut <= end - start
+               for start, end, cut in zip(m.offsets, m.offsets[1:], m.split))
     assert list(m.split[:4]) == [0, 0, 3, 0]
-    assert [len(col) for col in m.cols[:4]] == [0, 2, 3, 4]
-    for col, cut, want, (positive, negative) in zip(m.cols, m.split, columns, m.sides()):
+    assert [len(col) for col in m.columns()][:4] == [0, 2, 3, 4]
+    for col, cut, want, (positive, negative) in zip(m.columns(), m.split, columns,
+                                                    m.sides()):
         assert sorted(col[:cut]) == sorted(r for r, v in want.items() if v > 0 for _ in range(v))
         assert sorted(col[cut:]) == sorted(r for r, v in want.items() if v < 0 for _ in range(-v))
         assert (positive, negative) == (col[:cut], col[cut:])
@@ -203,7 +239,7 @@ def test_the_form_round_trips(shape):
     entries = sorted((r, c, v) for c, col in enumerate(columns) for r, v in col.items())
     assert sorted(m.triplets()) == entries and m.nnz() == len(entries)
     assert same(from_triplets(nrows, len(columns), entries), m)
-    assert same(SparseIntMatrix(nrows, list(m.cols), m.split), m)
+    assert same(SparseIntMatrix(nrows, list(m.rows), m.offsets, m.split), m)
     assert is_zero(m) == (not entries)
     header, size, *lines = m.to_matrix_market().splitlines()
     assert size == f"{nrows} {len(columns)} {len(entries)}"
