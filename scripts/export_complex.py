@@ -12,6 +12,7 @@ import argparse
 import json
 import pathlib
 
+from stirhom.cli import MAX_N
 from stirhom.stirling import StirlingComplex
 
 
@@ -21,6 +22,9 @@ def main():
     parser.add_argument("--k", type=int, required=True)
     parser.add_argument("--out-dir", default="export")
     args = parser.parse_args()
+    if args.n > MAX_N:
+        # the CLI's bound: n = 8 is many times larger than (7, 2)
+        raise SystemExit(f"export requires n <= {MAX_N}")
 
     cx = StirlingComplex(args.n, args.k)
     out = pathlib.Path(args.out_dir)

@@ -13,7 +13,13 @@ import time
 
 from stirhom import characters as C
 from stirhom import stirling as S
+from stirhom.cli import MAX_N
 from stirhom.graphcomplex import GraphComplex, verify_decomposition
+
+# the largest m whose graph complex is built: GC(7) runs in seconds, and
+# GC(8) has 3.79M generators
+MAX_M = 7
+LARGE = [(7, 2), (7, 3)]
 
 
 def main():
@@ -23,6 +29,8 @@ def main():
     parser.add_argument("--include-large", action="store_true",
                         help="also run types (7, 2) and (7, 3)")
     args = parser.parse_args()
+    if args.max_n > MAX_N or args.max_m > MAX_M:
+        raise SystemExit(f"reproduce requires --max-n <= {MAX_N} and --max-m <= {MAX_M}")
 
     start = time.time()
     failures = 0
@@ -30,7 +38,7 @@ def main():
     print("== Stirling complexes ==")
     types = [(n, k) for n in range(2, args.max_n + 1) for k in range(2, n + 1)]
     if args.include_large:
-        types += [(7, 2), (7, 3)]
+        types += [large for large in LARGE if large not in types]
     for n, k in types:
         t0 = time.time()
         result = S.survey(n, k)

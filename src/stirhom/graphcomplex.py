@@ -3,8 +3,9 @@
 Generators in degree i are isomorphism classes of stable connected
 genus-one graphs with legs 1..m and i edges, each contributing the line
 det(edges), except for the classes the orientation kill removes (below).
-The differential is the signed sum of edge contractions; it and the
-action of leg relabelings are given as terms that ``ChainComplex`` assembles.
+The differential is the signed sum of edge contractions, given as the
+columns the walk reads cycle by cycle, and the action of leg relabelings
+as terms; ``ChainComplex`` assembles both.
 
 Two kinds.  A stable genus-one graph is either a genus-one vertex with
 trees hanging from it, or a cycle of c >= 1 edges (c = 1 is a loop, c = 2
@@ -32,10 +33,12 @@ loop leaves the genus-one vertex with the same clusters.  A permutation of
 the legs acts on every mask bit by bit, and fixes a key exactly when it
 maps its cycle and its family of clusters onto themselves.  A pass lists
 the block partitions once, on masks, with their cycles in normal form and
-the clusters hung in them (``_CycleTable``): the walk of a degree reads
-the cycles ascending, each with its families, so the keys come out
-sorted, and a trace enumerates the keys it fixes from the partitions it
-maps onto themselves.
+the clusters hung in them (``_CycleTable``), and sets up the laminar
+search of each block partition once, for every degree, and once more
+per relabeling that maps it onto itself: the walk of a degree reads the
+cycles ascending, each with its families, so the keys come out sorted,
+and a trace enumerates the keys it fixes from the partitions it maps
+onto themselves.
 
 The orientation kill.  The legs are labeled, so the hanging trees and the
 blocks are rigid: a leg-fixing automorphism can only flip a loop, which
@@ -68,10 +71,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 
-from .linalg import ChainComplex
+from .linalg import ChainComplex, _signed
 from .stirling import StirlingComplex
-from .trees import _mask_set, _members, _spell, laminar_families, sort_sign
+from .trees import LaminarSearch, _mask_set, _members, _spell, sort_sign
 from .characters import (equivariant_euler_character, homology_character,
                          stirling_unsigned)
 
@@ -165,6 +169,34 @@ class _Cycle:
             terms[name] = listed[target], flip
         self.targets, self.flips = zip(*(terms[name] for name in ordered))
 
+    def column(self, key):
+        """The differential's column of a key on this cycle: the targets
+        of its positive and of its negative terms, one per edge, in the
+        order of its edges, the bits of ``names | clusters`` ascending,
+        signed by place, and a cycle edge also by the flip mask.  Targets
+        the kill removes, and the cancelling pair of a 2-cycle, are left
+        out."""
+        cycle, clusters = key
+        targets, flips = self.targets, self.flips
+        place = 0
+        marked = clusters | 2  # bit 1 of a flip mask is the view's sign
+        plus, minus = [], []
+        rest = self.names | clusters
+        negative = not rest.bit_count() % 2
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if clusters & low:
+                (minus if negative else plus).append((cycle, clusters ^ low))
+            else:
+                target = targets[place]
+                if target is not None:
+                    odd = (marked & flips[place]).bit_count() & 1
+                    (minus if negative ^ odd else plus).append((target, clusters))
+                place += 1
+            negative = not negative
+        return plus, minus
+
 
 def _hung_clusters(blocks):
     """The clusters a tree hung from a vertex of one of ``blocks`` may have:
@@ -217,7 +249,7 @@ class _CycleTable:
     of ``enumerate_graph_generators`` with equal arguments compare equal.
     """
 
-    __slots__ = ("fixed_by", "partitions", "ascending", "listed")
+    __slots__ = ("fixed_by", "partitions", "ascending", "listed", "searches")
 
     def __init__(self, m, orientation_kill):
         self.fixed_by = m, orientation_kill
@@ -231,6 +263,18 @@ class _CycleTable:
                                  for blocks, (pool, cycles) in self.partitions.items()
                                  for cycle in cycles), key=lambda entry: entry[0])
         self.listed = {cycle: cycle for cycle, _blocks, _pool in self.ascending}
+        self.searches = {}
+
+    def search(self, blocks, bits=None, image=None):
+        """The laminar search over the clusters hung in ``blocks``, set up
+        once per table: one for the walk (``bits`` None) and one for each
+        relabeling ``bits`` that maps the blocks onto themselves, whose
+        ``image`` table moves the clusters."""
+        key = blocks, bits
+        search = self.searches.get(key)
+        if search is None:
+            search = self.searches[key] = LaminarSearch(self.partitions[blocks][0], image)
+        return search
 
     def __eq__(self, other):
         return isinstance(other, _CycleTable) and self.fixed_by == other.fixed_by
@@ -247,19 +291,19 @@ def enumerate_graph_generators(m, i, orientation_kill=True, cycles=None):
     without it (the negative control) they stay and the numbers are
     deliberately wrong.  ``cycles`` is the ``_CycleTable`` of the pass (a
     new one by default).  The keys are built in order, cycle by cycle: the
-    cycles come ascending, each with its families of clusters, which
-    ``laminar_families`` gives ascending; the families of one block
-    partition serve every cycle on it with the same number of edges, since
-    clusters in different blocks are disjoint.
+    cycles come ascending, each with its families of clusters, which the
+    table's search of its block partition gives ascending; the families of
+    one block partition serve every cycle on it with the same number of
+    edges, since clusters in different blocks are disjoint.
     """
     if cycles is None:
         cycles = _CycleTable(m, orientation_kill)
     keys, families = [], {}
-    for cycle, blocks, pool in cycles.ascending:
+    for cycle, blocks, _pool in cycles.ascending:
         size = i - len(cycle)
         if size >= 0:
             if (blocks, size) not in families:
-                families[blocks, size] = list(laminar_families(pool, size))
+                families[blocks, size] = list(cycles.search(blocks).families(size))
             keys += [(cycle, clusters) for clusters in families[blocks, size]]
     return keys
 
@@ -316,32 +360,20 @@ class GraphComplex(ChainComplex):
                                                self._cycle_table().listed)
         return view
 
+    def contraction_columns(self, i):
+        """The column of every degree-i key, cycle by cycle: the keys of a
+        cycle are adjacent, so each run of them reads the cycle's view
+        once."""
+        for cycle, keys in itertools.groupby(self._keys(i), itemgetter(0)):
+            column = self.view(cycle).column
+            for key in keys:
+                yield key, column(key)
+
     def contraction_terms(self, key):
-        """The differential's terms of one generator, one per edge, in the
-        order of its edges: the bits of ``names | clusters`` ascending,
-        signed by place, and a cycle edge also by its view.  With the
-        orientation kill, targets with a 2-cycle are killed and left out."""
-        cycle, clusters = key
-        view = self.view(cycle)
-        targets, flips = view.targets, view.flips
-        place = 0
-        marked = clusters | 2  # bit 1 of a flip mask is the view's sign
-        terms = []
-        rest = view.names | clusters
-        sign = 1 if rest.bit_count() % 2 else -1
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if clusters & low:
-                terms.append(((cycle, clusters ^ low), sign))
-            else:
-                target = targets[place]
-                if target is not None:
-                    odd = (marked & flips[place]).bit_count() & 1
-                    terms.append(((target, clusters), -sign if odd else sign))
-                place += 1
-            sign = -sign
-        return terms
+        """The differential's terms ``(target, sign)`` of one generator,
+        the positive ones first, by the rule that builds every column of
+        the differential."""
+        return _signed(*self.view(key[0]).column(key))
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 1..m, as a function
@@ -370,22 +402,22 @@ class GraphComplex(ChainComplex):
         """The keys of degree i a permutation of the legs fixes.  A key is
         fixed when its cycle and its family of clusters are: the cycles
         come from the block partitions the permutation maps onto
-        themselves, the families from ``laminar_families`` by the orbits of
-        the clusters hung in those blocks, both off the pass's table of
-        cycles, which the walk reads too."""
-        image = self._image(perm)
-        for blocks, (pool, cycles) in self._cycle_table().partitions.items():
+        themselves, the families from the relabeling's search of each, by
+        the orbits of the clusters hung in its blocks, both off the pass's
+        table of cycles, which the walk reads too."""
+        bits, image = self.relabeling(perm), self._image(perm)
+        table = self._cycle_table()
+        for blocks, (_pool, cycles) in table.partitions.items():
             # a cycle has an edge per block, the empty one none
             if len(blocks) > max(i, 1) or any(image[b] not in blocks for b in blocks):
                 continue
             kept = [cycle for cycle in cycles
                     if _normal_cycle(tuple(map(image.__getitem__, cycle))) == cycle]
-            move = {c: image[c] for c in pool} if kept else None
             families = {}
             for cycle in kept:
                 size = i - len(cycle)
                 if size not in families:
-                    families[size] = list(laminar_families(pool, size, move))
+                    families[size] = list(table.search(blocks, bits, image).families(size))
                 for clusters in families[size]:
                     yield cycle, clusters
 

@@ -49,9 +49,13 @@ raised.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges of sorted generator keys, each
-degree read off its subclass's walk, the position of each key, the shared
-assembler that turns signed contraction and action terms into the
-differential, an action matrix or a trace, and the one pass over the
+degree read off its subclass's walk, the position of each key, the one
+assembler, which turns a stream of ``(key, terms)`` columns, the terms
+of a key as the targets of its positive and of its negative terms, into
+the differential or an action matrix (the Stirling
+walk builds a whole tree's columns together, the graph walk a cycle's,
+and an action matrix reads its terms key by key), the trace, and the
+one pass over the
 degrees, ``degrees()``, which holds only what a later step reads: it
 releases degree i-2, builds d_i on the walk of degree i, which counts the
 degree and keeps its keys for d_{i+1} (none on the top degree), drops the
@@ -486,6 +490,19 @@ class Coreduction:
         return Homology(dims, self.ranks, betti, self.certificate)
 
 
+def _by_sign(terms):
+    """The targets of the positive and of the negative ``(target, sign)``
+    terms, each side in order: the column form the assembler reads."""
+    return ([target for target, sign in terms if sign > 0],
+            [target for target, sign in terms if sign < 0])
+
+
+def _signed(plus, minus):
+    """The ``(target, sign)`` terms of a column's two sides, the positive
+    ones first."""
+    return [(target, 1) for target in plus] + [(target, -1) for target in minus]
+
+
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
@@ -493,17 +510,20 @@ class ChainComplex:
     permutes (each leg j is mask bit j), ``error``, the exception a
     relabeling that is no bijection of ``legs`` raises, ``max_edges``,
     ``walk(i)`` (the keys of degree i in sorted order, an iterable that may
-    do per-degree work as it goes: the assembler of d_i consumes it when
-    degree i is not held, ``generators(i)`` consumes it alone otherwise,
-    and ``dim(i)`` counts it when no walk has), ``code(key)``,
-    ``contraction_terms(key)``, ``action_terms(perm)``, whose function
+    do per-degree work as it goes: ``generators(i)`` consumes it, and
+    ``dim(i)`` counts it when no walk has), ``contraction_columns(i)``
+    (the stream ``(key, (plus, minus))`` of every degree-i key in that
+    order, the targets of its positive and of its negative terms, on the
+    same walk when degree i is not held, which the assembler of d_i
+    consumes), ``contraction_terms(key)`` (one key's terms by the same
+    rule, the positive ones first), ``code(key)``, ``action_terms(perm)``, whose function
     takes a key and returns the list of its terms, and ``fixable_keys(i,
     perm)``: the keys of degree i the relabeling may fix, each once and
     every fixed one among them, the identity's included.  A term
     ``(target_key, sign)`` carries its whole sign, +-1, read off the
     positions in the sorted reference orders, and
-    the terms of one key have distinct targets, so the assembler puts each
-    on its column's positive or negative side with no sum (the graph
+    the terms of one key have distinct targets, so each goes to its
+    column's positive or negative side with no sum (the graph
     complex sums the two terms of a 2-cycle's parallel edges itself).  Any
     other orientation of the generators conjugates every matrix by a
     diagonal +-1 matrix; the tests check the homology and the oracles that
@@ -563,46 +583,41 @@ class ChainComplex:
     def dims(self):
         return {i: self.dim(i) for i in range(self.max_edges + 1)}
 
-    def _assemble(self, i, j, terms):
-        """The matrix from degree i to degree j (columns are sources) whose
-        column of each degree-i generator sums ``terms(key)``: the terms of
-        one key have distinct targets, so each goes to the column's
-        positive or negative side by its sign.  The positive rows go
-        straight to the matrix's one list of rows and the negative ones to
-        a scratch list, appended after them.  When degree i is not held,
-        the columns are built on its walk, which counts the degree for
+    def _keys(self, i):
+        """The keys of degree i in order: the held ones, else its walk."""
+        held = self._gens.get(i)
+        return self.walk(i) if held is None else held
+
+    def _assemble(self, i, j, columns):
+        """The matrix from degree i to degree j (columns are sources) with
+        one column per ``(key, (plus, minus))`` of ``columns``, the stream
+        of every degree-i generator in order: ``plus`` and ``minus`` are
+        the targets of the key's positive and negative terms, which are
+        distinct, so the rows of each side go straight to the matrix's one
+        list of rows, the positive side first.  When degree i is not held,
+        the stream is its walk's, and the assembler counts the degree for
         ``dim(i)`` and keeps the keys it meets as ``generators(i)``, except
         on the top degree of a pass, whose keys nothing reads."""
         position = self.rows(j)
-        walked = i not in self._gens
-        keys = [] if walked and i != self._pass_top else None
-        rows, down, offsets, split = [], [], array("I", [0]), array("I")
-        positive, negative = rows.append, down.append
-        start = 0
-        for key in self.walk(i) if walked else self._gens[i]:
-            for target, sign in terms(key):
-                if sign > 0:
-                    positive(position[target])
-                else:
-                    negative(position[target])
-            split.append(len(rows) - start)
-            if down:
-                rows += down
-                down.clear()
-            start = len(rows)
-            offsets.append(start)
+        row = position.__getitem__
+        keys = [] if i not in self._gens and i != self._pass_top else None
+        rows, offsets, split = [], array("I", [0]), array("I")
+        for key, (plus, minus) in columns:
+            split.append(len(plus))
+            rows += map(row, plus)
+            rows += map(row, minus)
+            offsets.append(len(rows))
             if keys is not None:
                 keys.append(key)
-        if walked:
-            self._dims[i] = len(split)
-            if keys is not None:
-                self._gens[i] = keys
+        self._dims[i] = len(split)
+        if keys is not None:
+            self._gens[i] = keys
         return SparseIntMatrix(len(position), rows, offsets, split)
 
     def differential(self, i):
-        """Matrix of d: degree i -> degree i-1, from ``contraction_terms``."""
+        """Matrix of d: degree i -> degree i-1, from ``contraction_columns``."""
         if i not in self._diffs:
-            self._diffs[i] = self._assemble(i, i - 1, self.contraction_terms)
+            self._diffs[i] = self._assemble(i, i - 1, self.contraction_columns(i))
         return self._diffs[i]
 
     def relabeling(self, perm):
@@ -628,7 +643,8 @@ class ChainComplex:
 
     def action_matrix(self, i, perm):
         """Matrix of a leg relabeling on degree i, from ``action_terms``."""
-        return self._assemble(i, i, self.action_terms(perm))
+        terms = self.action_terms(perm)
+        return self._assemble(i, i, ((key, _by_sign(terms(key))) for key in self._keys(i)))
 
     def trace(self, i, perm):
         """Trace of a leg relabeling on degree i, with no matrix built: the

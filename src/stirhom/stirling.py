@@ -23,12 +23,16 @@ set for each member mask m.  The triple is canonical by construction, so
 every differential and action term finds its row by it.
 
 One walk per degree.  The families of a degree come in ascending order,
-and the walk over them gets each tree's view, the input far sides of
-every vertex, from ``tree`` once per pass.  While the view is at hand the
-walk yields the tree's keys, sorted by ``(dv, alt)``, so the keys of the
-degree come out sorted, and scores the reach of each vertex once.  The
-differential of the degree is assembled on the same walk, and its terms
-find the view where the walk left it.
+off the one search set-up of the pass, and the walk over them gets each
+tree's view, the input far sides of every vertex, from ``tree`` once per
+pass.  While the view is at hand the walk lists the tree's keys, sorted
+by ``(dv, alt)``, so the keys of the degree come out sorted, and scores
+the reach of each vertex once.  The differential of the degree is
+assembled on the same walk, a tree at a time: the walk reads one
+skeleton per edge off the view (its cluster, the other clusters, the
+place sign and the parent vertex) and hands the assembler the column
+``(key, terms)`` of every key of the tree, which ``_vertex_columns``, the
+one place the contraction signs are set, builds vertex by vertex.
 
 The differential contracts edges.  Contracting the edge above cluster C
 drops C, and the distinguished vertex moves to C's parent when it was C.
@@ -37,8 +41,9 @@ replacement.  The symmetric group on the n+1 leg labels permutes the bits;
 where the image of a cluster contains leg 0 the tree is re-rooted, and the
 cluster becomes the complement of that image.  When the alternating set
 captures the new output flag of the distinguished vertex, the image is the
-signed sum over trading it for each other flag there.  The differential and
-the action are given as terms that ``ChainComplex`` assembles and traces; a
+signed sum over trading it for each other flag there.  The differential is
+given as columns and the action as terms that ``ChainComplex`` assembles
+and traces; a
 trace reads the action terms of the keys on the trees whose clusters the
 permutation maps onto themselves, and of no other key.
 
@@ -59,8 +64,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ChainComplex, alternating_sum, products_agree
-from .trees import _mask_set, _members, _spell, laminar_families, sort_sign
+from .linalg import ChainComplex, _signed, alternating_sum, products_agree
+from .trees import LaminarSearch, _mask_set, _members, _spell, sort_sign
 
 
 class DomainError(ValueError):
@@ -124,6 +129,53 @@ class _Tree:
         return count
 
 
+def _rerooted(image):
+    """The side of the image of every mask without leg 0: where a
+    relabeling takes an edge's cluster, re-rooting included."""
+    everything = len(image) - 1
+    return [everything ^ m if m & 1 else m for m in image]
+
+
+def _skeleton(clusters, tree):
+    """Per edge of a tree, in its reference order: its cluster c, the
+    mask-set of the other clusters, whether contracting it is negative
+    (1 when (-1)^(e-1-p) is -1 at place p of e, else 0) and the vertex
+    above it."""
+    up, last = tree.up, len(tree.edges) - 1
+    return [(c, clusters ^ 1 << c, (last - pos) & 1, up[c])
+            for pos, c in enumerate(tree.edges)]
+
+
+def _vertex_columns(clusters, skeleton, inputs, dv, alts):
+    """The differential's column ``(key, (plus, minus))`` of each key
+    ``(clusters, dv, alt)``, alt in ``alts``: the targets of its positive
+    and of its negative terms, each side in the order of the edges of the
+    skeleton.  Each edge has one term, whose contraction moves the
+    distinguished vertex to c's parent when it was c; an alternating edge
+    c, which hangs below dv, has one term per input b of its child
+    instead, which replaces the lost alternating flag and, inside c, sorts
+    below it, and the trade passes the other alternating far sides
+    strictly between b and c, one sign each.  The one place the
+    differential's signs are set."""
+    for alt in alts:
+        plus, minus = [], []
+        if not alt & clusters:
+            # no alternating flag is an edge's: one term per edge
+            for c, rest, negative, up in skeleton:
+                (minus if negative else plus).append((rest, up if c == dv else dv, alt))
+        else:
+            for c, rest, negative, up in skeleton:
+                if not alt >> c & 1:
+                    (minus if negative else plus).append((rest, up if c == dv else dv, alt))
+                    continue
+                others = alt ^ 1 << c
+                below = others & (1 << c) - 1
+                for b in inputs[c]:
+                    passed = (below >> b + 1).bit_count()
+                    (minus if negative ^ passed & 1 else plus).append((rest, dv, others | 1 << b))
+        yield (clusters, dv, alt), (plus, minus)
+
+
 def _check_type(n, k):
     if n < 2 or k < 2 or k > n:
         raise DomainError(f"type ({n}, {k}) requires 2 <= k <= n")
@@ -152,7 +204,9 @@ class StirlingComplex(ChainComplex):
         # one int per distinct alternating set, which every key holding
         # that set shares
         self._alts = {}
-        self._tables.append(self._alts)
+        # the pass's laminar search set-ups, by relabeling (None: the walk)
+        self._searches = {}
+        self._tables += [self._alts, self._searches]
 
     @property
     def max_edges(self):
@@ -165,42 +219,66 @@ class StirlingComplex(ChainComplex):
     # of perfbench/layers.py wrap this class's own ``generators``
     generators = ChainComplex.generators
 
-    def walk(self, i):
+    def _trees(self, i):
         """The one walk over degree i: each laminar family of i clusters,
-        ascending, gets its view once from ``tree``, which holds it while
-        its keys are met, and yields its keys sorted by ``(dv, alt)``,
-        which keeps the whole walk sorted by key.  Each vertex with at
-        least k inputs is scored once by ``vertex_reach``, and the score of
-        every key goes to ``_reach[i]``, one byte per key, ``OUTSIDE`` for
-        a key outside the acyclic part, which the walk fills whole."""
+        ascending, off the pass's one search set-up, with its view, got
+        once from ``tree``, which holds it while its keys are met, and its
+        alternating sets.  Each vertex with at least k inputs is scored
+        once by ``vertex_reach``, and the score of every key goes to
+        ``_reach[i]``, one byte per key, ``OUTSIDE`` for a key outside the
+        acyclic part, which the walk fills whole.  ``walk`` reads the keys
+        off it, and ``contraction_columns`` the columns of d_i."""
         reach = self._reach[i] = bytearray()
-        for clusters in laminar_families(self._clusters, i):
+        for clusters in self._search(None).families(i):
             tree = self.tree(clusters)
-            for dv, alts in self._alternating_sets(tree):
+            sets = self._alternating_sets(tree)
+            for dv, alts in sets:
                 reach += _BYTE[self.vertex_reach(tree, dv)] * len(alts)
+            yield clusters, tree, sets
+
+    def walk(self, i):
+        """The keys of degree i, tree by tree, each tree's sorted by ``(dv,
+        alt)``, which keeps the whole walk sorted by key."""
+        for clusters, _tree, sets in self._trees(i):
+            for dv, alts in sets:
                 for alt in alts:
                     yield clusters, dv, alt
 
     def _alternating_sets(self, tree):
         """The generators on one tree, vertex by vertex ascending: each
         vertex dv with at least k inputs and its alternating sets sorted,
-        so the keys ``(clusters, dv, alt)`` come out sorted.  Each set is
-        interned in the pass's table, so equal sets are one int."""
-        intern = self._alts.setdefault
-        return [(dv, sorted(intern(alt, alt) for alt in
-                            map(_mask_set, itertools.combinations(inputs, self.k))))
-                for dv, inputs in tree.inputs.items() if len(inputs) >= self.k]
+        so the keys ``(clusters, dv, alt)`` come out sorted; a vertex with
+        exactly k inputs has the one set of them all.  Each set is interned
+        in the pass's table, so equal sets are one int."""
+        intern, k = self._alts.setdefault, self.k
+        sets = []
+        for dv, inputs in tree.inputs.items():
+            if len(inputs) == k:
+                alt = _mask_set(inputs)
+                sets.append((dv, [intern(alt, alt)]))
+            elif len(inputs) > k:
+                sets.append((dv, sorted(intern(alt, alt) for alt in
+                                        map(_mask_set, itertools.combinations(inputs, k)))))
+        return sets
+
+    def _search(self, bits, perm=None):
+        """The laminar search over the clusters, set up once per pass: one
+        for the walk (``bits`` None) and one for each relabeling ``bits``
+        of ``perm``, which moves each cluster to the side of its image
+        without leg 0."""
+        search = self._searches.get(bits)
+        if search is None:
+            side = None if perm is None else _rerooted(self._image(perm))
+            search = self._searches[bits] = LaminarSearch(self._clusters, side)
+        return search
 
     def fixable_keys(self, i, perm):
         """The keys of degree i a permutation of the leg labels can fix: the
         keys on the trees whose clusters it maps onto themselves,
-        re-rooting included, which ``laminar_families`` enumerates by the
-        orbits of the clusters."""
-        image = self._image(perm)
-        everything = len(image) - 1
-        side = {c: everything ^ image[c] if image[c] & 1 else image[c]
-                for c in self._clusters}
-        return ((clusters, dv, alt) for clusters in laminar_families(self._clusters, i, side)
+        re-rooting included, which the relabeling's search enumerates by
+        the orbits of the clusters."""
+        search = self._search(self.relabeling(perm), perm)
+        return ((clusters, dv, alt) for clusters in search.families(i)
                 for dv, alts in self._alternating_sets(self.tree(clusters))
                 for alt in alts)
 
@@ -224,26 +302,25 @@ class StirlingComplex(ChainComplex):
 
     # -- terms ---------------------------------------------------------------
 
+    def contraction_columns(self, i):
+        """The column of every degree-i key, tree by tree on the walk of
+        degree i, which runs again when degree i is held: each tree's
+        skeleton is read once off its view, and each vertex's keys get
+        their terms from ``_vertex_columns``."""
+        for clusters, tree, sets in self._trees(i):
+            skeleton = _skeleton(clusters, tree)
+            for dv, alts in sets:
+                yield from _vertex_columns(clusters, skeleton, tree.inputs, dv, alts)
+
     def contraction_terms(self, key):
-        """The differential's terms of one generator, one per contraction
-        and, for an alternating edge, one per replacing input b, which lies
-        inside the contracted cluster c and so sorts below it."""
+        """The differential's terms ``(target, sign)`` of one generator,
+        the positive ones first, by the rule that builds every column of
+        the differential."""
         clusters, dv, alt = key
         tree = self.tree(clusters)
-        last = len(tree.edges) - 1
-        for pos, c in enumerate(tree.edges):
-            sign = -1 if (last - pos) % 2 else 1
-            rest = clusters ^ 1 << c
-            new_dv = tree.up[c] if c == dv else dv
-            if not alt >> c & 1:
-                yield (rest, new_dv, alt), sign
-            else:
-                # the edge hangs below the distinguished vertex; its child's
-                # inputs replace the lost alternating flag one at a time
-                others = alt ^ 1 << c
-                for b in tree.inputs[c]:
-                    passed = (others & (1 << c) - (1 << b + 1)).bit_count()
-                    yield (rest, new_dv, others | 1 << b), -sign if passed % 2 else sign
+        ((_key, (plus, minus)),) = _vertex_columns(clusters, _skeleton(clusters, tree),
+                                                   tree.inputs, dv, (alt,))
+        return _signed(plus, minus)
 
     def action_terms(self, perm):
         """The terms of a permutation of the leg labels 0..n, as a function
@@ -261,8 +338,7 @@ class StirlingComplex(ChainComplex):
         """
         image = self._image(perm)
         everything = len(image) - 1
-        # an edge keeps the side of its image without leg 0
-        side = [everything ^ m if m & 1 else m for m in image]
+        side = _rerooted(image)
         images = {}
 
         def terms(key):

@@ -19,7 +19,10 @@ bijections.  The package has one orientation per generator; another one,
 the reference orders shuffled by a seed as the oracles shuffle theirs, is
 the diagonal change of basis ``orientation_signs``, so the tests check
 orientation independence by conjugating: ``reoriented_homology`` is the
-homology of every S D S'.  ``trace_character`` takes the
+homology of every S D S'.  ``laminar_families`` runs a fresh search,
+set up for one size alone, and ``stirling_key_terms`` computes one
+Stirling key's contraction terms on its own: the oracles for the search
+set-ups a pass shares and for the columns it builds a tree at a time.  ``trace_character`` takes the
 traces of chosen degrees of a complex outside its one pass, for the chain
 characters; those and the sign character are fixed points the character
 tests check against, and ``cycle_type`` reads a permutation's cycle type.
@@ -35,6 +38,7 @@ from stirhom.characters import (ClassFunction, partitions,
 from stirhom.graphcomplex import _cycle_names
 from stirhom.linalg import Coreduction, SparseIntMatrix
 from stirhom.stirling import DomainError, _mask_set, _members
+from stirhom.trees import LaminarSearch
 
 from shape_oracle import stable_tree_inputs
 
@@ -308,3 +312,31 @@ def restricted_chain_character(cx, i):
         cx, cx.n,
         lambda mu: (0,) + tuple(x + 1 for x in representative_permutation(mu)),
         [i], (-1) ** cx.total_degree(i))
+
+
+def laminar_families(masks, size, move=None):
+    """The families of ``size`` members of ``masks`` that a fresh
+    ``LaminarSearch`` gives: one search, set up for this size alone."""
+    return LaminarSearch(masks, move).families(size)
+
+
+def stirling_key_terms(cx, key):
+    """The contraction terms of one Stirling key, edge by edge on its
+    tree's view, each sign read off the edge's place and, for a trade,
+    the alternating far sides strictly between the input and the edge."""
+    clusters, dv, alt = key
+    tree = cx.tree(clusters)
+    last = len(tree.edges) - 1
+    terms = []
+    for pos, c in enumerate(tree.edges):
+        sign = -1 if (last - pos) % 2 else 1
+        rest = clusters ^ 1 << c
+        new_dv = tree.up[c] if c == dv else dv
+        if not alt >> c & 1:
+            terms.append(((rest, new_dv, alt), sign))
+            continue
+        others = alt ^ 1 << c
+        for b in tree.inputs[c]:
+            passed = sum(1 for a in _members(others) if b < a < c)
+            terms.append(((rest, new_dv, others | 1 << b), -sign if passed % 2 else sign))
+    return terms

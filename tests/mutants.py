@@ -39,10 +39,16 @@ class Mutant:
 MUTANTS = [
     Mutant("Stirling contraction: trade terms keep the edge's sign",
            "src/stirhom/stirling.py",
-           "others | 1 << b), -sign if passed % 2 else sign",
-           "others | 1 << b), sign",
+           "(minus if negative ^ passed & 1 else plus)",
+           "(minus if negative else plus)",
            ("tests/test_stirling.py::test_first_differential_matches_oracle",
+            "tests/test_stirling.py::test_tree_columns_equal_the_per_key_terms",
             "tests/test_cli.py::test_verify_lines_read_fail")),
+    Mutant("Stirling contraction: a trade passes the far sides below the input too",
+           "src/stirhom/stirling.py",
+           "passed = (below >> b + 1).bit_count()",
+           "passed = below.bit_count()",
+           ("tests/test_stirling.py::test_tree_columns_equal_the_per_key_terms",)),
     Mutant("Stirling action: trade terms keep the relabeling's sign",
            "src/stirhom/stirling.py",
            "for a in alt_images], -edge_sign)",
@@ -58,7 +64,18 @@ MUTANTS = [
            "src/stirhom/graphcomplex.py",
            "odd = (marked & flips[place])",
            "odd = (clusters & flips[place])",
-           ("tests/test_graphcomplex.py::test_contraction_terms_equal_the_sorting_rule",)),
+           ("tests/test_graphcomplex.py::test_contraction_terms_equal_the_sorting_rule",
+            "tests/test_graphcomplex.py::test_cycle_columns_equal_the_sorting_rule")),
+    Mutant("Stirling relabeling search: the first relabeling's set-up serves every one",
+           "src/stirhom/stirling.py",
+           "search = self._search(self.relabeling(perm), perm)",
+           "search = self._search(self.relabeling(perm) and (), perm)",
+           ("tests/test_trees.py::test_stirling_search_setups_equal_fresh_searches",)),
+    Mutant("graph relabeling search: a block partition's first set-up serves every relabeling",
+           "src/stirhom/graphcomplex.py",
+           "key = blocks, bits\n",
+           "key = blocks, bits is not None\n",
+           ("tests/test_trees.py::test_graph_search_setups_equal_fresh_searches",)),
     Mutant("orientation kill: 2-cycles kept",
            "src/stirhom/graphcomplex.py",
            "if not (orientation_kill and c == 2):",

@@ -180,13 +180,15 @@ def test_verify_fails_when_the_trade_terms_flip_sign(monkeypatch, capsys, factor
 def flip_contraction_trade_terms(monkeypatch):
     # every trade term of the contraction, the one that replaces an
     # alternating edge by an input, with its sign flipped: d^2 = 0 fails
-    original = st.StirlingComplex.contraction_terms
+    # in the rule that builds every column of the differential
+    original = st._vertex_columns
 
-    def contraction_terms(self, key):
-        for target, sign in original(self, key):
-            yield target, -sign if target[2] != key[2] else sign
+    def vertex_columns(*args):
+        for key, (plus, minus) in original(*args):
+            yield key, ([t for t in plus if t[2] == key[2]] + [t for t in minus if t[2] != key[2]],
+                        [t for t in minus if t[2] == key[2]] + [t for t in plus if t[2] != key[2]])
 
-    monkeypatch.setattr(st.StirlingComplex, "contraction_terms", contraction_terms)
+    monkeypatch.setattr(st, "_vertex_columns", vertex_columns)
 
 
 def push_reach_past_its_bound(monkeypatch):

@@ -292,14 +292,33 @@ def test_differential_matches_oracle(m, i):
 @pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
                                     for kill in (True, False)])
 def test_contraction_terms_equal_the_sorting_rule(m, kill):
-    # every term of every key, its target and its sign, in the same order;
+    # every term of every key, its target and its sign, in the same order
+    # within each sign, the positive terms first, as a column stores them;
     # the terms of a shared target summed, as the assembler needs distinct
     # targets
     cx = GraphComplex(m, kill)
     for i in range(m + 1):
         for key in cx.generators(i):
-            assert cx.contraction_terms(key) == graph_terms_oracle.summed(
-                graph_terms_oracle.contraction_terms(key, kill)), cx.code(key)
+            expected = graph_terms_oracle.summed(graph_terms_oracle.contraction_terms(key, kill))
+            assert cx.contraction_terms(key) == sorted(
+                expected, key=lambda term: term[1] < 0), cx.code(key)
+
+
+@pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
+                                    for kill in (True, False)])
+def test_cycle_columns_equal_the_sorting_rule(m, kill):
+    # every column the walk of a degree feeds the assembler, cycle by
+    # cycle, its key in the walk's order and the targets of its positive
+    # and its negative terms, each side in edge order, equals the sorting
+    # rule's terms of its key, summed
+    cx = GraphComplex(m, kill)
+    for i in range(m + 1):
+        columns = list(cx.contraction_columns(i))
+        assert [key for key, _terms in columns] == cx.generators(i)
+        for key, (plus, minus) in columns:
+            expected = graph_terms_oracle.summed(graph_terms_oracle.contraction_terms(key, kill))
+            assert plus == [target for target, sign in expected if sign > 0], cx.code(key)
+            assert minus == [target for target, sign in expected if sign < 0], cx.code(key)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from stirhom import linalg
+from stirhom import linalg, stirling
 from stirhom.cli import main
 from stirhom.linalg import alternating_sum, composes_to_zero, rank_exact
 from stirhom.graphcomplex import GraphComplex, GraphError
@@ -31,7 +31,8 @@ import stirling_oracle
 from flag_graphs import _tree_from_shape, canonical_tree_data
 from helpers import (cols, from_triplets, in_acyclic_part, is_zero,
                      make_generator, product, reach, reference_orders,
-                     relative_sign, reoriented_homology, same, transport)
+                     relative_sign, reoriented_homology, same, stirling_key_terms,
+                     transport)
 
 
 def tree_from_nested(shape, n):
@@ -636,3 +637,36 @@ def test_matches_flag_tree_oracle(n, k, seed):
         for perm in perms:
             assert same(cx.action_matrix(i, perm), transport(
                 oracle.action_matrix(i, perm), p[i], p[i]))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(2, n + 1)])
+def test_tree_columns_equal_the_per_key_terms(n, k):
+    # every column the walk of a degree builds a tree at a time, its key in
+    # the walk's order and the targets of its positive and its negative
+    # terms, each side in edge order, equals the terms of its key computed
+    # on their own, which ``contraction_terms`` also reads off the one rule,
+    # the positive ones first
+    cx = StirlingComplex(n, k)
+    for i in range(cx.max_edges + 1):
+        columns = list(cx.contraction_columns(i))
+        assert [key for key, _terms in columns] == cx.generators(i)
+        for key, (plus, minus) in columns:
+            expected = stirling_key_terms(cx, key)
+            assert plus == [target for target, sign in expected if sign > 0], cx.code(key)
+            assert minus == [target for target, sign in expected if sign < 0], cx.code(key)
+            assert cx.contraction_terms(key) == [(target, 1) for target in plus] + [
+                (target, -1) for target in minus]
+
+
+def test_a_pass_sets_up_one_search(monkeypatch):
+    # survey(6, 3)'s pass derives every degree off one laminar search set-up
+    built = []
+
+    class Counted(stirling.LaminarSearch):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(stirling, "LaminarSearch", Counted)
+    assert survey(6, 3)["reach_ok"]
+    assert len(built) == 1

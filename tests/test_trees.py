@@ -23,12 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import flag_graphs as T
+import graph_terms_oracle
+from stirhom import graphcomplex
 from stirhom import stirling
 from stirhom.characters import partitions, representative_permutation
 from stirhom.graphcomplex import GraphComplex, _CycleTable, _hung_clusters
 from stirhom.stirling import StirlingComplex, _Tree, _members, survey
-from stirhom.trees import _bit_images, _mask_set, laminar_families
-from helpers import perm_parity
+from stirhom.trees import LaminarSearch, _bit_images, _mask_set
+from helpers import laminar_families, perm_parity
 from shape_oracle import _partitions_into_blocks, block_cycles, oracle_keys
 from stirling_oracle import contract_edge, contract_edge_with_maps, map_edge
 
@@ -664,3 +666,77 @@ def test_no_tree_outlives_the_pass(make):
     assert cx._caches and not any(cx._caches)
     state = [value for name, value in vars(cx).items() if name != "_homology"]
     assert not [obj for obj in reachable_from(*state) if isinstance(obj, (_Tree, tuple))]
+
+
+# ---------------------------------------------------------------------------
+# the search set-ups a pass shares
+
+
+def _assert_fresh(search, masks, move):
+    """A shared set-up gives, size by size, what a fresh search gives."""
+    for size in range(-1, len(masks) + 2):
+        assert list(search.families(size)) == list(laminar_families(masks, size, move))
+
+
+class CountedSearch(LaminarSearch):
+    built = []
+
+    def __init__(self, masks, move=None):
+        CountedSearch.built.append(move is None)
+        super().__init__(masks, move)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stirling_search_setups_equal_fresh_searches(monkeypatch, n):
+    # in one pass, every relabeling homology_character applies (the
+    # identity included) offers the keys on the trees a fresh search of its
+    # orbits gives, degree by degree; the walk sets up one search and each
+    # relabeling one more, every one of which gives what a fresh search
+    # gives at every size; after the pass every cache and table is empty
+    monkeypatch.setattr(stirling, "LaminarSearch", CountedSearch)
+    CountedSearch.built = []
+    cx = StirlingComplex(n, 2)
+    perms = [representative_permutation(mu) for mu in partitions(n + 1)]
+    for i in cx.degrees():
+        for perm in perms:
+            fresh = [(clusters, dv, alt)
+                     for clusters in laminar_families(cx._clusters, i, _rerooting(n, perm))
+                     for dv, alts in cx._alternating_sets(cx.tree(clusters)) for alt in alts]
+            assert list(cx.fixable_keys(i, perm)) == fresh
+        if i == cx.max_edges:
+            assert len(cx._searches) == len(perms) + 1
+            for bits, search in cx._searches.items():
+                _assert_fresh(search, cx._clusters,
+                              None if bits is None else _rerooting(n, bits))
+    assert CountedSearch.built == [True] + [False] * len(perms)
+    assert not any(cx._caches) and not any(cx._tables)
+
+
+@pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7) for kill in (True, False)])
+def test_graph_search_setups_equal_fresh_searches(monkeypatch, m, kill):
+    # in one pass, every relabeling homology_character applies offers
+    # exactly the keys it fixes, by the sorting rule's action; the walk sets
+    # up one search per block partition and each relabeling one per block
+    # partition it maps onto itself with a cycle it fixes, every one of
+    # which gives what a fresh search gives at every size; after the pass
+    # every cache and table is empty
+    keys = {i: GraphComplex(m, kill).generators(i) for i in range(m + 1)}
+    monkeypatch.setattr(graphcomplex, "LaminarSearch", CountedSearch)
+    CountedSearch.built = []
+    cx = GraphComplex(m, kill)
+    perms = [[p + 1 for p in representative_permutation(mu)] for mu in partitions(m)]
+    for i in cx.degrees():
+        for perm in perms:
+            action = graph_terms_oracle.action_terms(perm)
+            fixed = [key for key in keys[i] if action(key)[0][0] == key]
+            assert sorted(cx.fixable_keys(i, perm)) == fixed
+        if i == m:
+            table = cx._cycle_table()
+            walked = [blocks for blocks, bits in table.searches if bits is None]
+            assert sorted(walked) == sorted(table.partitions)
+            for (blocks, bits), search in table.searches.items():
+                pool = table.partitions[blocks][0]
+                image = None if bits is None else _bit_images(bits)
+                _assert_fresh(search, pool, None if image is None else {c: image[c] for c in pool})
+            assert len(CountedSearch.built) == len(table.searches)
+    assert not any(cx._caches) and not any(cx._tables)
