@@ -33,12 +33,11 @@ loop leaves the genus-one vertex with the same clusters.  A permutation of
 the legs acts on every mask bit by bit, and fixes a key exactly when it
 maps its cycle and its family of clusters onto themselves.  A pass lists
 the block partitions once, on masks, with their cycles in normal form and
-the clusters hung in them (``_CycleTable``), and sets up the laminar
-search of each block partition once, for every degree, and once more
-per relabeling that maps it onto itself: the walk of a degree reads the
-cycles ascending, each with its families, so the keys come out sorted,
-and a trace enumerates the keys it fixes from the partitions it maps
-onto themselves.
+the clusters hung in them (``_CycleTable``): the walk of a degree reads
+the cycles ascending, each with its families, so the keys come out
+sorted, and a trace enumerates the keys it fixes from the partitions it
+maps onto themselves, off the laminar search the table sets up once per
+relabeling and block partition it maps onto itself, for every degree.
 
 The orientation kill.  The legs are labeled, so the hanging trees and the
 blocks are rigid: a leg-fixing automorphism can only flip a loop, which
@@ -265,11 +264,10 @@ class _CycleTable:
         self.listed = {cycle: cycle for cycle, _blocks, _pool in self.ascending}
         self.searches = {}
 
-    def search(self, blocks, bits=None, image=None):
-        """The laminar search over the clusters hung in ``blocks``, set up
-        once per table: one for the walk (``bits`` None) and one for each
+    def search(self, blocks, bits, image):
+        """The laminar search over the clusters hung in ``blocks`` of a
         relabeling ``bits`` that maps the blocks onto themselves, whose
-        ``image`` table moves the clusters."""
+        ``image`` table moves the clusters, set up once per table."""
         key = blocks, bits
         search = self.searches.get(key)
         if search is None:
@@ -292,18 +290,18 @@ def enumerate_graph_generators(m, i, orientation_kill=True, cycles=None):
     deliberately wrong.  ``cycles`` is the ``_CycleTable`` of the pass (a
     new one by default).  The keys are built in order, cycle by cycle: the
     cycles come ascending, each with its families of clusters, which the
-    table's search of its block partition gives ascending; the families of
-    one block partition serve every cycle on it with the same number of
-    edges, since clusters in different blocks are disjoint.
+    search of its block partition gives ascending; the families of one
+    block partition serve every cycle on it with the same number of edges,
+    since clusters in different blocks are disjoint.
     """
     if cycles is None:
         cycles = _CycleTable(m, orientation_kill)
     keys, families = [], {}
-    for cycle, blocks, _pool in cycles.ascending:
+    for cycle, blocks, pool in cycles.ascending:
         size = i - len(cycle)
         if size >= 0:
             if (blocks, size) not in families:
-                families[blocks, size] = list(cycles.search(blocks).families(size))
+                families[blocks, size] = list(LaminarSearch(pool).families(size))
             keys += [(cycle, clusters) for clusters in families[blocks, size]]
     return keys
 

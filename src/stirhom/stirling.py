@@ -31,8 +31,8 @@ the reach of each vertex once.  The differential of the degree is
 assembled on the same walk, a tree at a time: the walk reads one
 skeleton per edge off the view (its cluster, the other clusters, the
 place sign and the parent vertex) and hands the assembler the column
-``(key, terms)`` of every key of the tree, which ``_vertex_columns``, the
-one place the contraction signs are set, builds vertex by vertex.
+``(key, terms)`` of every key of the tree, which ``_tree_columns``, the
+one place the contraction signs are set, builds together.
 
 The differential contracts edges.  Contracting the edge above cluster C
 drops C, and the distinguished vertex moves to C's parent when it was C.
@@ -122,9 +122,9 @@ class _Tree:
 
     def depth(self, d):
         """The number of edges between vertex d and the root."""
-        count = 0
-        while d != self.full:
-            d = self.up[d]
+        up, full, count = self.up, self.full, 0
+        while d != full:
+            d = up[d]
             count += 1
         return count
 
@@ -136,44 +136,37 @@ def _rerooted(image):
     return [everything ^ m if m & 1 else m for m in image]
 
 
-def _skeleton(clusters, tree):
-    """Per edge of a tree, in its reference order: its cluster c, the
-    mask-set of the other clusters, whether contracting it is negative
-    (1 when (-1)^(e-1-p) is -1 at place p of e, else 0) and the vertex
-    above it."""
-    up, last = tree.up, len(tree.edges) - 1
-    return [(c, clusters ^ 1 << c, (last - pos) & 1, up[c])
-            for pos, c in enumerate(tree.edges)]
-
-
-def _vertex_columns(clusters, skeleton, inputs, dv, alts):
+def _tree_columns(clusters, tree, sets):
     """The differential's column ``(key, (plus, minus))`` of each key
-    ``(clusters, dv, alt)``, alt in ``alts``: the targets of its positive
-    and of its negative terms, each side in the order of the edges of the
-    skeleton.  Each edge has one term, whose contraction moves the
-    distinguished vertex to c's parent when it was c; an alternating edge
-    c, which hangs below dv, has one term per input b of its child
+    ``(clusters, dv, alt)`` on one tree, vertex by vertex as ``sets``
+    lists them with their alternating sets: the targets of its positive
+    and of its negative terms, each side in the reference order of the
+    edges.  The tree's skeleton, read once off its view, holds per edge
+    its cluster c, the mask-set of the other clusters, whether contracting
+    it is negative (1 when (-1)^(e-1-p) is -1 at place p of e, else 0) and
+    the vertex above it.  Each edge has one term, whose contraction moves
+    the distinguished vertex to c's parent when it was c; an alternating
+    edge c, which hangs below dv, has one term per input b of its child
     instead, which replaces the lost alternating flag and, inside c, sorts
     below it, and the trade passes the other alternating far sides
     strictly between b and c, one sign each.  The one place the
     differential's signs are set."""
-    for alt in alts:
-        plus, minus = [], []
-        if not alt & clusters:
-            # no alternating flag is an edge's: one term per edge
-            for c, rest, negative, up in skeleton:
-                (minus if negative else plus).append((rest, up if c == dv else dv, alt))
-        else:
-            for c, rest, negative, up in skeleton:
-                if not alt >> c & 1:
-                    (minus if negative else plus).append((rest, up if c == dv else dv, alt))
+    up, inputs, last = tree.up, tree.inputs, len(tree.edges) - 1
+    skeleton = [(c, clusters ^ 1 << c, (last - pos) & 1, up[c])
+                for pos, c in enumerate(tree.edges)]
+    for dv, alts in sets:
+        for alt in alts:
+            plus, minus = [], []
+            for c, rest, negative, above in skeleton:
+                if above != dv or not alt >> c & 1:
+                    (minus if negative else plus).append((rest, above if c == dv else dv, alt))
                     continue
                 others = alt ^ 1 << c
                 below = others & (1 << c) - 1
                 for b in inputs[c]:
                     passed = (below >> b + 1).bit_count()
                     (minus if negative ^ passed & 1 else plus).append((rest, dv, others | 1 << b))
-        yield (clusters, dv, alt), (plus, minus)
+            yield (clusters, dv, alt), (plus, minus)
 
 
 def _check_type(n, k):
@@ -247,18 +240,19 @@ class StirlingComplex(ChainComplex):
     def _alternating_sets(self, tree):
         """The generators on one tree, vertex by vertex ascending: each
         vertex dv with at least k inputs and its alternating sets sorted,
-        so the keys ``(clusters, dv, alt)`` come out sorted; a vertex with
-        exactly k inputs has the one set of them all.  Each set is interned
-        in the pass's table, so equal sets are one int."""
+        so the keys ``(clusters, dv, alt)`` come out sorted: the sets drawn
+        from the far sides largest first come in descending order of their
+        mask-sets, which compare by their largest member first, and are
+        reversed.  Each set is interned in the pass's table, so equal sets
+        are one int."""
         intern, k = self._alts.setdefault, self.k
         sets = []
         for dv, inputs in tree.inputs.items():
-            if len(inputs) == k:
-                alt = _mask_set(inputs)
-                sets.append((dv, [intern(alt, alt)]))
-            elif len(inputs) > k:
-                sets.append((dv, sorted(intern(alt, alt) for alt in
-                                        map(_mask_set, itertools.combinations(inputs, k)))))
+            if len(inputs) >= k:
+                alts = [intern(alt, alt) for alt in
+                        map(_mask_set, itertools.combinations(inputs[::-1], k))]
+                alts.reverse()
+                sets.append((dv, alts))
         return sets
 
     def _search(self, bits, perm=None):
@@ -304,13 +298,10 @@ class StirlingComplex(ChainComplex):
 
     def contraction_columns(self, i):
         """The column of every degree-i key, tree by tree on the walk of
-        degree i, which runs again when degree i is held: each tree's
-        skeleton is read once off its view, and each vertex's keys get
-        their terms from ``_vertex_columns``."""
-        for clusters, tree, sets in self._trees(i):
-            skeleton = _skeleton(clusters, tree)
-            for dv, alts in sets:
-                yield from _vertex_columns(clusters, skeleton, tree.inputs, dv, alts)
+        degree i, which runs again when degree i is held: ``_tree_columns``
+        builds the columns of each tree's keys together."""
+        for tree_keys in self._trees(i):
+            yield from _tree_columns(*tree_keys)
 
     def contraction_terms(self, key):
         """The differential's terms ``(target, sign)`` of one generator,
@@ -318,8 +309,7 @@ class StirlingComplex(ChainComplex):
         the differential."""
         clusters, dv, alt = key
         tree = self.tree(clusters)
-        ((_key, (plus, minus)),) = _vertex_columns(clusters, _skeleton(clusters, tree),
-                                                   tree.inputs, dv, (alt,))
+        ((_key, (plus, minus)),) = _tree_columns(clusters, tree, ((dv, (alt,)),))
         return _signed(plus, minus)
 
     def action_terms(self, perm):

@@ -13,9 +13,9 @@ families it maps onto themselves are the unions of its orbits on the
 clusters; the traces enumerate those alone, orbit by orbit.  The one
 family search, ``LaminarSearch``, is set up once for a pool of clusters
 and a relabeling, with no size: its orbits and their compatibility
-masks.  A pass keeps one set-up per pool and relabeling and reads the
-families of every degree off it.  Every reference order is sorted, so a
-sign is the parity of sorting the names a term leaves.
+masks.  A pass keeps the set-ups it reads more than one degree off: the
+Stirling walk's and each relabeling's per pool.  Every reference order
+is sorted, so a sign is the parity of sorting the names a term leaves.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class LaminarSearch:
     least member, and per orbit its members, their number, and the members
     of the orbits below it compatible with all of them.  A move that
     preserves compatibility maps the clusters compatible with an orbit onto
-    themselves, so they are whole orbits.  A pass sets up one search per
-    pool and relabeling and reads every degree off it with ``families``.
+    themselves, so they are whole orbits.  ``families`` reads the
+    families of one size off the set-up.
     """
 
     __slots__ = ("count", "below", "leaders", "lower")

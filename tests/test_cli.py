@@ -181,14 +181,14 @@ def flip_contraction_trade_terms(monkeypatch):
     # every trade term of the contraction, the one that replaces an
     # alternating edge by an input, with its sign flipped: d^2 = 0 fails
     # in the rule that builds every column of the differential
-    original = st._vertex_columns
+    original = st._tree_columns
 
-    def vertex_columns(*args):
+    def tree_columns(*args):
         for key, (plus, minus) in original(*args):
             yield key, ([t for t in plus if t[2] == key[2]] + [t for t in minus if t[2] != key[2]],
                         [t for t in minus if t[2] == key[2]] + [t for t in plus if t[2] != key[2]])
 
-    monkeypatch.setattr(st, "_vertex_columns", vertex_columns)
+    monkeypatch.setattr(st, "_tree_columns", tree_columns)
 
 
 def push_reach_past_its_bound(monkeypatch):

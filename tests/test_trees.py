@@ -715,11 +715,10 @@ def test_stirling_search_setups_equal_fresh_searches(monkeypatch, n):
 @pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7) for kill in (True, False)])
 def test_graph_search_setups_equal_fresh_searches(monkeypatch, m, kill):
     # in one pass, every relabeling homology_character applies offers
-    # exactly the keys it fixes, by the sorting rule's action; the walk sets
-    # up one search per block partition and each relabeling one per block
-    # partition it maps onto itself with a cycle it fixes, every one of
-    # which gives what a fresh search gives at every size; after the pass
-    # every cache and table is empty
+    # exactly the keys it fixes, by the sorting rule's action; each
+    # relabeling sets up one search per block partition it maps onto itself
+    # with a cycle it fixes, every one of which gives what a fresh search
+    # gives at every size; after the pass every cache and table is empty
     keys = {i: GraphComplex(m, kill).generators(i) for i in range(m + 1)}
     monkeypatch.setattr(graphcomplex, "LaminarSearch", CountedSearch)
     CountedSearch.built = []
@@ -732,11 +731,8 @@ def test_graph_search_setups_equal_fresh_searches(monkeypatch, m, kill):
             assert sorted(cx.fixable_keys(i, perm)) == fixed
         if i == m:
             table = cx._cycle_table()
-            walked = [blocks for blocks, bits in table.searches if bits is None]
-            assert sorted(walked) == sorted(table.partitions)
             for (blocks, bits), search in table.searches.items():
-                pool = table.partitions[blocks][0]
-                image = None if bits is None else _bit_images(bits)
-                _assert_fresh(search, pool, None if image is None else {c: image[c] for c in pool})
-            assert len(CountedSearch.built) == len(table.searches)
+                pool, image = table.partitions[blocks][0], _bit_images(bits)
+                _assert_fresh(search, pool, {c: image[c] for c in pool})
+            assert CountedSearch.built.count(False) == len(table.searches)
     assert not any(cx._caches) and not any(cx._tables)
