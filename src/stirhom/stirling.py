@@ -243,21 +243,12 @@ class StirlingComplex(ChainComplex):
         so the keys ``(clusters, dv, alt)`` come out sorted: the sets drawn
         from the far sides largest first come in descending order of their
         mask-sets, which compare by their largest member first, and are
-        reversed.  A vertex with exactly k inputs has the one set of them
-        all, read with no ``combinations``.  Each set is interned in the
-        pass's table, so equal sets are one int."""
+        reversed.  Each set is interned in the pass's table, so equal sets
+        are one int."""
         intern, k = self._alts.setdefault, self.k
         sets = []
         for dv, inputs in tree.inputs.items():
-            if len(inputs) == k:
-                alt = _mask_set(inputs)
-                # appended, not a one-item display: its item array then has
-                # the size the comprehension's lists have, and survey(7, 3)
-                # peaks 0.1 MiB lower than with a list or tuple of one slot
-                alts = []
-                alts.append(intern(alt, alt))
-                sets.append((dv, alts))
-            elif len(inputs) > k:
+            if len(inputs) >= k:
                 alts = [intern(alt, alt) for alt in
                         map(_mask_set, itertools.combinations(inputs[::-1], k))]
                 alts.reverse()
