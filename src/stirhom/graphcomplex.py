@@ -3,9 +3,10 @@
 Generators in degree i are isomorphism classes of stable connected
 genus-one graphs with legs 1..m and i edges, each contributing the line
 det(edges), except for the classes the orientation kill removes (below).
-The differential is the signed sum of edge contractions, given as the
-columns the walk reads cycle by cycle, and the action of leg relabelings
-as terms; ``ChainComplex`` assembles both.
+The differential is the signed sum of edge contractions and the action
+of leg relabelings the signed image of a key, both given as columns ``(key,
+(plus, minus))`` read cycle by cycle, each run of keys of one cycle off
+the cycle's view; ``ChainComplex`` assembles both.
 
 Two kinds.  A stable genus-one graph is either a genus-one vertex with
 trees hanging from it, or a cycle of c >= 1 edges (c = 1 is a loop, c = 2
@@ -72,7 +73,7 @@ import itertools
 import math
 from operator import itemgetter
 
-from .linalg import ChainComplex, _signed
+from .linalg import ChainComplex
 from .stirling import StirlingComplex
 from .trees import LaminarSearch, _mask_set, _members, _spell, sort_sign
 from .characters import (equivariant_euler_character, homology_character,
@@ -367,34 +368,24 @@ class GraphComplex(ChainComplex):
             for key in keys:
                 yield key, column(key)
 
-    def contraction_terms(self, key):
-        """The differential's terms ``(target, sign)`` of one generator,
-        the positive ones first, by the rule that builds every column of
-        the differential."""
-        return _signed(*self.view(key[0]).column(key))
-
-    def action_terms(self, perm):
-        """The terms of a permutation of the leg labels 1..m, as a function
-        from a generator to the list of its one term, signed by the parity
-        of sorting the relabeled edge names, which it reads off the view of
-        the key's cycle.  Each cycle is relabeled once, kept in a dict local
-        to the function.  Relabeling preserves the cycle length, so it maps
-        surviving classes to surviving classes.  ``perm`` is a dict or a
-        sequence with ``perm[j - 1]`` the image of j; bit 0, which no leg
-        owns, stays put.
+    def action_columns(self, keys, perm):
+        """The column of each of ``keys`` under a permutation of the legs
+        1..m, in their order: its one term, signed by the parity of sorting
+        the relabeled edge names.  Each run of keys of one cycle relabels
+        the cycle and reads its view once.  Relabeling preserves the cycle
+        length, so it maps surviving classes to surviving classes.  ``perm``
+        is a dict or a sequence with ``perm[j - 1]`` the image of j; bit 0,
+        which no leg owns, stays put.
         """
         image = self._image(perm)
-        blocks = {}
-
-        def terms(key):
-            cycle, clusters = key
-            if cycle not in blocks:
-                blocks[cycle] = _normal_cycle(tuple(map(image.__getitem__, cycle)))
-            target = blocks[cycle], _mask_set(image[c] for c in _members(clusters))
-            names = _members(self.view(cycle).names | clusters)
-            return [(target, sort_sign([image[name] for name in names]))]
-
-        return terms
+        for cycle, run in itertools.groupby(keys, itemgetter(0)):
+            blocks = _normal_cycle(tuple(map(image.__getitem__, cycle)))
+            names = self.view(cycle).names
+            for key in run:
+                clusters = key[1]
+                target = blocks, _mask_set(image[c] for c in _members(clusters))
+                positive = sort_sign([image[name] for name in _members(names | clusters)]) > 0
+                yield key, (([target], []) if positive else ([], [target]))
 
     def fixable_keys(self, i, perm):
         """The keys of degree i a permutation of the legs fixes.  A key is

@@ -50,11 +50,10 @@ raised.
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges of sorted generator keys, each
 degree read off its subclass's walk, the position of each key, the one
-assembler, which turns a stream of ``(key, terms)`` columns, the terms
-of a key as the targets of its positive and of its negative terms, into
-the differential or an action matrix (the Stirling
-walk builds a whole tree's columns together, the graph walk a cycle's,
-and an action matrix reads its terms key by key), the trace, and the
+assembler, which turns a stream of ``(key, (plus, minus))`` columns, the
+targets of a key's positive and of its negative terms, into the
+differential or an action matrix (both term rules yield that stream and
+read a run of keys of one tree or cycle together), the trace, and the
 one pass over the
 degrees, ``degrees()``, which holds only what a later step reads: it
 releases degree i-2, builds d_i on the walk of degree i, which counts the
@@ -64,11 +63,12 @@ i, so callers do their per-degree work (the reach check, traces) while
 only degree i's keys are held.  ``dims()`` counts each walk and keeps no
 key; ``generators(i)`` is the walk that keeps its keys.  A
 relabeling permutes the complex's ``legs``; the base checks it and tables
-the image of every mask once per pass for both complexes.  A trace is the
-signed sum of the action terms that land on their source, taken only over
-the keys a relabeling can fix, which each complex enumerates from the
-pieces the relabeling maps onto themselves (a cycle, a laminar family of
-clusters) instead of scanning the degree.
+the image of every mask once per pass for both complexes.  A trace counts
+the action columns that hold their own key, +1 on the positive side and
+-1 on the negative one, taken only over the keys a relabeling can fix,
+which each complex enumerates from the pieces the relabeling maps onto
+themselves (a cycle, a laminar family of clusters) instead of scanning the
+degree.
 """
 
 from __future__ import annotations
@@ -490,44 +490,35 @@ class Coreduction:
         return Homology(dims, self.ranks, betti, self.certificate)
 
 
-def _by_sign(terms):
-    """The targets of the positive and of the negative ``(target, sign)``
-    terms, each side in order: the column form the assembler reads."""
-    return ([target for target, sign in terms if sign > 0],
-            [target for target, sign in terms if sign < 0])
-
-
-def _signed(plus, minus):
-    """The ``(target, sign)`` terms of a column's two sides, the positive
-    ones first."""
-    return [(target, 1) for target in plus] + [(target, -1) for target in minus]
-
-
 class ChainComplex:
     """A complex graded by 0..max_edges whose degrees are built on demand.
 
     Subclasses provide ``legs``, the range of leg labels a relabeling
     permutes (each leg j is mask bit j), ``error``, the exception a
     relabeling that is no bijection of ``legs`` raises, ``max_edges``,
-    ``walk(i)`` (the keys of degree i in sorted order, an iterable that may
-    do per-degree work as it goes: ``generators(i)`` consumes it, and
-    ``dim(i)`` counts it when no walk has), ``contraction_columns(i)``
-    (the stream ``(key, (plus, minus))`` of every degree-i key in that
-    order, the targets of its positive and of its negative terms, on the
-    same walk when degree i is not held, which the assembler of d_i
-    consumes), ``contraction_terms(key)`` (one key's terms by the same
-    rule, the positive ones first), ``code(key)``, ``action_terms(perm)``, whose function
-    takes a key and returns the list of its terms, and ``fixable_keys(i,
-    perm)``: the keys of degree i the relabeling may fix, each once and
-    every fixed one among them, the identity's included.  A term
-    ``(target_key, sign)`` carries its whole sign, +-1, read off the
-    positions in the sorted reference orders, and
-    the terms of one key have distinct targets, so each goes to its
-    column's positive or negative side with no sum (the graph
-    complex sums the two terms of a 2-cycle's parallel edges itself).  Any
-    other orientation of the generators conjugates every matrix by a
-    diagonal +-1 matrix; the tests check the homology and the oracles that
-    way.
+    ``code(key)``, which spells a key out, and four rules on keys:
+
+    - ``walk(i)``: the keys of degree i in sorted order, an iterable that
+      may do per-degree work as it goes (``generators(i)`` consumes it,
+      and ``dim(i)`` counts it when no walk has);
+    - ``contraction_columns(i)``: the differential's column ``(key, (plus,
+      minus))`` of every degree-i key in that order, on the same walk when
+      degree i is not held, which the assembler of d_i consumes;
+    - ``action_columns(keys, perm)``: the column of each of ``keys``, in
+      their order, under a relabeling ``perm`` of the legs, in the same
+      form;
+    - ``fixable_keys(i, perm)``: the keys of degree i the relabeling may
+      fix, each once and every fixed one among them, the identity's
+      included.
+
+    ``plus`` and ``minus`` list the targets of a key's positive and of its
+    negative terms.  Each term carries its whole sign, +-1, read off the
+    positions in the sorted reference orders, and the terms of one key
+    have distinct targets, so each goes to its column's positive or
+    negative side with no sum (the graph complex sums the two terms of a
+    2-cycle's parallel edges itself).  Any other orientation of the
+    generators conjugates every matrix by a diagonal +-1 matrix; the tests
+    check the homology and the oracles that way.
     """
 
     # one orientation per generator; kept only because the size records of
@@ -635,29 +626,28 @@ class ChainComplex:
     def _image(self, perm):
         """The image of every mask under a relabeling, checked, and built
         once per pass: traces ask for each relabeling in every degree, and
-        both ``fixable_keys`` and ``action_terms`` read it."""
+        both ``fixable_keys`` and ``action_columns`` read it."""
         bits = self.relabeling(perm)
         if bits not in self._images:
             self._images[bits] = _bit_images(bits)
         return self._images[bits]
 
     def action_matrix(self, i, perm):
-        """Matrix of a leg relabeling on degree i, from ``action_terms``."""
-        terms = self.action_terms(perm)
-        return self._assemble(i, i, ((key, _by_sign(terms(key))) for key in self._keys(i)))
+        """Matrix of a leg relabeling on degree i, from ``action_columns``."""
+        return self._assemble(i, i, self.action_columns(self._keys(i), perm))
 
     def trace(self, i, perm):
-        """Trace of a leg relabeling on degree i, with no matrix built: the
-        signed sum, over the keys ``fixable_keys`` offers, of the action
-        terms that land on their source.  A relabeling that moves no leg
-        maps each generator to itself with sign +1, so its trace is
-        ``dim(i)``; no other trace reads degree i's generators."""
+        """Trace of a leg relabeling on degree i, with no matrix built: over
+        the keys ``fixable_keys`` offers, the action columns that hold
+        their own key, +1 on the positive side and -1 on the negative one.
+        A relabeling that moves no leg maps each generator to itself with
+        sign +1, so its trace is ``dim(i)``; no other trace reads degree i's
+        generators."""
         bits = self.relabeling(perm)
         if bits == tuple(range(len(bits))):
             return self.dim(i)
-        terms = self.action_terms(perm)
-        return sum(sign for key in self.fixable_keys(i, perm)
-                   for target, sign in terms(key) if target == key)
+        return sum((key in plus) - (key in minus) for key, (plus, minus)
+                   in self.action_columns(self.fixable_keys(i, perm), perm))
 
     def differentials(self):
         return {i: self.differential(i) for i in range(1, self.max_edges + 1)}

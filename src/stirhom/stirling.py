@@ -31,8 +31,9 @@ the reach of each vertex once.  The differential of the degree is
 assembled on the same walk, a tree at a time: the walk reads one
 skeleton per edge off the view (its cluster, the other clusters, the
 place sign and the parent vertex) and hands the assembler the column
-``(key, terms)`` of every key of the tree, which ``_tree_columns``, the
-one place the contraction signs are set, builds together.
+``(key, (plus, minus))`` of every key of the tree, the targets of its
+positive and of its negative terms, which ``_tree_columns``, the one place
+the contraction signs are set, builds together.
 
 The differential contracts edges.  Contracting the edge above cluster C
 drops C, and the distinguished vertex moves to C's parent when it was C.
@@ -41,11 +42,11 @@ replacement.  The symmetric group on the n+1 leg labels permutes the bits;
 where the image of a cluster contains leg 0 the tree is re-rooted, and the
 cluster becomes the complement of that image.  When the alternating set
 captures the new output flag of the distinguished vertex, the image is the
-signed sum over trading it for each other flag there.  The differential is
-given as columns and the action as terms that ``ChainComplex`` assembles
-and traces; a
-trace reads the action terms of the keys on the trees whose clusters the
-permutation maps onto themselves, and of no other key.
+signed sum over trading it for each other flag there.  The differential
+and the action are given as columns of the one form that ``ChainComplex``
+assembles and traces; the action reads each run of keys of one tree
+together, and a trace reads the action columns of the keys on the trees
+whose clusters the permutation maps onto themselves, and of no other key.
 
 Signs by position.  The generators of a degree are sorted by key, and
 ``code`` spells the key out.  The reference order of the edges is their
@@ -63,8 +64,9 @@ that the homology does not change when the basis is reoriented.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
-from .linalg import ChainComplex, _signed, alternating_sum, products_agree
+from .linalg import ChainComplex, alternating_sum, products_agree
 from .trees import LaminarSearch, _mask_set, _members, _spell, sort_sign
 
 
@@ -294,7 +296,7 @@ class StirlingComplex(ChainComplex):
         clusters, dv, alt = key
         return f"T{self.n}:{_spell(_members(clusters))}|{dv}|{_spell(_members(alt))}"
 
-    # -- terms ---------------------------------------------------------------
+    # -- columns -------------------------------------------------------------
 
     def contraction_columns(self, i):
         """The column of every degree-i key, tree by tree on the walk of
@@ -303,22 +305,13 @@ class StirlingComplex(ChainComplex):
         for tree_keys in self._trees(i):
             yield from _tree_columns(*tree_keys)
 
-    def contraction_terms(self, key):
-        """The differential's terms ``(target, sign)`` of one generator,
-        the positive ones first, by the rule that builds every column of
-        the differential."""
-        clusters, dv, alt = key
-        tree = self.tree(clusters)
-        ((_key, (plus, minus)),) = _tree_columns(clusters, tree, ((dv, (alt,)),))
-        return _signed(plus, minus)
-
-    def action_terms(self, perm):
-        """The terms of a permutation of the leg labels 0..n, as a function
-        from a generator to the list of its terms: one term, or the signed
-        trade terms when the relabeled alternating set captures the new
-        output flag, signed by the parity of sorting the renamed edges and
-        far sides.  Each tree's relabeled clusters are kept in a dict local
-        to the function, so the keys of one tree relabel it once.
+    def action_columns(self, keys, perm):
+        """The column of each of ``keys`` under a permutation of the leg
+        labels 0..n, in their order: one term, or the signed trade terms
+        when the relabeled alternating set captures the new output flag,
+        signed by the parity of sorting the renamed edges and far sides.
+        Each run of keys of one tree reads its view, its relabeled clusters
+        and the sign of sorting its renamed edges once.
 
         ``perm`` is a bijection of {0..n} given as a sequence (perm[j] is
         the image of j) or a dict; the classical permutation group on n+1
@@ -329,29 +322,29 @@ class StirlingComplex(ChainComplex):
         image = self._image(perm)
         everything = len(image) - 1
         side = _rerooted(image)
-        images = {}
-
-        def terms(key):
-            clusters, dv, alt = key
-            if clusters not in images:
-                images[clusters] = _mask_set(side[c] for c in _members(clusters))
+        for clusters, run in itertools.groupby(keys, itemgetter(0)):
             tree = self.tree(clusters)
-            sides = tree.inputs[dv] + (everything ^ dv,)
-            out = next(s for s in sides if image[s] & 1)
-            # every term shares the distinguished vertex and the clusters
-            new_dv = everything ^ image[out]
+            # every term of the run shares the relabeled clusters
+            relabeled = _mask_set(side[c] for c in tree.edges)
             edge_sign = sort_sign([side[c] for c in tree.edges])
-            alt_images = [image[a] for a in _members(alt)]
-            if not alt >> out & 1:
-                candidates = [(alt_images, edge_sign)]
-            else:
-                # trade the captured output flag for each remaining flag there
-                candidates = [([image[b] if a & 1 else a for a in alt_images], -edge_sign)
-                              for b in sides if not alt >> b & 1]
-            return [((images[clusters], new_dv, _mask_set(names)), sign * sort_sign(names))
-                    for names, sign in candidates]
-
-        return terms
+            for key in run:
+                _clusters, dv, alt = key
+                sides = tree.inputs[dv] + (everything ^ dv,)
+                out = next(s for s in sides if image[s] & 1)
+                # every term of the key shares the distinguished vertex
+                new_dv = everything ^ image[out]
+                alt_images = [image[a] for a in _members(alt)]
+                if not alt >> out & 1:
+                    candidates = [(alt_images, edge_sign)]
+                else:
+                    # trade the captured output flag for each remaining flag there
+                    candidates = [([image[b] if a & 1 else a for a in alt_images], -edge_sign)
+                                  for b in sides if not alt >> b & 1]
+                plus, minus = [], []
+                for names, sign in candidates:
+                    (plus if sign * sort_sign(names) > 0 else minus).append(
+                        (relabeled, new_dv, _mask_set(names)))
+                yield key, (plus, minus)
 
     def verify_action(self, perms, pairs=()):
         """True when each relabeling in ``perms``, and the sigma of each

@@ -22,7 +22,9 @@ orientation independence by conjugating: ``reoriented_homology`` is the
 homology of every S D S'.  ``laminar_families`` runs a fresh search,
 set up for one size alone, and ``stirling_key_terms`` computes one
 Stirling key's contraction terms on its own: the oracles for the search
-set-ups a pass shares and for the columns it builds a tree at a time.  ``trace_character`` takes the
+set-ups a pass shares and for the columns it builds a tree at a time.
+``signed`` reads a column ``(plus, minus)`` back as ``(target, sign)``
+terms, the form the per-key oracles give.  ``trace_character`` takes the
 traces of chosen degrees of a complex outside its one pass, for the chain
 characters; those and the sign character are fixed points the character
 tests check against, and ``cycle_type`` reads a permutation's cycle type.
@@ -340,3 +342,9 @@ def stirling_key_terms(cx, key):
             passed = sum(1 for a in _members(others) if b < a < c)
             terms.append(((rest, new_dv, others | 1 << b), -sign if passed % 2 else sign))
     return terms
+
+
+def signed(plus, minus):
+    """The ``(target, sign)`` terms of a column's two sides, the positive
+    ones first."""
+    return [(target, 1) for target in plus] + [(target, -1) for target in minus]

@@ -55,6 +55,11 @@ MUTANTS = [
            "for a in alt_images], edge_sign)",
            ("tests/test_stirling.py::test_equivariance_and_group_law",
             "tests/test_cli.py::test_verify_lines_read_fail")),
+    Mutant("Stirling action: the sign of sorting a tree's renamed edges dropped",
+           "src/stirhom/stirling.py",
+           "edge_sign = sort_sign([side[c] for c in tree.edges])",
+           "edge_sign = 1",
+           ("tests/test_stirling.py::test_equivariance_and_group_law",)),
     Mutant("action check: the group law of a pair is not checked",
            "src/stirhom/stirling.py",
            "for tau, prod in laws.get(perm, ())):",
@@ -76,6 +81,11 @@ MUTANTS = [
            "key = blocks, bits\n",
            "key = blocks, bits is not None\n",
            ("tests/test_trees.py::test_graph_search_setups_equal_fresh_searches",)),
+    Mutant("graph action: the sort sign dropped, every target on the positive side",
+           "src/stirhom/graphcomplex.py",
+           "positive = sort_sign(",
+           "positive = 1 or sort_sign(",
+           ("tests/test_graphcomplex.py::test_action_terms_equal_the_sorting_rule",)),
     Mutant("orientation kill: 2-cycles kept",
            "src/stirhom/graphcomplex.py",
            "if not (orientation_kill and c == 2):",
@@ -166,6 +176,11 @@ MUTANTS = [
            "if bits == tuple(range(len(bits))):",
            "if bits[:2] == (0, 1):",
            ("tests/test_characters.py::test_trace_is_the_diagonal_for_all_of_s4",)),
+    Mutant("trace: a column holding its own key counted +1 on either side",
+           "src/stirhom/linalg.py",
+           "sum((key in plus) - (key in minus)",
+           "sum((key in plus) + (key in minus)",
+           ("tests/test_characters.py::test_trace_is_the_action_diagonal",)),
 ]
 
 

@@ -347,32 +347,27 @@ def test_trace_is_the_action_diagonal():
 
 
 def test_traces_apply_the_action_terms_to_the_fixed_keys_alone():
-    # on GC(6) the ten non-identity cycle types apply their action terms to
+    # on GC(6) the ten non-identity cycle types read the action columns of
     # 3,984 keys over all degrees, exactly the keys they fix (a scan of
-    # every degree visits 143,080); the identity reads dim(i) and applies
-    # them to none; after the pass every per-degree cache is empty
+    # every degree visits 143,080); the identity reads dim(i) and the
+    # columns of none; after the pass every per-degree cache is empty
     cx = GraphComplex(6)
     perms = {mu: tuple(graph_permutation(mu)) for mu in C.partitions(6)}
     applied = dict.fromkeys(perms.values(), 0)
     fixed = dict.fromkeys(perms.values(), 0)
-    action_terms = cx.action_terms
+    action_columns = cx.action_columns
 
-    def counted(perm):
-        terms = action_terms(perm)
-
-        def count(key):
+    def counted(keys, perm):
+        for column in action_columns(keys, perm):
             applied[tuple(perm)] += 1
-            return terms(key)
+            yield column
 
-        return count
-
-    cx.action_terms = counted
+    cx.action_columns = counted
     for i in cx.degrees():
         for perm in perms.values():
             cx.trace(i, perm)
-            terms = action_terms(perm)
-            fixed[perm] += sum(target == key for key in cx.generators(i)
-                               for target, _sign in terms(key))
+            fixed[perm] += sum((key in plus) + (key in minus) for key, (plus, minus)
+                               in action_columns(cx.generators(i), perm))
     identity = perms[(1,) * 6]
     assert applied.pop(identity) == 0
     fixed.pop(identity)
@@ -466,9 +461,9 @@ def test_trace_is_the_diagonal_when_a_kept_cycle_moves_a_cluster():
     cx = _complex("graph", 6, True)
     both, one = (LOOP6, _mask_set([0b110, 0b11000])), (LOOP6, _mask_set([0b110]))
     assert both in cx.rows(3) and one in cx.rows(2)
-    terms = cx.action_terms(perm)
-    assert [target for target, _sign in terms(both)] == [both]
-    assert [target for target, _sign in terms(one)] != [one]
+    targets = {key: plus + minus for key, (plus, minus) in cx.action_columns([both, one], perm)}
+    assert targets[both] == [both]
+    assert targets[one] != [one]
     assert both in set(cx.fixable_keys(3, perm))
     assert one not in set(cx.fixable_keys(2, perm))
     for kill in (True, False):
@@ -476,19 +471,20 @@ def test_trace_is_the_diagonal_when_a_kept_cycle_moves_a_cluster():
 
 
 def test_relabelings_alive_at_once_keep_their_own_verdicts():
-    # each relabeling keeps the images of the cycles or trees it has met in
-    # its own function; two of one complex called turn about must not
-    # share them, and neither may the traces they give
+    # each relabeling keeps the images of the cycle or tree its run of keys
+    # is on in its own stream; two streams of one complex read turn about
+    # must not share them, and neither may the traces they give
     cases = [(_complex("graph", 5, True), [1, 2, 3, 4, 5], [2, 1, 4, 5, 3]),
              (_complex("stirling", 5, 2), [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4])]
     for cx, identity, other in cases:
         for i in range(cx.max_edges + 1):
             for first, second in ((identity, other), (other, identity)):
-                a, b = cx.action_terms(first), cx.action_terms(second)
+                keys = cx.generators(i)
+                a, b = cx.action_columns(keys, first), cx.action_columns(keys, second)
                 sums = [0, 0]
-                for key in cx.generators(i):
-                    sums[0] += sum(sign for target, sign in a(key) if target == key)
-                    sums[1] += sum(sign for target, sign in b(key) if target == key)
+                for (key, (a_plus, a_minus)), (_key, (b_plus, b_minus)) in zip(a, b):
+                    sums[0] += (key in a_plus) - (key in a_minus)
+                    sums[1] += (key in b_plus) - (key in b_minus)
                 diagonals = [_diagonal_sum(cx.action_matrix(i, first)),
                              _diagonal_sum(cx.action_matrix(i, second))]
                 assert sums == diagonals

@@ -159,18 +159,15 @@ def test_verify_fails_when_the_trade_terms_flip_sign(monkeypatch, capsys, factor
     # the action's trade terms times factor: a relabeling trades exactly the
     # keys whose alternating far sides hold the leg it sends to 0; with
     # their sign flipped the action no longer commutes with d
-    original = st.StirlingComplex.action_terms
+    original = st.StirlingComplex.action_columns
 
-    def action_terms(self, perm):
-        terms, source = original(self, perm), 1 << list(perm).index(0)
-
-        def scaled(key):
+    def action_columns(self, keys, perm):
+        source = 1 << list(perm).index(0)
+        for key, (plus, minus) in original(self, keys, perm):
             traded = any(a & source for a in _members(key[2]))
-            return [(target, factor * sign if traded else sign)
-                    for target, sign in terms(key)]
-        return scaled
+            yield key, ((minus, plus) if traded and factor < 0 else (plus, minus))
 
-    monkeypatch.setattr(st.StirlingComplex, "action_terms", action_terms)
+    monkeypatch.setattr(st.StirlingComplex, "action_columns", action_columns)
     returned, out = run(capsys, "verify", "--n", "5", "--k", "2",
                         "--checks", "equivariance", "--format", "json")
     assert returned == code

@@ -35,7 +35,7 @@ from closed_forms import dihedral_character
 from flag_graphs import FlagGraphComplex, representative
 from helpers import (cols, from_triplets, orientation_signs, perm_parity,
                      product, reference_orders, relative_sign,
-                     reoriented_homology, same, transport)
+                     reoriented_homology, same, signed, transport)
 
 
 def flag_graph(m, key):
@@ -292,15 +292,16 @@ def test_differential_matches_oracle(m, i):
 @pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
                                     for kill in (True, False)])
 def test_contraction_terms_equal_the_sorting_rule(m, kill):
-    # every term of every key, its target and its sign, in the same order
-    # within each sign, the positive terms first, as a column stores them;
-    # the terms of a shared target summed, as the assembler needs distinct
-    # targets
+    # every term of every key, its target and its sign, read off the view
+    # of its cycle for that key alone, not in a run of its cycle's keys, in
+    # the same order within each sign, the positive terms first, as a
+    # column stores them; the terms of a shared target summed, as the
+    # assembler needs distinct targets
     cx = GraphComplex(m, kill)
     for i in range(m + 1):
         for key in cx.generators(i):
             expected = graph_terms_oracle.summed(graph_terms_oracle.contraction_terms(key, kill))
-            assert cx.contraction_terms(key) == sorted(
+            assert signed(*cx.view(key[0]).column(key)) == sorted(
                 expected, key=lambda term: term[1] < 0), cx.code(key)
 
 
@@ -344,14 +345,19 @@ def test_kill_off_columns_sum_the_parallel_edges(m):
 @pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7)
                                     for kill in (True, False)])
 def test_action_terms_equal_the_sorting_rule(m, kill):
-    # one permutation per cycle type, every key of every degree
+    # one permutation per cycle type, every key of every degree: the
+    # action's column of each key, in the order of the keys, is the one
+    # term of the sorting rule
     cx = GraphComplex(m, kill)
     for mu in partitions(m):
         perm = [p + 1 for p in representative_permutation(mu)]
-        terms, oracle = cx.action_terms(perm), graph_terms_oracle.action_terms(perm)
+        oracle = graph_terms_oracle.action_terms(perm)
         for i in range(m + 1):
-            for key in cx.generators(i):
-                assert terms(key) == oracle(key), (mu, cx.code(key))
+            keys = cx.generators(i)
+            columns = list(cx.action_columns(keys, perm))
+            assert [key for key, _column in columns] == keys
+            for key, column in columns:
+                assert signed(*column) == oracle(key), (mu, cx.code(key))
 
 
 @pytest.mark.parametrize("kill,views", [(True, 527), (False, 558)])

@@ -315,30 +315,58 @@ def test_concentration_needs_a_verified_d_squared():
 # ---------------------------------------------------------------------------
 # signed columns: the term contract, and the d^2 check against its oracle
 
-COMPLEXES = (
-    [pytest.param(lambda n=n, k=k: StirlingComplex(n, k), id=f"stirling-{n}-{k}")
-     for n in range(2, 7) for k in range(2, n + 1)]
-    + [pytest.param(lambda m=m, kill=kill: GraphComplex(m, kill),
-                    id=f"graph-{m}" + ("" if kill else "-kill-off"))
-       for m in range(3, 7) for kill in (True, False)])
+def _complexes(top):
+    """Every type (n, k) with n <= ``top`` and GC(3..``top``) with the
+    kill on and off, each made when its test runs."""
+    return ([pytest.param(lambda n=n, k=k: StirlingComplex(n, k), id=f"stirling-{n}-{k}")
+             for n in range(2, top + 1) for k in range(2, n + 1)]
+            + [pytest.param(lambda m=m, kill=kill: GraphComplex(m, kill),
+                            id=f"graph-{m}" + ("" if kill else "-kill-off"))
+               for m in range(3, top + 1) for kill in (True, False)])
+
+
+COMPLEXES = _complexes(6)
+
+
+def _relabelings(cx):
+    """A transposition, the cycle of all the legs and their reversal."""
+    legs = list(cx.legs)
+    return [[legs[1], legs[0], *legs[2:]], legs[1:] + legs[:1], legs[::-1]]
 
 
 @pytest.mark.parametrize("make", COMPLEXES)
 def test_the_terms_of_a_key_have_distinct_targets(make):
     # the assembler puts each term in plus or minus by its sign, so the
-    # contraction terms of a key, and its action terms under a transposition
-    # and under the cycle of all the legs, are +-1 on distinct targets
+    # contraction column of a key, and its action columns under a
+    # transposition and under the cycle of all the legs, repeat no target
+    # on a side and share none between the sides
     cx = make()
-    legs = list(cx.legs)
-    functions = [cx.contraction_terms,
-                 cx.action_terms([legs[1], legs[0], *legs[2:]]),
-                 cx.action_terms(legs[1:] + legs[:1])]
     for i in range(cx.max_edges + 1):
-        for key in cx.generators(i):
-            for terms in functions:
-                col = list(terms(key))
-                assert len({target for target, _sign in col}) == len(col), cx.code(key)
-                assert all(sign in (-1, 1) for _target, sign in col), cx.code(key)
+        keys = cx.generators(i)
+        streams = [cx.contraction_columns(i)] + [
+            cx.action_columns(keys, perm) for perm in _relabelings(cx)[:2]]
+        for stream in streams:
+            for key, (plus, minus) in stream:
+                assert len(set(plus)) == len(plus), cx.code(key)
+                assert len(set(minus)) == len(minus), cx.code(key)
+                assert set(plus).isdisjoint(minus), cx.code(key)
+
+
+@pytest.mark.parametrize("make", _complexes(5))
+def test_action_columns_do_not_depend_on_the_runs_of_the_keys(make):
+    # the action reads each run of keys of one tree or cycle together: fed
+    # a degree's keys shuffled, so the runs are broken up, it gives each
+    # key, in the order given, the column the sorted keys give it
+    cx = make()
+    rng = random.Random(5)
+    for perm in _relabelings(cx):
+        for i in range(cx.max_edges + 1):
+            keys = cx.generators(i)
+            shuffled = rng.sample(keys, len(keys))
+            expected = dict(cx.action_columns(keys, perm))
+            columns = list(cx.action_columns(shuffled, perm))
+            assert [key for key, _column in columns] == shuffled
+            assert all(column == expected[key] for key, column in columns)
 
 
 @pytest.mark.parametrize("make", COMPLEXES)

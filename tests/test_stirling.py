@@ -31,8 +31,8 @@ import stirling_oracle
 from flag_graphs import _tree_from_shape, canonical_tree_data
 from helpers import (cols, from_triplets, in_acyclic_part, is_zero,
                      make_generator, product, reach, reference_orders,
-                     relative_sign, reoriented_homology, same, stirling_key_terms,
-                     transport)
+                     relative_sign, reoriented_homology, same, signed,
+                     stirling_key_terms, transport)
 
 
 def tree_from_nested(shape, n):
@@ -202,7 +202,8 @@ def test_three_term_column():
     edge_order, alt_order = reference_orders(cx, key)
     alt_edges = [c for c in edge_order if c in alt_order]
     assert len(alt_edges) == 1
-    assert len(list(cx.contraction_terms(key))) == 3
+    plus, minus = dict(cx.contraction_columns(2))[key]
+    assert len(plus) + len(minus) == 3
 
 
 def test_all_entries_unit():
@@ -295,15 +296,15 @@ def test_verify_action_checks_the_group_law(monkeypatch):
     # -A(tau) commutes with d as A(tau) does, so only the group law
     # A(sigma) A(tau) = A(sigma tau) tells the negated action apart
     sigma, tau = (1, 0, 2, 3, 4), (0, 2, 1, 4, 3)
-    original = StirlingComplex.action_terms
+    original = StirlingComplex.action_columns
 
-    def action_terms(self, perm):
-        terms = original(self, perm)
+    def action_columns(self, keys, perm):
+        columns = original(self, keys, perm)
         if tuple(perm) != tau:
-            return terms
-        return lambda key: [(target, -sign) for target, sign in terms(key)]
+            return columns
+        return ((key, (minus, plus)) for key, (plus, minus) in columns)
 
-    monkeypatch.setattr(StirlingComplex, "action_terms", action_terms)
+    monkeypatch.setattr(StirlingComplex, "action_columns", action_columns)
     cx = StirlingComplex(4, 2)
     assert cx.verify_action([sigma, tau, compose(sigma, tau)])
     assert cx.verify_action([], [(sigma, sigma)])
@@ -429,9 +430,9 @@ def test_contraction_terms_never_cancel():
                 column = {}
                 for _r, c, v in cx.differential(i).triplets():
                     column.setdefault(c, []).append(v)
-                for col, gen in enumerate(cx.generators(i)):
+                for col, (_gen, (plus, minus)) in enumerate(cx.contraction_columns(i)):
                     values = column.get(col, [])
-                    assert len(values) == len(list(cx.contraction_terms(gen)))
+                    assert len(values) == len(plus) + len(minus)
                     assert all(v in (-1, 1) for v in values)
 
 
@@ -503,7 +504,8 @@ def test_contraction_terms_drop_an_edge(pick):
     gens = [(i, g) for i in (2, 3) for g in cx.generators(i)]
     i, gen = gens[pick % len(gens)]
     edge_order, alt_order = reference_orders(cx, gen)
-    for key, sign in cx.contraction_terms(gen):
+    column = next(column for key, column in cx.contraction_columns(i) if key == gen)
+    for key, sign in signed(*column):
         assert key in cx.rows(i - 1) and sign in (-1, 1)
         target_edges, target_alt = reference_orders(cx, key)
         assert len(target_edges) == len(edge_order) - 1
@@ -644,8 +646,7 @@ def test_tree_columns_equal_the_per_key_terms(n, k):
     # every column the walk of a degree builds a tree at a time, its key in
     # the walk's order and the targets of its positive and its negative
     # terms, each side in edge order, equals the terms of its key computed
-    # on their own, which ``contraction_terms`` also reads off the one rule,
-    # the positive ones first
+    # on their own, and the column the one rule builds for its key alone
     cx = StirlingComplex(n, k)
     for i in range(cx.max_edges + 1):
         columns = list(cx.contraction_columns(i))
@@ -654,8 +655,9 @@ def test_tree_columns_equal_the_per_key_terms(n, k):
             expected = stirling_key_terms(cx, key)
             assert plus == [target for target, sign in expected if sign > 0], cx.code(key)
             assert minus == [target for target, sign in expected if sign < 0], cx.code(key)
-            assert cx.contraction_terms(key) == [(target, 1) for target in plus] + [
-                (target, -1) for target in minus]
+            clusters, dv, alt = key
+            ((_key, alone),) = stirling._tree_columns(clusters, cx.tree(clusters), ((dv, (alt,)),))
+            assert alone == (plus, minus), cx.code(key)
 
 
 def test_a_pass_sets_up_one_search(monkeypatch):
