@@ -22,9 +22,10 @@ def main():
     parser.add_argument("--k", type=int, required=True)
     parser.add_argument("--out-dir", default="export")
     args = parser.parse_args()
-    if args.n > MAX_N:
-        # the CLI's bound: n = 8 is many times larger than (7, 2)
-        raise SystemExit(f"export requires n <= {MAX_N}")
+    if not 2 <= args.k <= args.n <= MAX_N:
+        # the CLI's bounds: no complex outside them, and n = 8 is many times
+        # larger than (7, 2)
+        raise SystemExit(f"export requires 2 <= k <= n <= {MAX_N}")
 
     cx = StirlingComplex(args.n, args.k)
     out = pathlib.Path(args.out_dir)

@@ -255,10 +255,11 @@ def decompose(cf):
 # characters of homology
 
 
-def homology_character(cx):
+def equivariant_euler_character(cx):
     """Character of the homology of ``cx`` under the symmetric group on its
     ``legs``, whose cycle type mu acts as ``representative_permutation(mu)``
-    carried onto the legs.  The homology must be concentrated in one total
+    carried onto the legs: the n+1 leg labels of a Stirling complex, the m
+    legs of a graph complex.  The homology must be concentrated in one total
     degree (verified, with d^2 = 0; failure would signal an upstream bug
     and make the identification invalid).
 
@@ -284,9 +285,3 @@ def homology_character(cx):
         raise RuntimeError(f"homology is not concentrated in one degree: "
                            f"{result.betti.as_dict()} ({result.certificate})")
     return ClassFunction(len(legs), {mu: (-1) ** top * v for mu, v in values.items()})
-
-
-def equivariant_euler_character(cx):
-    """Character of the top homology of a Stirling complex under the n+1
-    leg-label symmetries."""
-    return homology_character(cx)

@@ -258,7 +258,7 @@ def cmd_graph(args):
     # the traces ride on the graph's one pass, which computes its homology
     characters_ok = None
     if args.characters:
-        characters_ok = gc.verify_decomposition(cx, include_characters=True)
+        characters_ok = gc.verify_decomposition(cx)
     result = cx.homology()
     betti = result.betti.as_dict()
     expected = math.factorial(m - 1) // 2

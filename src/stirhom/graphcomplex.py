@@ -76,8 +76,7 @@ from operator import itemgetter
 from .linalg import ChainComplex
 from .stirling import StirlingComplex
 from .trees import LaminarSearch, _mask_set, _members, _spell, sort_sign
-from .characters import (equivariant_euler_character, homology_character,
-                         stirling_unsigned)
+from .characters import equivariant_euler_character, stirling_unsigned
 
 LOOP = 0  # the name of the loop's edge; no leaf set is empty
 
@@ -446,43 +445,31 @@ def _graph_dot(m, key, name):
     return "\n".join(lines) + "\n"
 
 
-def graph_homology_character(cx):
-    """Character of the graph homology under leg-label permutations
-    (optional equivariant machinery; see ``homology_character``)."""
-    return homology_character(cx)
+def verify_decomposition(cx):
+    """Character comparison between the graph complex and its Stirling pieces.
 
-
-def verify_decomposition(cx, include_characters=False):
-    """Rank comparison between the graph complex and its Stirling pieces.
-
-    The graph homology must be concentrated in a single degree, its rank
-    must equal (m-1)!/2, and the same rank must equal the sum of the top
-    Betti numbers of the even-k Stirling complexes on m-1 labels; d^2 = 0
-    must hold on every complex.  With ``include_characters`` the full
-    symmetric-group characters of the two sides are compared as well
-    (optional; ranks are the required check).  Each complex is built in one
-    pass, which takes its traces before its homology is read.
+    The graph homology must be concentrated in a single degree with rank
+    (m-1)!/2, each even-k Stirling complex on m-1 labels must be
+    concentrated in degree m-1 with rank |s(m-1, k)|, and the graph's
+    character under its m leg labels must equal the sum of the pieces'
+    characters, which holds the ranks equal too: a character's value at the
+    identity is the rank.  d^2 = 0 must hold on every complex.  Each complex
+    is built in one pass, which takes its traces before its homology is read.
     """
     n = cx.m - 1
     pieces = [StirlingComplex(n, k) for k in range(2, n + 1, 2)]
-    if include_characters:
-        try:
-            graph_character = graph_homology_character(cx)
-            characters = [equivariant_euler_character(piece) for piece in pieces]
-        except RuntimeError:
-            # a homology that is not concentrated in one degree
-            return False
-        if graph_character != sum(characters[1:], characters[0]):
-            return False
-    graph = cx.homology()
-    top = graph.concentrated_in
-    if top is None or graph.betti[top] != math.factorial(cx.m - 1) // 2:
+    try:
+        graph_character = equivariant_euler_character(cx)
+        characters = [equivariant_euler_character(piece) for piece in pieces]
+    except RuntimeError:
+        # a homology that is not concentrated in one degree
         return False
-    total = 0
+    graph = cx.homology()
+    if graph.betti[graph.concentrated_in] != math.factorial(n) // 2:
+        return False
     for piece in pieces:
         result = piece.homology()
         if (result.concentrated_in != n
                 or result.betti[n] != stirling_unsigned(n, piece.k)):
             return False
-        total += result.betti[n]
-    return graph.betti[top] == total
+    return graph_character == sum(characters[1:], characters[0])

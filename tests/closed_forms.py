@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from stirhom.characters import (ClassFunction, class_size, equivariant_euler_character,
                                 partitions)
-from stirhom.graphcomplex import GraphComplex, graph_homology_character
+from stirhom.graphcomplex import GraphComplex
 from stirhom.stirling import StirlingComplex
 
 from helpers import cycle_type
@@ -104,7 +104,7 @@ def stirling_character(n, k):
 def main(args):
     if len(args) == 1:
         m = args[0]
-        if graph_homology_character(GraphComplex(m)) != dihedral_character(m):
+        if equivariant_euler_character(GraphComplex(m)) != dihedral_character(m):
             sys.exit(f"GC({m}): the character differs from Ind_(D_m)^(S_m) eps")
         print(f"GC({m}): the character equals Ind_(D_m)^(S_m) eps")
         return

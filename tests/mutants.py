@@ -171,6 +171,17 @@ MUTANTS = [
            "if sorted(images) != legs:",
            "if len(images) != len(legs):",
            ("tests/test_stirling.py::test_action_rejects_non_bijections",)),
+    Mutant("character: the sign of the concentration degree dropped",
+           "src/stirhom/characters.py",
+           "{mu: (-1) ** top * v for mu, v in values.items()}",
+           "{mu: v for mu, v in values.items()}",
+           ("tests/test_characters.py::test_equivariant_euler_at_identity_is_top_betti",
+            "tests/test_graphcomplex.py::test_graph_character_is_the_dihedral_closed_form")),
+    Mutant("decomposition verdict: the characters are not compared",
+           "src/stirhom/graphcomplex.py",
+           "return graph_character == sum(characters[1:], characters[0])",
+           "return True",
+           ("tests/test_graphcomplex.py::test_decomposition_verdict_reads_the_characters",)),
     Mutant("trace: the identity shortcut taken when the first two bits stay",
            "src/stirhom/linalg.py",
            "if bits == tuple(range(len(bits))):",

@@ -285,11 +285,11 @@ def graph_permutation(mu):
     *[(functools.partial(GraphComplex, m), m, graph_permutation)
       for m in (4, 5)]])
 def test_streamed_traces_match_traces_of_the_whole_complex(make, size, perm_of):
-    # homology_character takes its traces inside the complex's one pass,
+    # equivariant_euler_character takes its traces inside the complex's one pass,
     # its group read off the complex's legs; the same alternating sum over
     # a complex that keeps every degree, with the group given here
     cx = make()
-    streamed = C.homology_character(cx)
+    streamed = C.equivariant_euler_character(cx)
     top = cx.homology().betti.support()
     fresh = make()
     assert streamed == trace_character(fresh, size, perm_of,
@@ -303,7 +303,7 @@ def test_character_refuses_homology_outside_one_degree():
     with pytest.raises(RuntimeError, match=r"^homology is not concentrated "
                        r"in one degree: \{0: 0, 1: 0, 2: 0, 3: -2, 4: 1\} "
                        r"\(unverified\)$"):
-        C.homology_character(GraphComplex(4, orientation_kill=False))
+        C.equivariant_euler_character(GraphComplex(4, orientation_kill=False))
 
 
 def test_full_alternating_complexes_give_sign():

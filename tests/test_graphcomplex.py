@@ -24,16 +24,16 @@ import pytest
 
 import graph_terms_oracle
 from stirhom import graphcomplex
-from stirhom.characters import partitions, representative_permutation
+from stirhom.characters import (ClassFunction, equivariant_euler_character,
+                                partitions, representative_permutation)
 from stirhom.graphcomplex import (GraphComplex, GraphError,
                                   enumerate_graph_generators,
-                                  graph_homology_character,
                                   verify_decomposition)
 from stirhom.linalg import alternating_sum, composes_to_zero
 
 from closed_forms import dihedral_character
 from flag_graphs import FlagGraphComplex, representative
-from helpers import (cols, from_triplets, orientation_signs, perm_parity,
+from helpers import (class_sign, cols, from_triplets, orientation_signs, perm_parity,
                      product, reference_orders, relative_sign,
                      reoriented_homology, same, signed, transport)
 
@@ -519,7 +519,7 @@ def test_orientation_seed_invariance():
 
 
 # ---------------------------------------------------------------------------
-# optional equivariant comparison (flagged; ranks are the required check)
+# the equivariant comparison: the action, the characters and the verdict
 
 
 def test_graph_action_is_signed_permutation_and_commutes():
@@ -563,16 +563,40 @@ def test_graph_action_group_law_and_equivariance(m):
 
 
 def test_character_level_decomposition():
-    from stirhom.characters import equivariant_euler_character
     from stirhom.stirling import StirlingComplex
-    assert (graph_homology_character(GraphComplex(4))
+    assert (equivariant_euler_character(GraphComplex(4))
             == equivariant_euler_character(StirlingComplex(3, 2)))
-    assert verify_decomposition(GraphComplex(4), include_characters=True)
-    assert verify_decomposition(GraphComplex(5), include_characters=True)
+    assert verify_decomposition(GraphComplex(4))
+    assert verify_decomposition(GraphComplex(5))
+
+
+def test_decomposition_verdict_reads_the_characters(monkeypatch):
+    # each Stirling piece's character gains trivial - sign, which is 0 at
+    # the identity: every rank still agrees, so only the comparison of the
+    # characters can refuse the split
+    from stirhom.stirling import StirlingComplex
+
+    def shifted(cx):
+        cf = equivariant_euler_character(cx)
+        if not isinstance(cx, StirlingComplex):
+            return cf
+        return ClassFunction(cf.m, {mu: v + 1 - class_sign(mu)
+                                    for mu, v in cf.values.items()})
+
+    monkeypatch.setattr(graphcomplex, "equivariant_euler_character", shifted)
+    assert verify_decomposition(GraphComplex(5)) is False
+
+
+@pytest.mark.parametrize("m", range(4, 7))
+def test_decomposition_verdict_fails_without_the_kill(m):
+    # the negative control: no single degree holds the homology (at m = 3
+    # the kept parallel edges leave it in degree 3 with the character the
+    # kill gives, so that split still holds)
+    assert verify_decomposition(GraphComplex(m, orientation_kill=False)) is False
 
 
 @pytest.mark.parametrize("m", range(3, 7))
 def test_graph_character_is_the_dihedral_closed_form(m):
     # Ind_{D_m}^{S_m} eps counts no generator and takes no trace, so a trace
     # bug that hits the graph and the Stirling sides alike fails here
-    assert graph_homology_character(GraphComplex(m)) == dihedral_character(m)
+    assert equivariant_euler_character(GraphComplex(m)) == dihedral_character(m)

@@ -61,6 +61,20 @@ def test_export_above_n7_refused_before_work(monkeypatch, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n,k", [(3, 5), (0, 0), (4, 1)])
+def test_export_outside_the_domain_refused_before_work(monkeypatch, tmp_path, n, k):
+    # a type with no complex is refused like n = 8, before any work, not
+    # with a traceback from the complex's constructor
+    script = load_script("export_complex")
+    monkeypatch.setattr(script, "StirlingComplex", refuse)
+    monkeypatch.setattr("sys.argv", ["export_complex.py", "--n", str(n), "--k", str(k),
+                                     "--out-dir", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as refusal:
+        script.main()
+    assert "2 <= k <= n <= 7" in str(refusal.value)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["--max-n", "8"], ["--max-m", "8"],
                                   ["--max-n", "8", "--include-large"]])
 def test_reproduce_above_its_bounds_refused_before_work(monkeypatch, capsys, argv):

@@ -688,7 +688,7 @@ class CountedSearch(LaminarSearch):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_stirling_search_setups_equal_fresh_searches(monkeypatch, n):
-    # in one pass, every relabeling homology_character applies (the
+    # in one pass, every relabeling equivariant_euler_character applies (the
     # identity included) offers the keys on the trees a fresh search of its
     # orbits gives, degree by degree; the walk sets up one search and each
     # relabeling one more, every one of which gives what a fresh search
@@ -714,7 +714,7 @@ def test_stirling_search_setups_equal_fresh_searches(monkeypatch, n):
 
 @pytest.mark.parametrize("m,kill", [(m, kill) for m in range(3, 7) for kill in (True, False)])
 def test_graph_search_setups_equal_fresh_searches(monkeypatch, m, kill):
-    # in one pass, every relabeling homology_character applies offers
+    # in one pass, every relabeling equivariant_euler_character applies offers
     # exactly the keys it fixes, by the sorting rule's action; each
     # relabeling sets up one search per block partition it maps onto itself
     # with a cycle it fixes, every one of which gives what a fresh search
