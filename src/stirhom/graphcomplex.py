@@ -359,10 +359,10 @@ class GraphComplex(ChainComplex):
         return view
 
     def contraction_columns(self, i):
-        """The column of every degree-i key, cycle by cycle: the keys of a
-        cycle are adjacent, so each run of them reads the cycle's view
-        once."""
-        for cycle, keys in itertools.groupby(self._keys(i), itemgetter(0)):
+        """The column of every degree-i key, cycle by cycle on the walk of
+        degree i: the keys of a cycle are adjacent, so each run of them
+        reads the cycle's view once."""
+        for cycle, keys in itertools.groupby(self.walk(i), itemgetter(0)):
             column = self.view(cycle).column
             for key in keys:
                 yield key, column(key)

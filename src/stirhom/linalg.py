@@ -6,16 +6,14 @@ by ``ChainComplex.degrees()`` as the pass builds each differential.  A
 matrix is in compressed-column form (``SparseIntMatrix``): one list of
 rows, column by column, each column's positive entries and then its
 negative ones, cut into columns by one ``array`` of offsets, with the
-positive entries of each column counted in another.  Only this module
-reads that layout; the rest of the package reads columns through
-``columns`` and ``sides``, and the assembler appends each column straight
-to the list.  The pairing, the cut and the reach check read whole
-columns: the coreduction counts live entries and never reads their signs.
-Two products are compared by one routine, ``products_agree``, which
-splits the left factor's columns into their two sides once, sorts and
-compares the rows a column's positive and negative terms reach, and
-builds no product.  Step i
-tests d_{i-1} d_i = 0 with it (``composes_to_zero``, a zero right side),
+positive entries of each column counted in another.  Readers go through
+``columns`` and ``sides``; the two builders (the assembler and the cut
+``_on_live_faces``) and the pairing's lookup of a popped column are the
+only other code to touch the offsets.  Two products are compared by one
+routine, ``products_agree``, which splits the left factor's columns into
+their two sides once, sorts and compares the rows a column's positive and
+negative terms reach, and builds no product.  Step i tests
+d_{i-1} d_i = 0 with it (``composes_to_zero``, a zero right side),
 the one d^2 check: every homology and character relies on it, and
 ``stirhom verify`` reads its ``d2`` line off the pass of ``survey``.
 While the test holds, the step pairs each degree-i cell c that has
@@ -28,24 +26,26 @@ cells, so no entry changes (no fill) and the homology is kept over Z.
 No later step touches degree i-1, so after step i its live (critical) cells
 are final: the residual of d_{i-1} on them is ranked and d_{i-1} dropped.
 Degree i-2 is already final when step i starts, so once its check passes
-the step keeps of d_{i-1} only the columns with an entry on a live face of
-degree i-2, the only ones the residual reads, before it pairs on d_i.
-No step changes a differential: the pairing counts the live entries of
-each column, and the residual is built on the live rows alone.  With
-d^2 = 0 through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions and
-the homology below, which the quotients keep, so it is the pairs of step
-i-1 plus the residual's rank.  A residual goes through the one
+the step keeps of d_{i-1} only its entries on the live faces of degree
+i-2, the only ones the residual reads (``None`` when no face is live),
+before it pairs on d_i; ``finish`` cuts the top differential alike.  No
+step changes a differential: the pairing counts the live entries of each
+column, and the sides of the cut's live columns go straight to the
+elimination, each row keeping its number in d_{i-1}.  With d^2 = 0
+through d_{i-1} d_i, rank d_{i-1} is fixed by the dimensions and the
+homology below, which the quotients keep, so it is the pairs of step i-1
+plus the residual's rank.  A residual goes through the one
 elimination routine, ``_eliminate_rank``: fraction-free over Z, each pivot
 from one row heap (rows holding a +-1 entry first, then shorter rows; in
 the row, a +-1 entry if there is one, in the column with the fewest
 entries).  When every pivot is +-1 the residual is an identity block plus
 zero over Z, so the homology is free and the certificate is
 ``"morse-integral"``; a larger pivot (Z/2 in RP^2, say) leaves ranks over
-Q and ``"exact-rational"``.  ``rank_exact`` is the same routine with only
-the rank kept.  When the check of step i fails, d_{i-1} and every later
-differential are ranked whole by ``rank_exact``, the certificate reads
-``"unverified"``, and negative Betti numbers are reported rather than
-raised.
+Q and ``"exact-rational"``.  ``rank_exact`` is the same routine on a
+whole matrix, with only the rank kept.  When the check of step i fails,
+d_{i-1} and every later differential are ranked whole by ``rank_exact``,
+the certificate reads ``"unverified"``, and negative Betti numbers are
+reported rather than raised.
 
 ``ChainComplex`` is the shared base of the Stirling and graph complexes:
 lazily enumerated degrees 0..max_edges of sorted generator keys, each
@@ -92,11 +92,12 @@ class SparseIntMatrix:
     ``len(rows)``, and ``split[c]`` counts column c's positive entries,
     each in one compact ``array``.  A slice of the list shares its ints,
     so no read makes an int object, and no column is an object of its
-    own.  The pairing, the cut and the reach check read whole columns, as
-    they need no sign, and ``columns`` yields them; the d^2 check and the
-    residual cut columns at ``split``, ``sides`` yields each column's two
-    sides, and ``triplets``, ``nnz`` and ``to_matrix_market`` read the
-    entries for the exports."""
+    own.  The pairing and the reach check read whole columns through
+    ``columns``; the d^2 check, the cut, the elimination and the exports
+    read each column's two sides through ``sides``.  Outside the class,
+    only the builders (``ChainComplex._assemble``, ``_on_live_faces``) and
+    the pairing's lookup of a popped column touch ``offsets`` and
+    ``split``."""
 
     __slots__ = ("nrows", "rows", "offsets", "split", "__weakref__")
 
@@ -136,29 +137,24 @@ class SparseIntMatrix:
     def _reached(self, other):
         """For each column of ``other``, the rows the positive and the
         negative terms of this matrix times it reach, uncancelled: this
-        matrix's sides concatenated over the column's rows.  The sides are
-        split once per call, not once per entry read, each into a tuple,
-        which holds its rows in one block where a list slice takes two and
-        more room, and the columns of ``other`` are sliced one at a time,
-        as they are asked for."""
+        matrix's sides concatenated over the column's rows.  Both are read
+        through ``sides``: this matrix's once per call, each side into a
+        tuple, which holds its rows in one block where a list slice takes
+        more room, and those of ``other`` as its columns are asked for."""
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        left, offsets, above, below = self.rows, self.offsets, [], []
-        for start, cut, end in zip(offsets, self.split, islice(offsets, 1, None)):
-            cut += start
-            above.append(tuple(left[start:cut]))
-            below.append(tuple(left[cut:end]))
-        rows, start = other.rows, 0
-        for cut, end in zip(other.split, islice(other.offsets, 1, None)):
-            cut += start
+        above, below = [], []
+        for plus, minus in self.sides():
+            above.append(tuple(plus))
+            below.append(tuple(minus))
+        for plus, minus in other.sides():
             up, down = [], []
-            for r in rows[start:cut]:
+            for r in plus:
                 up += above[r]
                 down += below[r]
-            for r in rows[cut:end]:
+            for r in minus:
                 up += below[r]
                 down += above[r]
-            start = end
             yield up, down
 
     def to_matrix_market(self):
@@ -169,8 +165,10 @@ class SparseIntMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _eliminate_rank(matrix):
-    """Fraction-free sparse elimination over the integers.
+def _eliminate_rank(sides):
+    """Fraction-free sparse elimination over the integers of the columns
+    ``sides``, each its positive and its negative rows as ``sides()``
+    yields them.
 
     Returns the rank and whether every pivot was +-1.  A pivot a_rc clears
     its column by row_j <- (a_rc/g) row_j - (a_jc/g) row_r with
@@ -182,8 +180,8 @@ def _eliminate_rank(matrix):
     """
     rows = {}
     cols = {}
-    for c, sides in enumerate(matrix.sides()):
-        for side, unit in zip(sides, (1, -1)):
+    for c, column in enumerate(sides):
+        for side, unit in zip(column, (1, -1)):
             for r in side:
                 row = rows.setdefault(r, {})
                 row[c] = row.get(c, 0) + unit
@@ -241,7 +239,7 @@ def _eliminate_rank(matrix):
 
 def rank_exact(matrix):
     """Rank over the rationals, by exact elimination over the integers."""
-    return _eliminate_rank(matrix)[0]
+    return _eliminate_rank(matrix.sides())[0]
 
 
 def products_agree(a, b, c=None, d=None):
@@ -362,19 +360,18 @@ class Homology(_Record):
 
 
 def _on_live_faces(d, faces):
-    """``d`` with each column that has an entry on a live face, by the
-    flags ``faces``, and an empty column for every other one: the columns
-    a residual on those faces can read, copied into a row list of their
-    own.  With no live face, no column is scanned."""
-    rows, split = [], array("I", [0]) * d.ncols
-    offsets = array("I", [0]) * (d.ncols + 1)
-    if 1 in faces:
-        live = faces.__getitem__
-        for c, (col, cut) in enumerate(zip(d.columns(), d.split)):
-            if any(map(live, col)):
-                rows += col
-                split[c] = cut
-            offsets[c + 1] = len(rows)
+    """``d`` with each column's entries on the live faces only, by the
+    flags ``faces``, under d's row numbers: what a residual reads.  ``None``
+    when no face is live, with no column scanned."""
+    if 1 not in faces:
+        return None
+    live = faces.__getitem__
+    rows, offsets, split = [], array("I", [0]), array("I")
+    for plus, minus in d.sides():
+        rows += filter(live, plus)
+        split.append(len(rows) - offsets[-1])
+        rows += filter(live, minus)
+        offsets.append(len(rows))
     return SparseIntMatrix(d.nrows, rows, offsets, split)
 
 
@@ -387,10 +384,10 @@ class Coreduction:
     or ``"unverified"``.  Between steps it holds the last differential and
     the live flags of its target and source degrees.  Once the d^2 check of
     step i passes, the target degree i-2 of the held d_{i-1} is final, so
-    the step swaps d_{i-1} for the columns with an entry on a live face
+    the step swaps d_{i-1} for its entries on the live faces
     (``_on_live_faces``), the only ones its residual reads, before it
-    pairs on d_i.  No step changes a differential it is fed: the pairs and
-    the residual read its live entries off the flags.
+    pairs on d_i.  No step changes a differential it is fed: the pairs
+    read its live entries off the flags, and the residual reads the cut.
     """
 
     def __init__(self):
@@ -426,18 +423,16 @@ class Coreduction:
         then those whose count drops to one; the cofaces of a face are its
         columns in d_i, ascending, so the order within a column does not
         matter.  Only a live face gets a list of cofaces."""
-        rows, offsets = d.rows, d.offsets
         cofaces = [[] if flag else None for flag in faces]
         nfaces = [0] * d.ncols
-        start = 0
-        for c, end in enumerate(islice(offsets, 1, None)):
+        for c, column in enumerate(d.columns()):
             count = 0
-            for r in rows[start:end]:
+            for r in column:
                 if faces[r]:
                     cofaces[r].append(c)
                     count += 1
             nfaces[c] = count
-            start = end
+        rows, offsets = d.rows, d.offsets
         queue = deque(c for c, count in enumerate(nfaces) if count == 1)
         pairs = 0
         while queue:
@@ -456,30 +451,22 @@ class Coreduction:
 
     def _settle(self, i):
         """Degree i is final: count its critical cells and rank the residual
-        of d_i, the last differential held, on the live cells."""
+        of d_i, the last differential held, cut to its live faces: the
+        sides of the live cells' columns, under d_i's row numbers."""
         self.critical[i] = self._live.count(1)
         if self._d is None:
             return
-        faces = self._faces
-        rows = {r: pos for pos, r in enumerate(
-            r for r, flag in enumerate(faces) if flag)}
-        d, kept, offsets, split = self._d, [], array("I", [0]), array("I")
-        for c in compress(range(d.ncols), self._live):
-            start, end = d.offsets[c], d.offsets[c + 1]
-            cut = start + d.split[c]
-            kept += [rows[r] for r in d.rows[start:cut] if faces[r]]
-            split.append(len(kept) - offsets[-1])
-            kept += [rows[r] for r in d.rows[cut:end] if faces[r]]
-            offsets.append(len(kept))
-        rank, unit = _eliminate_rank(SparseIntMatrix(len(rows), kept, offsets, split))
+        rank, unit = _eliminate_rank(compress(self._d.sides(), self._live))
         self.ranks[i] += rank
         if not unit:
             self.certificate = "exact-rational"
 
     def finish(self):
-        """Settle the top degree, the one above those settled, and drop the
-        last differential."""
+        """Settle the top degree, the one above those settled, on the last
+        differential cut as a step cuts it, and drop the differential."""
         if self._live is not None:
+            if self._d is not None:
+                self._d = _on_live_faces(self._d, self._faces)
             self._settle(len(self.critical))
         self._d = self._faces = self._live = None
         return self
@@ -502,8 +489,8 @@ class ChainComplex:
       may do per-degree work as it goes (``generators(i)`` consumes it,
       and ``dim(i)`` counts it when no walk has);
     - ``contraction_columns(i)``: the differential's column ``(key, (plus,
-      minus))`` of every degree-i key in that order, on the same walk when
-      degree i is not held, which the assembler of d_i consumes;
+      minus))`` of every degree-i key in that order, on a walk of degree
+      i, which the assembler of d_i consumes;
     - ``action_columns(keys, perm)``: the column of each of ``keys``, in
       their order, under a relabeling ``perm`` of the legs, in the same
       form;
@@ -574,11 +561,6 @@ class ChainComplex:
     def dims(self):
         return {i: self.dim(i) for i in range(self.max_edges + 1)}
 
-    def _keys(self, i):
-        """The keys of degree i in order: the held ones, else its walk."""
-        held = self._gens.get(i)
-        return self.walk(i) if held is None else held
-
     def _assemble(self, i, j, columns):
         """The matrix from degree i to degree j (columns are sources) with
         one column per ``(key, (plus, minus))`` of ``columns``, the stream
@@ -633,8 +615,9 @@ class ChainComplex:
         return self._images[bits]
 
     def action_matrix(self, i, perm):
-        """Matrix of a leg relabeling on degree i, from ``action_columns``."""
-        return self._assemble(i, i, self.action_columns(self._keys(i), perm))
+        """Matrix of a leg relabeling on degree i, from ``action_columns``
+        on ``generators(i)``, whose one walk the rows read too."""
+        return self._assemble(i, i, self.action_columns(self.generators(i), perm))
 
     def trace(self, i, perm):
         """Trace of a leg relabeling on degree i, with no matrix built: over
@@ -664,25 +647,28 @@ class ChainComplex:
         kept until degree i+1).  The step keeps d_{i-1} on its live faces
         only and then drops it, so no differential outlives the pass; the
         pass starts and ends with every cache and table empty, so each pass
-        builds every degree, and every table its degrees share, anew."""
+        builds every degree, and every table its degrees share, anew, and a
+        pass left early ends so too, with no homology kept."""
         for cache in self._caches + self._tables:
             cache.clear()
         self._pass_top = self.max_edges
         reduction, dims = Coreduction(), {}
-        for i in range(self.max_edges + 1):
-            self.release(i - 2)
-            d = self.differential(i) if i else None
-            for cache in (self._gens, self._rows, self._diffs):
-                cache.pop(i - 1, None)
-            if i == 0 < self.max_edges:
-                # the rows of d_1; every later walk below the top keeps its keys
-                self.generators(0)
-            dims[i] = self.dim(i)
-            reduction.step(i, dims[i], d)
-            yield i
-        for cache in self._caches + self._tables:
-            cache.clear()
-        self._pass_top = None
+        try:
+            for i in range(self.max_edges + 1):
+                self.release(i - 2)
+                d = self.differential(i) if i else None
+                for cache in (self._gens, self._rows, self._diffs):
+                    cache.pop(i - 1, None)
+                if i == 0 < self.max_edges:
+                    # the rows of d_1; every later walk below the top keeps its keys
+                    self.generators(0)
+                dims[i] = self.dim(i)
+                reduction.step(i, dims[i], d)
+                yield i
+        finally:
+            for cache in self._caches + self._tables:
+                cache.clear()
+            self._pass_top = None
         self._homology = reduction.finish().homology(dims, self.total_degree)
 
     def release(self, i):

@@ -349,9 +349,10 @@ class StirlingComplex(ChainComplex):
     def verify_action(self, perms, pairs=()):
         """True when each relabeling in ``perms``, and the sigma of each
         pair, commutes with d (A_{i-1} d_i = d_i A_i) and each pair (sigma,
-        tau) obeys A(sigma) A(tau) = A(sigma tau), column by column.  Each
-        relabeling walks the degrees holding only A_{i-1} and A_i, and a
-        pair's law reuses A_i(sigma)."""
+        tau) obeys A(sigma) A(tau) = A(sigma tau), column by column.  It
+        holds every differential and every degree's keys throughout; each
+        relabeling walks the degrees holding, of its own matrices, only
+        A_{i-1} and A_i, and a pair's law reuses A_i(sigma)."""
         laws = {}
         for sigma, tau in pairs:
             sigma, tau = self.relabeling(sigma), self.relabeling(tau)

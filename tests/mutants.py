@@ -129,16 +129,23 @@ MUTANTS = [
            "if count in (1, 2))\n        pairs = 0\n        while queue:\n"
            "            c = queue.popleft()\n            if nfaces[c] not in (1, 2):",
            ("tests/test_linalg.py::test_stirling_reduction_matches_rank_oracle",)),
-    Mutant("cut of d_{i-1}: no column kept on the live faces",
+    Mutant("cut of d_{i-1}: nothing kept, as if no face were live",
            "src/stirhom/linalg.py",
-           "                rows += col\n                split[c] = cut\n",
-           "                pass\n",
+           "    if 1 not in faces:\n        return None\n",
+           "    if True:\n        return None\n",
            ("tests/test_linalg.py::test_projective_plane_needs_the_residual",
             "tests/test_linalg.py::test_unit_pivots_keep_the_residual_integral")),
-    Mutant("cut of d_{i-1}: a column kept only when all its faces are live",
+    Mutant("cut of d_{i-1}: the entries on dead faces kept too",
            "src/stirhom/linalg.py",
-           "if any(map(live, col)):",
-           "if all(map(live, col)):",
+           "    live = faces.__getitem__\n",
+           "    live = lambda r: True\n",
+           ("tests/test_linalg.py::test_the_cut_keeps_a_column_with_a_dead_face",)),
+    Mutant("finish: the top degree settled uncut",
+           "src/stirhom/linalg.py",
+           "                self._d = _on_live_faces(self._d, self._faces)\n"
+           "            self._settle(len(self.critical))",
+           "                pass\n"
+           "            self._settle(len(self.critical))",
            ("tests/test_linalg.py::test_the_cut_keeps_a_column_with_a_dead_face",)),
     Mutant("column offsets: each column read one row short",
            "src/stirhom/linalg.py",
@@ -148,8 +155,8 @@ MUTANTS = [
             "tests/test_linalg.py::test_d_squared_matches_the_oracle")),
     Mutant("elimination: the negative entries are not read",
            "src/stirhom/linalg.py",
-           "        for side, unit in zip(sides, (1, -1)):\n            for r in side:",
-           "        for side, unit in zip(sides, (1,)):\n            for r in side:",
+           "        for side, unit in zip(column, (1, -1)):\n            for r in side:",
+           "        for side, unit in zip(column, (1,)):\n            for r in side:",
            ("tests/test_linalg.py::test_projective_plane_needs_the_residual",)),
     Mutant("concentration: the verdict ignores a failed d^2 check",
            "src/stirhom/linalg.py",

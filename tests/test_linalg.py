@@ -103,12 +103,12 @@ def test_unit_entries_are_pivots_first():
     # the row [2, 1], and the singleton row (2) beside the rows [1, 1] and
     # [0, 1], hold a larger entry that fill alone would pick first
     assert _eliminate_rank(from_triplets(
-        1, 2, [(0, 0, 2), (0, 1, 1)])) == (1, True)
+        1, 2, [(0, 0, 2), (0, 1, 1)]).sides()) == (1, True)
     assert _eliminate_rank(from_triplets(
-        3, 2, [(0, 0, 2), (1, 0, 1), (1, 1, 1), (2, 1, 1)])) == (2, True)
+        3, 2, [(0, 0, 2), (1, 0, 1), (1, 1, 1), (2, 1, 1)]).sides()) == (2, True)
     # no +-1 entry at all: a rank over Q only
     assert _eliminate_rank(from_triplets(
-        1, 2, [(0, 0, 2), (0, 1, 3)])) == (1, False)
+        1, 2, [(0, 0, 2), (0, 1, 3)]).sides()) == (1, False)
 
 
 def test_matmul_and_equality():
@@ -555,6 +555,15 @@ def test_the_cut_keeps_a_column_with_a_dead_face():
     homology = reduction.homology(dims, lambda i: i)
     assert homology.betti.as_dict() == {0: 0, 1: 0, 2: 0}
     assert homology.certificate == "exact-rational"
+    # the same d_1 on top, with no degree 2: ``finish`` must cut it the same
+    # way, or the dead face r2 gives c a unit pivot
+    dims = {0: 2, 1: 2}
+    reduction = morse_reduce(dims, {1: d1})
+    assert reduction.ranks == {1: 2}
+    assert reduction.critical == {0: 1, 1: 1}
+    homology = reduction.homology(dims, lambda i: i)
+    assert homology.betti.as_dict() == {0: 0, 1: 0}
+    assert homology.certificate == "exact-rational"
 
 
 def test_reduction_without_unit_pairs_takes_residual_path():
@@ -715,6 +724,27 @@ def test_the_pass_drops_each_differential_after_the_next_step(make):
         assert {j for j, ref in refs if ref() is not None} <= {i - 1, i}
     assert [j for j, _ref in refs] == list(range(1, cx.max_edges + 1))
     assert not [j for j, ref in refs if ref() is not None]
+
+
+@pytest.mark.parametrize("make,last", [(lambda: StirlingComplex(4, 2), 1),
+                                       (lambda: GraphComplex(4), 2)],
+                         ids=["stirling-4-2", "graph-4"])
+def test_a_pass_left_early_keeps_nothing(make, last):
+    # a caller that breaks out of the pass after degree ``last`` leaves no
+    # keys, differential or table behind and no top degree set, so a later
+    # differential of the top degree keeps its keys, and the homology is a
+    # fresh complex's
+    cx = make()
+    for i in cx.degrees():
+        if i == last:
+            break
+    assert cx._caches and not any(cx._caches)
+    assert cx._tables and not any(cx._tables)
+    assert cx._pass_top is None and cx._homology is None
+    top = cx.max_edges
+    cx.differential(top)
+    assert top in cx._gens
+    assert cx.homology() == make().homology()
 
 
 @pytest.mark.parametrize("make", [lambda: StirlingComplex(6, 3),
